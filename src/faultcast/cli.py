@@ -346,20 +346,30 @@ def cmd_train(args) -> int:
 
 
 def _read_grid_file(path, base: TrainConfig):
+    """Grid points from a JSON list of {"eta", "lambda" (or "lam"), "beta"}
+    objects; a missing key keeps the base config's value."""
     with open(path, "r", encoding="utf-8") as fh:
-        points = json.load(fh)
+        try:
+            points = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(points, list) or not points:
-        raise DatasetError("grid file must be a non-empty JSON list")
+        raise DatasetError(f"{path}: grid file must be a non-empty JSON list")
     grid = []
-    for rec in points:
-        grid.append(
-            replace(
-                base,
-                eta=float(rec.get("eta", base.eta)),
-                lam=float(rec.get("lambda", rec.get("lam", base.lam))),
-                beta=float(rec.get("beta", base.beta)),
+    for k, rec in enumerate(points):
+        if not isinstance(rec, dict):
+            raise DatasetError(f"{path}: grid entry {k} must be a JSON object, got {rec!r}")
+        try:
+            grid.append(
+                replace(
+                    base,
+                    eta=float(rec.get("eta", base.eta)),
+                    lam=float(rec.get("lambda", rec.get("lam", base.lam))),
+                    beta=float(rec.get("beta", base.beta)),
+                )
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}: grid entry {k}: {exc}") from None
     return grid
 
 

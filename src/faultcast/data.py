@@ -122,39 +122,67 @@ def save_dataset(path, meta: DatasetMeta, samples: list[Sample]) -> None:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# Header keys after format and version, with the JSON type each must have.
+HEADER_KEYS = {
+    "tau": int,
+    "total_steps": int,
+    "n_labels": int,
+    "d_obs": int,
+    "d_ctx": int,
+    "label_names": list,
+    "source": str,
+}
+
+
+def _read_header(path, line: str) -> DatasetMeta:
+    """Parse and schema-check a dataset's first line."""
+    where = f"{path}: line 1"
+    if not line.strip():
+        raise DatasetError(f"{where}: empty file, expected a header record")
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{where}: invalid JSON ({exc})") from None
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != FORMAT_NAME:
+        raise DatasetError(f"{where}: not a dataset file: format={fmt!r}")
+    if header.get("version") != FORMAT_VERSION:
+        raise DatasetError(f"{where}: unsupported version {header.get('version')!r}")
+    for key, kind in HEADER_KEYS.items():
+        if key not in header:
+            raise DatasetError(f"{where}: header lacks key {key!r}")
+        value = header[key]
+        # bool is an int subclass, but true/false is no dimension
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DatasetError(f"{where}: header key {key!r} must be a JSON {kind.__name__}")
+    if not all(isinstance(name, str) for name in header["label_names"]):
+        raise DatasetError(f"{where}: header key 'label_names' must list strings")
+    try:
+        return DatasetMeta(
+            **{key: header[key] for key in HEADER_KEYS if key != "label_names"},
+            label_names=tuple(header["label_names"]),
+        )
+    except DatasetError as exc:
+        raise DatasetError(f"{where}: {exc}") from None
+
+
 def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
     """Read and fully validate a dataset file."""
     with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
-            raise DatasetError("empty file, expected a header record")
-        header = json.loads(header_line)
-        if header.get("format") != FORMAT_NAME:
-            raise DatasetError(f"not a dataset file: format={header.get('format')!r}")
-        if header.get("version") != FORMAT_VERSION:
-            raise DatasetError(f"unsupported version {header.get('version')!r}")
-        meta = DatasetMeta(
-            tau=header["tau"],
-            total_steps=header["total_steps"],
-            n_labels=header["n_labels"],
-            d_obs=header["d_obs"],
-            d_ctx=header["d_ctx"],
-            label_names=tuple(header["label_names"]),
-            source=header["source"],
-        )
+        meta = _read_header(path, fh.readline())
         samples = []
         for i, line in enumerate(fh):
             if not line.strip():
                 continue
-            rec = json.loads(line)
             try:
+                rec = json.loads(line)
                 sample = Sample(
                     obs=np.asarray(rec["obs"], dtype=np.float64),
                     ctx=np.asarray(rec["ctx"], dtype=np.float64),
                     labels=np.asarray(rec["labels"], dtype=np.float64),
                     step_labels=np.asarray(rec["step_labels"], dtype=np.float64),
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(f"sample {i}: malformed record ({exc})") from None
             validate_sample(meta, sample, i)
             samples.append(sample)

@@ -124,17 +124,14 @@ def pair_loss(sim, target):
 
 
 def l2_penalty(model, lam: float) -> float:
-    """(lam / 2) * squared Frobenius norm over the eight LSTM weight matrices.
+    """(lam / 2) * squared Frobenius norm over the LSTM weights: both cells'
+    fused W, which hold the eight per-gate weight matrices.
 
     Biases and the output bias are excluded.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    total = 0.0
-    for cell in (model.encoder, model.decoder):
-        for name, arr in cell.arrays():
-            if name.startswith("w_"):
-                total += float(np.sum(arr * arr))
+    total = sum(float(np.sum(cell.W * cell.W)) for cell in (model.encoder, model.decoder))
     return 0.5 * lam * total
 
 

@@ -15,6 +15,11 @@ Gate update for input x_t and previous state (h, c):
 
 Every per-step signal accepts an optional leading batch dimension: x may be
 (m,) or (batch, m) and h/c mirror it.
+
+The four gates share one fused weight matrix W and bias b (see LstmParams),
+so a forward step is one matmul, one sigmoid over the f, i, o slab and one
+tanh for the candidate; a backward step forms the pre-activation adjoints of
+all four gates as one slab and needs one matmul each for dW and dx.
 """
 
 from __future__ import annotations
@@ -28,34 +33,68 @@ from .num import sigmoid
 
 GATE_NAMES = ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")
 
+# Row block of each gate inside the fused W and b. The three sigmoid gates
+# come first, so one sigmoid call covers a contiguous 3*hidden slab.
+GATE_ORDER = ("f", "i", "o", "c")
 
-@dataclass
+
+def _gate_view(name: str) -> property:
+    """Read-only attribute returning gate `name`'s rows of the fused arrays,
+    as a view: writing into it writes into W or b."""
+    fused = "W" if name.startswith("w_") else "b"
+    block = GATE_ORDER.index(name[2])
+
+    def view(self) -> np.ndarray:
+        n = self.hidden_size
+        return getattr(self, fused)[block * n : (block + 1) * n]
+
+    return property(view, doc=f"gate {name!r}: a view into {fused}")
+
+
 class LstmParams:
-    """Per-gate weight matrices, each (hidden, hidden + input), and biases."""
+    """One cell's parameters in fused form.
 
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    W is (4 * hidden, hidden + input) and b is (4 * hidden,); their row
+    blocks hold the gates in GATE_ORDER (f, i, o, c). The per-gate names in
+    GATE_NAMES (w_f ... b_o) are views into W and b, and the constructor
+    takes the eight per-gate arrays in GATE_NAMES order.
+    """
+
+    __slots__ = ("W", "b")
+
+    def __init__(self, w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o):
+        gates = dict(zip(GATE_NAMES, (w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o)))
+        hidden, cols = np.shape(w_f)
+        for name, arr in gates.items():
+            want = (hidden, cols) if name.startswith("w_") else (hidden,)
+            if np.shape(arr) != want:
+                raise ValueError(f"gate {name} has shape {np.shape(arr)}, expected {want}")
+        self.W = np.concatenate([gates["w_" + g] for g in GATE_ORDER], dtype=np.float64)
+        self.b = np.concatenate([gates["b_" + g] for g in GATE_ORDER], dtype=np.float64)
+
+    @classmethod
+    def fused(cls, W: np.ndarray, b: np.ndarray) -> "LstmParams":
+        """Wrap existing fused arrays without copying them."""
+        params = cls.__new__(cls)
+        params.W, params.b = W, b
+        return params
+
+    w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o = (_gate_view(n) for n in GATE_NAMES)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_f.shape[0]
+        return self.b.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
+        return self.W.shape[1] - self.hidden_size
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
-        """(name, array) pairs in a fixed, documented order."""
+        """(name, per-gate view) pairs in GATE_NAMES order."""
         return [(name, getattr(self, name)) for name in GATE_NAMES]
 
     def copy(self) -> "LstmParams":
-        return LstmParams(*(getattr(self, name).copy() for name in GATE_NAMES))
+        return LstmParams.fused(self.W.copy(), self.b.copy())
 
 
 def param_count(hidden: int, inputs: int) -> int:
@@ -66,11 +105,7 @@ def param_count(hidden: int, inputs: int) -> int:
 
 
 def zeros_params(hidden: int, inputs: int) -> LstmParams:
-    cols = hidden + inputs
-    return LstmParams(
-        *(np.zeros((hidden, cols)) for _ in range(4)),
-        *(np.zeros(hidden) for _ in range(4)),
-    )
+    return LstmParams.fused(np.zeros((4 * hidden, hidden + inputs)), np.zeros(4 * hidden))
 
 
 def init_params(
@@ -110,10 +145,11 @@ class StepCache:
     """Intermediates of one forward step, retained for the backward pass."""
 
     x_cat: np.ndarray  # [h_prev, x] concatenated, (..., hidden + input)
-    f: np.ndarray
+    sig: np.ndarray    # sigmoid gates f, i, o side by side, (..., 3 * hidden)
+    f: np.ndarray      # f, i and o_gate are views into sig
     i: np.ndarray
-    c_cand: np.ndarray
     o_gate: np.ndarray
+    c_cand: np.ndarray
     c_prev: np.ndarray
     c_new: np.ndarray
     tanh_c: np.ndarray
@@ -140,15 +176,16 @@ def lstm_step(
             f"shape mismatch in lstm_step: input has length {x.shape[-1]}, "
             f"cell expects {params.input_size}"
         )
+    n = params.hidden_size
     x_cat = np.concatenate([h_prev, x], axis=-1)
-    f = sigmoid(x_cat @ params.w_f.T + params.b_f)
-    i = sigmoid(x_cat @ params.w_i.T + params.b_i)
-    c_cand = np.tanh(x_cat @ params.w_c.T + params.b_c)
+    a = x_cat @ params.W.T + params.b
+    sig = sigmoid(a[..., : 3 * n])
+    f, i, o_gate = sig[..., :n], sig[..., n : 2 * n], sig[..., 2 * n :]
+    c_cand = np.tanh(a[..., 3 * n :])
     c_new = f * c_prev + i * c_cand
-    o_gate = sigmoid(x_cat @ params.w_o.T + params.b_o)
     tanh_c = np.tanh(c_new)
     h = o_gate * tanh_c
-    cache = StepCache(x_cat, f, i, c_cand, o_gate, c_prev, c_new, tanh_c)
+    cache = StepCache(x_cat, sig, f, i, o_gate, c_cand, c_prev, c_new, tanh_c)
     return h, c_new, cache
 
 
@@ -189,29 +226,28 @@ def step_backward(
     dh and dc are the adjoints of this step's outputs (already merged with
     anything flowing back from later steps). Returns (dh_prev, dc_prev, dx).
     """
-    hidden = params.hidden_size
-    do = dh * cache.tanh_c
+    n = params.hidden_size
+    sig = cache.sig
     dc_total = dc + dh * cache.o_gate * (1.0 - cache.tanh_c**2)
-    df = dc_total * cache.c_prev
-    di = dc_total * cache.c_cand
-    dcand = dc_total * cache.i
     dc_prev = dc_total * cache.f
 
-    # pre-activation adjoints
-    da_f = df * cache.f * (1.0 - cache.f)
-    da_i = di * cache.i * (1.0 - cache.i)
-    da_c = dcand * (1.0 - cache.c_cand**2)
-    da_o = do * cache.o_gate * (1.0 - cache.o_gate)
+    # pre-activation adjoints, one (..., 4 * hidden) slab in GATE_ORDER
+    da = np.empty(dc_total.shape[:-1] + (4 * n,))
+    np.multiply(dc_total, cache.c_prev, out=da[..., :n])
+    np.multiply(dc_total, cache.c_cand, out=da[..., n : 2 * n])
+    np.multiply(dh, cache.tanh_c, out=da[..., 2 * n : 3 * n])
+    da_sig = da[..., : 3 * n]
+    da_sig *= sig
+    da_sig *= 1.0 - sig
+    np.multiply(dc_total * cache.i, 1.0 - cache.c_cand**2, out=da[..., 3 * n :])
 
     # flatten any batch dimensions so the accumulation sums over them
-    x_flat = cache.x_cat.reshape(-1, cache.x_cat.shape[-1])
-    for gate, da in (("f", da_f), ("i", da_i), ("c", da_c), ("o", da_o)):
-        da_flat = da.reshape(-1, hidden)
-        getattr(grads, "w_" + gate)[...] += da_flat.T @ x_flat
-        getattr(grads, "b_" + gate)[...] += da_flat.sum(axis=0)
+    da_flat = da.reshape(-1, 4 * n)
+    grads.W += da_flat.T @ cache.x_cat.reshape(-1, cache.x_cat.shape[-1])
+    grads.b += da_flat.sum(axis=0)
 
-    dx_cat = da_f @ params.w_f + da_i @ params.w_i + da_c @ params.w_c + da_o @ params.w_o
-    return dx_cat[..., :hidden], dc_prev, dx_cat[..., hidden:]
+    dx_cat = da @ params.W
+    return dx_cat[..., :n], dc_prev, dx_cat[..., n:]
 
 
 def lstm_backward(

@@ -30,6 +30,7 @@ from .num import sigmoid
 
 FORMAT_NAME = "faultcast-model"
 FORMAT_VERSION = 1
+DIM_KEYS = ("n_labels", "d_obs", "d_ctx", "tau", "total_steps")
 
 
 @dataclass(frozen=True)
@@ -145,19 +146,26 @@ def zeros_grads(dims: ModelDims) -> ModelGrads:
     )
 
 
-def param_items(model: ForecastModel) -> list[tuple[str, np.ndarray]]:
-    """All parameter arrays in the documented fixed order."""
+def param_items(model) -> list[tuple[str, np.ndarray]]:
+    """All parameter arrays in the documented fixed order: per-gate views of
+    each cell, then out_bias. Takes a ForecastModel or a ModelGrads."""
     items = [(f"encoder.{n}", a) for n, a in model.encoder.arrays()]
     items += [(f"decoder.{n}", a) for n, a in model.decoder.arrays()]
     items.append(("out_bias", model.out_bias))
     return items
 
 
-def grad_items(grads: ModelGrads) -> list[tuple[str, np.ndarray]]:
-    items = [(f"encoder.{n}", a) for n, a in grads.encoder.arrays()]
-    items += [(f"decoder.{n}", a) for n, a in grads.decoder.arrays()]
-    items.append(("out_bias", grads.out_bias))
-    return items
+def fused_items(model) -> list[tuple[str, np.ndarray]]:
+    """The same parameters as the five whole arrays they live in: each
+    cell's fused W and b, then out_bias. Takes a ForecastModel or a
+    ModelGrads."""
+    return [
+        ("encoder.W", model.encoder.W),
+        ("encoder.b", model.encoder.b),
+        ("decoder.W", model.decoder.W),
+        ("decoder.b", model.decoder.b),
+        ("out_bias", model.out_bias),
+    ]
 
 
 def _check_input(name: str, x: np.ndarray, steps: int, width: int) -> np.ndarray:
@@ -303,17 +311,10 @@ def save_model(model: ForecastModel, path, classifiers: dict | None = None) -> N
     exactly, and keys are sorted, so identical models produce identical
     bytes. Optional classifier records ride along in the same file.
     """
-    dims = model.dims
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "dims": {
-            "n_labels": dims.n_labels,
-            "d_obs": dims.d_obs,
-            "d_ctx": dims.d_ctx,
-            "tau": dims.tau,
-            "total_steps": dims.total_steps,
-        },
+        "dims": {key: getattr(model.dims, key) for key in DIM_KEYS},
         "encoder": {n: a.tolist() for n, a in model.encoder.arrays()},
         "decoder": {n: a.tolist() for n, a in model.decoder.arrays()},
         "out_bias": model.out_bias.tolist(),
@@ -328,27 +329,68 @@ def save_model(model: ForecastModel, path, classifiers: dict | None = None) -> N
 
 
 def load_model(path) -> tuple[ForecastModel, dict | None]:
-    """Read a model file written by save_model; returns (model, classifiers)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"not a model file: format={doc.get('format')!r}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('version')!r}")
-    dims = ModelDims(**doc["dims"])
+    """Read a model file written by save_model; returns (model, classifiers).
 
-    def load_cell(rec, inputs):
-        params = LstmParams(*(np.array(rec[n], dtype=np.float64) for n in GATE_NAMES))
-        if params.hidden_size != dims.n_labels or params.input_size != inputs:
+    Every array is checked against the file's dims. A malformed file raises
+    ValueError naming the file and the offending key.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a model file: invalid JSON ({exc})") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != FORMAT_NAME:
+        raise ValueError(f"{path}: not a model file: format={fmt!r}")
+    if doc.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported model format version {doc.get('version')!r}")
+    for key in ("dims", "encoder", "decoder", "out_bias"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+
+    rec = doc["dims"]
+    if (
+        not isinstance(rec, dict)
+        or set(rec) != set(DIM_KEYS)
+        or any(type(rec[k]) is not int for k in DIM_KEYS)
+    ):
+        raise ValueError(f"{path}: key 'dims' must map {', '.join(DIM_KEYS)} to integers")
+    try:
+        dims = ModelDims(**rec)
+    except ValueError as exc:
+        raise ValueError(f"{path}: key 'dims': {exc}") from None
+
+    def array(key, value, shape):
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: key {key!r} is not a numeric array") from None
+        if arr.shape != shape:
             raise ValueError(
-                f"cell shape {params.w_f.shape} inconsistent with dims {dims}"
+                f"{path}: key {key!r} has shape {arr.shape}, dims {dims} need {shape}"
             )
-        return params
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: key {key!r} holds non-finite values")
+        return arr
+
+    def cell(name, inputs):
+        rec = doc[name]
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: key {name!r} must map gate names to arrays")
+        hidden = dims.n_labels
+        gates = []
+        for gate in GATE_NAMES:
+            key = f"{name}.{gate}"
+            if gate not in rec:
+                raise ValueError(f"{path}: missing key {key!r}")
+            shape = (hidden, hidden + inputs) if gate.startswith("w_") else (hidden,)
+            gates.append(array(key, rec[gate], shape))
+        return LstmParams(*gates)
 
     model = ForecastModel(
-        load_cell(doc["encoder"], dims.enc_input),
-        load_cell(doc["decoder"], dims.dec_input),
-        np.array(doc["out_bias"], dtype=np.float64),
+        cell("encoder", dims.enc_input),
+        cell("decoder", dims.dec_input),
+        array("out_bias", doc["out_bias"], (dims.n_labels,)),
         dims,
     )
     return model, doc.get("classifiers")

@@ -32,12 +32,12 @@ def rng_uniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.nd
 def sigmoid(x) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-x)).
 
-    Evaluated through exp(-|x|) so neither branch can overflow anywhere on
-    the float64 range.
+    Evaluated as 1 / (1 + z) for x >= 0 and z / (1 + z) below, with
+    z = exp(-|x|), so nothing can overflow anywhere on the float64 range.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
 
 
 def tanh(x) -> np.ndarray:

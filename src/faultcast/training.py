@@ -27,7 +27,7 @@ from .model import (
     ModelDims,
     backward,
     forward,
-    grad_items,
+    fused_items,
     init_model,
     param_items,
 )
@@ -91,20 +91,18 @@ class AdamState:
 
 def make_adam_state(model: ForecastModel) -> AdamState:
     return AdamState(
-        m={name: np.zeros_like(arr) for name, arr in param_items(model)},
-        v={name: np.zeros_like(arr) for name, arr in param_items(model)},
+        m={name: np.zeros_like(arr) for name, arr in fused_items(model)},
+        v={name: np.zeros_like(arr) for name, arr in fused_items(model)},
     )
 
 
 def clip_gradients(grads, clip_norm: float) -> float:
     """Scale all gradients so their global norm is at most clip_norm."""
-    total = 0.0
-    for _, arr in grad_items(grads):
-        total += float(np.sum(arr * arr))
-    norm = np.sqrt(total)
+    arrays = [arr for _, arr in fused_items(grads)]
+    norm = np.sqrt(sum(float(np.sum(arr * arr)) for arr in arrays))
     if norm > clip_norm and norm > 0.0:
         scale = clip_norm / norm
-        for _, arr in grad_items(grads):
+        for arr in arrays:
             arr *= scale
     return norm
 
@@ -116,25 +114,29 @@ def optimizer_step(
     state: AdamState | None = None,
     clip_norm: float | None = None,
 ) -> ForecastModel:
-    """Update parameters in place; Adam when a state is given, else plain SGD."""
+    """Update parameters in place; Adam when a state is given, else plain SGD.
+
+    Runs over the five whole parameter arrays (fused_items), so every gate
+    of a cell moves in one update.
+    """
     if clip_norm is not None:
         clip_gradients(grads, clip_norm)
-    params = dict(param_items(model))
+    pairs = zip(fused_items(model), fused_items(grads))
     if state is None:
-        for name, g in grad_items(grads):
-            params[name] -= eta * g
+        for (_, p), (_, g) in pairs:
+            p -= eta * g
         return model
     state.t += 1
     correct1 = 1.0 - ADAM_BETA1**state.t
     correct2 = 1.0 - ADAM_BETA2**state.t
-    for name, g in grad_items(grads):
+    for (name, p), (_, g) in pairs:
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        params[name] -= eta * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        p -= eta * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return model
 
 
@@ -155,13 +157,8 @@ def batch_gradients(
     dy, do, dg = batch_adjoints(kind, pred, labels, step_labels, weights, beta)
     grads = backward(model, tape, dy, do, dg)
     if lam != 0.0:
-        for cell_grads, cell in (
-            (grads.encoder, model.encoder),
-            (grads.decoder, model.decoder),
-        ):
-            for name, arr in cell.arrays():
-                if name.startswith("w_"):
-                    getattr(cell_grads, name)[...] += lam * arr
+        grads.encoder.W += lam * model.encoder.W
+        grads.decoder.W += lam * model.decoder.W
     return breakdown, grads
 
 
@@ -336,7 +333,7 @@ def grad_check(
         model, obs, ctx, labels, step_labels, weights,
         config.loss, config.lam, config.beta,
     )
-    analytic = np.concatenate([arr.ravel() for _, arr in grad_items(grads)])
+    analytic = np.concatenate([arr.ravel() for _, arr in param_items(grads)])
 
     work = model.copy()
     theta = pack_params(work)
@@ -363,7 +360,7 @@ def grad_check(
     worst = int(np.argmax(rel))
     offset = 0
     worst_name = "?"
-    for name, arr in grad_items(grads):
+    for name, arr in param_items(grads):
         if worst < offset + arr.size:
             worst_name = f"{name}[{worst - offset}]"
             break

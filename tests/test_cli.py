@@ -301,3 +301,39 @@ class TestUsageErrors:
             "train", "--data", str(tmp_path / "nope.jsonl"),
             "--out-model", str(tmp_path / "m.json"),
         ) == 2
+
+    def test_grid_file_of_numbers_is_data_error(self, workspace, tmp_path, capsys):
+        _, data, _, _ = workspace
+        grid = tmp_path / "grid.json"
+        grid.write_text("[1,2]")
+        assert run(
+            "gridsearch", "--data", str(data), "--grid-file", str(grid),
+            "--out-model", str(tmp_path / "gs.json"), "--out-report", str(tmp_path / "gs.tsv"),
+            "--n-train", "60", "--n-val", "20", "--n-test", "20",
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(grid) in err and "grid entry 0" in err
+        assert not (tmp_path / "gs.json").exists()
+
+    def test_dataset_header_without_tau_is_data_error(self, workspace, tmp_path, capsys):
+        _, data, _, _ = workspace
+        header, *rest = data.read_text().splitlines()
+        doc = json.loads(header)
+        del doc["tau"]
+        bad = tmp_path / "no_tau.jsonl"
+        bad.write_text("\n".join([json.dumps(doc), *rest]) + "\n")
+        assert run("train", "--data", str(bad), "--out-model", str(tmp_path / "m.json")) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "line 1" in err and "'tau'" in err
+
+    @pytest.mark.parametrize("key", ["encoder", "decoder", "dims"])
+    def test_model_file_missing_key_is_data_error(self, workspace, tmp_path, capsys, key):
+        _, data, model, _ = workspace
+        doc = json.loads(model.read_text())
+        del doc[key]
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", str(bad), "--data", str(data),
+                   "--out", str(tmp_path / "eval")) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(key) in err

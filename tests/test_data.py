@@ -1,5 +1,7 @@
 """Dataset schema, splitting, padding, and the synthetic generator."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,47 @@ class TestRoundTrip:
         path = tmp_path / "other.jsonl"
         path.write_text('{"format":"something"}\n')
         with pytest.raises(DatasetError, match="format"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["tau", "total_steps", "n_labels", "d_obs", "d_ctx",
+                                     "label_names", "source"])
+    def test_header_missing_key_names_path_line_and_key(self, tmp_path, key):
+        meta, samples = synth_generate(small_config(), 2)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, meta, samples)
+        header, *rest = path.read_text().splitlines()
+        doc = json.loads(header)
+        del doc[key]
+        path.write_text("\n".join([json.dumps(doc), *rest]) + "\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
+        assert "line 1" in str(info.value) and repr(key) in str(info.value)
+
+    def test_header_wrong_type_rejected(self, tmp_path):
+        meta, samples = synth_generate(small_config(), 1)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, meta, samples)
+        header, *rest = path.read_text().splitlines()
+        doc = json.loads(header)
+        doc["tau"] = "4"
+        path.write_text("\n".join([json.dumps(doc), *rest]) + "\n")
+        with pytest.raises(DatasetError, match="line 1.*'tau'"):
+            load_dataset(path)
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(DatasetError, match="line 1.*format"):
+            load_dataset(path)
+
+    def test_truncated_sample_line_names_sample(self, tmp_path):
+        meta, samples = synth_generate(small_config(), 2)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, meta, samples)
+        text = path.read_text()
+        path.write_text(text[: len(text) - 20] + "\n")
+        with pytest.raises(DatasetError, match="sample 1"):
             load_dataset(path)
 
 

@@ -12,6 +12,7 @@ from faultcast.lstm import (
     lstm_forward,
     lstm_step,
     param_count,
+    step_backward,
     zeros_params,
 )
 from faultcast.num import make_rng
@@ -303,3 +304,88 @@ class TestInit:
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="scale_rule"):
             init_params(make_rng(0), 2, 2, scale_rule="fancy")
+
+
+def per_gate_oracle(gates, h_prev, c_prev, x, dh, dc):
+    """The cell written gate by gate: four matmuls and three sigmoids forward,
+    the textbook adjoints backward. `gates` maps w_f ... b_o to the arrays the
+    cell was built from, so the fused layout is checked as well."""
+    w, b = {k: gates["w_" + k] for k in "fico"}, {k: gates["b_" + k] for k in "fico"}
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    x_cat = np.concatenate([h_prev, x], axis=-1)
+    f = sig(x_cat @ w["f"].T + b["f"])
+    i = sig(x_cat @ w["i"].T + b["i"])
+    cand = np.tanh(x_cat @ w["c"].T + b["c"])
+    o = sig(x_cat @ w["o"].T + b["o"])
+    c = f * c_prev + i * cand
+    h = o * np.tanh(c)
+
+    dc_total = dc + dh * o * (1.0 - np.tanh(c) ** 2)
+    da = {
+        "f": dc_total * c_prev * f * (1.0 - f),
+        "i": dc_total * cand * i * (1.0 - i),
+        "c": dc_total * i * (1.0 - cand**2),
+        "o": dh * np.tanh(c) * o * (1.0 - o),
+    }
+    grads = {}
+    for k in "fico":
+        grads["w_" + k] = da[k].T @ x_cat
+        grads["b_" + k] = da[k].sum(axis=0)
+    dx_cat = sum(da[k] @ w[k] for k in "fico")
+    n = h_prev.shape[-1]
+    return h, c, grads, dx_cat[..., :n], dc_total * f, dx_cat[..., n:]
+
+
+class TestFusedCell:
+    @pytest.mark.parametrize("batch", [1, 16, 100])
+    @pytest.mark.parametrize("hidden", [4, 36])
+    def test_step_and_backward_match_per_gate_oracle(self, batch, hidden):
+        rng = make_rng(1000 * batch + hidden)
+        inputs = hidden + 3
+        gates = {name: rng.normal(size=(hidden, hidden + inputs)) * 0.3
+                 for name in ("w_f", "w_i", "w_c", "w_o")}
+        gates.update({name: rng.normal(size=hidden) for name in ("b_f", "b_i", "b_c", "b_o")})
+        params = LstmParams(**gates)
+        h_prev, c_prev, dh, dc = (rng.normal(size=(batch, hidden)) for _ in range(4))
+        x = rng.normal(size=(batch, inputs))
+
+        h, c, cache = lstm_step(params, h_prev, c_prev, x)
+        grads = zeros_params(hidden, inputs)
+        dh_prev, dc_prev, dx = step_backward(params, cache, dh, dc, grads)
+
+        oh, oc, ograds, odh_prev, odc_prev, odx = per_gate_oracle(gates, h_prev, c_prev, x, dh, dc)
+        for got, want in ((h, oh), (c, oc), (dh_prev, odh_prev), (dc_prev, odc_prev), (dx, odx)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for name, arr in grads.arrays():
+            np.testing.assert_allclose(arr, ograds[name], rtol=1e-12, atol=1e-12)
+
+    def test_gate_views_write_through(self):
+        params = zeros_params(3, 2)
+        params.w_f[0, :2] = (3.0, 4.0)
+        params.b_o[...] = 7.0
+        params.w_c[2, 4] = -1.0
+        # fused rows run f, i, o, c
+        np.testing.assert_array_equal(params.W[0, :2], (3.0, 4.0))
+        np.testing.assert_array_equal(params.b[6:9], 7.0)
+        assert params.W[11, 4] == -1.0
+        assert np.count_nonzero(params.W) == 3 and np.count_nonzero(params.b) == 3
+
+    def test_fused_write_shows_in_views(self):
+        params = init_params(make_rng(8), 2, 3)
+        params.W[2:4] = 5.0
+        np.testing.assert_array_equal(params.w_i, np.full((2, 5), 5.0))
+        assert not np.any(params.w_f == 5.0)
+
+    def test_copy_is_independent(self):
+        params = init_params(make_rng(8), 2, 3)
+        twin = params.copy()
+        twin.w_o[...] = 0.0
+        assert np.any(params.w_o != 0.0)
+
+    def test_constructor_checks_gate_shapes(self):
+        with pytest.raises(ValueError, match="w_c"):
+            LstmParams(*(np.zeros((2, 4)) for _ in range(2)), np.zeros((2, 3)), np.zeros((2, 4)),
+                       *(np.zeros(2) for _ in range(4)))

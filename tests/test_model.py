@@ -1,6 +1,8 @@
 """Encoder-decoder network: forward semantics, gradient exactness, I/O."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,3 +294,87 @@ class TestSerialization:
         model.out_bias[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             save_model(model, tmp_path / "bad.json")
+
+
+# A model file written by the per-gate implementation that preceded the fused
+# W/b layout (dims 3 labels, d_obs 2, d_ctx 1, tau 3, total_steps 5), with the
+# prediction that implementation made for make_rng(11)'s inputs below.
+FIXTURE = Path(__file__).parent / "fixtures" / "model_per_gate_v1.json"
+FIXTURE_EMBEDDING = [-2.142097726810976, -0.6730604380325493, 1.0791699488761817]
+FIXTURE_STEP_SCORES = [
+    [0.05087097166915146, 0.17803020564125466, 0.37321051735080896],
+    [0.04921758734712968, 0.16969794534660848, 0.3916434055985555],
+]
+
+
+class TestModelFileCompatibility:
+    def test_per_gate_file_predicts_as_before(self):
+        model, classifiers = load_model(FIXTURE)
+        assert classifiers == {"segment": {"kind": "threshold_zero"}}
+        rng = make_rng(11)
+        obs, ctx = rng.normal(size=(3, 2)), rng.normal(size=(5, 1))
+        pred = predict(model, obs, ctx)
+        np.testing.assert_allclose(pred.embedding, FIXTURE_EMBEDDING, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pred.step_scores, FIXTURE_STEP_SCORES, rtol=0, atol=1e-12)
+
+    def test_per_gate_file_resaves_byte_identically(self, tmp_path):
+        model, classifiers = load_model(FIXTURE)
+        out = tmp_path / "resaved.json"
+        save_model(model, out, classifiers)
+        assert out.read_bytes() == FIXTURE.read_bytes()
+
+
+class TestLoadValidation:
+    def _write(self, tmp_path, edit):
+        doc = json.loads(FIXTURE.read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def _rejects(self, path, *fragments):
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        for fragment in (str(path), *fragments):
+            assert fragment in str(info.value)
+
+    @pytest.mark.parametrize("key", ["encoder", "decoder", "dims", "out_bias"])
+    def test_missing_section(self, tmp_path, key):
+        self._rejects(self._write(tmp_path, lambda doc: doc.pop(key)), repr(key))
+
+    @pytest.mark.parametrize("cell", ["encoder", "decoder"])
+    @pytest.mark.parametrize("gate", ["w_f", "w_i", "w_c", "w_o"])
+    def test_weight_one_column_short(self, tmp_path, cell, gate):
+        def edit(doc):
+            doc[cell][gate] = [row[:-1] for row in doc[cell][gate]]
+
+        self._rejects(self._write(tmp_path, edit), repr(f"{cell}.{gate}"), "shape")
+
+    @pytest.mark.parametrize("gate", ["b_f", "b_i", "b_c", "b_o"])
+    def test_bias_one_entry_long(self, tmp_path, gate):
+        def edit(doc):
+            doc["decoder"][gate].append(0.0)
+
+        self._rejects(self._write(tmp_path, edit), repr(f"decoder.{gate}"), "shape")
+
+    def test_missing_gate(self, tmp_path):
+        self._rejects(self._write(tmp_path, lambda doc: doc["encoder"].pop("b_o")),
+                      repr("encoder.b_o"))
+
+    def test_out_bias_wrong_length(self, tmp_path):
+        self._rejects(self._write(tmp_path, lambda doc: doc["out_bias"].pop()),
+                      repr("out_bias"), "shape")
+
+    def test_dims_missing_field(self, tmp_path):
+        self._rejects(self._write(tmp_path, lambda doc: doc["dims"].pop("tau")), "'dims'")
+
+    def test_ragged_weight(self, tmp_path):
+        def edit(doc):
+            doc["encoder"]["w_c"][1] = doc["encoder"]["w_c"][1][:2]
+
+        self._rejects(self._write(tmp_path, edit), repr("encoder.w_c"))
+
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        self._rejects(path, "format")
