@@ -49,6 +49,7 @@ from .training import (
     grid_search,
     optimizer_step,
     train,
+    train_population,
 )
 
 __version__ = "0.1.0"

@@ -52,6 +52,18 @@ def _ffill(column: np.ndarray) -> np.ndarray:
     return out
 
 
+def _number(path, rowno: int, column: str, text: str, convert=float):
+    """One CSV cell as a number; a DatasetError names the file, the 1-based
+    row and the column otherwise."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise DatasetError(
+            f"{path}: row {rowno}, column {column!r}: {text!r} is not {kind}"
+        ) from None
+
+
 def _window_starts(
     n_rows: int, window: int, n_samples: int, seed: int, allow_overlap: bool
 ) -> list[int]:
@@ -97,7 +109,7 @@ def convert_plant_csv(
     with open(signals_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [row for row in reader if row]
+        numbered = [(reader.line_num, row) for row in reader if row]
     lower = [name.strip().lower() for name in header]
     if "time" not in lower:
         raise DatasetError("signals file needs a 'time' column")
@@ -117,26 +129,45 @@ def convert_plant_csv(
             f"{obs_prefixes} / {ctx_prefixes}"
         )
 
-    def parse(row):
-        return [float(v) if v.strip() else np.nan for v in row]
+    def parse(rowno, row):
+        if len(row) != len(header):  # name the first missing or unnamed column
+            column = repr(header[len(row)]) if len(row) < len(header) else len(header) + 1
+            raise DatasetError(
+                f"{signals_path}: row {rowno}, column {column}: "
+                f"{len(row)} cells, header has {len(header)}"
+            )
+        return [
+            _number(signals_path, rowno, name, v) if v.strip() else np.nan
+            for name, v in zip(header, row)
+        ]
 
-    values = np.array([parse(row) for row in rows], dtype=np.float64)
+    rows = [parse(rowno, row) for rowno, row in numbered]
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
     times = values[:, time_col]
     if np.any(np.diff(times) <= 0):
-        raise DatasetError("time column must be strictly increasing")
+        raise DatasetError(f"{signals_path}: time column must be strictly increasing")
     obs_all = np.column_stack([_ffill(values[:, c]) for c in obs_cols])
     ctx_all = np.column_stack([_ffill(values[:, c]) for c in ctx_cols])
 
     step_truth = np.zeros((len(rows), n_labels))
     with open(faults_path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rec = {k.strip().lower(): v for k, v in rec.items()}
-            try:
-                start, end, code = float(rec["start"]), float(rec["end"]), int(rec["code"])
-            except (KeyError, TypeError) as exc:
-                raise DatasetError(f"faults file needs start,end,code columns ({exc})")
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            rowno = reader.line_num
+            rec = {k.strip().lower(): v for k, v in rec.items() if k is not None}
+            fields = []
+            for name, convert in (("start", float), ("end", float), ("code", int)):
+                if rec.get(name) is None:
+                    raise DatasetError(
+                        f"{faults_path}: row {rowno}: no {name!r} value; "
+                        f"the faults file needs start,end,code columns"
+                    )
+                fields.append(_number(faults_path, rowno, name, rec[name], convert))
+            start, end, code = fields
             if not 1 <= code <= n_labels:
-                raise DatasetError(f"fault code {code} outside 1..{n_labels}")
+                raise DatasetError(
+                    f"{faults_path}: row {rowno}: fault code {code} outside 1..{n_labels}"
+                )
             lo = int(np.searchsorted(times, start, side="left"))
             hi = int(np.searchsorted(times, end, side="right"))
             step_truth[lo:hi, code - 1] = 1.0

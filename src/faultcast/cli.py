@@ -152,7 +152,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out-report", required=True)
     p.add_argument("--grid-file", default=None,
                    help="JSON list of {eta, lambda, beta} points")
-    p.add_argument("--threads", type=int, default=1)
     _train_flags(p)
     _split_flags(p)
     p.set_defaults(func=cmd_gridsearch)
@@ -381,7 +380,7 @@ def cmd_gridsearch(args) -> int:
     else:
         grid = default_grid(args.loss, base)
     best_cfg, best_model, results = grid_search(
-        grid, dims, train_split, val_split, base_seed=args.seed, threads=args.threads
+        grid, dims, train_split, val_split, base_seed=args.seed
     )
     classifiers = _fit_all_classifiers(best_model, train_split, args.seed + 3)
     save_model(best_model, args.out_model, classifiers)

@@ -167,13 +167,18 @@ def _read_header(path, line: str) -> DatasetMeta:
 
 
 def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
-    """Read and fully validate a dataset file."""
+    """Read and fully validate a dataset file.
+
+    Samples are numbered by record, blank lines skipped; an error in one
+    names the file, its 1-based line and the sample index.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         meta = _read_header(path, fh.readline())
         samples = []
-        for i, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
+            index = len(samples)
             try:
                 rec = json.loads(line)
                 sample = Sample(
@@ -182,9 +187,13 @@ def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
                     labels=np.asarray(rec["labels"], dtype=np.float64),
                     step_labels=np.asarray(rec["step_labels"], dtype=np.float64),
                 )
+                validate_sample(meta, sample, index)
+            except DatasetError as exc:  # validate_sample names the sample
+                raise DatasetError(f"{path}: line {lineno}: {exc}") from None
             except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetError(f"sample {i}: malformed record ({exc})") from None
-            validate_sample(meta, sample, i)
+                raise DatasetError(
+                    f"{path}: line {lineno}: sample {index}: malformed record ({exc})"
+                ) from None
             samples.append(sample)
     return meta, samples
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .num import per_member
+
 EPS = 1e-12  # probability clamp before logs; sigmoid can saturate in float64
 
 LOSS_KINDS = ("base", "localize", "siamese")
@@ -123,23 +125,39 @@ def pair_loss(sim, target):
     return per_label.mean(axis=-1)
 
 
-def l2_penalty(model, lam: float) -> float:
+def l2_penalty(model, lam):
     """(lam / 2) * squared Frobenius norm over the LSTM weights: both cells'
     fused W, which hold the eight per-gate weight matrices.
 
-    Biases and the output bias are excluded.
+    Biases and the output bias are excluded. For a population, lam may be a
+    (G,) vector and the result is one penalty per member.
     """
-    if lam < 0:
+    if np.any(np.asarray(lam) < 0):
         raise ValueError(f"lam must be >= 0, got {lam}")
-    total = sum(float(np.sum(cell.W * cell.W)) for cell in (model.encoder, model.decoder))
+    total = sum(
+        np.sum(cell.W * cell.W, axis=(-2, -1)) for cell in (model.encoder, model.decoder)
+    )
     return 0.5 * lam * total
+
+
+def _batch_arrays(pred, labels, step_labels):
+    """Probabilities, labels, step scores and step labels as float arrays
+    with a batch axis: (..., B, L) and (..., B, horizon, L)."""
+    y = np.asarray(pred.label_probs, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[None]
+    t = np.asarray(labels, dtype=np.float64).reshape(y.shape)
+    o = np.asarray(pred.step_scores, dtype=np.float64)
+    o = o.reshape(y.shape[:-1] + o.shape[-2:])
+    ot = np.asarray(step_labels, dtype=np.float64).reshape(o.shape)
+    return y, t, o, ot
 
 
 def _pair_stats(embeddings: np.ndarray, labels: np.ndarray):
     """Similarity, target, and sign(g_i - g_j) for every ordered pair."""
-    diff = embeddings[:, None, :] - embeddings[None, :, :]
+    diff = embeddings[..., :, None, :] - embeddings[..., None, :, :]
     sim = np.exp(-np.abs(diff))
-    target = (labels[:, None, :] == labels[None, :, :]).astype(np.float64)
+    target = (labels[..., :, None, :] == labels[..., None, :, :]).astype(np.float64)
     return sim, target, np.sign(diff)
 
 
@@ -150,8 +168,8 @@ def batch_loss(
     step_labels,
     weights: ClassWeights,
     model=None,
-    lam: float = 0.0,
-    beta: float = 0.5,
+    lam=0.0,
+    beta=0.5,
 ) -> LossBreakdown:
     """Scalar batch objective for one of the three configurations.
 
@@ -162,38 +180,46 @@ def batch_loss(
               + (1 - beta) * pair loss
     plus the l2 penalty when a model and lam are given. Reduction order is
     fixed (ascending sample index) for bit reproducibility.
+
+    For a population's (G, B, ...) predictions, lam and beta may be (G,)
+    vectors, pairs stay within a member, and every field of the breakdown
+    is a (G,) vector.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    y = np.atleast_2d(np.asarray(pred.label_probs, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(labels, dtype=np.float64))
-    n = y.shape[0]
-    o = np.asarray(pred.step_scores, dtype=np.float64).reshape((n,) + pred.step_scores.shape[-2:])
-    ot = np.asarray(step_labels, dtype=np.float64).reshape(o.shape)
-    reg = l2_penalty(model, lam) if model is not None and lam != 0.0 else 0.0
+    y, t, o, ot = _batch_arrays(pred, labels, step_labels)
+    n = y.shape[-2]
+    zero = np.zeros(y.shape[:-2])  # one per member of a population
+    if model is None or not (lam.any() if isinstance(lam, np.ndarray) else lam):
+        reg = zero
+    else:  # a member with lam 0 gets exactly 0, even from non-finite weights
+        reg = np.where(np.asarray(lam) != 0.0, l2_penalty(model, lam), 0.0)
 
     seg = segment_loss(y, t, weights)
     if kind == "base":
-        l_seg, l_step, l_pair = float(seg.mean()), 0.0, 0.0
+        l_seg, l_step, l_pair = seg.mean(axis=-1), zero, zero
     elif kind == "localize":
-        l_seg = float(seg.mean())
-        l_step = float(stepwise_loss(o, ot).mean())
-        l_pair = 0.0
+        l_seg = seg.mean(axis=-1)
+        l_step = stepwise_loss(o, ot).mean(axis=-1)
+        l_pair = zero
     else:
         if n < 2:
             raise ValueError("siamese loss needs a batch of at least 2 samples")
-        g = np.atleast_2d(np.asarray(pred.embedding, dtype=np.float64))
+        g = np.asarray(pred.embedding, dtype=np.float64).reshape(y.shape)
         n_pairs = n * (n - 1) // 2
         step = stepwise_loss(o, ot)
         # each sample sits in (n - 1) of the n_pairs unordered pairs
         coef = beta * (n - 1) / n_pairs
-        l_seg = float(coef * seg.sum())
-        l_step = float(coef * step.sum())
+        l_seg = coef * seg.sum(axis=-1)
+        l_step = coef * step.sum(axis=-1)
         sim, target, _ = _pair_stats(g, t)
-        pl = pair_loss(sim, target)  # (n, n); diagonal is exactly zero
-        l_pair = float((1.0 - beta) * pl.sum() / (2 * n_pairs))
+        pl = pair_loss(sim, target)  # (..., n, n); diagonal is exactly zero
+        l_pair = (1.0 - beta) * pl.sum(axis=(-2, -1)) / (2 * n_pairs)
     total = l_seg + l_step + l_pair + reg
-    return LossBreakdown(total, l_seg, l_step, l_pair, reg)
+    parts = (total, l_seg, l_step, l_pair, reg)
+    if y.ndim == 2:
+        return LossBreakdown(*(float(v) for v in parts))
+    return LossBreakdown(*parts)
 
 
 def batch_adjoints(
@@ -202,21 +228,19 @@ def batch_adjoints(
     labels,
     step_labels,
     weights: ClassWeights,
-    beta: float = 0.5,
+    beta=0.5,
 ):
     """Upstream adjoints (d_probs, d_scores, d_embedding) of batch_loss.
 
     The l2 term is handled separately by the optimizer path since it acts on
-    parameters, not on predictions.
+    parameters, not on predictions. beta may be a (G,) vector for a
+    population, as in batch_loss.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     single = np.asarray(pred.label_probs).ndim == 1
-    y = np.atleast_2d(np.asarray(pred.label_probs, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(labels, dtype=np.float64))
-    n = y.shape[0]
-    o = np.asarray(pred.step_scores, dtype=np.float64).reshape((n,) + pred.step_scores.shape[-2:])
-    ot = np.asarray(step_labels, dtype=np.float64).reshape(o.shape)
+    y, t, o, ot = _batch_arrays(pred, labels, step_labels)
+    n = y.shape[-2]
 
     dg = np.zeros_like(y)
     if kind == "base":
@@ -228,16 +252,16 @@ def batch_adjoints(
     else:
         if n < 2:
             raise ValueError("siamese loss needs a batch of at least 2 samples")
-        g = np.atleast_2d(np.asarray(pred.embedding, dtype=np.float64))
+        g = np.asarray(pred.embedding, dtype=np.float64).reshape(y.shape)
         n_pairs = n * (n - 1) // 2
         coef = beta * (n - 1) / n_pairs
-        dy = coef * segment_loss_grad(y, t, weights)
-        do = coef * stepwise_loss_grad(o, ot)
+        dy = per_member(coef, 2) * segment_loss_grad(y, t, weights)
+        do = per_member(coef, 3) * stepwise_loss_grad(o, ot)
         sim, target, sign = _pair_stats(g, t)
         # d(pair_loss)/d(sim) = (2/L)(sim - target); d(sim)/d(g_i) = -sim * sign
-        dsim = (2.0 / y.shape[1]) * (sim - target)
-        contrib = (1.0 - beta) / (2 * n_pairs) * dsim * sim * sign
-        dg = -contrib.sum(axis=1) + contrib.sum(axis=0)
+        dsim = (2.0 / y.shape[-1]) * (sim - target)
+        contrib = per_member((1.0 - beta) / (2 * n_pairs), 3) * dsim * sim * sign
+        dg = -contrib.sum(axis=-2) + contrib.sum(axis=-3)
     if single:
         return dy[0], do[0], dg[0]
     return dy, do, dg

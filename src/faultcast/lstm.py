@@ -14,7 +14,10 @@ Gate update for input x_t and previous state (h, c):
     h' = o * tanh(c')                       new hidden state
 
 Every per-step signal accepts an optional leading batch dimension: x may be
-(m,) or (batch, m) and h/c mirror it.
+(m,) or (batch, m) and h/c mirror it. A population of G cells trained in
+lockstep stores W as (G, 4 * hidden, hidden + input) and b as (G, 4 *
+hidden); its signals are then (G, batch, m), and member k computes exactly
+what cell k computes on its own.
 
 The four gates share one fused weight matrix W and bias b (see LstmParams),
 so a forward step is one matmul, one sigmoid over the f, i, o slab and one
@@ -46,7 +49,8 @@ def _gate_view(name: str) -> property:
 
     def view(self) -> np.ndarray:
         n = self.hidden_size
-        return getattr(self, fused)[block * n : (block + 1) * n]
+        rows = slice(block * n, (block + 1) * n)
+        return self.W[..., rows, :] if fused == "W" else self.b[..., rows]
 
     return property(view, doc=f"gate {name!r}: a view into {fused}")
 
@@ -57,7 +61,9 @@ class LstmParams:
     W is (4 * hidden, hidden + input) and b is (4 * hidden,); their row
     blocks hold the gates in GATE_ORDER (f, i, o, c). The per-gate names in
     GATE_NAMES (w_f ... b_o) are views into W and b, and the constructor
-    takes the eight per-gate arrays in GATE_NAMES order.
+    takes the eight per-gate arrays in GATE_NAMES order. A population's
+    arrays carry a leading member axis: W (G, 4 * hidden, hidden + input),
+    b (G, 4 * hidden).
     """
 
     __slots__ = ("W", "b")
@@ -83,11 +89,11 @@ class LstmParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.b.shape[0] // 4
+        return self.b.shape[-1] // 4
 
     @property
     def input_size(self) -> int:
-        return self.W.shape[1] - self.hidden_size
+        return self.W.shape[-1] - self.hidden_size
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         """(name, per-gate view) pairs in GATE_NAMES order."""
@@ -104,8 +110,12 @@ def param_count(hidden: int, inputs: int) -> int:
     return 4 * (hidden * hidden + hidden * inputs + hidden)
 
 
-def zeros_params(hidden: int, inputs: int) -> LstmParams:
-    return LstmParams.fused(np.zeros((4 * hidden, hidden + inputs)), np.zeros(4 * hidden))
+def zeros_params(hidden: int, inputs: int, population: int | None = None) -> LstmParams:
+    """All-zero parameters; with `population`, for that many stacked cells."""
+    lead = () if population is None else (population,)
+    return LstmParams.fused(
+        np.zeros(lead + (4 * hidden, hidden + inputs)), np.zeros(lead + (4 * hidden,))
+    )
 
 
 def init_params(
@@ -178,7 +188,10 @@ def lstm_step(
         )
     n = params.hidden_size
     x_cat = np.concatenate([h_prev, x], axis=-1)
-    a = x_cat @ params.W.T + params.b
+    if params.W.ndim == 2:
+        a = x_cat @ params.W.T + params.b
+    else:  # a population: (G, batch, in) @ (G, in, 4 * hidden)
+        a = x_cat @ params.W.transpose(0, 2, 1) + params.b[:, None, :]
     sig = sigmoid(a[..., : 3 * n])
     f, i, o_gate = sig[..., :n], sig[..., n : 2 * n], sig[..., 2 * n :]
     c_cand = np.tanh(a[..., 3 * n :])
@@ -241,10 +254,13 @@ def step_backward(
     da_sig *= 1.0 - sig
     np.multiply(dc_total * cache.i, 1.0 - cache.c_cand**2, out=da[..., 3 * n :])
 
-    # flatten any batch dimensions so the accumulation sums over them
-    da_flat = da.reshape(-1, 4 * n)
-    grads.W += da_flat.T @ cache.x_cat.reshape(-1, cache.x_cat.shape[-1])
-    grads.b += da_flat.sum(axis=0)
+    # sum over the batch axis only; a population keeps one sum per member
+    da_b, x_b = (da, cache.x_cat) if da.ndim > 1 else (da[None], cache.x_cat[None])
+    if params.W.ndim == 2:
+        grads.W += da_b.T @ x_b
+    else:  # a population: (G, 4 * hidden, batch) @ (G, batch, in)
+        grads.W += da_b.transpose(0, 2, 1) @ x_b
+    grads.b += da_b.sum(axis=-2)
 
     dx_cat = da @ params.W
     return dx_cat[..., :n], dc_prev, dx_cat[..., n:]

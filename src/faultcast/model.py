@@ -16,6 +16,11 @@ Outputs for one sample:
 
 Hidden width equals the number of labels, so each embedding dimension lines
 up with one label. Both networks are single layer by construction.
+
+A population (stack_models) holds G models of the same dims as one model
+whose arrays carry a leading member axis; forward and backward then run all
+members in one pass per time step, each member computing exactly what it
+computes alone. Its inputs and outputs are (G, batch, ...).
 """
 
 from __future__ import annotations
@@ -74,10 +79,40 @@ class ForecastModel:
     out_bias: np.ndarray  # (n_labels,)
     dims: ModelDims
 
+    @property
+    def population(self) -> int | None:
+        """Number of stacked members, or None for a single model."""
+        return None if self.out_bias.ndim == 1 else self.out_bias.shape[0]
+
     def copy(self) -> "ForecastModel":
-        return ForecastModel(
-            self.encoder.copy(), self.decoder.copy(), self.out_bias.copy(), self.dims
-        )
+        return ForecastModel(*_map_arrays(self, np.copy), self.dims)
+
+    def member(self, k: int) -> "ForecastModel":
+        """A population's member k, as a standalone copy; a single model is
+        its own only member."""
+        if self.population is None:
+            return self.copy()
+        return ForecastModel(*_map_arrays(self, lambda a: a[k].copy()), self.dims)
+
+    def select(self, keep) -> "ForecastModel":
+        """A population of the members whose indices are listed in `keep`."""
+        return ForecastModel(*_map_arrays(self, lambda a: a[keep]), self.dims)
+
+
+def stack_models(models: list[ForecastModel]) -> ForecastModel:
+    """One population whose member k is a copy of models[k]."""
+    dims = models[0].dims
+    for k, m in enumerate(models):
+        if m.dims != dims:
+            raise ValueError(f"model {k} has dims {m.dims}, model 0 has {dims}")
+    return ForecastModel(
+        LstmParams.fused(np.stack([m.encoder.W for m in models]),
+                         np.stack([m.encoder.b for m in models])),
+        LstmParams.fused(np.stack([m.decoder.W for m in models]),
+                         np.stack([m.decoder.b for m in models])),
+        np.stack([m.out_bias for m in models]),
+        dims,
+    )
 
 
 @dataclass
@@ -87,6 +122,20 @@ class ModelGrads:
     encoder: LstmParams
     decoder: LstmParams
     out_bias: np.ndarray
+
+    def select(self, keep) -> "ModelGrads":
+        """A population's gradients for the members listed in `keep`."""
+        return ModelGrads(*_map_arrays(self, lambda a: a[keep]))
+
+
+def _map_arrays(params, fn) -> tuple[LstmParams, LstmParams, np.ndarray]:
+    """(encoder, decoder, out_bias) of a model or its gradients with `fn`
+    applied to each of the five whole arrays."""
+    return (
+        LstmParams.fused(fn(params.encoder.W), fn(params.encoder.b)),
+        LstmParams.fused(fn(params.decoder.W), fn(params.decoder.b)),
+        fn(params.out_bias),
+    )
 
 
 @dataclass
@@ -105,8 +154,8 @@ class Tape:
     enc_caches: list
     dec_caches: list
     enc_h_last: np.ndarray
-    dec_sig_h: np.ndarray    # sigmoid of decoder hidden states, (B, H, L)
-    label_probs: np.ndarray  # (B, L)
+    dec_sig_h: np.ndarray    # sigmoid of decoder hidden states, (..., B, H, L)
+    label_probs: np.ndarray  # (..., B, L)
 
 
 def init_model(rng: np.random.Generator, dims: ModelDims) -> ForecastModel:
@@ -138,11 +187,12 @@ def decoder_feedback(h: np.ndarray) -> np.ndarray:
     return sigmoid(h)
 
 
-def zeros_grads(dims: ModelDims) -> ModelGrads:
+def zeros_grads(dims: ModelDims, population: int | None = None) -> ModelGrads:
+    lead = () if population is None else (population,)
     return ModelGrads(
-        zeros_params(dims.n_labels, dims.enc_input),
-        zeros_params(dims.n_labels, dims.dec_input),
-        np.zeros(dims.n_labels),
+        zeros_params(dims.n_labels, dims.enc_input, population),
+        zeros_params(dims.n_labels, dims.dec_input, population),
+        np.zeros(lead + (dims.n_labels,)),
     )
 
 
@@ -168,13 +218,16 @@ def fused_items(model) -> list[tuple[str, np.ndarray]]:
     ]
 
 
-def _check_input(name: str, x: np.ndarray, steps: int, width: int) -> np.ndarray:
+def _check_input(name: str, x: np.ndarray, steps: int, width: int, population) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-2:] != (steps, width):
-        raise ValueError(
-            f"shape mismatch: {name} must be ({steps}, {width}) or "
-            f"(batch, {steps}, {width}), got {x.shape}"
-        )
+    if population is None:
+        ok = x.ndim in (2, 3)
+        want = f"({steps}, {width}) or (batch, {steps}, {width})"
+    else:
+        ok = x.ndim == 3 or (x.ndim == 4 and x.shape[0] == population)
+        want = f"(batch, {steps}, {width}) or ({population}, batch, {steps}, {width})"
+    if not ok or x.shape[-2:] != (steps, width):
+        raise ValueError(f"shape mismatch: {name} must be {want}, got {x.shape}")
     return x
 
 
@@ -184,26 +237,32 @@ def forward(
     """Run the network on one sample or a batch.
 
     obs is (tau, d_obs) or (B, tau, d_obs); ctx is (total_steps, d_ctx) or
-    (B, total_steps, d_ctx). Outputs mirror the input's batching.
+    (B, total_steps, d_ctx). Outputs mirror the input's batching. A
+    population takes one batch per member, (G, B, ...), or one (B, ...)
+    batch that every member sees, and returns (G, B, ...) outputs.
     """
     dims = model.dims
-    obs = _check_input("observations", obs, dims.tau, dims.d_obs)
-    ctx = _check_input("context", ctx, dims.total_steps, dims.d_ctx)
-    if obs.ndim != ctx.ndim or (obs.ndim == 3 and obs.shape[0] != ctx.shape[0]):
+    population = model.population
+    obs = _check_input("observations", obs, dims.tau, dims.d_obs, population)
+    ctx = _check_input("context", ctx, dims.total_steps, dims.d_ctx, population)
+    if obs.shape[:-2] != ctx.shape[:-2]:
         raise ValueError(
             f"shape mismatch: observations {obs.shape} and context {ctx.shape} "
             f"disagree on batching"
         )
-    batched = obs.ndim == 3
+    batched = obs.ndim > 2
     if not batched:
         obs, ctx = obs[None], ctx[None]
-    n = obs.shape[0]
+    elif population is not None and obs.ndim == 3:
+        obs = np.broadcast_to(obs, (population,) + obs.shape)
+        ctx = np.broadcast_to(ctx, (population,) + ctx.shape)
+    state_shape = obs.shape[:-2] + (dims.n_labels,)
 
-    h = np.zeros((n, dims.n_labels))
-    c = np.zeros((n, dims.n_labels))
+    h = np.zeros(state_shape)
+    c = np.zeros(state_shape)
     enc_caches = []
     for t in range(dims.tau):
-        x = np.concatenate([obs[:, t], ctx[:, t], encoder_feedback(h)], axis=-1)
+        x = np.concatenate([obs[..., t, :], ctx[..., t, :], encoder_feedback(h)], axis=-1)
         h, c, cache = lstm_step(model.encoder, h, c, x)
         if keep_tape:
             enc_caches.append(cache)
@@ -212,17 +271,18 @@ def forward(
     dec_h = []
     dec_caches = []
     for t in range(dims.tau, dims.total_steps):
-        x = np.concatenate([ctx[:, t], decoder_feedback(h)], axis=-1)
+        x = np.concatenate([ctx[..., t, :], decoder_feedback(h)], axis=-1)
         h, c, cache = lstm_step(model.decoder, h, c, x)
         dec_h.append(h)
         if keep_tape:
             dec_caches.append(cache)
-    dec_h = np.stack(dec_h, axis=1)  # (B, horizon, L)
+    dec_h = np.stack(dec_h, axis=-2)  # (..., B, horizon, L)
 
-    g = dec_h.sum(axis=1) + model.out_bias
+    out_bias = model.out_bias if population is None else model.out_bias[:, None, :]
+    g = dec_h.sum(axis=-2) + out_bias
     y = sigmoid(g)
     sig_h = sigmoid(dec_h)
-    o = sig_h * y[:, None, :]
+    o = sig_h * y[..., None, :]
 
     if batched:
         pred = Prediction(g, y, o, dec_h)
@@ -253,7 +313,7 @@ def backward(
     encoder's hidden-state feedback input.
     """
     dims = model.dims
-    n = tape.label_probs.shape[0]
+    lead = tape.label_probs.shape[:-1]  # (B,), or (G, B) for a population
     horizon = dims.horizon
 
     def promote(adj, shape):
@@ -266,9 +326,9 @@ def backward(
             raise ValueError(f"adjoint shape {adj.shape} does not match {shape}")
         return adj
 
-    dy = promote(d_label_probs, (n, dims.n_labels))
-    do = promote(d_step_scores, (n, horizon, dims.n_labels))
-    dg_extra = promote(d_embedding, (n, dims.n_labels))
+    dy = promote(d_label_probs, lead + (dims.n_labels,))
+    do = promote(d_step_scores, lead + (horizon, dims.n_labels))
+    dg_extra = promote(d_embedding, lead + (dims.n_labels,))
 
     y = tape.label_probs
     sig_h = tape.dec_sig_h
@@ -276,23 +336,23 @@ def backward(
 
     # g receives: the direct adjoint, the label-probability path, and the
     # sigmoid(g) factor inside every step score.
-    dg = dg_extra + dy * dsig_y + np.einsum("bhl,bhl->bl", do, sig_h) * dsig_y
-    grads = zeros_grads(dims)
-    grads.out_bias += dg.sum(axis=0)
+    dg = dg_extra + dy * dsig_y + np.einsum("...hl,...hl->...l", do, sig_h) * dsig_y
+    grads = zeros_grads(dims, model.population)
+    grads.out_bias += dg.sum(axis=-2)
 
     # Per-step adjoint on decoder hidden states: the sum into g plus the
     # sigmoid(h) factor of that step's score.
-    dh_steps = dg[:, None, :] + do * y[:, None, :] * sig_h * (1.0 - sig_h)
+    dh_steps = dg[..., None, :] + do * y[..., None, :] * sig_h * (1.0 - sig_h)
 
-    dh_carry = np.zeros((n, dims.n_labels))
-    dc_carry = np.zeros((n, dims.n_labels))
+    dh_carry = np.zeros(lead + (dims.n_labels,))
+    dc_carry = np.zeros(lead + (dims.n_labels,))
     for t in range(horizon - 1, -1, -1):
-        dh_t = dh_steps[:, t] + dh_carry
+        dh_t = dh_steps[..., t, :] + dh_carry
         dh_prev, dc_carry, dx = step_backward(
             model.decoder, tape.dec_caches[t], dh_t, dc_carry, grads.decoder
         )
         # The feedback part of step t's input is sigmoid(previous hidden).
-        prev_sig = tape.dec_sig_h[:, t - 1] if t > 0 else sigmoid(tape.enc_h_last)
+        prev_sig = tape.dec_sig_h[..., t - 1, :] if t > 0 else sigmoid(tape.enc_h_last)
         dh_carry = dh_prev + dx[..., dims.d_ctx :] * prev_sig * (1.0 - prev_sig)
 
     dc = dc_carry

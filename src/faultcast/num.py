@@ -1,5 +1,5 @@
-"""Array helpers shared across the package: stable nonlinearities, checked
-linear algebra, and the seeded random stream.
+"""Array helpers shared across the package: the stable sigmoid, the seeded
+random stream, and per-member scaling for populations of stacked models.
 
 Everything runs in float64; gradient verification against central finite
 differences needs the headroom.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "rng_uniform", "sigmoid", "tanh", "affine", "hadamard"]
+__all__ = ["make_rng", "per_member", "sigmoid"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -22,11 +22,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def rng_uniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
-    """n uniform draws on [lo, hi), advancing the stream."""
-    if not lo < hi:
-        raise ValueError(f"invalid range: lo={lo!r} must be < hi={hi!r}")
-    return rng.uniform(lo, hi, size=n)
+def per_member(v, ndim: int):
+    """A scalar as is; a population's (G,) vector reshaped to (G, 1, ...,
+    1) with `ndim` unit axes, so it scales each member's slice of a (G, ...)
+    array."""
+    if isinstance(v, np.ndarray) and v.ndim == 1:
+        return v.reshape((-1,) + (1,) * ndim)
+    return v
 
 
 def sigmoid(x) -> np.ndarray:
@@ -38,39 +40,3 @@ def sigmoid(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
-
-
-def tanh(x) -> np.ndarray:
-    """Elementwise hyperbolic tangent in float64."""
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w @ x + b applied along the last axis of x.
-
-    x may carry leading batch dimensions; w is (rows, cols) and b is (rows,).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError(f"weight must be a matrix, got shape {w.shape}")
-    if x.shape[-1] != w.shape[1]:
-        raise ValueError(
-            f"shape mismatch in affine: weight is {w.shape}, "
-            f"input has length {x.shape[-1]}"
-        )
-    if b.shape != (w.shape[0],):
-        raise ValueError(
-            f"shape mismatch in affine: weight is {w.shape}, bias is {b.shape}"
-        )
-    return x @ w.T + b
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of same-shape arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch in hadamard: {a.shape} vs {b.shape}")
-    return a * b

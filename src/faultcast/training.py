@@ -6,6 +6,15 @@ scored after each epoch with the fast threshold-at-zero proxy on the
 embeddings, the quantity the embedding space is trained to expose; the best
 validation snapshot (micro + macro F1) is what a run returns.
 
+train_population trains G runs in lockstep as one stacked model (see
+model.stack_models): each time step is one call for all members, forward
+and backward, and member k computes bit for bit what its own run computes.
+The runs may differ only in eta, lam, beta and seed. Each member draws its
+own batch order, keeps its own best snapshot and patience count, and stops
+on its own; a stopped member leaves the stack, and a diverged one gets no
+further update. train is the one-member case, and grid_search trains every
+grid point as one population.
+
 Sub-seed arithmetic used throughout the package, all derived from one user
 seed: split shuffle = seed, model init = seed + 1, batch shuffle = seed + 2,
 classifier fits = seed + 3, grid point k = seed + k.
@@ -14,7 +23,7 @@ classifier fits = seed + 3, grid point k = seed + k.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,8 +39,9 @@ from .model import (
     fused_items,
     init_model,
     param_items,
+    stack_models,
 )
-from .num import make_rng
+from .num import make_rng, per_member
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -79,7 +89,7 @@ class EpochRecord:
     loss: LossBreakdown
     val_micro_f1: float
     val_macro_f1: float
-    seconds: float
+    seconds: float  # wall time of the whole population's epoch
 
 
 @dataclass
@@ -96,35 +106,38 @@ def make_adam_state(model: ForecastModel) -> AdamState:
     )
 
 
-def clip_gradients(grads, clip_norm: float) -> float:
-    """Scale all gradients so their global norm is at most clip_norm."""
+def clip_gradients(grads, clip_norm: float):
+    """Scale all gradients so their global norm is at most clip_norm; a
+    population gets one norm per member. Returns the norm(s) before clipping."""
     arrays = [arr for _, arr in fused_items(grads)]
-    norm = np.sqrt(sum(float(np.sum(arr * arr)) for arr in arrays))
-    if norm > clip_norm and norm > 0.0:
-        scale = clip_norm / norm
-        for arr in arrays:
-            arr *= scale
+    lead = grads.out_bias.ndim - 1  # 1 for a population's member axis
+    norm = np.sqrt(sum(np.sum(a * a, axis=tuple(range(lead, a.ndim))) for a in arrays))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where((norm > clip_norm) & (norm > 0.0), clip_norm / norm, 1.0)
+    for arr in arrays:
+        arr *= per_member(scale, arr.ndim - 1)
     return norm
 
 
 def optimizer_step(
     model: ForecastModel,
     grads,
-    eta: float,
+    eta,
     state: AdamState | None = None,
     clip_norm: float | None = None,
 ) -> ForecastModel:
     """Update parameters in place; Adam when a state is given, else plain SGD.
 
     Runs over the five whole parameter arrays (fused_items), so every gate
-    of a cell moves in one update.
+    of a cell moves in one update. For a population, eta may be a (G,)
+    vector of per-member learning rates.
     """
     if clip_norm is not None:
         clip_gradients(grads, clip_norm)
     pairs = zip(fused_items(model), fused_items(grads))
     if state is None:
         for (_, p), (_, g) in pairs:
-            p -= eta * g
+            p -= per_member(eta, p.ndim - 1) * g
         return model
     state.t += 1
     correct1 = 1.0 - ADAM_BETA1**state.t
@@ -136,8 +149,26 @@ def optimizer_step(
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        p -= eta * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        p -= per_member(eta, p.ndim - 1) * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return model
+
+
+def _add_l2_gradient(grads, model: ForecastModel, lam) -> None:
+    """grads.W += lam * W for both cells; lam may be a population's (G,)
+    vector, and members with lam 0 are left untouched."""
+    cells = ((grads.encoder, model.encoder), (grads.decoder, model.decoder))
+    if not isinstance(lam, np.ndarray):
+        if lam != 0.0:
+            for g, p in cells:
+                g.W += lam * p.W
+        return
+    if lam.all():
+        for g, p in cells:
+            g.W += per_member(lam, 2) * p.W
+        return
+    for k in np.flatnonzero(lam):
+        for g, p in cells:
+            g.W[k] += lam[k] * p.W[k]
 
 
 def batch_gradients(
@@ -148,27 +179,60 @@ def batch_gradients(
     step_labels: np.ndarray,
     weights: ClassWeights,
     kind: str,
-    lam: float,
-    beta: float,
+    lam,
+    beta,
 ):
-    """Loss breakdown and parameter gradients for one batch."""
+    """Loss breakdown and parameter gradients for one batch (one batch per
+    member for a population, with per-member lam and beta)."""
     pred, tape = forward(model, obs, ctx)
     breakdown = batch_loss(kind, pred, labels, step_labels, weights, model, lam, beta)
     dy, do, dg = batch_adjoints(kind, pred, labels, step_labels, weights, beta)
     grads = backward(model, tape, dy, do, dg)
-    if lam != 0.0:
-        grads.encoder.W += lam * model.encoder.W
-        grads.decoder.W += lam * model.decoder.W
+    _add_l2_gradient(grads, model, lam)
     return breakdown, grads
 
 
 def threshold_validation_f1(model: ForecastModel, samples: list[Sample]):
-    """(micro_f1, macro_f1) of threshold-at-zero decisions on the embeddings."""
+    """(micro_f1, macro_f1) of threshold-at-zero decisions on the embeddings;
+    for a population, (micro list, macro list) with one entry per member,
+    from one forward pass."""
     obs, ctx, labels, _ = stack_samples(samples)
     pred = forward(model, obs, ctx, keep_tape=False)[0]
     decisions = (pred.embedding > 0.0).astype(np.int8)
-    report = segment_report(decisions, labels.astype(int))
-    return report.micro_f1, report.macro_f1
+    truth = labels.astype(int)
+    if model.population is None:
+        report = segment_report(decisions, truth)
+        return report.micro_f1, report.macro_f1
+    reports = [segment_report(d, truth) for d in decisions]
+    return [r.micro_f1 for r in reports], [r.macro_f1 for r in reports]
+
+
+# Fields in which the runs of one population may differ.
+POPULATION_FIELDS = ("eta", "lam", "beta", "seed")
+
+
+def _check_population(configs: list[TrainConfig]) -> None:
+    first = configs[0]
+    for k, cfg in enumerate(configs[1:], start=1):
+        for f in fields(TrainConfig):
+            a, b = getattr(first, f.name), getattr(cfg, f.name)
+            if f.name not in POPULATION_FIELDS and a != b:
+                raise ValueError(
+                    f"config {k} differs from config 0 in {f.name!r} ({b!r} vs {a!r}); "
+                    f"runs trained together may differ only in {', '.join(POPULATION_FIELDS)}"
+                )
+
+
+@dataclass
+class _Run:
+    """One member's own state in a population: batch order, history, best
+    snapshot and patience count."""
+
+    rng: np.random.Generator
+    best: ForecastModel
+    history: list = field(default_factory=list)
+    best_score: float = -np.inf
+    since_best: int = 0
 
 
 def train(
@@ -183,84 +247,140 @@ def train(
     config.patience epochs without improving micro + macro validation F1;
     a non-finite batch loss ends the run immediately (the best snapshot so
     far still wins). With an empty validation list the proxy is scored on
-    the training split instead.
+    the training split instead. This is train_population with one member.
     """
+    return train_population([model], train_samples, val_samples, [config])[0]
+
+
+def train_population(
+    models: list[ForecastModel],
+    train_samples: list[Sample],
+    val_samples: list[Sample],
+    configs: list[TrainConfig],
+) -> list[tuple[ForecastModel, list[EpochRecord]]]:
+    """Train a copy of each models[k] under configs[k], all in lockstep.
+
+    Returns one (best snapshot, history) pair per member, each bit for bit
+    what train(models[k], ..., configs[k]) would return on its own, except
+    that EpochRecord.seconds is the whole population's epoch time. The
+    configs may differ only in eta, lam, beta and seed (ValueError naming
+    the field otherwise), and the models must share dims.
+    """
+    if not configs or len(models) != len(configs):
+        raise ValueError(f"need one config per model, got {len(models)} and {len(configs)}")
+    _check_population(configs)
+    config = configs[0]
     if not train_samples:
         raise ValueError("need at least one training sample")
     if config.loss == "siamese" and len(train_samples) < 2:
         raise ValueError("siamese loss needs at least 2 training samples")
-    model = model.copy()
+    # One run trains on its own arrays: the G=1 stack would give the same
+    # bits through slower (1, ...)-shaped numpy calls.
+    single = len(models) == 1
+    stack = models[0].copy() if single else stack_models(models)
     if config.max_epochs == 0:
-        return model, []
+        return [(stack.member(k), []) for k in range(len(models))]
 
     obs, ctx, labels, step_labels = stack_samples(train_samples)
-    _check_dims(model.dims, obs, ctx, labels)
+    _check_dims(stack.dims, obs, ctx, labels)
     weights = class_weights(labels)
     scored_samples = val_samples if val_samples else train_samples
-    rng = make_rng(config.seed + 2)
-    state = make_adam_state(model) if config.optimizer == "adam" else None
+    runs = [_Run(make_rng(cfg.seed + 2), stack.member(k)) for k, cfg in enumerate(configs)]
+    state = make_adam_state(stack) if config.optimizer == "adam" else None
+    # Stack member i is run active[i]; these arrays are indexed like the stack.
+    active = list(range(len(runs)))
+    eta, lam, beta = (
+        getattr(config, f) if single else np.array([getattr(c, f) for c in configs])
+        for f in ("eta", "lam", "beta")
+    )
 
-    history: list[EpochRecord] = []
-    best_model = model.copy()
-    best_score = -np.inf
-    since_best = 0
+    def keep_members(keep):
+        """Shrink the stack, its optimizer state and hyperparameters to the
+        listed members."""
+        nonlocal stack, state, active, eta, lam, beta
+        stack = stack.select(keep)
+        if state is not None:
+            state = AdamState({k: a[keep] for k, a in state.m.items()},
+                              {k: a[keep] for k, a in state.v.items()}, state.t)
+        active = [active[i] for i in keep]
+        eta, lam, beta = eta[keep], lam[keep], beta[keep]
+
     n = len(train_samples)
     for epoch in range(config.max_epochs):
         start = time.perf_counter()
-        order = rng.permutation(n)
-        batch_sums = np.zeros(5)
+        perms = [runs[k].rng.permutation(n) for k in active]
+        orders = perms[0] if single else np.stack(perms)  # (n,) or (members, n)
+        batch_sums = np.zeros((5,) + np.shape(lam))  # loss parts, per member
         n_batches = 0
-        diverged = False
+        diverged = []  # (run, model, loss sums, batches) of runs that diverged this epoch
         for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            if config.loss == "siamese" and len(idx) < 2:
+            idx = orders[..., lo : lo + config.batch_size]
+            if config.loss == "siamese" and idx.shape[-1] < 2:
                 continue  # a trailing singleton batch has no pairs
             breakdown, grads = batch_gradients(
-                model,
+                stack,
                 obs[idx],
                 ctx[idx],
                 labels[idx],
                 step_labels[idx],
                 weights,
                 config.loss,
-                config.lam,
-                config.beta,
+                lam,
+                beta,
             )
-            batch_sums += (
-                breakdown.total,
-                breakdown.segment,
-                breakdown.stepwise,
-                breakdown.pairwise,
-                breakdown.reg,
-            )
+            b = breakdown
+            batch_sums += (b.total, b.segment, b.stepwise, b.pairwise, b.reg)
             n_batches += 1
-            if not np.isfinite(breakdown.total):
-                diverged = True
-                break
-            optimizer_step(model, grads, config.eta, state, config.clip_norm)
-        mean = batch_sums / max(n_batches, 1)
-        micro, macro = threshold_validation_f1(model, scored_samples)
-        history.append(
-            EpochRecord(
-                epoch,
-                LossBreakdown(*(float(v) for v in mean)),
-                micro,
-                macro,
-                time.perf_counter() - start,
-            )
-        )
+            finite = np.isfinite(b.total)
+            if not finite.all():
+                sums = batch_sums.reshape(5, -1)
+                for i in np.flatnonzero(~finite):
+                    diverged.append((active[i], stack.member(i), sums[:, i], n_batches))
+                keep = np.flatnonzero(finite)
+                if not len(keep):
+                    active = []
+                    break
+                keep_members(keep)
+                orders, batch_sums = orders[keep], batch_sums[:, keep]
+                grads = grads.select(keep)
+            optimizer_step(stack, grads, eta, state, config.clip_norm)
+
+        # Score every run that trained this epoch in one forward pass.
+        sums = batch_sums.reshape(5, -1)
+        scored = [(k, sums[:, i], n_batches) for i, k in enumerate(active)]
+        scored += [(k, sums, count) for k, _, sums, count in diverged]
+        val_model = stack
         if diverged:
+            val_model = stack_models(
+                [stack.member(i) for i in range(len(active))] + [m for _, m, _, _ in diverged]
+            )
+        micro, macro = threshold_validation_f1(val_model, scored_samples)
+        if val_model.population is None:
+            micro, macro = [micro], [macro]
+        seconds = time.perf_counter() - start
+        for (k, sums, count), mi, ma in zip(scored, micro, macro):
+            mean = sums / max(count, 1)
+            runs[k].history.append(
+                EpochRecord(epoch, LossBreakdown(*(float(v) for v in mean)), mi, ma, seconds)
+            )
+
+        keep = []
+        for i, k in enumerate(active):
+            run, score = runs[k], micro[i] + macro[i]
+            if score > run.best_score:
+                run.best_score = score
+                run.best = stack.member(i)
+                run.since_best = 0
+            else:
+                run.since_best += 1
+                if run.since_best >= config.patience:
+                    continue
+            keep.append(i)
+        if not keep:
             break
-        score = micro + macro
-        if score > best_score:
-            best_score = score
-            best_model = model.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
-    return best_model, history
+        if len(keep) < len(active):
+            keep_members(np.array(keep, dtype=np.intp))
+    return [(run.best, run.history) for run in runs]
 
 
 def _check_dims(dims: ModelDims, obs, ctx, labels):
@@ -402,43 +522,25 @@ def grid_search(
     train_samples: list[Sample],
     val_samples: list[Sample],
     base_seed: int = 0,
-    threads: int = 1,
 ) -> tuple[TrainConfig, ForecastModel, list[GridResult]]:
     """Train one model per grid point and keep the best validation scorer.
 
-    Grid point k runs with seed base_seed + k. The winner maximizes micro +
-    macro validation F1; exact ties prefer the smaller eta, then the larger
-    lambda.
+    Grid point k runs with seed base_seed + k; all points train together as
+    one population (train_population), so they may differ only in eta,
+    lam and beta. The winner maximizes micro + macro validation F1; exact
+    ties prefer the smaller eta, then the larger lambda.
     """
     if not grid:
         raise ValueError("grid must not be empty")
-
-    def run(k_cfg):
-        k, cfg = k_cfg
-        cfg = replace(cfg, seed=base_seed + k)
-        model = init_model(make_rng(cfg.seed + 1), dims)
-        best, _ = train(model, train_samples, val_samples, cfg)
-        micro, macro = threshold_validation_f1(
-            best, val_samples if val_samples else train_samples
-        )
-        return k, cfg, best, GridResult(cfg, micro, macro)
-
-    jobs = list(enumerate(grid))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
-
-    results = [None] * len(grid)
-    models = [None] * len(grid)
-    for k, cfg, mdl, res in outcomes:
-        results[k] = res
-        models[k] = mdl
+    configs = [replace(cfg, seed=base_seed + k) for k, cfg in enumerate(grid)]
+    models = [init_model(make_rng(cfg.seed + 1), dims) for cfg in configs]
+    best = [m for m, _ in train_population(models, train_samples, val_samples, configs)]
+    micro, macro = threshold_validation_f1(
+        stack_models(best), val_samples if val_samples else train_samples
+    )
+    results = [GridResult(cfg, mi, ma) for cfg, mi, ma in zip(configs, micro, macro)]
     winner = select_best(results)
-    return results[winner].config, models[winner], results
+    return results[winner].config, best[winner], results
 
 
 def select_best(results: list[GridResult]) -> int:

@@ -107,6 +107,37 @@ class TestPlantConverter:
         with pytest.raises(DatasetError, match="code 9"):
             convert_plant_csv(signals, bad, n_samples=2, tau=8, horizon=4, n_labels=2)
 
+    def test_non_numeric_signal_cell_names_file_row_and_column(self, plant_files):
+        signals, faults = plant_files
+        lines = signals.read_text().splitlines()
+        lines[5] = lines[5].replace(",20.0,", ",warm,", 1)  # tick 4's E1 cell, file row 6
+        signals.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError) as info:
+            convert_plant_csv(signals, faults, n_samples=2, tau=8, horizon=4, n_labels=2)
+        assert str(info.value) == f"{signals}: row 6, column 'E1': 'warm' is not a number"
+
+    def test_ragged_signal_row_names_file_row_and_column(self, plant_files):
+        signals, faults = plant_files
+        lines = signals.read_text().splitlines()
+        lines[9] = lines[9].rsplit(",", 1)[0]  # tick 8, file row 10, loses its R2 cell
+        signals.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=r"row 10, column 'R2': 5 cells, header") as info:
+            convert_plant_csv(signals, faults, n_samples=2, tau=8, horizon=4, n_labels=2)
+        assert str(info.value).startswith(f"{signals}: ")
+
+    @pytest.mark.parametrize("record, column", [
+        ("x,6,1", "start"), ("5,six,1", "end"), ("5,6,1.5", "code"),
+    ])
+    def test_non_numeric_fault_field_names_file_row_and_column(
+        self, plant_files, tmp_path, record, column
+    ):
+        signals, _ = plant_files
+        bad = tmp_path / "bad_faults.csv"
+        bad.write_text(f"start,end,code\n10,14,1\n{record}\n")
+        with pytest.raises(DatasetError, match=f"row 3, column '{column}'") as info:
+            convert_plant_csv(signals, bad, n_samples=2, tau=8, horizon=4, n_labels=2)
+        assert str(info.value).startswith(f"{bad}: ")
+
     def test_unclassifiable_columns_rejected(self, plant_files):
         signals, faults = plant_files
         with pytest.raises(DatasetError, match="classify"):

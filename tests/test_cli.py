@@ -220,7 +220,7 @@ class TestGridSearch:
             "gridsearch", "--data", str(data), "--out-model", str(model),
             "--out-report", str(report),
             "--n-train", "60", "--n-val", "20", "--n-test", "20",
-            "--max-epochs", "1", "--batch-size", "16", "--threads", "2",
+            "--max-epochs", "1", "--batch-size", "16",
         ) == 0
         lines = report.read_text().splitlines()
         assert len(lines) == 10  # header + 3 etas x 3 lambdas
@@ -314,6 +314,20 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert str(grid) in err and "grid entry 0" in err
         assert not (tmp_path / "gs.json").exists()
+
+    def test_non_numeric_plant_cell_is_data_error(self, tmp_path, capsys):
+        signals = tmp_path / "signals.csv"
+        signals.write_text("time,S1,R1\n0,0.5,1\n1,oops,1\n2,0.7,1\n")
+        faults = tmp_path / "faults.csv"
+        faults.write_text("start,end,code\n1,2,1\n")
+        assert run(
+            "convert-phm", "--signals", str(signals), "--faults", str(faults),
+            "--out", str(tmp_path / "plant.jsonl"), "--n-samples", "1",
+            "--tau", "1", "--horizon", "1", "--n-labels", "1",
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(signals) in err and "row 3, column 'S1'" in err
+        assert not (tmp_path / "plant.jsonl").exists()
 
     def test_dataset_header_without_tau_is_data_error(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace

@@ -130,6 +130,35 @@ class TestRoundTrip:
         with pytest.raises(DatasetError, match="sample 1"):
             load_dataset(path)
 
+    def test_blank_line_keeps_record_numbering(self, tmp_path):
+        # a blank line after the header; the corrupt second sample sits on
+        # file line 4 and is still sample 1
+        meta, samples = synth_generate(small_config(), 3)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, meta, samples)
+        header, *records = path.read_text().splitlines()
+        records[1] = records[1].replace('"labels":[', '"labels":[1,', 1)
+        path.write_text("\n".join([header, "", *records]) + "\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"{path}: line 4: sample 1: segment label shape")
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        (lambda rec: rec[:-2], "malformed record"),
+        (lambda rec: rec.replace('"obs"', '"obz"', 1), "'obs'"),
+    ])
+    def test_malformed_record_names_path_and_line(self, tmp_path, corrupt, reason):
+        meta, samples = synth_generate(small_config(), 2)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, meta, samples)
+        lines = path.read_text().splitlines()
+        lines[2] = corrupt(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: line 3: sample 1: ") and reason in message
+
 
 class TestSplit:
     def test_exact_partition(self):

@@ -16,6 +16,7 @@ from faultcast.model import (
     param_items,
     predict,
     save_model,
+    stack_models,
 )
 from faultcast.num import make_rng
 
@@ -255,6 +256,49 @@ def _grad_arrays(grads):
     items += [(f"decoder.{n}", a) for n, a in grads.decoder.arrays()]
     items.append(("out_bias", grads.out_bias))
     return items
+
+
+class TestPopulation:
+    """A stack of G models computes, per member, bit for bit what each model
+    computes alone."""
+
+    def test_forward_and_backward_match_members(self):
+        rng = make_rng(40)
+        models = [tiny_model(seed) for seed in (1, 2, 3)]
+        stack = stack_models(models)
+        assert stack.population == 3
+        obs = rng.normal(size=(3, 4, DIMS.tau, DIMS.d_obs))
+        ctx = rng.normal(size=(3, 4, DIMS.total_steps, DIMS.d_ctx))
+        pred, tape = forward(stack, obs, ctx)
+        adjoints = [rng.normal(size=a.shape) for a in (pred.label_probs, pred.step_scores)]
+        grads = backward(stack, tape, *adjoints)
+        for k, model in enumerate(models):
+            want, want_tape = forward(model, obs[k], ctx[k])
+            for field in ("embedding", "label_probs", "step_scores", "step_hidden"):
+                assert getattr(pred, field)[k].tobytes() == getattr(want, field).tobytes()
+            want_grads = backward(model, want_tape, *(a[k] for a in adjoints))
+            for (name, got), (_, ref) in zip(param_items(grads), param_items(want_grads)):
+                assert got[k].tobytes() == ref.tobytes(), name
+            for (_, got), (_, ref) in zip(param_items(stack.member(k)), param_items(model)):
+                assert got.tobytes() == ref.tobytes()
+
+    def test_shared_batch_reaches_every_member(self):
+        models = [tiny_model(seed) for seed in (4, 5)]
+        obs, ctx = rand_inputs(make_rng(41), DIMS)
+        obs, ctx = np.stack([obs] * 3), np.stack([ctx] * 3)
+        pred = predict(stack_models(models), obs, ctx)
+        for k, model in enumerate(models):
+            assert pred.embedding[k].tobytes() == predict(model, obs, ctx).embedding.tobytes()
+
+    def test_population_input_shapes_checked(self):
+        stack = stack_models([tiny_model(1), tiny_model(2)])
+        obs, ctx = rand_inputs(make_rng(42), DIMS)
+        with pytest.raises(ValueError, match="observations must be .*2, batch"):
+            predict(stack, obs, ctx)  # unbatched
+        with pytest.raises(ValueError, match="observations"):
+            predict(stack, np.stack([obs[None]] * 3), np.stack([ctx[None]] * 3))  # G=3
+        with pytest.raises(ValueError, match="dims"):
+            stack_models([tiny_model(1), tiny_model(1, ModelDims(2, 2, 1, 2, 5))])
 
 
 class TestSerialization:

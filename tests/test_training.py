@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from faultcast.data import SynthConfig, synth_generate
+from faultcast.data import Sample, SynthConfig, synth_generate
 from faultcast.model import ModelDims, init_model, param_items, zeros_grads
 from faultcast.num import make_rng
 from faultcast.training import (
@@ -19,6 +21,7 @@ from faultcast.training import (
     select_best,
     threshold_validation_f1,
     train,
+    train_population,
     write_grid_report,
     write_history,
 )
@@ -250,13 +253,132 @@ class TestGridSearch:
         tied[0] = result(0.1, 0.01, 0.7, 0.5)
         assert select_best(tied) == 0
 
-    def test_threads_match_sequential(self):
-        samples = tiny_synth(20)
-        grid = default_grid("base", TrainConfig(max_epochs=2, batch_size=8))[:4]
-        seq = grid_search(grid, TINY, samples[:12], samples[12:], base_seed=1, threads=1)
-        par = grid_search(grid, TINY, samples[:12], samples[12:], base_seed=1, threads=3)
-        assert [r.score for r in seq[2]] == [r.score for r in par[2]]
-        assert seq[0] == par[0]
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_members_match_standalone_runs(self):
+        # every grid point trains in one population; member k must match a
+        # standalone train() of point k bit for bit, including a member
+        # that diverges (plain SGD with eta 1e4 and lambda 10 amplifies the
+        # weights until the l2 term overflows) and members that stop at
+        # different epochs
+        samples = tiny_synth(24, seed=9)
+        train_s, val_s = samples[:16], samples[16:]
+        for kind in ("base", "localize", "siamese"):
+            base = TrainConfig(loss=kind, max_epochs=40, batch_size=6, patience=12,
+                               optimizer="sgd")
+            grid = [replace(base, eta=1e4, lam=10.0), replace(base, eta=0.5, lam=0.01),
+                    replace(base, eta=0.1, lam=0.0, beta=0.2), replace(base, eta=2.0, lam=0.1)]
+            best_cfg, best_model, results = grid_search(grid, TINY, train_s, val_s, base_seed=4)
+            configs = [replace(cfg, seed=4 + k) for k, cfg in enumerate(grid)]
+            models = [init_model(make_rng(cfg.seed + 1), TINY) for cfg in configs]
+            members = train_population(models, train_s, val_s, configs)
+            alone = [train(m, train_s, val_s, cfg) for m, cfg in zip(models, configs)]
+            for (got, got_hist), (want, want_hist) in zip(members, alone):
+                assert_same_model(got, want)
+                assert history_key(got_hist) == history_key(want_hist)
+            for res, cfg, (want, _) in zip(results, configs, alone):
+                assert res == GridResult(cfg, *threshold_validation_f1(want, val_s))
+            winner = select_best(results)
+            assert best_cfg == configs[winner]
+            assert_same_model(best_model, alone[winner][0])
+            lengths = [len(hist) for _, hist in alone]
+            assert not np.isfinite(alone[0][1][-1].loss.total), kind  # diverged
+            early = {n for n in lengths[1:] if n < base.max_epochs}
+            assert len(early) > 1, (kind, lengths)  # early stops at different epochs
+
+    def test_grid_points_must_share_training_fields(self):
+        samples = tiny_synth(12)
+        base = TrainConfig(max_epochs=1, batch_size=4)
+        grid = [base, replace(base, eta=0.5, lam=0.2, beta=0.1, seed=9),
+                replace(base, batch_size=8)]
+        with pytest.raises(ValueError, match="'batch_size'"):
+            grid_search(grid, TINY, samples[:8], samples[8:])
+        with pytest.raises(ValueError, match="'loss'"):
+            train_population([init_model(make_rng(0), TINY)] * 2, samples, [],
+                             [base, replace(base, loss="localize")])
+
+
+def history_key(history):
+    """Every recorded field but the wall time, as exact reprs (NaN-safe)."""
+    return [repr((r.epoch, r.loss, r.val_micro_f1, r.val_macro_f1)) for r in history]
+
+
+def assert_same_model(a, b):
+    for (name, x), (_, y) in zip(param_items(a), param_items(b)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+class TestPopulation:
+    def test_diverged_member_stops_and_keeps_finite_best(self):
+        samples = tiny_synth(12)
+        base = TrainConfig(max_epochs=20, batch_size=4, patience=20, optimizer="sgd",
+                           lam=1.0)
+        configs = [replace(base, eta=1e4), replace(base, eta=0.01, seed=1)]
+        models = [init_model(make_rng(6), TINY), init_model(make_rng(7), TINY)]
+        with np.errstate(all="ignore"):
+            (bad, bad_hist), (good, good_hist) = train_population(
+                models, samples, samples[:4], configs)
+        assert len(bad_hist) < 20 and not np.isfinite(bad_hist[-1].loss.total)
+        assert len(good_hist) == 20
+        assert all(np.isfinite(r.loss.total) for r in good_hist)
+        for model in (bad, good):
+            assert all(np.all(np.isfinite(arr)) for _, arr in param_items(model))
+
+    def test_mismatched_models_rejected(self):
+        samples = tiny_synth(6)
+        other = ModelDims(n_labels=2, d_obs=2, d_ctx=1, tau=2, total_steps=5)
+        models = [init_model(make_rng(0), TINY), init_model(make_rng(0), other)]
+        with pytest.raises(ValueError, match="dims"):
+            train_population(models, samples, [], [TrainConfig(max_epochs=1)] * 2)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tau=st.integers(0, 3),
+        horizon=st.integers(1, 3),
+        n_labels=st.integers(1, 3),
+        d_obs=st.integers(0, 2),
+        d_ctx=st.integers(0, 2),
+        kind=st.sampled_from(("base", "localize", "siamese")),
+        optimizer=st.sampled_from(("adam", "sgd")),
+        points=st.lists(
+            st.tuples(st.sampled_from((1e-3, 0.05, 0.5, 1e3)),  # eta
+                      st.sampled_from((0.0, 0.01, 1.0)),        # lambda
+                      st.sampled_from((0.0, 0.3, 1.0))),        # beta
+            min_size=1, max_size=4,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(tau=0, horizon=1, n_labels=2, d_obs=0, d_ctx=1, kind="siamese", optimizer="adam",
+             points=[(0.05, 0.0, 0.3), (1e3, 1.0, 1.0), (1e-3, 0.01, 0.0), (0.5, 0.0, 0.0)],
+             seed=0)
+    def test_members_match_standalone_runs_on_random_dims(
+        self, tau, horizon, n_labels, d_obs, d_ctx, kind, optimizer, points, seed
+    ):
+        dims = ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon)
+        rng = make_rng(seed)
+        samples = [random_sample(rng, dims) for _ in range(9)]
+        base = TrainConfig(loss=kind, max_epochs=3, batch_size=4, patience=1,
+                           optimizer=optimizer)
+        configs = [replace(base, eta=eta, lam=lam, beta=beta, seed=seed + k)
+                   for k, (eta, lam, beta) in enumerate(points)]
+        models = [init_model(make_rng(seed + k), dims) for k in range(len(points))]
+        with np.errstate(all="ignore"):
+            members = train_population(models, samples[:6], samples[6:], configs)
+            alone = [train(m, samples[:6], samples[6:], cfg) for m, cfg in zip(models, configs)]
+        for (got, got_hist), (want, want_hist) in zip(members, alone):
+            assert_same_model(got, want)
+            assert history_key(got_hist) == history_key(want_hist)
+
+
+def random_sample(rng, dims):
+    """A sample of random inputs and labels for `dims`."""
+    steps = (rng.uniform(size=(dims.horizon, dims.n_labels)) < 0.4).astype(np.float64)
+    return Sample(
+        obs=rng.normal(size=(dims.tau, dims.d_obs)),
+        ctx=rng.normal(size=(dims.total_steps, dims.d_ctx)),
+        labels=(steps.sum(axis=0) > 0).astype(np.float64),
+        step_labels=steps,
+    )
 
 
 class TestReports:
