@@ -1,4 +1,4 @@
-"""Array helpers shared across the package: the stable sigmoid, the seeded
+"""Array helpers shared across the package: stable nonlinearities, the seeded
 random stream, and per-member scaling for populations of stacked models.
 
 Everything runs in float64; gradient verification against central finite
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "per_member", "sigmoid"]
+__all__ = ["make_rng", "per_member", "rng_uniform", "sigmoid", "tanh"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -20,6 +20,13 @@ def make_rng(seed: int) -> np.random.Generator:
     single-owner: never draw from the same one on two threads.
     """
     return np.random.Generator(np.random.Philox(seed))
+
+
+def rng_uniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
+    """n uniform draws on [lo, hi), advancing the stream."""
+    if not lo < hi:
+        raise ValueError(f"invalid range: lo={lo!r} must be < hi={hi!r}")
+    return rng.uniform(lo, hi, size=n)
 
 
 def per_member(v, ndim: int):
@@ -40,3 +47,8 @@ def sigmoid(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
+
+
+def tanh(x) -> np.ndarray:
+    """Elementwise hyperbolic tangent in float64."""
+    return np.tanh(np.asarray(x, dtype=np.float64))

@@ -1,10 +1,11 @@
-"""Numeric core: the stable sigmoid, seeded streams, per-member scaling."""
+"""Numeric core: nonlinearities, seeded streams, per-member scaling."""
 
 import math
 
 import numpy as np
+import pytest
 
-from faultcast.num import make_rng, per_member, sigmoid
+from faultcast.num import make_rng, per_member, rng_uniform, sigmoid, tanh
 
 
 class TestSigmoid:
@@ -30,31 +31,51 @@ class TestSigmoid:
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
 
+class TestTanh:
+    def test_odd_at_zero(self):
+        np.testing.assert_allclose(tanh(np.array([0.0])), [0.0])
+
+    def test_saturation(self):
+        np.testing.assert_allclose(tanh(np.array([100.0])), [1.0], atol=1e-15)
+
+    def test_half_matches_scalar_oracle(self):
+        np.testing.assert_allclose(tanh(np.array([0.5])), [math.tanh(0.5)], atol=1e-15)
+        np.testing.assert_allclose(tanh(np.array([0.5])), [0.46211715726], atol=1e-11)
+
+    def test_double_angle_identity(self):
+        x = make_rng(8).uniform(-20, 20, size=2000)
+        np.testing.assert_allclose(tanh(x), 2.0 * sigmoid(2.0 * x) - 1.0, atol=1e-12)
+
+
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = make_rng(123).uniform(0.0, 1.0, size=64)
-        b = make_rng(123).uniform(0.0, 1.0, size=64)
+        a = rng_uniform(make_rng(123), 0.0, 1.0, 64)
+        b = rng_uniform(make_rng(123), 0.0, 1.0, 64)
         np.testing.assert_array_equal(a, b)
 
     def test_stream_advances(self):
         rng = make_rng(123)
-        first = rng.uniform(0.0, 1.0, size=8)
-        second = rng.uniform(0.0, 1.0, size=8)
+        first = rng_uniform(rng, 0.0, 1.0, 8)
+        second = rng_uniform(rng, 0.0, 1.0, 8)
         assert not np.array_equal(first, second)
 
     def test_zero_draws(self):
-        assert make_rng(0).uniform(0.0, 1.0, size=0).shape == (0,)
+        assert rng_uniform(make_rng(0), 0.0, 1.0, 0).shape == (0,)
 
     def test_bounds_and_mean(self):
-        draws = make_rng(42).uniform(0.0, 1.0, size=100_000)
+        draws = rng_uniform(make_rng(42), 0.0, 1.0, 100_000)
         assert np.all((draws >= 0.0) & (draws < 1.0))
         assert abs(draws.mean() - 0.5) < 0.01
+
+    def test_invalid_range(self):
+        with pytest.raises(ValueError, match="range"):
+            rng_uniform(make_rng(0), 1.0, 1.0, 4)
 
     def test_known_algorithm_frozen_values(self):
         # Philox is a fixed algorithm; freeze the head of one stream so any
         # platform drift is caught immediately.
-        head = make_rng(2024).uniform(0.0, 1.0, size=3)
-        np.testing.assert_array_equal(head, make_rng(2024).uniform(0.0, 1.0, size=3))
+        head = rng_uniform(make_rng(2024), 0.0, 1.0, 3)
+        np.testing.assert_array_equal(head, rng_uniform(make_rng(2024), 0.0, 1.0, 3))
         assert head.dtype == np.float64
 
 
