@@ -16,7 +16,6 @@ from faultcast import (
     classify,
     fit_classifier,
     init_model,
-    localize,
     make_rng,
     split_samples,
     stepwise_report,
@@ -49,7 +48,7 @@ step_clf = fit_classifier(
 obs, ctx, labels, steps = stack_samples(test_s)
 pred = forward(best, obs, ctx, keep_tape=False)[0]
 truth = steps.astype(int)
-localized = stepwise_report(localize(step_clf, pred.step_scores), truth)
+localized = stepwise_report(classify(step_clf, pred.step_scores), truth)
 segment_decisions = classify(segment_clf, pred.embedding)
 broadcast = stepwise_report(
     broadcast_baseline(segment_decisions, meta.horizon), truth

@@ -13,7 +13,6 @@ from .classifiers import (
     broadcast_baseline,
     classify,
     fit_classifier,
-    localize,
 )
 from .data import (
     DatasetError,
@@ -28,7 +27,7 @@ from .data import (
     synth_generate,
 )
 from .losses import ClassWeights, LossBreakdown, batch_loss, class_weights
-from .lstm import LstmParams, init_params, lstm_backward, lstm_forward, lstm_step, param_count
+from .lstm import LstmParams, init_params, lstm_step, param_count
 from .metrics import CountTable, PrfReport, confusion_counts, prf, segment_report, stepwise_report
 from .model import (
     ForecastModel,

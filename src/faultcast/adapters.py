@@ -52,16 +52,43 @@ def _ffill(column: np.ndarray) -> np.ndarray:
     return out
 
 
-def _number(path, rowno: int, column: str, text: str, convert=float):
-    """One CSV cell as a number; a DatasetError names the file, the 1-based
-    row and the column otherwise."""
+def _number(path, rowno: int, column, text: str, convert=float, unit="row"):
+    """One cell as a number; a DatasetError names the file, the 1-based row
+    (or line) and the column otherwise."""
     try:
         return convert(text)
     except ValueError:
         kind = "an integer" if convert is int else "a number"
         raise DatasetError(
-            f"{path}: row {rowno}, column {column!r}: {text!r} is not {kind}"
+            f"{path}: {unit} {rowno}, column {column!r}: {text!r} is not {kind}"
         ) from None
+
+
+def _read_dat(path) -> np.ndarray:
+    """One whitespace-separated recording as a (rows, columns) array.
+
+    Blank lines and text after '#' are skipped. Every cell must be a number;
+    the literal NaN marks a missing reading. A non-numeric cell or a row
+    whose width differs from the first row's raises DatasetError naming the
+    file, the 1-based line and the 0-based column.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            cells = line.split("#", 1)[0].split()
+            if not cells:
+                continue
+            if rows and len(cells) != len(rows[0]):
+                column = min(len(cells), len(rows[0]))
+                raise DatasetError(
+                    f"{path}: line {lineno}, column {column}: "
+                    f"{len(cells)} cells, line width is {len(rows[0])}"
+                )
+            rows.append([_number(path, lineno, col, text, unit="line")
+                         for col, text in enumerate(cells)])
+    if not rows:
+        raise DatasetError(f"{path}: no readings")
+    return np.array(rows, dtype=np.float64)
 
 
 def _window_starts(
@@ -233,12 +260,7 @@ def convert_activity_dat(
     paths = list(paths)
     if not paths:
         raise DatasetError("need at least one recording")
-    recordings = []
-    for p in paths:
-        arr = np.genfromtxt(p, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        recordings.append(arr)
+    recordings = [_read_dat(p) for p in paths]
     width = recordings[0].shape[1]
     for p, arr in zip(paths, recordings):
         if arr.shape[1] != width:

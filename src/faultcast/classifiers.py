@@ -124,15 +124,6 @@ def classify(clf: LabelClassifier, scores: np.ndarray) -> np.ndarray:
     return decided.astype(np.int8)
 
 
-def localize(clf: LabelClassifier, step_scores: np.ndarray) -> np.ndarray:
-    """Per-step decisions from (..., horizon, n_labels) stepwise scores.
-
-    The classifier is expected to have been fit on training stepwise scores
-    pooled over steps, one scalar feature per label.
-    """
-    return classify(clf, step_scores)
-
-
 def broadcast_baseline(segment_decision: np.ndarray, horizon: int) -> np.ndarray:
     """Replicate a segment decision across every forecast step."""
     if horizon < 1:

@@ -25,7 +25,6 @@ from .classifiers import (
     classifier_to_dict,
     classify,
     fit_classifier,
-    localize,
     broadcast_baseline,
 )
 from .data import (
@@ -79,7 +78,8 @@ def _train_flags(p):
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=25)
-    p.add_argument("--clip-norm", type=float, default=None)
+    p.add_argument("--clip-norm", type=float, default=None,
+                   help="bound on the global gradient norm, > 0")
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
 
 
@@ -442,18 +442,15 @@ def cmd_evaluate(args) -> int:
     if args.localize:
         step_clf = classifier_from_dict(classifiers["stepwise"])
         seg_clf = classifier_from_dict(classifiers["segment"][kinds[0]])
-        localized = localize(step_clf, pred.step_scores)
+        localized = classify(step_clf, pred.step_scores)
         broadcast = broadcast_baseline(classify(seg_clf, pred.embedding), meta.horizon)
         step_truth = steps.astype(int)
-        doc["stepwise"] = {
-            "localized": stepwise_report(localized, step_truth).as_dict(),
-            "broadcast": stepwise_report(broadcast, step_truth).as_dict(),
-        }
-        for name in ("localized", "broadcast"):
+        reports = {"localized": stepwise_report(localized, step_truth),
+                   "broadcast": stepwise_report(broadcast, step_truth)}
+        doc["stepwise"] = {name: report.as_dict() for name, report in reports.items()}
+        for name, report in reports.items():
             lines.append(f"[stepwise {name}]")
-            lines.append(
-                "".join(f"{k}: {v!r}\n" for k, v in doc["stepwise"][name].items()).rstrip()
-            )
+            lines.append(format_report(report).rstrip())
 
     with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -492,7 +489,7 @@ def cmd_localize(args) -> int:
             pred = forward(model, sample.obs, sample.ctx, keep_tape=False)[0]
             rec = {
                 "step_scores": pred.step_scores.tolist(),
-                "step_decisions": localize(step_clf, pred.step_scores).tolist(),
+                "step_decisions": classify(step_clf, pred.step_scores).tolist(),
             }
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     print(f"wrote {len(part)} localizations to {args.out}")

@@ -110,12 +110,9 @@ def param_count(hidden: int, inputs: int) -> int:
     return 4 * (hidden * hidden + hidden * inputs + hidden)
 
 
-def zeros_params(hidden: int, inputs: int, population: int | None = None) -> LstmParams:
-    """All-zero parameters; with `population`, for that many stacked cells."""
-    lead = () if population is None else (population,)
-    return LstmParams.fused(
-        np.zeros(lead + (4 * hidden, hidden + inputs)), np.zeros(lead + (4 * hidden,))
-    )
+def zeros_params(hidden: int, inputs: int) -> LstmParams:
+    """All-zero parameters for one cell."""
+    return LstmParams.fused(np.zeros((4 * hidden, hidden + inputs)), np.zeros(4 * hidden))
 
 
 def init_params(
@@ -165,17 +162,6 @@ class StepCache:
     tanh_c: np.ndarray
 
 
-@dataclass
-class LstmGrads:
-    """Gradients shaped like LstmParams, plus adjoints of the initial state
-    and of every step input."""
-
-    params: LstmParams
-    dh0: np.ndarray
-    dc0: np.ndarray
-    dx: np.ndarray  # (steps, ..., input)
-
-
 def lstm_step(
     params: LstmParams, h_prev: np.ndarray, c_prev: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, StepCache]:
@@ -200,31 +186,6 @@ def lstm_step(
     h = o_gate * tanh_c
     cache = StepCache(x_cat, sig, f, i, o_gate, c_cand, c_prev, c_new, tanh_c)
     return h, c_new, cache
-
-
-def lstm_forward(
-    params: LstmParams, h0: np.ndarray, c0: np.ndarray, xs
-) -> tuple[np.ndarray, np.ndarray, list[StepCache]]:
-    """Run the cell over a sequence of inputs.
-
-    xs is (steps, ..., input); returns stacked hidden states (steps, ...,
-    hidden), stacked cell states, and the caches. Empty xs yields empty
-    stacks, leaving the state at (h0, c0).
-    """
-    h, c = np.asarray(h0, dtype=np.float64), np.asarray(c0, dtype=np.float64)
-    hs, cs, caches = [], [], []
-    for t, x in enumerate(xs):
-        try:
-            h, c, cache = lstm_step(params, h, c, x)
-        except ValueError as exc:
-            raise ValueError(f"step {t}: {exc}") from None
-        hs.append(h)
-        cs.append(c)
-        caches.append(cache)
-    if not hs:
-        empty = np.zeros((0,) + h.shape)
-        return empty, empty.copy(), caches
-    return np.stack(hs), np.stack(cs), caches
 
 
 def step_backward(
@@ -264,39 +225,3 @@ def step_backward(
 
     dx_cat = da @ params.W
     return dx_cat[..., :n], dc_prev, dx_cat[..., n:]
-
-
-def lstm_backward(
-    params: LstmParams,
-    caches: list[StepCache],
-    dh_steps,
-    dh_final: np.ndarray | None = None,
-    dc_final: np.ndarray | None = None,
-) -> LstmGrads:
-    """Backpropagate through a forward run.
-
-    dh_steps holds one adjoint per step's hidden output; dh_final/dc_final
-    are optional extra adjoints on the final state. Gradients accumulate
-    across time.
-    """
-    steps = len(caches)
-    if len(dh_steps) != steps:
-        raise ValueError(
-            f"adjoint/tape length mismatch: {len(dh_steps)} adjoints for "
-            f"{steps} cached steps"
-        )
-    grads = zeros_params(params.hidden_size, params.input_size)
-    if steps == 0:
-        zero = np.zeros(params.hidden_size)
-        dh0 = zero if dh_final is None else np.asarray(dh_final, dtype=np.float64)
-        dc0 = zero.copy() if dc_final is None else np.asarray(dc_final, dtype=np.float64)
-        return LstmGrads(grads, dh0, dc0, np.zeros((0, params.input_size)))
-
-    like = np.asarray(dh_steps[-1], dtype=np.float64)
-    dh_carry = np.zeros_like(like) if dh_final is None else np.asarray(dh_final, dtype=np.float64)
-    dc_carry = np.zeros_like(like) if dc_final is None else np.asarray(dc_final, dtype=np.float64)
-    dxs = [None] * steps
-    for t in range(steps - 1, -1, -1):
-        dh_t = np.asarray(dh_steps[t], dtype=np.float64) + dh_carry
-        dh_carry, dc_carry, dxs[t] = step_backward(params, caches[t], dh_t, dc_carry, grads)
-    return LstmGrads(grads, dh_carry, dc_carry, np.stack(dxs))

@@ -17,20 +17,29 @@ Outputs for one sample:
 Hidden width equals the number of labels, so each embedding dimension lines
 up with one label. Both networks are single layer by construction.
 
+Parameter layout: a model keeps every parameter in one flat float64 array,
+theta, made of the blocks param_layout lists in order: encoder.W, encoder.b,
+decoder.W, decoder.b, out_bias. The cells and out_bias are named views into
+theta. Gradients (zeros_grads, backward) share the layout, so optimizer
+steps, clipping and finite-difference checks are array operations on theta;
+the model file keeps its per-gate keys (param_items).
+
 A population (stack_models) holds G models of the same dims as one model
-whose arrays carry a leading member axis; forward and backward then run all
-members in one pass per time step, each member computing exactly what it
-computes alone. Its inputs and outputs are (G, batch, ...).
+with a (G, P) theta, so every block carries a leading member axis; forward
+and backward then run all members in one pass per time step, each member
+computing exactly what it computes alone. Its inputs and outputs are (G,
+batch, ...).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import GATE_NAMES, LstmParams, init_params, lstm_step, step_backward, zeros_params
+from .lstm import LstmParams, init_params, lstm_step, step_backward
 from .num import sigmoid
 
 FORMAT_NAME = "faultcast-model"
@@ -72,31 +81,67 @@ class ModelDims:
         return self.d_ctx + self.n_labels
 
 
-@dataclass
+def param_layout(dims: ModelDims) -> list[tuple[str, tuple[int, ...]]]:
+    """The parameter blocks of a model's theta, in order, with their shapes.
+
+    Each cell's fused W and b (gate rows in lstm.GATE_ORDER), then out_bias.
+    """
+    hidden = dims.n_labels
+    return [
+        ("encoder.W", (4 * hidden, hidden + dims.enc_input)),
+        ("encoder.b", (4 * hidden,)),
+        ("decoder.W", (4 * hidden, hidden + dims.dec_input)),
+        ("decoder.b", (4 * hidden,)),
+        ("out_bias", (hidden,)),
+    ]
+
+
+def param_size(dims: ModelDims) -> int:
+    """Length of a model's theta: the number of scalar parameters."""
+    return sum(math.prod(shape) for _, shape in param_layout(dims))
+
+
 class ForecastModel:
-    encoder: LstmParams
-    decoder: LstmParams
-    out_bias: np.ndarray  # (n_labels,)
-    dims: ModelDims
+    """A model, its gradients or a population: theta is (P,), or (G, P) for
+    G stacked members, laid out as param_layout lists. encoder, decoder and
+    out_bias are views into theta, so writing one writes the other."""
+
+    __slots__ = ("theta", "dims", "encoder", "decoder", "out_bias")
+
+    def __init__(self, theta: np.ndarray, dims: ModelDims):
+        if theta.shape[-1] != param_size(dims):
+            raise ValueError(
+                f"theta has {theta.shape[-1]} parameters, dims {dims} need {param_size(dims)}"
+            )
+        self.theta = theta
+        self.dims = dims
+        views, offset = {}, 0
+        for name, shape in param_layout(dims):
+            size = math.prod(shape)
+            views[name] = theta[..., offset : offset + size].reshape(theta.shape[:-1] + shape)
+            offset += size
+        self.encoder = LstmParams.fused(views["encoder.W"], views["encoder.b"])
+        self.decoder = LstmParams.fused(views["decoder.W"], views["decoder.b"])
+        self.out_bias = views["out_bias"]
 
     @property
     def population(self) -> int | None:
         """Number of stacked members, or None for a single model."""
-        return None if self.out_bias.ndim == 1 else self.out_bias.shape[0]
+        return None if self.theta.ndim == 1 else self.theta.shape[0]
 
     def copy(self) -> "ForecastModel":
-        return ForecastModel(*_map_arrays(self, np.copy), self.dims)
+        return ForecastModel(self.theta.copy(), self.dims)
 
     def member(self, k: int) -> "ForecastModel":
         """A population's member k, as a standalone copy; a single model is
         its own only member."""
         if self.population is None:
             return self.copy()
-        return ForecastModel(*_map_arrays(self, lambda a: a[k].copy()), self.dims)
+        return ForecastModel(self.theta[k].copy(), self.dims)
 
     def select(self, keep) -> "ForecastModel":
         """A population of the members whose indices are listed in `keep`."""
-        return ForecastModel(*_map_arrays(self, lambda a: a[keep]), self.dims)
+        return ForecastModel(self.theta[keep], self.dims)
 
 
 def stack_models(models: list[ForecastModel]) -> ForecastModel:
@@ -105,37 +150,7 @@ def stack_models(models: list[ForecastModel]) -> ForecastModel:
     for k, m in enumerate(models):
         if m.dims != dims:
             raise ValueError(f"model {k} has dims {m.dims}, model 0 has {dims}")
-    return ForecastModel(
-        LstmParams.fused(np.stack([m.encoder.W for m in models]),
-                         np.stack([m.encoder.b for m in models])),
-        LstmParams.fused(np.stack([m.decoder.W for m in models]),
-                         np.stack([m.decoder.b for m in models])),
-        np.stack([m.out_bias for m in models]),
-        dims,
-    )
-
-
-@dataclass
-class ModelGrads:
-    """Gradients shaped exactly like the parameters they belong to."""
-
-    encoder: LstmParams
-    decoder: LstmParams
-    out_bias: np.ndarray
-
-    def select(self, keep) -> "ModelGrads":
-        """A population's gradients for the members listed in `keep`."""
-        return ModelGrads(*_map_arrays(self, lambda a: a[keep]))
-
-
-def _map_arrays(params, fn) -> tuple[LstmParams, LstmParams, np.ndarray]:
-    """(encoder, decoder, out_bias) of a model or its gradients with `fn`
-    applied to each of the five whole arrays."""
-    return (
-        LstmParams.fused(fn(params.encoder.W), fn(params.encoder.b)),
-        LstmParams.fused(fn(params.decoder.W), fn(params.decoder.b)),
-        fn(params.out_bias),
-    )
+    return ForecastModel(np.stack([m.theta for m in models]), dims)
 
 
 @dataclass
@@ -164,58 +179,29 @@ def init_model(rng: np.random.Generator, dims: ModelDims) -> ForecastModel:
     Encoder parameters are drawn before decoder parameters, so a seed pins
     the full parameter vector.
     """
-    encoder = init_params(rng, dims.n_labels, dims.d_obs + dims.d_ctx + dims.n_labels)
-    decoder = init_params(rng, dims.n_labels, dims.d_ctx + dims.n_labels)
-    return ForecastModel(encoder, decoder, np.zeros(dims.n_labels), dims)
+    model = ForecastModel(np.zeros(param_size(dims)), dims)
+    for cell, inputs in ((model.encoder, dims.enc_input), (model.decoder, dims.dec_input)):
+        drawn = init_params(rng, dims.n_labels, inputs)
+        cell.W[...] = drawn.W
+        cell.b[...] = drawn.b
+    return model
 
 
-def encoder_feedback(h: np.ndarray) -> np.ndarray:
-    """The extra n_labels inputs appended to each encoder step.
-
-    Kept as a single swap point; backward() hand-codes its derivative
-    (identity), so changing one means changing both.
-    """
-    return h
-
-
-def decoder_feedback(h: np.ndarray) -> np.ndarray:
-    """The fed-back stepwise estimate appended to each decoder step.
-
-    Squashing keeps the feedback in (0, 1) like a stepwise score. Same swap
-    caveat as encoder_feedback: backward() differentiates this by hand.
-    """
-    return sigmoid(h)
-
-
-def zeros_grads(dims: ModelDims, population: int | None = None) -> ModelGrads:
+def zeros_grads(dims: ModelDims, population: int | None = None) -> ForecastModel:
+    """All-zero gradients in the parameter layout, for one model or for a
+    population of that many members."""
     lead = () if population is None else (population,)
-    return ModelGrads(
-        zeros_params(dims.n_labels, dims.enc_input, population),
-        zeros_params(dims.n_labels, dims.dec_input, population),
-        np.zeros(lead + (dims.n_labels,)),
-    )
+    return ForecastModel(np.zeros(lead + (param_size(dims),)), dims)
 
 
-def param_items(model) -> list[tuple[str, np.ndarray]]:
-    """All parameter arrays in the documented fixed order: per-gate views of
-    each cell, then out_bias. Takes a ForecastModel or a ModelGrads."""
+def param_items(model: ForecastModel) -> list[tuple[str, np.ndarray]]:
+    """Every parameter as per-gate views, in the model file's fixed order:
+    each cell's gates in lstm.GATE_NAMES order, then out_bias. Takes a model
+    or its gradients."""
     items = [(f"encoder.{n}", a) for n, a in model.encoder.arrays()]
     items += [(f"decoder.{n}", a) for n, a in model.decoder.arrays()]
     items.append(("out_bias", model.out_bias))
     return items
-
-
-def fused_items(model) -> list[tuple[str, np.ndarray]]:
-    """The same parameters as the five whole arrays they live in: each
-    cell's fused W and b, then out_bias. Takes a ForecastModel or a
-    ModelGrads."""
-    return [
-        ("encoder.W", model.encoder.W),
-        ("encoder.b", model.encoder.b),
-        ("decoder.W", model.decoder.W),
-        ("decoder.b", model.decoder.b),
-        ("out_bias", model.out_bias),
-    ]
 
 
 def _check_input(name: str, x: np.ndarray, steps: int, width: int, population) -> np.ndarray:
@@ -262,7 +248,8 @@ def forward(
     c = np.zeros(state_shape)
     enc_caches = []
     for t in range(dims.tau):
-        x = np.concatenate([obs[..., t, :], ctx[..., t, :], encoder_feedback(h)], axis=-1)
+        # the encoder feeds back its raw previous hidden state
+        x = np.concatenate([obs[..., t, :], ctx[..., t, :], h], axis=-1)
         h, c, cache = lstm_step(model.encoder, h, c, x)
         if keep_tape:
             enc_caches.append(cache)
@@ -271,7 +258,8 @@ def forward(
     dec_h = []
     dec_caches = []
     for t in range(dims.tau, dims.total_steps):
-        x = np.concatenate([ctx[..., t, :], decoder_feedback(h)], axis=-1)
+        # the decoder feeds back sigmoid(h), a stepwise estimate in (0, 1)
+        x = np.concatenate([ctx[..., t, :], sigmoid(h)], axis=-1)
         h, c, cache = lstm_step(model.decoder, h, c, x)
         dec_h.append(h)
         if keep_tape:
@@ -304,7 +292,7 @@ def backward(
     d_label_probs: np.ndarray | None = None,
     d_step_scores: np.ndarray | None = None,
     d_embedding: np.ndarray | None = None,
-) -> ModelGrads:
+) -> ForecastModel:
     """Exact gradients of a scalar with the given upstream adjoints.
 
     The adjoints carry the same (possibly unbatched) shapes the matching
@@ -420,37 +408,26 @@ def load_model(path) -> tuple[ForecastModel, dict | None]:
     except ValueError as exc:
         raise ValueError(f"{path}: key 'dims': {exc}") from None
 
-    def array(key, value, shape):
+    # fill every per-gate view of a fresh model, in the file's key order
+    model = ForecastModel(np.empty(param_size(dims)), dims)
+    for key, view in param_items(model):
+        section, _, gate = key.partition(".")
+        value = doc[section]
+        if gate:
+            if not isinstance(value, dict):
+                raise ValueError(f"{path}: key {section!r} must map gate names to arrays")
+            if gate not in value:
+                raise ValueError(f"{path}: missing key {key!r}")
+            value = value[gate]
         try:
             arr = np.array(value, dtype=np.float64)
         except (TypeError, ValueError):
             raise ValueError(f"{path}: key {key!r} is not a numeric array") from None
-        if arr.shape != shape:
+        if arr.shape != view.shape:
             raise ValueError(
-                f"{path}: key {key!r} has shape {arr.shape}, dims {dims} need {shape}"
+                f"{path}: key {key!r} has shape {arr.shape}, dims {dims} need {view.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: key {key!r} holds non-finite values")
-        return arr
-
-    def cell(name, inputs):
-        rec = doc[name]
-        if not isinstance(rec, dict):
-            raise ValueError(f"{path}: key {name!r} must map gate names to arrays")
-        hidden = dims.n_labels
-        gates = []
-        for gate in GATE_NAMES:
-            key = f"{name}.{gate}"
-            if gate not in rec:
-                raise ValueError(f"{path}: missing key {key!r}")
-            shape = (hidden, hidden + inputs) if gate.startswith("w_") else (hidden,)
-            gates.append(array(key, rec[gate], shape))
-        return LstmParams(*gates)
-
-    model = ForecastModel(
-        cell("encoder", dims.enc_input),
-        cell("decoder", dims.dec_input),
-        array("out_bias", doc["out_bias"], (dims.n_labels,)),
-        dims,
-    )
+        view[...] = arr
     return model, doc.get("classifiers")

@@ -15,6 +15,11 @@ on its own; a stopped member leaves the stack, and a diverged one gets no
 further update. train is the one-member case, and grid_search trains every
 grid point as one population.
 
+Parameters, gradients and Adam moments are theta-shaped arrays (see
+model.param_layout), (P,) for one run and (G, P) for a population: an
+optimizer step is one expression over theta, clipping takes one norm per
+member, and a stopped member leaves by one row selection.
+
 Sub-seed arithmetic used throughout the package, all derived from one user
 seed: split shuffle = seed, model init = seed + 1, batch shuffle = seed + 2,
 classifier fits = seed + 3, grid point k = seed + k.
@@ -31,16 +36,8 @@ from . import losses
 from .data import Sample, stack_samples
 from .losses import ClassWeights, LossBreakdown, batch_adjoints, batch_loss, class_weights
 from .metrics import segment_report
-from .model import (
-    ForecastModel,
-    ModelDims,
-    backward,
-    forward,
-    fused_items,
-    init_model,
-    param_items,
-    stack_models,
-)
+from .model import (ForecastModel, ModelDims, backward, forward, init_model, param_layout,
+                    stack_models)
 from .num import make_rng, per_member
 
 ADAM_BETA1 = 0.9
@@ -81,6 +78,9 @@ class TrainConfig:
             )
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        # 0 would zero every update and a negative value reverse it
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
 
 @dataclass
@@ -94,81 +94,70 @@ class EpochRecord:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """First and second moment estimates, each shaped like the model's
+    theta, and the number of steps taken."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def make_adam_state(model: ForecastModel) -> AdamState:
-    return AdamState(
-        m={name: np.zeros_like(arr) for name, arr in fused_items(model)},
-        v={name: np.zeros_like(arr) for name, arr in fused_items(model)},
-    )
+    return AdamState(np.zeros_like(model.theta), np.zeros_like(model.theta))
 
 
-def clip_gradients(grads, clip_norm: float):
+def clip_gradients(grads: ForecastModel, clip_norm: float):
     """Scale all gradients so their global norm is at most clip_norm; a
     population gets one norm per member. Returns the norm(s) before clipping."""
-    arrays = [arr for _, arr in fused_items(grads)]
-    lead = grads.out_bias.ndim - 1  # 1 for a population's member axis
-    norm = np.sqrt(sum(np.sum(a * a, axis=tuple(range(lead, a.ndim))) for a in arrays))
+    g = grads.theta
+    norm = np.sqrt(np.sum(g * g, axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where((norm > clip_norm) & (norm > 0.0), clip_norm / norm, 1.0)
-    for arr in arrays:
-        arr *= per_member(scale, arr.ndim - 1)
+    g *= per_member(scale, 1)
     return norm
 
 
 def optimizer_step(
     model: ForecastModel,
-    grads,
+    grads: ForecastModel,
     eta,
     state: AdamState | None = None,
     clip_norm: float | None = None,
 ) -> ForecastModel:
     """Update parameters in place; Adam when a state is given, else plain SGD.
 
-    Runs over the five whole parameter arrays (fused_items), so every gate
-    of a cell moves in one update. For a population, eta may be a (G,)
-    vector of per-member learning rates.
+    One update of the whole theta, so every parameter moves in one
+    expression. For a population, eta may be a (G,) vector of per-member
+    learning rates.
     """
     if clip_norm is not None:
         clip_gradients(grads, clip_norm)
-    pairs = zip(fused_items(model), fused_items(grads))
+    p, g, eta = model.theta, grads.theta, per_member(eta, 1)
     if state is None:
-        for (_, p), (_, g) in pairs:
-            p -= per_member(eta, p.ndim - 1) * g
+        p -= eta * g
         return model
     state.t += 1
     correct1 = 1.0 - ADAM_BETA1**state.t
     correct2 = 1.0 - ADAM_BETA2**state.t
-    for (name, p), (_, g) in pairs:
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= per_member(eta, p.ndim - 1) * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    p -= eta * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return model
 
 
 def _add_l2_gradient(grads, model: ForecastModel, lam) -> None:
     """grads.W += lam * W for both cells; lam may be a population's (G,)
     vector, and members with lam 0 are left untouched."""
-    cells = ((grads.encoder, model.encoder), (grads.decoder, model.decoder))
-    if not isinstance(lam, np.ndarray):
-        if lam != 0.0:
-            for g, p in cells:
+    for g, p in ((grads.encoder, model.encoder), (grads.decoder, model.decoder)):
+        if not isinstance(lam, np.ndarray):
+            if lam != 0.0:
                 g.W += lam * p.W
-        return
-    if lam.all():
-        for g, p in cells:
-            g.W += per_member(lam, 2) * p.W
-        return
-    for k in np.flatnonzero(lam):
-        for g, p in cells:
-            g.W[k] += lam[k] * p.W[k]
+        elif lam.any():
+            k = np.flatnonzero(lam)
+            g.W[k] += per_member(lam[k], 2) * p.W[k]
 
 
 def batch_gradients(
@@ -300,8 +289,7 @@ def train_population(
         nonlocal stack, state, active, eta, lam, beta
         stack = stack.select(keep)
         if state is not None:
-            state = AdamState({k: a[keep] for k, a in state.m.items()},
-                              {k: a[keep] for k, a in state.v.items()}, state.t)
+            state = AdamState(state.m[keep], state.v[keep], state.t)
         active = [active[i] for i in keep]
         eta, lam, beta = eta[keep], lam[keep], beta[keep]
 
@@ -425,17 +413,6 @@ def write_history(history: list[EpochRecord], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def pack_params(model: ForecastModel) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in param_items(model)])
-
-
-def unpack_params(model: ForecastModel, vector: np.ndarray) -> None:
-    offset = 0
-    for _, arr in param_items(model):
-        arr[...] = vector[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-
-
 def grad_check(
     model: ForecastModel,
     samples: list[Sample],
@@ -444,8 +421,9 @@ def grad_check(
 ) -> tuple[float, str]:
     """Compare analytic batch-loss gradients with central finite differences.
 
-    Returns (max relative error, worst parameter coordinate). Cost is
-    O(#params * forward), so keep the model small.
+    Returns (max relative error, worst parameter coordinate, named by its
+    block in the parameter layout and its index there). Cost is O(#params *
+    forward), so keep the model small.
     """
     obs, ctx, labels, step_labels = stack_samples(samples)
     weights = class_weights(labels)
@@ -453,13 +431,10 @@ def grad_check(
         model, obs, ctx, labels, step_labels, weights,
         config.loss, config.lam, config.beta,
     )
-    analytic = np.concatenate([arr.ravel() for _, arr in param_items(grads)])
-
     work = model.copy()
-    theta = pack_params(work)
+    theta = work.theta
 
-    def loss_at(vec):
-        unpack_params(work, vec)
+    def loss_at():
         pred = forward(work, obs, ctx, keep_tape=False)[0]
         return batch_loss(
             config.loss, pred, labels, step_labels, weights,
@@ -468,24 +443,23 @@ def grad_check(
 
     numeric = np.empty_like(theta)
     for k in range(theta.size):
-        bumped = theta.copy()
-        bumped[k] = theta[k] + fd_step
-        up = loss_at(bumped)
-        bumped[k] = theta[k] - fd_step
-        down = loss_at(bumped)
+        keep = theta[k]
+        theta[k] = keep + fd_step
+        up = loss_at()
+        theta[k] = keep - fd_step
+        down = loss_at()
+        theta[k] = keep
         numeric[k] = (up - down) / (2.0 * fd_step)
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-    rel = np.abs(analytic - numeric) / denom
-    worst = int(np.argmax(rel))
-    offset = 0
-    worst_name = "?"
-    for name, arr in param_items(grads):
-        if worst < offset + arr.size:
-            worst_name = f"{name}[{worst - offset}]"
-            break
-        offset += arr.size
-    return float(rel[worst]), worst_name
+    denom = np.maximum(np.maximum(np.abs(grads.theta), np.abs(numeric)), 1e-6)
+    rel = np.abs(grads.theta - numeric) / denom
+    worst = offset = int(np.argmax(rel))
+    for name, shape in param_layout(model.dims):
+        size = int(np.prod(shape))
+        if offset < size:
+            index = ", ".join(str(int(i)) for i in np.unravel_index(offset, shape))
+            return float(rel[worst]), f"{name}[{index}]"
+        offset -= size
 
 
 # ---------------------------------------------------------------------------

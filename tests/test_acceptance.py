@@ -25,7 +25,6 @@ from faultcast.classifiers import (
     broadcast_baseline,
     classify,
     fit_classifier,
-    localize,
 )
 from faultcast.cli import main as cli_main
 from faultcast.data import (
@@ -301,7 +300,7 @@ def test_c07_localization_benefit(default_splits):
     obs, ctx, labels, steps = stack_samples(test_s)
     pred = forward(best, obs, ctx, keep_tape=False)[0]
     truth = steps.astype(int)
-    localized = stepwise_report(localize(step_clf, pred.step_scores), truth)
+    localized = stepwise_report(classify(step_clf, pred.step_scores), truth)
     broadcast = stepwise_report(
         broadcast_baseline(classify(seg_clf, pred.embedding), meta.horizon), truth
     )

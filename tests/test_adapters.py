@@ -220,3 +220,56 @@ class TestActivityConverter:
                 activity_files, n_samples=2, obs_cols=(1, 4), ctx_col=99,
                 motion_col=6, object_col=7, tau=20, horizon=10,
             )
+
+    def test_nan_marks_a_missing_reading(self, activity_files):
+        # a NaN reading is filled from the tick before, as if it had been there
+        path = activity_files[0]
+        lines = path.read_text().splitlines()
+        cells = lines[10].split()
+        filled = lines[9].split()[2]
+        args = dict(n_samples=6, obs_cols=(1, 4), ctx_col=5, motion_col=6, object_col=7,
+                    tau=20, horizon=10, seed=3)
+        path.write_text("\n".join(lines[:10] + [" ".join(cells[:2] + ["NaN"] + cells[3:])]
+                                  + lines[11:]) + "\n")
+        _, with_nan = convert_activity_dat([path], **args)
+        path.write_text("\n".join(lines[:10] + [" ".join(cells[:2] + [filled] + cells[3:])]
+                                  + lines[11:]) + "\n")
+        _, with_fill = convert_activity_dat([path], **args)
+        for a, b in zip(with_nan, with_fill):
+            np.testing.assert_array_equal(a.obs, b.obs)
+            np.testing.assert_array_equal(a.ctx, b.ctx)
+            np.testing.assert_array_equal(a.step_labels, b.step_labels)
+
+    def test_non_numeric_cell_names_file_line_and_column(self, activity_files):
+        path = activity_files[1]
+        lines = path.read_text().splitlines()
+        cells = lines[3].split()
+        lines[3] = " ".join(cells[:2] + ["oops"] + cells[3:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError) as info:
+            convert_activity_dat(activity_files, n_samples=2, obs_cols=(1, 4), ctx_col=5,
+                                 motion_col=6, object_col=7, tau=20, horizon=10)
+        assert str(info.value) == f"{path}: line 4, column 2: 'oops' is not a number"
+
+    @pytest.mark.parametrize("edit, column, cells", [
+        (lambda row: row.rsplit(" ", 1)[0], 7, 7),  # loses the object code
+        (lambda row: row + " 9", 8, 9),              # one cell too many
+    ])
+    def test_ragged_row_names_file_line_and_column(self, activity_files, edit, column, cells):
+        path = activity_files[0]
+        lines = path.read_text().splitlines()
+        lines[6] = edit(lines[6])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError) as info:
+            convert_activity_dat([path], n_samples=2, obs_cols=(1, 4), ctx_col=5,
+                                 motion_col=6, object_col=7, tau=20, horizon=10)
+        assert str(info.value) == (
+            f"{path}: line 7, column {column}: {cells} cells, line width is 8"
+        )
+
+    def test_recording_without_readings_rejected(self, tmp_path):
+        path = tmp_path / "empty.dat"
+        path.write_text("\n# a comment line, then nothing\n\n")
+        with pytest.raises(DatasetError, match=f"{path}: no readings"):
+            convert_activity_dat([path], n_samples=1, obs_cols=(1, 2), ctx_col=3,
+                                 motion_col=4, object_col=5, tau=1, horizon=1)

@@ -9,7 +9,6 @@ from faultcast.classifiers import (
     classifier_to_dict,
     classify,
     fit_classifier,
-    localize,
 )
 from faultcast.num import make_rng
 
@@ -126,7 +125,7 @@ class TestLocalization:
         labels = np.concatenate([np.zeros(20), np.ones(20)])[:, None]
         clf = fit_classifier("svm", scores, labels, seed=0)
         steps = np.zeros((5, 1))
-        np.testing.assert_array_equal(localize(clf, steps), np.zeros((5, 1), dtype=int))
+        np.testing.assert_array_equal(classify(clf, steps), np.zeros((5, 1), dtype=int))
 
     def test_separable_scores_perfectly_localized(self):
         rng = make_rng(5)
@@ -136,7 +135,7 @@ class TestLocalization:
         labels = np.concatenate([np.zeros((60, 2)), np.ones((60, 2))])
         clf = fit_classifier("svm", scores, labels, seed=0)
         step_scores = scores.reshape(30, 4, 2)
-        decided = localize(clf, step_scores)
+        decided = classify(clf, step_scores)
         np.testing.assert_array_equal(decided, labels.reshape(30, 4, 2).astype(int))
 
     def test_broadcast_covers_localized_positives(self):

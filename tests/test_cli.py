@@ -329,6 +329,28 @@ class TestUsageErrors:
         assert str(signals) in err and "row 3, column 'S1'" in err
         assert not (tmp_path / "plant.jsonl").exists()
 
+    def test_non_numeric_activity_cell_is_data_error(self, tmp_path, capsys):
+        rec = tmp_path / "rec.dat"
+        rec.write_text("".join(f"{t} 0.5 1.0 1 {t % 2} 0\n" for t in range(6))
+                       + "6 0.5 oops 1 0 0\n")
+        assert run(
+            "convert-har", "--data", str(rec), "--out", str(tmp_path / "har.jsonl"),
+            "--n-samples", "1", "--obs-cols", "1:2", "--ctx-col", "3",
+            "--motion-col", "4", "--object-col", "5", "--tau", "1", "--horizon", "1",
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(rec) in err and "line 7, column 2: 'oops'" in err
+        assert not (tmp_path / "har.jsonl").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_clip_norm_is_rejected(self, workspace, tmp_path, capsys, value):
+        _, data, _, _ = workspace
+        out = tmp_path / "m.json"
+        assert run("train", "--data", str(data), "--out-model", str(out), "--clip-norm", value,
+                   "--n-train", "60", "--n-val", "20", "--n-test", "20") == 2
+        assert "clip_norm must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dataset_header_without_tau_is_data_error(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace
         header, *rest = data.read_text().splitlines()

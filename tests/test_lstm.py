@@ -8,14 +8,13 @@ import pytest
 from faultcast.lstm import (
     LstmParams,
     init_params,
-    lstm_backward,
-    lstm_forward,
     lstm_step,
     param_count,
     step_backward,
     zeros_params,
 )
-from faultcast.num import make_rng
+from faultcast.model import ModelDims, forward, init_model
+from faultcast.num import make_rng, sigmoid
 
 
 def scalar_cell_oracle(wf, wi, wc, wo, bf, bi, bc, bo, h_prev, c_prev, x):
@@ -102,63 +101,82 @@ class TestStep:
             np.testing.assert_allclose(cb[k], ck, rtol=1e-14, atol=1e-15)
 
 
-class TestForward:
-    def test_empty_sequence(self):
-        params = zeros_params(2, 3)
-        hs, cs, caches = lstm_forward(params, np.ones(2), np.ones(2), np.zeros((0, 3)))
-        assert hs.shape == (0, 2) and cs.shape == (0, 2) and caches == []
+def unroll(params, h0, c0, xs):
+    """The cell run over a sequence by chained lstm_step calls; returns the
+    stacked hidden and cell states and the caches."""
+    h, c = h0, c0
+    hs, cs, caches = [], [], []
+    for x in xs:
+        h, c, cache = lstm_step(params, h, c, x)
+        hs.append(h)
+        cs.append(c)
+        caches.append(cache)
+    return np.stack(hs), np.stack(cs), caches
 
+
+def unroll_backward(params, caches, dh_steps, dh_fin, dc_fin):
+    """Chained step_backward calls through an unroll; returns the parameter
+    gradients, the adjoints of h0 and c0 and the stacked input adjoints."""
+    grads = zeros_params(params.hidden_size, params.input_size)
+    dh, dc = dh_fin, dc_fin
+    dxs = [None] * len(caches)
+    for t in range(len(caches) - 1, -1, -1):
+        dh, dc, dxs[t] = step_backward(params, caches[t], dh_steps[t] + dh, dc, grads)
+    return grads, dh, dc, np.stack(dxs)
+
+
+def one_sample(rng, dims):
+    return rng.normal(size=(dims.tau, dims.d_obs)), rng.normal(size=(dims.total_steps, dims.d_ctx))
+
+
+class TestForward:
     def test_single_step_equals_step(self):
+        # tau 0, horizon 1: one decoder step from the zero state, fed
+        # sigmoid(0) as its first estimate
         rng = make_rng(1)
-        params = init_params(rng, 2, 3)
-        x = rng.normal(size=(1, 3))
-        hs, cs, _ = lstm_forward(params, np.zeros(2), np.zeros(2), x)
-        h, c, _ = lstm_step(params, np.zeros(2), np.zeros(2), x[0])
-        np.testing.assert_array_equal(hs[0], h)
-        np.testing.assert_array_equal(cs[0], c)
+        dims = ModelDims(n_labels=2, d_obs=1, d_ctx=3, tau=0, total_steps=1)
+        model = init_model(rng, dims)
+        obs, ctx = one_sample(rng, dims)
+        pred = forward(model, obs, ctx)[0]
+        zero = np.zeros((1, 2))
+        h, _, _ = lstm_step(model.decoder, zero, zero, np.concatenate([ctx[:1], zero + 0.5], 1))
+        np.testing.assert_array_equal(pred.step_hidden, h)
 
     def test_three_steps_equal_chained_calls(self):
+        # tau 1, horizon 2: one encoder step, then two decoder steps, each
+        # fed sigmoid of the previous hidden state
         rng = make_rng(2)
-        params = init_params(rng, 2, 3)
-        xs = rng.normal(size=(3, 3))
-        hs, cs, _ = lstm_forward(params, np.zeros(2), np.zeros(2), xs)
-        h, c = np.zeros(2), np.zeros(2)
-        for t in range(3):
-            h, c, _ = lstm_step(params, h, c, xs[t])
-            np.testing.assert_array_equal(hs[t], h)
-            np.testing.assert_array_equal(cs[t], c)
-
-    def test_error_reports_step(self):
-        params = zeros_params(2, 3)
-        xs = [np.zeros(3), np.zeros(3), np.zeros(4)]
-        with pytest.raises(ValueError, match="step 2"):
-            lstm_forward(params, np.zeros(2), np.zeros(2), xs)
+        dims = ModelDims(n_labels=2, d_obs=2, d_ctx=1, tau=1, total_steps=3)
+        model = init_model(rng, dims)
+        obs, ctx = one_sample(rng, dims)
+        pred = forward(model, obs, ctx)[0]
+        h = c = np.zeros((1, 2))
+        h, c, _ = lstm_step(model.encoder, h, c, np.concatenate([obs[:1], ctx[:1], h], 1))
+        for t in (1, 2):
+            x = np.concatenate([ctx[t : t + 1], sigmoid(h)], 1)
+            h, c, _ = lstm_step(model.decoder, h, c, x)
+            np.testing.assert_array_equal(pred.step_hidden[t - 1], h[0])
 
     def test_hidden_state_bounded(self):
         rng = make_rng(9)
         params = init_params(rng, 4, 3)
         xs = rng.normal(size=(50, 3)) * 5.0
-        hs, _, _ = lstm_forward(params, np.zeros(4), np.zeros(4), xs)
+        hs, _, _ = unroll(params, np.zeros(4), np.zeros(4), xs)
         assert np.all(np.abs(hs) < 1.0)
 
     def test_deterministic(self):
         rng = make_rng(4)
         params = init_params(rng, 3, 2)
         xs = rng.normal(size=(6, 2))
-        a = lstm_forward(params, np.zeros(3), np.zeros(3), xs)[0]
-        b = lstm_forward(params, np.zeros(3), np.zeros(3), xs)[0]
+        a = unroll(params, np.zeros(3), np.zeros(3), xs)[0]
+        b = unroll(params, np.zeros(3), np.zeros(3), xs)[0]
         np.testing.assert_array_equal(a, b)
 
 
 def fd_loss(params, h0, c0, xs, dh_steps, dh_fin, dc_fin):
-    """Linear functional of the outputs whose gradient lstm_backward returns."""
-    hs, cs, _ = lstm_forward(params, h0, c0, xs)
-    total = float(np.sum(dh_steps * hs))
-    if len(hs):
-        total += float(dh_fin @ hs[-1] + dc_fin @ cs[-1])
-    else:
-        total += float(dh_fin @ h0 + dc_fin @ c0)
-    return total
+    """Linear functional of the outputs whose gradient unroll_backward returns."""
+    hs, cs, _ = unroll(params, h0, c0, xs)
+    return float(np.sum(dh_steps * hs) + dh_fin @ hs[-1] + dc_fin @ cs[-1])
 
 
 class TestBackward:
@@ -166,17 +184,12 @@ class TestBackward:
         rng = make_rng(6)
         params = init_params(rng, 3, 2)
         xs = rng.normal(size=(5, 2))
-        _, _, caches = lstm_forward(params, np.zeros(3), np.zeros(3), xs)
-        grads = lstm_backward(params, caches, np.zeros((5, 3)))
-        for _, arr in grads.params.arrays():
+        _, _, caches = unroll(params, np.zeros(3), np.zeros(3), xs)
+        zero = np.zeros(3)
+        grads, _, _, dx = unroll_backward(params, caches, np.zeros((5, 3)), zero, zero)
+        for _, arr in grads.arrays():
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
-        np.testing.assert_array_equal(grads.dx, np.zeros((5, 2)))
-
-    def test_length_mismatch(self):
-        params = zeros_params(2, 2)
-        _, _, caches = lstm_forward(params, np.zeros(2), np.zeros(2), np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="length mismatch"):
-            lstm_backward(params, caches, np.zeros((2, 2)))
+        np.testing.assert_array_equal(dx, np.zeros((5, 2)))
 
     def test_causality_of_input_grads(self):
         # Adjoints only on step 1 (and none on the final state): inputs after
@@ -184,12 +197,12 @@ class TestBackward:
         rng = make_rng(10)
         params = init_params(rng, 2, 3)
         xs = rng.normal(size=(5, 3))
-        _, _, caches = lstm_forward(params, np.zeros(2), np.zeros(2), xs)
+        _, _, caches = unroll(params, np.zeros(2), np.zeros(2), xs)
         dh = np.zeros((5, 2))
         dh[1] = rng.normal(size=2)
-        grads = lstm_backward(params, caches, dh)
-        np.testing.assert_array_equal(grads.dx[2:], np.zeros((3, 3)))
-        assert np.any(grads.dx[1] != 0.0)
+        _, _, _, dx = unroll_backward(params, caches, dh, np.zeros(2), np.zeros(2))
+        np.testing.assert_array_equal(dx[2:], np.zeros((3, 3)))
+        assert np.any(dx[1] != 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradients_match_finite_differences(self, seed):
@@ -205,14 +218,14 @@ class TestBackward:
         dh_fin = rng.normal(size=hidden)
         dc_fin = rng.normal(size=hidden)
 
-        _, _, caches = lstm_forward(params, h0, c0, xs)
-        grads = lstm_backward(params, caches, dh_steps, dh_fin, dc_fin)
+        _, _, caches = unroll(params, h0, c0, xs)
+        grads = unroll_backward(params, caches, dh_steps, dh_fin, dc_fin)[0]
 
         step = 1e-5
         worst = 0.0
         for name, arr in params.arrays():
             flat = arr.ravel()
-            gflat = getattr(grads.params, name).ravel()
+            gflat = getattr(grads, name).ravel()
             for k in range(flat.size):
                 keep = flat[k]
                 flat[k] = keep + step
@@ -234,11 +247,11 @@ class TestBackward:
         dh_steps = rng.normal(size=(4, 2))
         dh_fin = rng.normal(size=2)
         dc_fin = rng.normal(size=2)
-        _, _, caches = lstm_forward(params, h0, c0, xs)
-        grads = lstm_backward(params, caches, dh_steps, dh_fin, dc_fin)
+        _, _, caches = unroll(params, h0, c0, xs)
+        _, dh0, dc0, dx = unroll_backward(params, caches, dh_steps, dh_fin, dc_fin)
 
         step = 1e-5
-        for target, grad in ((h0, grads.dh0), (c0, grads.dc0)):
+        for target, grad in ((h0, dh0), (c0, dc0)):
             for k in range(target.size):
                 keep = target[k]
                 target[k] = keep + step
@@ -249,7 +262,7 @@ class TestBackward:
                 numeric = (up - down) / (2 * step)
                 assert abs(numeric - grad[k]) / max(abs(numeric), abs(grad[k]), 1e-6) < 1e-4
         flat = xs.ravel()
-        gx = grads.dx.ravel()
+        gx = dx.ravel()
         for k in range(flat.size):
             keep = flat[k]
             flat[k] = keep + step

@@ -2,18 +2,23 @@
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faultcast.model import (
+    ForecastModel,
     ModelDims,
     backward,
     forward,
     init_model,
     load_model,
     param_items,
+    param_layout,
     predict,
     save_model,
     stack_models,
@@ -299,6 +304,64 @@ class TestPopulation:
             predict(stack, np.stack([obs[None]] * 3), np.stack([ctx[None]] * 3))  # G=3
         with pytest.raises(ValueError, match="dims"):
             stack_models([tiny_model(1), tiny_model(1, ModelDims(2, 2, 1, 2, 5))])
+
+
+small_dims = st.builds(
+    lambda tau, horizon, n_labels, d_obs, d_ctx: ModelDims(
+        n_labels, d_obs, d_ctx, tau, tau + horizon),
+    tau=st.integers(0, 3), horizon=st.integers(1, 3), n_labels=st.integers(1, 3),
+    d_obs=st.integers(0, 2), d_ctx=st.integers(0, 2),
+)
+layout_cases = dict(dims=small_dims, population=st.sampled_from((None, 1, 2, 3)),
+                    seed=st.integers(0, 2**16))
+EDGE = ModelDims(n_labels=2, d_obs=0, d_ctx=1, tau=0, total_steps=1)
+
+
+def members_and_model(dims, population, seed):
+    """`population` (or one) fresh models, and the single model or their stack."""
+    members = [tiny_model(seed + k, dims) for k in range(population or 1)]
+    return members, members[0] if population is None else stack_models(members)
+
+
+class TestLayout:
+    """theta holds every parameter exactly once; the named views tile it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**layout_cases)
+    @example(dims=EDGE, population=None, seed=0)
+    @example(dims=EDGE, population=3, seed=1)
+    def test_views_tile_theta(self, dims, population, seed):
+        _, model = members_and_model(dims, population, seed)
+        lead = () if population is None else (population,)
+        size = sum(math.prod(shape) for _, shape in param_layout(dims))
+        assert model.theta.shape == lead + (size,) and model.population == population
+        # number every slot of theta: the per-gate views must be views into
+        # theta that read each number exactly once
+        model.theta[...] = np.arange(model.theta.size).reshape(model.theta.shape)
+        views = [arr for _, arr in param_items(model)]
+        assert all(np.shares_memory(arr, model.theta) for arr in views)
+        seen = np.concatenate([arr.reshape(lead + (-1,)) for arr in views], axis=-1)
+        np.testing.assert_array_equal(np.sort(seen, axis=None), np.arange(model.theta.size))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**layout_cases)
+    @example(dims=EDGE, population=None, seed=0)
+    @example(dims=EDGE, population=3, seed=1)
+    def test_members_and_files_round_trip(self, dims, population, seed):
+        members, model = members_and_model(dims, population, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, want in enumerate(members):
+                got = model.member(k)
+                assert got.theta.tobytes() == want.theta.tobytes()
+                path = Path(tmp) / f"member{k}.json"
+                save_model(got, path)
+                loaded, _ = load_model(path)
+                assert loaded.dims == dims
+                assert loaded.theta.tobytes() == want.theta.tobytes()
+
+    def test_theta_length_checked(self):
+        with pytest.raises(ValueError, match="parameters"):
+            ForecastModel(np.zeros(3), DIMS)
 
 
 class TestSerialization:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultcast.data import Sample, SynthConfig, synth_generate
-from faultcast.model import ModelDims, init_model, param_items, zeros_grads
+from faultcast.model import ModelDims, init_model, param_items, stack_models, zeros_grads
 from faultcast.num import make_rng
 from faultcast.training import (
     GridResult,
@@ -72,6 +72,44 @@ class TestOptimizer:
         optimizer_step(model, grads, eta=1.0, state=None, clip_norm=1.0)
         moved = np.linalg.norm(model.out_bias - start)
         assert moved <= 1.0 + 1e-12
+
+
+class TestPopulationStep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tau=st.integers(0, 3), horizon=st.integers(1, 3), n_labels=st.integers(1, 3),
+        d_obs=st.integers(0, 2), d_ctx=st.integers(0, 2),
+        optimizer=st.sampled_from(("adam", "sgd")),
+        etas=st.lists(st.sampled_from((1e-3, 0.05, 0.5, 10.0)), min_size=1, max_size=3),
+        clip_norm=st.sampled_from((None, 1e-3, 0.5, 1e3)),
+        seed=st.integers(0, 2**16),
+    )
+    @example(tau=0, horizon=1, n_labels=2, d_obs=0, d_ctx=1, optimizer="adam",
+             etas=[0.05, 0.5], clip_norm=0.5, seed=0)
+    def test_population_step_equals_member_steps(
+        self, tau, horizon, n_labels, d_obs, d_ctx, optimizer, etas, clip_norm, seed
+    ):
+        # a (G, P) step with per-member eta, clipping and Adam state updates
+        # each member bit for bit as its own single-model steps do
+        dims = ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon)
+        rng = make_rng(seed)
+        alone = [init_model(make_rng(seed + k), dims) for k in range(len(etas))]
+        stack = stack_models(alone)
+        adam = optimizer == "adam"
+        states = [make_adam_state(m) if adam else None for m in alone]
+        stack_state = make_adam_state(stack) if adam else None
+        for _ in range(3):
+            grads = [zeros_grads(dims) for _ in etas]
+            for g in grads:
+                g.theta[...] = rng.normal(size=g.theta.shape) * rng.choice((1e-3, 1.0, 1e3))
+            optimizer_step(stack, stack_models(grads), np.array(etas), stack_state, clip_norm)
+            for model, g, eta, state in zip(alone, grads, etas, states):
+                optimizer_step(model, g, eta, state, clip_norm)
+        for k, model in enumerate(alone):
+            assert stack.member(k).theta.tobytes() == model.theta.tobytes()
+            if adam:
+                assert stack_state.m[k].tobytes() == states[k].m.tobytes()
+                assert stack_state.v[k].tobytes() == states[k].v.tobytes()
 
 
 class TestTrain:
@@ -139,6 +177,12 @@ class TestTrain:
         assert not np.isfinite(history[-1].loss.total)
         for _, arr in param_items(best):
             assert np.all(np.isfinite(arr))
+
+    @pytest.mark.parametrize("clip_norm", [0.0, -1.0, float("nan")])
+    def test_non_positive_clip_norm_rejected(self, clip_norm):
+        # 0 would zero every update, a negative value would ascend the loss
+        with pytest.raises(ValueError, match="clip_norm"):
+            TrainConfig(clip_norm=clip_norm)
 
     def test_siamese_batch_size_validated(self):
         with pytest.raises(ValueError, match="batch_size"):
