@@ -21,7 +21,6 @@ from .data import (
     SynthConfig,
     class_stats,
     load_dataset,
-    pad_mean,
     save_dataset,
     split_samples,
     synth_generate,

@@ -25,6 +25,7 @@ from .classifiers import (
     classifier_to_dict,
     classify,
     fit_classifier,
+    fit_svm_blocks,
     broadcast_baseline,
 )
 from .data import (
@@ -308,19 +309,19 @@ def _fit_all_classifiers(model, train_split, seed):
     obs, ctx, labels, steps = stack_samples(train_split)
     pred = forward(model, obs, ctx, keep_tape=False)[0]
     n_labels = labels.shape[1]
-    segment = {
-        kind: classifier_to_dict(fit_classifier(kind, pred.embedding, labels, seed=seed))
-        for kind in ("svm", "threshold_zero", "nearest_mean")
-    }
-    stepwise = classifier_to_dict(
-        fit_classifier(
-            "svm",
-            pred.step_scores.reshape(-1, n_labels),
-            steps.reshape(-1, n_labels),
-            seed=seed,
-        )
+    # the segment and stepwise svms share one Pegasos loop
+    segment_svm, stepwise = fit_svm_blocks(
+        [(pred.embedding, labels),
+         (pred.step_scores.reshape(-1, n_labels), steps.reshape(-1, n_labels))],
+        seed=seed,
     )
-    return {"segment": segment, "stepwise": stepwise}
+    segment = {"svm": segment_svm}
+    for kind in ("threshold_zero", "nearest_mean"):
+        segment[kind] = fit_classifier(kind, pred.embedding, labels, seed=seed)
+    return {
+        "segment": {kind: classifier_to_dict(clf) for kind, clf in segment.items()},
+        "stepwise": classifier_to_dict(stepwise),
+    }
 
 
 def cmd_train(args) -> int:
@@ -415,23 +416,58 @@ def _load_model_with_classifiers(path):
     return model, classifiers
 
 
-def cmd_evaluate(args) -> int:
+_DIM_FIELDS = ("n_labels", "d_obs", "d_ctx", "tau", "total_steps")
+
+
+def _score_split(args):
+    """Load args.model and args.data, check that they agree, and score the
+    selected split in one untaped batched forward.
+
+    Returns (meta, classifiers, pred, labels, steps), with the split's
+    stacked segment and stepwise labels as ints; pred, labels and steps are
+    None when the split is empty.
+    """
     model, classifiers = _load_model_with_classifiers(args.model)
     meta, samples = load_dataset(args.data)
+    for name in _DIM_FIELDS:
+        have, want = getattr(meta, name), getattr(model.dims, name)
+        if have != want:
+            raise DatasetError(
+                f"{args.data} has {name}={have} but model {args.model} has {name}={want}"
+            )
     part = _select_split(args, meta, samples)
     if not part:
-        raise DatasetError(f"split {args.split!r} is empty")
+        return meta, classifiers, None, None, None
     obs, ctx, labels, steps = stack_samples(part)
     pred = forward(model, obs, ctx, keep_tape=False)[0]
-    truth = labels.astype(int)
+    return meta, classifiers, pred, labels.astype(int), steps.astype(int)
+
+
+def _write_records(path, **columns):
+    """Write row i of every column array as line i, one compact JSON object
+    with sorted keys; returns the number of lines."""
+    lines = [
+        json.dumps(dict(zip(columns, row)), sort_keys=True, separators=(",", ":")) + "\n"
+        for row in zip(*(arr.tolist() for arr in columns.values()))
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    return len(lines)
+
+
+def cmd_evaluate(args) -> int:
+    meta, classifiers, pred, truth, step_truth = _score_split(args)
+    if pred is None:
+        raise DatasetError(f"split {args.split!r} is empty")
+    n_samples = len(truth)
 
     kinds = (
         list(_KIND_FLAG.values())
         if args.classifier == "all"
         else [_KIND_FLAG[args.classifier]]
     )
-    doc = {"split": args.split, "n_samples": len(part), "segment": {}}
-    lines = [f"split: {args.split}", f"n_samples: {len(part)}"]
+    doc = {"split": args.split, "n_samples": n_samples, "segment": {}}
+    lines = [f"split: {args.split}", f"n_samples: {n_samples}"]
     for kind in kinds:
         clf = classifier_from_dict(classifiers["segment"][kind])
         report = segment_report(classify(clf, pred.embedding), truth)
@@ -444,7 +480,6 @@ def cmd_evaluate(args) -> int:
         seg_clf = classifier_from_dict(classifiers["segment"][kinds[0]])
         localized = classify(step_clf, pred.step_scores)
         broadcast = broadcast_baseline(classify(seg_clf, pred.embedding), meta.horizon)
-        step_truth = steps.astype(int)
         reports = {"localized": stepwise_report(localized, step_truth),
                    "broadcast": stepwise_report(broadcast, step_truth)}
         doc["stepwise"] = {name: report.as_dict() for name, report in reports.items()}
@@ -462,37 +497,27 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, classifiers = _load_model_with_classifiers(args.model)
-    meta, samples = load_dataset(args.data)
-    part = _select_split(args, meta, samples)
+    _, classifiers, pred, _, _ = _score_split(args)
     clf = classifier_from_dict(classifiers["segment"][_KIND_FLAG[args.classifier]])
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for sample in part:
-            pred = forward(model, sample.obs, sample.ctx, keep_tape=False)[0]
-            rec = {
-                "embedding": pred.embedding.tolist(),
-                "probs": pred.label_probs.tolist(),
-                "decision": classify(clf, pred.embedding).tolist(),
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-    print(f"wrote {len(part)} predictions to {args.out}")
+    columns = {} if pred is None else {
+        "embedding": pred.embedding,
+        "probs": pred.label_probs,
+        "decision": classify(clf, pred.embedding),
+    }
+    n = _write_records(args.out, **columns)
+    print(f"wrote {n} predictions to {args.out}")
     return 0
 
 
 def cmd_localize(args) -> int:
-    model, classifiers = _load_model_with_classifiers(args.model)
-    meta, samples = load_dataset(args.data)
-    part = _select_split(args, meta, samples)
+    _, classifiers, pred, _, _ = _score_split(args)
     step_clf = classifier_from_dict(classifiers["stepwise"])
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for sample in part:
-            pred = forward(model, sample.obs, sample.ctx, keep_tape=False)[0]
-            rec = {
-                "step_scores": pred.step_scores.tolist(),
-                "step_decisions": classify(step_clf, pred.step_scores).tolist(),
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-    print(f"wrote {len(part)} localizations to {args.out}")
+    columns = {} if pred is None else {
+        "step_scores": pred.step_scores,
+        "step_decisions": classify(step_clf, pred.step_scores),
+    }
+    n = _write_records(args.out, **columns)
+    print(f"wrote {n} localizations to {args.out}")
     return 0
 
 

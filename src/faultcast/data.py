@@ -1,5 +1,5 @@
-"""Dataset schema, ingestion/validation, splitting, padding, and the
-synthetic plant-style generator.
+"""Dataset schema, ingestion/validation, splitting, and the synthetic
+plant-style generator.
 
 A dataset file is JSON Lines: the first line is a header record carrying the
 metadata, every following line is one sample with matrices as nested arrays
@@ -215,18 +215,6 @@ def split_samples(samples: list[Sample], sizes: tuple[int, int, int], seed: int)
         picked[n_train : n_train + n_val],
         picked[n_train + n_val : n_train + n_val + n_test],
     )
-
-
-def pad_mean(obs: np.ndarray, total_steps: int) -> np.ndarray:
-    """Extend a (tau, d) matrix to total_steps rows using per-feature means."""
-    obs = np.asarray(obs, dtype=np.float64)
-    tau = obs.shape[0]
-    if total_steps < tau:
-        raise ValueError(f"cannot pad {tau} rows down to {total_steps}")
-    if total_steps == tau:
-        return obs.copy()
-    fill = obs.mean(axis=0)
-    return np.vstack([obs, np.tile(fill, (total_steps - tau, 1))])
 
 
 def class_stats(samples: list[Sample]) -> np.ndarray:

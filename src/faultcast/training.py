@@ -27,6 +27,7 @@ classifier fits = seed + 3, grid point k = seed + k.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -65,10 +66,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in losses.LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        # written so that NaN fails too; inf is no usable step or penalty
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         min_batch = 2 if self.loss == "siamese" else 1

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultcast.classifiers import (
+    SVM_REG,
     broadcast_baseline,
     classifier_from_dict,
     classifier_to_dict,
     classify,
     fit_classifier,
+    fit_svm_blocks,
 )
 from faultcast.num import make_rng
 
@@ -77,6 +81,86 @@ class TestSvm:
         clf = fit_classifier("svm", scores, labels, seed=0)
         np.testing.assert_array_equal(clf.fallback, [True, True])
         np.testing.assert_array_equal(classify(clf, np.array([0.3, -0.4])), [1, 0])
+
+
+def pegasos_reference(scores, labels, seed, iterations, reg=SVM_REG):
+    """One svm fit as a plain loop over its own sample stream: the update
+    the fused block fit must reproduce bit for bit. Returns (w, b, fallback)."""
+    n, n_labels = scores.shape
+    pos_count = (labels > 0).sum(axis=0)
+    fallback = (pos_count == 0) | (pos_count == n)
+    targets = np.where(labels > 0, 1.0, -1.0)
+    balance = np.ones_like(labels)
+    for l in range(n_labels):
+        if not fallback[l]:
+            lift = np.sqrt((n - pos_count[l]) / pos_count[l])
+            balance[:, l] = np.where(labels[:, l] > 0, lift, 1.0)
+    w = np.zeros(n_labels)
+    b = np.zeros(n_labels)
+    for t, i in enumerate(make_rng(seed).integers(0, n, size=iterations), start=1):
+        eta = 1.0 / (reg * t)
+        margin = targets[i] * (w * scores[i] + b)
+        push = np.where(margin < 1.0, eta * balance[i] * targets[i], 0.0)
+        w *= 1.0 - eta * reg
+        w += push * scores[i]
+        b += push
+    return w, b, fallback
+
+
+def random_block(n, n_labels, data_seed):
+    rng = make_rng(data_seed)
+    scores = rng.normal(size=(n, n_labels))
+    # rates 0 and 1 make single-class labels, which fall back
+    rate = rng.choice([0.0, 0.3, 1.0], size=n_labels)
+    labels = (rng.uniform(size=(n, n_labels)) < rate).astype(float)
+    return scores, labels
+
+
+def assert_same_svm(clf, reference):
+    w, b, fallback = reference
+    assert clf.kind == "svm"
+    assert clf.weight.tobytes() == w.tobytes()
+    assert clf.bias.tobytes() == b.tobytes()
+    np.testing.assert_array_equal(clf.fallback, fallback)
+
+
+class TestSvmBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.builds(random_block, st.integers(1, 12), st.integers(1, 4),
+                      st.integers(0, 2**16)),
+            min_size=1, max_size=3,
+        ),
+        seed=st.integers(0, 2**16),
+        iterations=st.integers(0, 2_500),  # crosses SVM_CHUNK boundaries
+    )
+    def test_blocks_equal_separate_fits(self, blocks, seed, iterations):
+        fused = fit_svm_blocks(blocks, seed=seed, iterations=iterations)
+        assert len(fused) == len(blocks)
+        for (scores, labels), clf in zip(blocks, fused):
+            reference = pegasos_reference(scores, labels, seed, iterations)
+            assert_same_svm(clf, reference)
+            assert_same_svm(
+                fit_classifier("svm", scores, labels, seed=seed, iterations=iterations), reference
+            )
+
+    def test_segment_and_stepwise_shapes_at_full_length(self):
+        # the train command's pair: a segment block and a 6x longer
+        # stepwise block, both at the default iteration count
+        segment = random_block(60, 4, 1)
+        stepwise = random_block(360, 4, 2)
+        fused = fit_svm_blocks([segment, stepwise], seed=3)
+        for (scores, labels), clf in zip((segment, stepwise), fused):
+            assert_same_svm(clf, pegasos_reference(scores, labels, 3, 10_000))
+
+    def test_no_blocks(self):
+        assert fit_svm_blocks([], seed=0) == []
+
+    def test_bad_block_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            fit_svm_blocks([(np.zeros((3, 2)), np.zeros((3, 2))),
+                            (np.zeros((3, 2)), np.zeros((3, 1)))])
 
 
 class TestNearestMean:

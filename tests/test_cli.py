@@ -5,8 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from faultcast.classifiers import classifier_from_dict, classify
 from faultcast.cli import main
-from faultcast.data import load_dataset
+from faultcast.data import load_dataset, split_samples, stack_samples
+from faultcast.model import forward, load_model
+
+
+SPLIT = ("--n-train", "140", "--n-val", "40", "--n-test", "80")
 
 
 def run(*argv):
@@ -194,6 +199,58 @@ class TestPredictAndLocalize:
         assert steps.shape == (6, 4)
         assert set(np.unique(steps)) <= {0, 1}
 
+    def test_records_agree_with_one_batched_forward(self, workspace, tmp_path):
+        # predict and localize score the split exactly as evaluate does: one
+        # batched forward, one classify call per rule
+        _, data, model_path, _ = workspace
+        flags = ("--model", str(model_path), "--data", str(data), "--split", "test", *SPLIT)
+        assert run("predict", *flags, "--out", str(tmp_path / "p.jsonl")) == 0
+        assert run("localize", *flags, "--out", str(tmp_path / "l.jsonl")) == 0
+        model, classifiers = load_model(model_path)
+        _, samples = load_dataset(data)
+        obs, ctx, _, _ = stack_samples(split_samples(samples, (140, 40, 80), 0)[2])
+        pred = forward(model, obs, ctx, keep_tape=False)[0]
+        segment = classifier_from_dict(classifiers["segment"]["svm"])
+        stepwise = classifier_from_dict(classifiers["stepwise"])
+        expected = {
+            "p.jsonl": {"embedding": pred.embedding, "probs": pred.label_probs,
+                        "decision": classify(segment, pred.embedding)},
+            "l.jsonl": {"step_scores": pred.step_scores,
+                        "step_decisions": classify(stepwise, pred.step_scores)},
+        }
+        for name, columns in expected.items():
+            records = [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
+            for key, want in columns.items():
+                got = np.array([rec[key] for rec in records], dtype=want.dtype)
+                assert got.tobytes() == want.tobytes(), (name, key)
+
+    def test_byte_identical_reruns(self, workspace, tmp_path):
+        _, data, model, _ = workspace
+        for command in ("predict", "localize"):
+            outs = []
+            for k in range(2):
+                out = tmp_path / f"{command}{k}.jsonl"
+                assert run(command, "--model", str(model), "--data", str(data),
+                           "--out", str(out), *SPLIT) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["predict", "localize"])
+    def test_empty_split_writes_empty_file(self, workspace, tmp_path, command):
+        _, data, model, _ = workspace
+        out = tmp_path / "empty.jsonl"
+        assert run(command, "--model", str(model), "--data", str(data), "--out", str(out),
+                   "--n-train", "140", "--n-val", "40", "--n-test", "0") == 0
+        assert out.read_bytes() == b""
+
+    def test_evaluate_empty_split_is_data_error(self, workspace, tmp_path, capsys):
+        _, data, model, _ = workspace
+        assert run("evaluate", "--model", str(model), "--data", str(data),
+                   "--out", str(tmp_path / "r"),
+                   "--n-train", "140", "--n-val", "40", "--n-test", "0") == 2
+        assert "split 'test' is empty" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestGridSearch:
     def test_grid_file_single_point(self, workspace, tmp_path):
@@ -350,6 +407,37 @@ class TestUsageErrors:
                    "--n-train", "60", "--n-val", "20", "--n-test", "20") == 2
         assert "clip_norm must be > 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,field", [("--eta", "eta"), ("--lambda", "lam")])
+    def test_nan_step_or_penalty_is_rejected(self, workspace, tmp_path, capsys, flag, field):
+        _, data, _, _ = workspace
+        out = tmp_path / "m.json"
+        assert run("train", "--data", str(data), "--out-model", str(out), flag, "nan",
+                   "--n-train", "60", "--n-val", "20", "--n-test", "20") == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value,field", [
+        ("evaluate", "--labels", "3", "n_labels"),
+        ("predict", "--labels", "3", "n_labels"),
+        ("localize", "--labels", "3", "n_labels"),
+        ("predict", "--d-obs", "3", "d_obs"),
+        ("predict", "--d-ctx", "2", "d_ctx"),
+        ("predict", "--tau", "3", "tau"),
+        ("predict", "--total-steps", "11", "total_steps"),
+    ])
+    def test_dataset_model_dims_mismatch_is_data_error(self, workspace, tmp_path, capsys,
+                                                       command, flag, value, field):
+        _, _, model, _ = workspace
+        data = tmp_path / "other.jsonl"
+        assert run("generate", "--out", str(data), "--n", "20", flag, value) == 0
+        capsys.readouterr()
+        assert run(command, "--model", str(model), "--data", str(data),
+                   "--out", str(tmp_path / "out"),
+                   "--n-train", "10", "--n-val", "5", "--n-test", "5") == 2
+        err = capsys.readouterr().err
+        assert str(data) in err and str(model) in err and f"{field}={value}" in err
+        assert [p.name for p in tmp_path.iterdir()] == [data.name]
 
     def test_dataset_header_without_tau_is_data_error(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace

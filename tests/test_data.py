@@ -1,4 +1,4 @@
-"""Dataset schema, splitting, padding, and the synthetic generator."""
+"""Dataset schema, splitting, and the synthetic generator."""
 
 import json
 
@@ -12,14 +12,11 @@ from faultcast.data import (
     SynthConfig,
     class_stats,
     load_dataset,
-    pad_mean,
     save_dataset,
     split_samples,
     synth_generate,
 )
 from dataclasses import replace
-
-from faultcast.num import make_rng
 
 
 def small_config(**overrides):
@@ -179,34 +176,6 @@ class TestSplit:
         _, samples = synth_generate(small_config(), 10)
         with pytest.raises(ValueError, match="split sizes"):
             split_samples(samples, (8, 2, 1), seed=0)
-
-
-class TestPadMean:
-    def test_noop_when_lengths_match(self):
-        obs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = pad_mean(obs, 2)
-        np.testing.assert_array_equal(out, obs)
-        assert out is not obs
-
-    def test_constant_column_stays_constant(self):
-        obs = np.full((3, 2), 7.5)
-        out = pad_mean(obs, 6)
-        np.testing.assert_array_equal(out, np.full((6, 2), 7.5))
-
-    def test_column_mean_fill(self):
-        obs = np.array([[1.0], [3.0]])
-        out = pad_mean(obs, 4)
-        np.testing.assert_array_equal(out, [[1.0], [3.0], [2.0], [2.0]])
-
-    def test_prefix_preserved_exactly(self):
-        rng = make_rng(1)
-        obs = rng.normal(size=(5, 3))
-        out = pad_mean(obs, 9)
-        np.testing.assert_array_equal(out[:5], obs)
-
-    def test_cannot_shrink(self):
-        with pytest.raises(ValueError, match="pad"):
-            pad_mean(np.zeros((4, 1)), 3)
 
 
 class TestGenerator:

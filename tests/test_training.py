@@ -184,6 +184,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="clip_norm"):
             TrainConfig(clip_norm=clip_norm)
 
+    @pytest.mark.parametrize("field", ["eta", "lam"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_step_and_penalty_rejected(self, field, value):
+        # NaN slips through a plain `eta <= 0` or `lam < 0` comparison
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
     def test_siamese_batch_size_validated(self):
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(loss="siamese", batch_size=1)
