@@ -23,6 +23,9 @@ import numpy as np
 from .num import make_rng
 
 KINDS = ("svm", "threshold_zero", "nearest_mean")
+# the arrays each kind's decision rule reads, besides the optional fallback
+_KIND_ARRAYS = {"svm": ("weight", "bias"), "threshold_zero": (),
+                "nearest_mean": ("pos_mean", "neg_mean")}
 
 SVM_ITERATIONS = 10_000
 SVM_REG = 1e-2
@@ -182,16 +185,26 @@ def classifier_to_dict(clf: LabelClassifier) -> dict:
     return out
 
 
-def classifier_from_dict(doc: dict) -> LabelClassifier:
-    def arr(x):
-        return None if x is None else np.asarray(x, dtype=np.float64)
-
-    fallback = doc.get("fallback")
-    return LabelClassifier(
-        kind=doc["kind"],
-        weight=arr(doc.get("weight")),
-        bias=arr(doc.get("bias")),
-        pos_mean=arr(doc.get("pos_mean")),
-        neg_mean=arr(doc.get("neg_mean")),
-        fallback=None if fallback is None else np.asarray(fallback, dtype=bool),
-    )
+def classifier_from_dict(doc: dict, n_labels: int) -> LabelClassifier:
+    """Rebuild a classifier_to_dict record. ValueError names the field if the
+    kind is not in KINDS, an array the kind reads is missing, or an array is
+    not n_labels long."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in KINDS:
+        raise ValueError(f"field 'kind' must be one of {', '.join(KINDS)}, got {kind!r}")
+    arrays = {}
+    for name in ("weight", "bias", "pos_mean", "neg_mean", "fallback"):
+        value = doc.get(name)
+        if value is None:
+            if name in _KIND_ARRAYS[kind]:
+                raise ValueError(f"field {name!r} is missing; a {kind} classifier needs it")
+            arrays[name] = None
+            continue
+        try:
+            arr = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"field {name!r} is not a numeric array") from None
+        if arr.shape != (n_labels,):
+            raise ValueError(f"field {name!r} has shape {arr.shape}, need ({n_labels},)")
+        arrays[name] = arr.astype(bool) if name == "fallback" else arr
+    return LabelClassifier(kind, **arrays)

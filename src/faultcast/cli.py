@@ -21,6 +21,7 @@ import numpy as np
 
 from .adapters import convert_activity_dat, convert_plant_csv
 from .classifiers import (
+    KINDS,
     classifier_from_dict,
     classifier_to_dict,
     classify,
@@ -39,7 +40,7 @@ from .data import (
     synth_generate,
 )
 from .metrics import format_report, segment_report, stepwise_report
-from .model import ModelDims, forward, init_model, load_model, save_model
+from .model import DIM_KEYS, ModelDims, forward, init_model, load_model, save_model
 from .num import make_rng
 from .training import (
     TrainConfig,
@@ -408,15 +409,26 @@ def _select_split(args, meta, samples):
 
 
 def _load_model_with_classifiers(path):
-    model, classifiers = load_model(path)
-    if not classifiers:
-        raise DatasetError(
-            f"{path} has no classifier records; train it with the train command"
-        )
-    return model, classifiers
+    """The model and its classifiers, {"segment": {kind: clf}, "stepwise":
+    clf}, every record checked against the model's n_labels."""
+    model, records = load_model(path)
+    if not records:
+        raise DatasetError(f"{path} has no classifier records; train it with the train command")
 
+    def read(*keys):
+        rec = records
+        for key in keys:
+            rec = rec.get(key) if isinstance(rec, dict) else None
+        name = ".".join(("classifiers",) + keys)
+        if rec is None:
+            raise DatasetError(f"{path}: missing key {name!r}")
+        try:
+            return classifier_from_dict(rec, model.dims.n_labels)
+        except ValueError as exc:
+            raise DatasetError(f"{path}: key {name!r}: {exc}") from None
 
-_DIM_FIELDS = ("n_labels", "d_obs", "d_ctx", "tau", "total_steps")
+    segment = {kind: read("segment", kind) for kind in KINDS}
+    return model, {"segment": segment, "stepwise": read("stepwise")}
 
 
 def _score_split(args):
@@ -429,7 +441,7 @@ def _score_split(args):
     """
     model, classifiers = _load_model_with_classifiers(args.model)
     meta, samples = load_dataset(args.data)
-    for name in _DIM_FIELDS:
+    for name in DIM_KEYS:
         have, want = getattr(meta, name), getattr(model.dims, name)
         if have != want:
             raise DatasetError(
@@ -469,15 +481,15 @@ def cmd_evaluate(args) -> int:
     doc = {"split": args.split, "n_samples": n_samples, "segment": {}}
     lines = [f"split: {args.split}", f"n_samples: {n_samples}"]
     for kind in kinds:
-        clf = classifier_from_dict(classifiers["segment"][kind])
+        clf = classifiers["segment"][kind]
         report = segment_report(classify(clf, pred.embedding), truth)
         doc["segment"][kind] = report.as_dict()
         lines.append(f"[segment {kind}]")
         lines.append(format_report(report).rstrip())
 
     if args.localize:
-        step_clf = classifier_from_dict(classifiers["stepwise"])
-        seg_clf = classifier_from_dict(classifiers["segment"][kinds[0]])
+        step_clf = classifiers["stepwise"]
+        seg_clf = classifiers["segment"][kinds[0]]
         localized = classify(step_clf, pred.step_scores)
         broadcast = broadcast_baseline(classify(seg_clf, pred.embedding), meta.horizon)
         reports = {"localized": stepwise_report(localized, step_truth),
@@ -498,7 +510,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     _, classifiers, pred, _, _ = _score_split(args)
-    clf = classifier_from_dict(classifiers["segment"][_KIND_FLAG[args.classifier]])
+    clf = classifiers["segment"][_KIND_FLAG[args.classifier]]
     columns = {} if pred is None else {
         "embedding": pred.embedding,
         "probs": pred.label_probs,
@@ -511,7 +523,7 @@ def cmd_predict(args) -> int:
 
 def cmd_localize(args) -> int:
     _, classifiers, pred, _, _ = _score_split(args)
-    step_clf = classifier_from_dict(classifiers["stepwise"])
+    step_clf = classifiers["stepwise"]
     columns = {} if pred is None else {
         "step_scores": pred.step_scores,
         "step_decisions": classify(step_clf, pred.step_scores),

@@ -7,7 +7,9 @@ frequency in the training split. A label that never occurs gets weight 1
 silences its positive term, so that case is flagged with a warning.
 
 Each per-sample function accepts an optional leading batch axis and then
-returns one loss per sample.
+returns one loss per sample. batch_adjoints is the one batch objective: a
+single pass gives the loss breakdown together with the adjoints that
+model.backward and the optimizer need; batch_loss is its breakdown alone.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .num import per_member
+from .model import zeros_grads
+from .num import per_member, sigmoid
 
-EPS = 1e-12  # probability clamp before logs; sigmoid can saturate in float64
+# probability clamp before logs, as sigmoid can saturate in float64; past it
+# the batch objective takes the segment term on the logit instead
+EPS = 1e-12
 
 LOSS_KINDS = ("base", "localize", "siamese")
 
@@ -75,13 +80,6 @@ def segment_loss(probs, labels, weights: ClassWeights):
     return -terms.sum(axis=-1)
 
 
-def segment_loss_grad(probs, labels, weights: ClassWeights):
-    """d(segment_loss)/d(probs), evaluated at the clamped probabilities."""
-    y = _clamp(np.asarray(probs, dtype=np.float64))
-    t = np.asarray(labels, dtype=np.float64)
-    return -(weights.weight * t / y - (1.0 - t) / (1.0 - y))
-
-
 def stepwise_loss(scores, step_labels):
     """Mean squared error against the binary stepwise targets.
 
@@ -96,23 +94,11 @@ def stepwise_loss(scores, step_labels):
     return per_entry.mean(axis=(-2, -1))
 
 
-def stepwise_loss_grad(scores, step_labels):
-    o = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(step_labels, dtype=np.float64)
-    scale = 2.0 / (o.shape[-1] * o.shape[-2])
-    return scale * (o - t)
-
-
 def pair_similarity(g_i, g_j):
     """Elementwise exp(-|g_i - g_j|); 1 where the embeddings agree."""
     g_i = np.asarray(g_i, dtype=np.float64)
     g_j = np.asarray(g_j, dtype=np.float64)
     return np.exp(-np.abs(g_i - g_j))
-
-
-def pair_target(labels_i, labels_j):
-    """1 where the two samples agree on a label, else 0."""
-    return (np.asarray(labels_i) == np.asarray(labels_j)).astype(np.float64)
 
 
 def pair_loss(sim, target):
@@ -140,17 +126,18 @@ def l2_penalty(model, lam):
     return 0.5 * lam * total
 
 
-def _batch_arrays(pred, labels, step_labels):
-    """Probabilities, labels, step scores and step labels as float arrays
-    with a batch axis: (..., B, L) and (..., B, horizon, L)."""
-    y = np.asarray(pred.label_probs, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[None]
-    t = np.asarray(labels, dtype=np.float64).reshape(y.shape)
-    o = np.asarray(pred.step_scores, dtype=np.float64)
-    o = o.reshape(y.shape[:-1] + o.shape[-2:])
-    ot = np.asarray(step_labels, dtype=np.float64).reshape(o.shape)
-    return y, t, o, ot
+def _l2_terms(model, lam, zero):
+    """l2_penalty per member and its gradient in the model's parameter
+    layout: lam * W in both cells' W blocks, 0 elsewhere. A member with lam 0
+    gets exactly 0 from both, even from non-finite weights."""
+    if not (lam.any() if isinstance(lam, np.ndarray) else lam):
+        return zero, np.zeros_like(model.theta)
+    reg = np.where(np.asarray(lam) != 0.0, l2_penalty(model, lam), 0.0)
+    grad = zeros_grads(model.dims, model.population)
+    lam_w = per_member(lam, 2)
+    for g, p in ((grad.encoder, model.encoder), (grad.decoder, model.decoder)):
+        np.multiply(lam_w, p.W, out=g.W, where=lam_w != 0.0)
+    return reg, grad.theta
 
 
 def _pair_stats(embeddings: np.ndarray, labels: np.ndarray):
@@ -162,16 +149,17 @@ def _pair_stats(embeddings: np.ndarray, labels: np.ndarray):
 
 
 def batch_loss(
-    kind: str,
-    pred,
-    labels,
-    step_labels,
-    weights: ClassWeights,
-    model=None,
-    lam=0.0,
-    beta=0.5,
+    kind: str, pred, labels, step_labels, weights: ClassWeights, model=None, lam=0.0, beta=0.5
 ) -> LossBreakdown:
-    """Scalar batch objective for one of the three configurations.
+    """The loss breakdown of batch_adjoints, without its adjoints."""
+    return batch_adjoints(kind, pred, labels, step_labels, weights, model, lam, beta)[0]
+
+
+def batch_adjoints(
+    kind: str, pred, labels, step_labels, weights: ClassWeights, model=None, lam=0.0, beta=0.5
+):
+    """The batch objective of one of the three configurations, and its
+    adjoints, from one pass:
 
     base:     mean segment loss
     localize: mean (segment + stepwise) loss
@@ -181,87 +169,82 @@ def batch_loss(
     plus the l2 penalty when a model and lam are given. Reduction order is
     fixed (ascending sample index) for bit reproducibility.
 
-    For a population's (G, B, ...) predictions, lam and beta may be (G,)
-    vectors, pairs stay within a member, and every field of the breakdown
-    is a (G,) vector.
+    Returns (breakdown, d_step_scores, d_embedding, d_theta). d_embedding
+    holds the pair term and the label-probability path through
+    y = sigmoid(g); d_theta is the l2 term's gradient in the model's
+    parameter layout (see _l2_terms), None without a model. The adjoints
+    carry the prediction's batching. For a population's (G, B, ...)
+    predictions, lam and beta may be (G,) vectors, pairs stay within a
+    member, and every field of the breakdown is a (G,) vector.
+
+    The segment term uses probabilities clamped to [EPS, 1 - EPS]. Where y
+    lies outside that range the clamp would flatten it, so there the term is
+    taken on g, w * t * softplus(-g) + (1 - t) * softplus(g), which is exact
+    on the whole float64 range; every other entry keeps the clamped form.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    y, t, o, ot = _batch_arrays(pred, labels, step_labels)
+    # float arrays with a batch axis: (..., B, L) and (..., B, horizon, L)
+    y = np.asarray(pred.label_probs, dtype=np.float64)
+    single = y.ndim == 1
+    y = y[None] if single else y
+    t = np.asarray(labels, dtype=np.float64).reshape(y.shape)
+    g = np.asarray(pred.embedding, dtype=np.float64).reshape(y.shape)
+    o = np.asarray(pred.step_scores, dtype=np.float64)
+    o = o.reshape(y.shape[:-1] + o.shape[-2:])
+    ot = np.asarray(step_labels, dtype=np.float64).reshape(o.shape)
     n = y.shape[-2]
+    if kind == "siamese" and n < 2:
+        raise ValueError("siamese loss needs a batch of at least 2 samples")
     zero = np.zeros(y.shape[:-2])  # one per member of a population
-    if model is None or not (lam.any() if isinstance(lam, np.ndarray) else lam):
-        reg = zero
-    else:  # a member with lam 0 gets exactly 0, even from non-finite weights
-        reg = np.where(np.asarray(lam) != 0.0, l2_penalty(model, lam), 0.0)
+    reg, d_theta = (zero, None) if model is None else _l2_terms(model, lam, zero)
 
-    seg = segment_loss(y, t, weights)
-    if kind == "base":
-        l_seg, l_step, l_pair = seg.mean(axis=-1), zero, zero
-    elif kind == "localize":
-        l_seg = seg.mean(axis=-1)
-        l_step = stepwise_loss(o, ot).mean(axis=-1)
-        l_pair = zero
-    else:
-        if n < 2:
-            raise ValueError("siamese loss needs a batch of at least 2 samples")
-        g = np.asarray(pred.embedding, dtype=np.float64).reshape(y.shape)
+    # segment terms and their adjoint on y, at the clamped probabilities
+    w = weights.weight
+    yc = _clamp(y)
+    terms = w * t * np.log(yc) + (1.0 - t) * np.log1p(-yc)
+    dy = -(w * t / yc - (1.0 - t) / (1.0 - yc))
+    saturated = (y < EPS) | (y > 1.0 - EPS)
+    exact_tail = saturated.any()
+    if exact_tail:
+        exact = w * t * np.logaddexp(0.0, -g) + (1.0 - t) * np.logaddexp(0.0, g)
+        terms = np.where(saturated, -exact, terms)
+        dg_saturated = -w * t * sigmoid(-g) + (1.0 - t) * y
+    seg = -terms.sum(axis=-1)
+
+    if kind == "siamese":
         n_pairs = n * (n - 1) // 2
-        step = stepwise_loss(o, ot)
         # each sample sits in (n - 1) of the n_pairs unordered pairs
         coef = beta * (n - 1) / n_pairs
         l_seg = coef * seg.sum(axis=-1)
-        l_step = coef * step.sum(axis=-1)
-        sim, target, _ = _pair_stats(g, t)
+        l_step = coef * stepwise_loss(o, ot).sum(axis=-1)
+        sim, target, sign = _pair_stats(g, t)
         pl = pair_loss(sim, target)  # (..., n, n); diagonal is exactly zero
         l_pair = (1.0 - beta) * pl.sum(axis=(-2, -1)) / (2 * n_pairs)
-    total = l_seg + l_step + l_pair + reg
-    parts = (total, l_seg, l_step, l_pair, reg)
-    if y.ndim == 2:
-        return LossBreakdown(*(float(v) for v in parts))
-    return LossBreakdown(*parts)
-
-
-def batch_adjoints(
-    kind: str,
-    pred,
-    labels,
-    step_labels,
-    weights: ClassWeights,
-    beta=0.5,
-):
-    """Upstream adjoints (d_probs, d_scores, d_embedding) of batch_loss.
-
-    The l2 term is handled separately by the optimizer path since it acts on
-    parameters, not on predictions. beta may be a (G,) vector for a
-    population, as in batch_loss.
-    """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    single = np.asarray(pred.label_probs).ndim == 1
-    y, t, o, ot = _batch_arrays(pred, labels, step_labels)
-    n = y.shape[-2]
-
-    dg = np.zeros_like(y)
-    if kind == "base":
-        dy = segment_loss_grad(y, t, weights) / n
-        do = np.zeros_like(o)
-    elif kind == "localize":
-        dy = segment_loss_grad(y, t, weights) / n
-        do = stepwise_loss_grad(o, ot) / n
-    else:
-        if n < 2:
-            raise ValueError("siamese loss needs a batch of at least 2 samples")
-        g = np.asarray(pred.embedding, dtype=np.float64).reshape(y.shape)
-        n_pairs = n * (n - 1) // 2
-        coef = beta * (n - 1) / n_pairs
-        dy = per_member(coef, 2) * segment_loss_grad(y, t, weights)
-        do = per_member(coef, 3) * stepwise_loss_grad(o, ot)
-        sim, target, sign = _pair_stats(g, t)
         # d(pair_loss)/d(sim) = (2/L)(sim - target); d(sim)/d(g_i) = -sim * sign
         dsim = (2.0 / y.shape[-1]) * (sim - target)
         contrib = per_member((1.0 - beta) / (2 * n_pairs), 3) * dsim * sim * sign
-        dg = -contrib.sum(axis=-2) + contrib.sum(axis=-3)
+        dg_pair = -contrib.sum(axis=-2) + contrib.sum(axis=-3)
+
+        def times_coef(a):  # a per-sample adjoint, weighted as its sample is
+            return per_member(coef, a.ndim - 1) * a
+    else:
+        l_seg = seg.mean(axis=-1)
+        l_step = zero if kind == "base" else stepwise_loss(o, ot).mean(axis=-1)
+        l_pair, dg_pair = zero, np.zeros_like(y)
+
+        def times_coef(a):
+            return a / n
+
+    scale = 2.0 / (o.shape[-1] * o.shape[-2])  # d(stepwise_loss)/d(o) = scale * (o - ot)
+    do = np.zeros_like(o) if kind == "base" else times_coef(scale * (o - ot))
+    dg = dg_pair + times_coef(dy) * (y * (1.0 - y))
+    if exact_tail:
+        dg = np.where(saturated, dg_pair + times_coef(dg_saturated), dg)
+
+    total = l_seg + l_step + l_pair + reg
+    parts = (total, l_seg, l_step, l_pair, reg)
+    breakdown = LossBreakdown(*(map(float, parts) if y.ndim == 2 else parts))
     if single:
-        return dy[0], do[0], dg[0]
-    return dy, do, dg
+        do, dg = do[0], dg[0]
+    return breakdown, do, dg, d_theta

@@ -99,9 +99,6 @@ class LstmParams:
         """(name, per-gate view) pairs in GATE_NAMES order."""
         return [(name, getattr(self, name)) for name in GATE_NAMES]
 
-    def copy(self) -> "LstmParams":
-        return LstmParams.fused(self.W.copy(), self.b.copy())
-
 
 def param_count(hidden: int, inputs: int) -> int:
     """Number of scalar parameters: 4 * (hidden^2 + hidden*inputs + hidden)."""

@@ -289,16 +289,17 @@ def predict(model: ForecastModel, obs: np.ndarray, ctx: np.ndarray) -> Predictio
 def backward(
     model: ForecastModel,
     tape: Tape,
-    d_label_probs: np.ndarray | None = None,
     d_step_scores: np.ndarray | None = None,
     d_embedding: np.ndarray | None = None,
 ) -> ForecastModel:
     """Exact gradients of a scalar with the given upstream adjoints.
 
     The adjoints carry the same (possibly unbatched) shapes the matching
-    Prediction fields had. Covers every path: the embedding's appearance in
-    each step score, the decoder's sigmoid(h) feedback input, and the
-    encoder's hidden-state feedback input.
+    Prediction fields had. A scalar that reads label_probs = sigmoid(g)
+    passes that path in d_embedding (losses.batch_adjoints does). Covers
+    every other path: the embedding's appearance in each step score, the
+    decoder's sigmoid(h) feedback input, and the encoder's hidden-state
+    feedback input.
     """
     dims = model.dims
     lead = tape.label_probs.shape[:-1]  # (B,), or (G, B) for a population
@@ -314,17 +315,15 @@ def backward(
             raise ValueError(f"adjoint shape {adj.shape} does not match {shape}")
         return adj
 
-    dy = promote(d_label_probs, lead + (dims.n_labels,))
     do = promote(d_step_scores, lead + (horizon, dims.n_labels))
     dg_extra = promote(d_embedding, lead + (dims.n_labels,))
 
     y = tape.label_probs
     sig_h = tape.dec_sig_h
-    dsig_y = y * (1.0 - y)
 
-    # g receives: the direct adjoint, the label-probability path, and the
-    # sigmoid(g) factor inside every step score.
-    dg = dg_extra + dy * dsig_y + np.einsum("...hl,...hl->...l", do, sig_h) * dsig_y
+    # g receives the direct adjoint and the sigmoid(g) factor inside every
+    # step score.
+    dg = dg_extra + np.einsum("...hl,...hl->...l", do, sig_h) * (y * (1.0 - y))
     grads = zeros_grads(dims, model.population)
     grads.out_bias += dg.sum(axis=-2)
 

@@ -150,18 +150,6 @@ def optimizer_step(
     return model
 
 
-def _add_l2_gradient(grads, model: ForecastModel, lam) -> None:
-    """grads.W += lam * W for both cells; lam may be a population's (G,)
-    vector, and members with lam 0 are left untouched."""
-    for g, p in ((grads.encoder, model.encoder), (grads.decoder, model.decoder)):
-        if not isinstance(lam, np.ndarray):
-            if lam != 0.0:
-                g.W += lam * p.W
-        elif lam.any():
-            k = np.flatnonzero(lam)
-            g.W[k] += per_member(lam[k], 2) * p.W[k]
-
-
 def batch_gradients(
     model: ForecastModel,
     obs: np.ndarray,
@@ -176,10 +164,11 @@ def batch_gradients(
     """Loss breakdown and parameter gradients for one batch (one batch per
     member for a population, with per-member lam and beta)."""
     pred, tape = forward(model, obs, ctx)
-    breakdown = batch_loss(kind, pred, labels, step_labels, weights, model, lam, beta)
-    dy, do, dg = batch_adjoints(kind, pred, labels, step_labels, weights, beta)
-    grads = backward(model, tape, dy, do, dg)
-    _add_l2_gradient(grads, model, lam)
+    breakdown, do, dg, d_theta = batch_adjoints(
+        kind, pred, labels, step_labels, weights, model, lam, beta
+    )
+    grads = backward(model, tape, do, dg)
+    grads.theta += d_theta
     return breakdown, grads
 
 

@@ -69,3 +69,20 @@ def test_workloads_import_and_match_benchmark_json(monkeypatch):
     spec.loader.exec_module(workloads)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
     assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
+
+
+def test_micro_timing_call_binds_to_batch_gradients():
+    """run.py times batch_gradients(*args) on a tuple of positional
+    arguments; each must land on the parameter it is meant for."""
+    from faultcast.training import batch_gradients
+
+    timer = next(node for node in ast.walk(_run_py())
+                 if isinstance(node, ast.FunctionDef) and node.name == "batch_gradient_ms")
+    args = next(node.value for node in ast.walk(timer)
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "args")
+    bound = inspect.signature(batch_gradients).bind(*(ast.unparse(e) for e in args.elts))
+    assert bound.arguments == {
+        "model": "model", "obs": "obs[:b]", "ctx": "ctx[:b]", "labels": "labels[:b]",
+        "step_labels": "steps[:b]", "weights": "weights", "kind": "'localize'",
+        "lam": "0.0", "beta": "0.5",
+    }

@@ -263,5 +263,21 @@ class TestSerialization:
         g = rng.normal(size=(6, 2))
         for kind in ("svm", "threshold_zero", "nearest_mean"):
             clf = fit_classifier(kind, scores, labels, seed=3)
-            back = classifier_from_dict(classifier_to_dict(clf))
+            back = classifier_from_dict(classifier_to_dict(clf), n_labels=2)
             np.testing.assert_array_equal(classify(clf, g), classify(back, g))
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"kind": "tree"}, "'kind'"),
+        ({"kind": None}, "'kind'"),
+        ({"weight": None}, "'weight'"),
+        ({"bias": [0.0]}, "'bias'"),
+        ({"fallback": [0, 0, 0]}, "'fallback'"),
+        ({"weight": [[1.0, 1.0]]}, "'weight'"),
+        ({"weight": ["a", "b"]}, "'weight'"),
+    ])
+    def test_malformed_record_names_the_field(self, edit, field):
+        scores = make_rng(9).normal(size=(20, 2))
+        doc = classifier_to_dict(fit_classifier("svm", scores, (scores > 0).astype(float)))
+        classifier_from_dict(doc, n_labels=2)
+        with pytest.raises(ValueError, match=field):
+            classifier_from_dict({**doc, **edit}, n_labels=2)

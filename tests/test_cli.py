@@ -210,8 +210,9 @@ class TestPredictAndLocalize:
         _, samples = load_dataset(data)
         obs, ctx, _, _ = stack_samples(split_samples(samples, (140, 40, 80), 0)[2])
         pred = forward(model, obs, ctx, keep_tape=False)[0]
-        segment = classifier_from_dict(classifiers["segment"]["svm"])
-        stepwise = classifier_from_dict(classifiers["stepwise"])
+        n_labels = model.dims.n_labels
+        segment = classifier_from_dict(classifiers["segment"]["svm"], n_labels)
+        stepwise = classifier_from_dict(classifiers["stepwise"], n_labels)
         expected = {
             "p.jsonl": {"embedding": pred.embedding, "probs": pred.label_probs,
                         "decision": classify(segment, pred.embedding)},
@@ -449,6 +450,32 @@ class TestUsageErrors:
         assert run("train", "--data", str(bad), "--out-model", str(tmp_path / "m.json")) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "line 1" in err and "'tau'" in err
+
+    def test_model_without_segment_svm_is_data_error(self, workspace, tmp_path, capsys):
+        _, data, model, _ = workspace
+        doc = json.loads(model.read_text())
+        del doc["classifiers"]["segment"]["svm"]
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pred.jsonl"
+        assert run("predict", "--model", str(bad), "--data", str(data),
+                   "--out", str(out), *SPLIT) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'classifiers.segment.svm'" in err
+        assert not out.exists()
+
+    def test_short_classifier_array_is_data_error(self, workspace, tmp_path, capsys):
+        _, data, model, _ = workspace
+        doc = json.loads(model.read_text())
+        doc["classifiers"]["stepwise"]["weight"] = [1.0]
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "loc.jsonl"
+        assert run("localize", "--model", str(bad), "--data", str(data),
+                   "--out", str(out), *SPLIT) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'classifiers.stepwise'" in err and "'weight'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["encoder", "decoder", "dims"])
     def test_model_file_missing_key_is_data_error(self, workspace, tmp_path, capsys, key):

@@ -18,14 +18,11 @@ from faultcast.losses import (
     l2_penalty,
     pair_loss,
     pair_similarity,
-    pair_target,
     segment_loss,
-    segment_loss_grad,
     stepwise_loss,
-    stepwise_loss_grad,
 )
-from faultcast.model import ModelDims, init_model, param_items
-from faultcast.num import make_rng
+from faultcast.model import ForecastModel, ModelDims, init_model, param_items
+from faultcast.num import make_rng, sigmoid
 
 ATOL = 1e-10
 
@@ -117,21 +114,6 @@ class TestSegmentLoss:
         tiny = segment_loss(near, np.array([1.0, 0.0]), weights_of(1.0, 1.0))
         assert tiny < 1e-10
 
-    def test_grad_matches_finite_differences(self):
-        rng = make_rng(5)
-        probs = rng.uniform(0.1, 0.9, size=4)
-        labels = (rng.uniform(size=4) < 0.5).astype(float)
-        w = weights_of(*rng.uniform(0.5, 2.0, size=4))
-        grad = segment_loss_grad(probs, labels, w)
-        eps = 1e-7
-        for k in range(4):
-            up, down = probs.copy(), probs.copy()
-            up[k] += eps
-            down[k] -= eps
-            numeric = (segment_loss(up, labels, w) - segment_loss(down, labels, w)) / (2 * eps)
-            assert abs(numeric - grad[k]) < 1e-5
-
-
 class TestStepwiseLoss:
     def test_zero_at_exact_corners(self):
         target = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -152,24 +134,6 @@ class TestStepwiseLoss:
             target = (rng.uniform(size=(4, 3)) < 0.5).astype(float)
             val = stepwise_loss(scores, target)
             assert 0.0 <= val <= 1.0
-
-    def test_grad_matches_finite_differences(self):
-        rng = make_rng(7)
-        scores = rng.uniform(0.1, 0.9, size=(2, 3))
-        target = (rng.uniform(size=(2, 3)) < 0.5).astype(float)
-        grad = stepwise_loss_grad(scores, target)
-        eps = 1e-7
-        flat = scores.ravel()
-        gflat = grad.ravel()
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + eps
-            up = stepwise_loss(scores, target)
-            flat[k] = keep - eps
-            down = stepwise_loss(scores, target)
-            flat[k] = keep
-            assert abs((up - down) / (2 * eps) - gflat[k]) < 1e-6
-
 
 class TestPairTerms:
     def test_identical_embeddings_similarity_one(self):
@@ -196,11 +160,6 @@ class TestPairTerms:
     def test_pair_loss_hand_case(self):
         got = pair_loss(np.array([0.5, 0.1]), np.array([1.0, 0.0]))
         assert abs(got - 0.13) < ATOL
-
-    def test_pair_target_is_agreement(self):
-        t = pair_target(np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0]))
-        np.testing.assert_array_equal(t, [1.0, 0.0, 0.0])
-
 
 class TestL2Penalty:
     def make_model(self):
@@ -282,7 +241,7 @@ class TestBatchLoss:
         ly = [segment_loss(pred.label_probs[i], labels[i], w) for i in range(2)]
         lo = [stepwise_loss(pred.step_scores[i], steps[i]) for i in range(2)]
         sim = pair_similarity(pred.embedding[0], pred.embedding[1])
-        ls = pair_loss(sim, pair_target(labels[0], labels[1]))
+        ls = pair_loss(sim, (labels[0] == labels[1]).astype(float))
         expected = beta * (ly[0] + ly[1] + lo[0] + lo[1]) + (1 - beta) * ls
         assert abs(got.total - expected) < ATOL
 
@@ -323,34 +282,82 @@ class TestBatchLoss:
             assert got.reg > 0.0
 
     def test_adjoints_match_finite_differences(self):
+        # d_embedding covers both g's own terms and y = sigmoid(g); the step
+        # scores are an input of their own
         rng = make_rng(15)
         labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         steps = (rng.uniform(size=(3, 3, 2)) < 0.4).astype(float)
         w = weights_of(0.9, 1.8)
         for kind in ("base", "localize", "siamese"):
             pred = make_pred(rng, 3)
-            dy, do, dg = batch_adjoints(kind, pred, labels, steps, w, beta=0.4)
+            _, do, dg, d_theta = batch_adjoints(kind, pred, labels, steps, w, beta=0.4)
+            assert d_theta is None
             eps = 1e-7
 
-            def value(p):
+            def value():
+                p = FakePrediction(pred.embedding, sigmoid(pred.embedding), pred.step_scores)
                 return batch_loss(kind, p, labels, steps, w, beta=0.4).total
 
-            for arr, grad in ((pred.label_probs, dy), (pred.step_scores, do)):
+            for arr, grad in ((pred.step_scores, do), (pred.embedding, dg)):
                 flat, gflat = arr.ravel(), grad.ravel()
                 for k in range(flat.size):
                     keep = flat[k]
                     flat[k] = keep + eps
-                    up = value(pred)
+                    up = value()
                     flat[k] = keep - eps
-                    down = value(pred)
+                    down = value()
                     flat[k] = keep
                     assert abs((up - down) / (2 * eps) - gflat[k]) < 1e-5
-            flat, gflat = pred.embedding.ravel(), dg.ravel()
-            for k in range(flat.size):
-                keep = flat[k]
-                flat[k] = keep + eps
-                up = value(pred)
-                flat[k] = keep - eps
-                down = value(pred)
-                flat[k] = keep
-                assert abs((up - down) / (2 * eps) - gflat[k]) < 1e-5
+
+    def test_breakdown_equals_batch_loss(self):
+        rng = make_rng(16)
+        model = init_model(make_rng(2), ModelDims(2, 1, 1, 2, 5))
+        pred = make_pred(rng, 3)
+        labels = (rng.uniform(size=(3, 2)) < 0.5).astype(float)
+        steps = (rng.uniform(size=(3, 3, 2)) < 0.5).astype(float)
+        w = weights_of(1.2, 0.8)
+        for kind in ("base", "localize", "siamese"):
+            got = batch_adjoints(kind, pred, labels, steps, w, model, 0.3, 0.6)[0]
+            assert got == batch_loss(kind, pred, labels, steps, w, model, 0.3, 0.6)
+
+    def test_l2_gradient_is_lam_times_weights(self):
+        model = init_model(make_rng(3), ModelDims(2, 1, 1, 2, 5))
+        pred = make_pred(make_rng(17), 2)
+        args = ("base", pred, np.ones((2, 2)), np.zeros((2, 3, 2)), weights_of(1.0, 1.0), model)
+        d_theta = batch_adjoints(*args, lam=0.5)[3]
+        expected = np.zeros_like(model.theta)
+        view = ForecastModel(expected, model.dims)
+        for cell, src in ((view.encoder, model.encoder), (view.decoder, model.decoder)):
+            cell.W[...] = 0.5 * src.W
+        assert d_theta.tobytes() == expected.tobytes()
+        assert not batch_adjoints(*args, lam=0.0)[3].any()
+
+
+class TestSaturatedSegmentTerm:
+    """Past the probability clamp the segment term is taken on the logit g:
+    w * t * softplus(-g) + (1 - t) * softplus(g), with its exact slope."""
+
+    @pytest.mark.parametrize("t", (0.0, 1.0))
+    @pytest.mark.parametrize("g", (-700.0, -40.0, -30.0, 30.0, 40.0, 700.0))
+    def test_loss_and_slope_are_exact(self, g, t):
+        w = weights_of(math.log(2.0))
+        labels, steps = np.array([[t]]), np.zeros((1, 1, 1))
+
+        def at(x):
+            e = np.array([[x]])
+            return FakePrediction(e, sigmoid(e), np.zeros((1, 1, 1)))
+
+        def softplus(x):
+            return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+        want = math.log(2.0) * t * softplus(-g) + (1.0 - t) * softplus(g)
+        loss, _, dg, _ = batch_adjoints("base", at(g), labels, steps, w)
+        assert math.isfinite(loss.total)
+        assert loss.total == pytest.approx(want, rel=1e-12)
+        slope = -math.log(2.0) * t * sigmoid(-g) + (1.0 - t) * sigmoid(g)
+        assert dg[0, 0] == pytest.approx(slope, rel=1e-12)
+        h = 1e-5
+        up = batch_loss("base", at(g + h), labels, steps, w).total
+        down = batch_loss("base", at(g - h), labels, steps, w).total
+        assert up != down  # not flat
+        assert (up - down) / (2 * h) == pytest.approx(dg[0, 0], rel=1e-4)

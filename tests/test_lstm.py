@@ -392,12 +392,6 @@ class TestFusedCell:
         np.testing.assert_array_equal(params.w_i, np.full((2, 5), 5.0))
         assert not np.any(params.w_f == 5.0)
 
-    def test_copy_is_independent(self):
-        params = init_params(make_rng(8), 2, 3)
-        twin = params.copy()
-        twin.w_o[...] = 0.0
-        assert np.any(params.w_o != 0.0)
-
     def test_constructor_checks_gate_shapes(self):
         with pytest.raises(ValueError, match="w_c"):
             LstmParams(*(np.zeros((2, 4)) for _ in range(2)), np.zeros((2, 3)), np.zeros((2, 4)),

@@ -23,7 +23,7 @@ from faultcast.model import (
     save_model,
     stack_models,
 )
-from faultcast.num import make_rng
+from faultcast.num import make_rng, sigmoid
 
 DIMS = ModelDims(n_labels=2, d_obs=2, d_ctx=1, tau=3, total_steps=5)
 
@@ -184,13 +184,9 @@ class TestForward:
             predict(model, obs, ctx[:-1])
 
 
-def functional_value(model, obs, ctx, dy, do, dg):
+def functional_value(model, obs, ctx, do, dg):
     pred = predict(model, obs, ctx)
-    return float(
-        np.sum(dy * pred.label_probs)
-        + np.sum(do * pred.step_scores)
-        + np.sum(dg * pred.embedding)
-    )
+    return float(np.sum(do * pred.step_scores) + np.sum(dg * pred.embedding))
 
 
 class TestBackward:
@@ -212,12 +208,11 @@ class TestBackward:
         batch = 2
         obs, ctx = rand_inputs(rng, DIMS, batch=batch)
         horizon = DIMS.total_steps - DIMS.tau
-        dy = rng.normal(size=(batch, 2))
         do = rng.normal(size=(batch, horizon, 2))
         dg = rng.normal(size=(batch, 2))
 
         _, tape = forward(model, obs, ctx)
-        grads = backward(model, tape, dy, do, dg)
+        grads = backward(model, tape, do, dg)
 
         pairs = list(zip(param_items(model), (a for _, a in _grad_arrays(grads))))
         step = 1e-5
@@ -227,9 +222,9 @@ class TestBackward:
             for k in range(flat.size):
                 keep = flat[k]
                 flat[k] = keep + step
-                up = functional_value(model, obs, ctx, dy, do, dg)
+                up = functional_value(model, obs, ctx, do, dg)
                 flat[k] = keep - step
-                down = functional_value(model, obs, ctx, dy, do, dg)
+                down = functional_value(model, obs, ctx, do, dg)
                 flat[k] = keep
                 numeric = (up - down) / (2 * step)
                 denom = max(abs(numeric), abs(gflat[k]), 1e-6)
@@ -237,14 +232,16 @@ class TestBackward:
         assert worst < 1e-4
 
     def test_out_bias_grad_is_sigmoid_slope(self):
-        # with only dy upstream, d(loss)/d(out_bias) = dy * y * (1 - y)
+        # with only step-score adjoints do_t, o_t = sigmoid(h_t) * y gives
+        # d(loss)/d(out_bias) = sum_t do_t * sigmoid(h_t) * y * (1 - y)
         rng = make_rng(50)
         model = tiny_model(30)
         obs, ctx = rand_inputs(rng, DIMS)
         pred, tape = forward(model, obs, ctx)
-        dy = rng.normal(size=2)
-        grads = backward(model, tape, d_label_probs=dy)
-        expected = dy * pred.label_probs * (1.0 - pred.label_probs)
+        do = rng.normal(size=pred.step_scores.shape)
+        grads = backward(model, tape, d_step_scores=do)
+        y = pred.label_probs
+        expected = (do * sigmoid(pred.step_hidden)).sum(axis=0) * y * (1.0 - y)
         np.testing.assert_allclose(grads.out_bias, expected, atol=1e-12)
 
     def test_adjoint_shape_check(self):
@@ -253,7 +250,7 @@ class TestBackward:
         obs, ctx = rand_inputs(rng, DIMS)
         _, tape = forward(model, obs, ctx)
         with pytest.raises(ValueError, match="adjoint"):
-            backward(model, tape, d_label_probs=np.zeros(3))
+            backward(model, tape, d_embedding=np.zeros(3))
 
 
 def _grad_arrays(grads):
@@ -275,7 +272,7 @@ class TestPopulation:
         obs = rng.normal(size=(3, 4, DIMS.tau, DIMS.d_obs))
         ctx = rng.normal(size=(3, 4, DIMS.total_steps, DIMS.d_ctx))
         pred, tape = forward(stack, obs, ctx)
-        adjoints = [rng.normal(size=a.shape) for a in (pred.label_probs, pred.step_scores)]
+        adjoints = [rng.normal(size=a.shape) for a in (pred.step_scores, pred.embedding)]
         grads = backward(stack, tape, *adjoints)
         for k, model in enumerate(models):
             want, want_tape = forward(model, obs[k], ctx[k])

@@ -8,11 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultcast.data import Sample, SynthConfig, synth_generate
-from faultcast.model import ModelDims, init_model, param_items, stack_models, zeros_grads
+from faultcast.losses import batch_loss, class_weights
+from faultcast.model import (ForecastModel, ModelDims, init_model, param_items, predict,
+                             stack_models, zeros_grads)
 from faultcast.num import make_rng
 from faultcast.training import (
     GridResult,
     TrainConfig,
+    batch_gradients,
     default_grid,
     grad_check,
     grid_search,
@@ -258,6 +261,79 @@ class TestGradCheck:
         fine, _ = grad_check(model, samples, cfg, fd_step=1e-5)
         coarse, _ = grad_check(model, samples, cfg, fd_step=0.5)
         assert coarse > fine
+
+
+class TestGradientProperty:
+    """batch_gradients equals central finite differences of batch_loss on
+    random small dims, also where out_bias pushes every logit g past the
+    probability clamp (|g| = 30, 40, 700), for both label values."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        tau=st.integers(0, 2), horizon=st.integers(1, 3), n_labels=st.integers(1, 3),
+        d_obs=st.integers(0, 2), d_ctx=st.integers(0, 2),
+        kind=st.sampled_from(("base", "localize", "siamese")),
+        lam=st.sampled_from((0.1, 1.0)),
+        bias=st.sampled_from((0.0, -30.0, 30.0, -40.0, 40.0, -700.0, 700.0)),
+        seed=st.integers(0, 2**16),
+    )
+    @example(tau=0, horizon=1, n_labels=2, d_obs=0, d_ctx=1, kind="base", lam=0.1,
+             bias=-30.0, seed=0)
+    @example(tau=2, horizon=2, n_labels=2, d_obs=1, d_ctx=1, kind="localize", lam=1.0,
+             bias=30.0, seed=1)
+    @example(tau=1, horizon=1, n_labels=2, d_obs=0, d_ctx=0, kind="siamese", lam=0.1,
+             bias=-40.0, seed=2)
+    @example(tau=0, horizon=2, n_labels=1, d_obs=0, d_ctx=1, kind="base", lam=1.0,
+             bias=40.0, seed=3)
+    @example(tau=2, horizon=1, n_labels=2, d_obs=2, d_ctx=0, kind="siamese", lam=1.0,
+             bias=-700.0, seed=4)
+    @example(tau=1, horizon=1, n_labels=3, d_obs=1, d_ctx=2, kind="localize", lam=0.1,
+             bias=700.0, seed=5)
+    def test_gradients_match_finite_differences(
+        self, tau, horizon, n_labels, d_obs, d_ctx, kind, lam, bias, seed
+    ):
+        dims = ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon)
+        rng = make_rng(seed)
+        n, beta = 3, 0.3
+        # every label takes both values across the batch
+        labels = ((np.arange(n)[:, None] + np.arange(n_labels)) % 2).astype(np.float64)
+        steps = (rng.uniform(size=(n, horizon, n_labels)) < 0.4).astype(np.float64)
+        obs = rng.normal(size=(n, tau, d_obs))
+        ctx = rng.normal(size=(n, tau + horizon, d_ctx))
+        weights = class_weights(labels)
+        model = init_model(make_rng(seed + 1), dims)
+        model.out_bias[...] = bias
+        breakdown, grads = batch_gradients(
+            model, obs, ctx, labels, steps, weights, kind, lam, beta
+        )
+
+        def loss_at(theta):
+            m = ForecastModel(theta, dims)
+            return batch_loss(kind, predict(m, obs, ctx), labels, steps, weights, m,
+                              lam, beta).total
+
+        # a loss near 10^3 (|g| = 700) leaves central differences about 1e-9
+        # of rounding, so each entry is compared relative to the larger of
+        # itself and 1e-4 of the largest gradient entry
+        h = 1e-4
+        numeric = np.empty_like(model.theta)
+        for k in range(numeric.size):
+            up, down = model.theta.copy(), model.theta.copy()
+            up[k] += h
+            down[k] -= h
+            numeric[k] = (loss_at(up) - loss_at(down)) / (2 * h)
+        analytic = grads.theta
+        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
+                           1e-4 * np.abs(analytic).max())
+        assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+
+        # the segment part is the exact logit form, not held flat by a clamp
+        g = predict(model, obs, ctx).embedding
+        per_sample = (weights.weight * labels * np.logaddexp(0.0, -g)
+                      + (1.0 - labels) * np.logaddexp(0.0, g)).sum(axis=-1)
+        # siamese: each sample sits in n - 1 of the n (n - 1) / 2 pairs
+        want = beta * 2 / n * per_sample.sum() if kind == "siamese" else per_sample.mean()
+        assert breakdown.segment == pytest.approx(want, rel=1e-9)
 
 
 class TestGridSearch:
