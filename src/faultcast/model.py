@@ -29,6 +29,12 @@ with a (G, P) theta, so every block carries a leading member axis; forward
 and backward then run all members in one pass per time step, each member
 computing exactly what it computes alone. Its inputs and outputs are (G,
 batch, ...).
+
+Inside forward and backward each cell runs as an lstm.Unroll on
+feature-major slabs (steps, ..., rows, batch), which are the tape. The
+encoder's two h column blocks multiply the same h, so its recurrent block
+is their sum; the decoder's recurrent input is [h; sigmoid(h)], whose
+sigmoid(h) rows also give the step scores.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import LstmParams, init_params, lstm_step, step_backward
+from .lstm import LstmParams, Unroll, init_params, unroll, unroll_backward
 from .num import sigmoid
 
 FORMAT_NAME = "faultcast-model"
@@ -163,13 +169,12 @@ class Prediction:
 
 @dataclass
 class Tape:
-    """Forward intermediates needed by backward(); one per forward call."""
+    """Forward intermediates needed by backward(): each cell's slabs (see
+    lstm.py). One per forward call; backward consumes it."""
 
     batched: bool
-    enc_caches: list
-    dec_caches: list
-    enc_h_last: np.ndarray
-    dec_sig_h: np.ndarray    # sigmoid of decoder hidden states, (..., B, H, L)
+    encoder: Unroll
+    decoder: Unroll
     label_probs: np.ndarray  # (..., B, L)
 
 
@@ -217,6 +222,18 @@ def _check_input(name: str, x: np.ndarray, steps: int, width: int, population) -
     return x
 
 
+def _feature_major(a: np.ndarray) -> np.ndarray:
+    """(..., B, steps, d) as a (steps, ..., d, B) view."""
+    k = a.ndim
+    return a.transpose((k - 2,) + tuple(range(k - 3)) + (k - 1, k - 3))
+
+
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """(steps, ..., d, B) as a (..., B, steps, d) view."""
+    k = a.ndim
+    return a.transpose(tuple(range(1, k - 2)) + (k - 1, 0, k - 2))
+
+
 def forward(
     model: ForecastModel, obs: np.ndarray, ctx: np.ndarray, keep_tape: bool = True
 ) -> tuple[Prediction, Tape | None]:
@@ -226,6 +243,10 @@ def forward(
     (B, total_steps, d_ctx). Outputs mirror the input's batching. A
     population takes one batch per member, (G, B, ...), or one (B, ...)
     batch that every member sees, and returns (G, B, ...) outputs.
+
+    With keep_tape the cells' slabs keep every step, for backward. Without
+    it the encoder keeps one step of slabs and the decoder one step plus
+    its hidden states; the outputs are the same bit for bit.
     """
     dims = model.dims
     population = model.population
@@ -242,41 +263,36 @@ def forward(
     elif population is not None and obs.ndim == 3:
         obs = np.broadcast_to(obs, (population,) + obs.shape)
         ctx = np.broadcast_to(ctx, (population,) + ctx.shape)
-    state_shape = obs.shape[:-2] + (dims.n_labels,)
+    n, tau = dims.n_labels, dims.tau
+    obs, ctx = _feature_major(obs), _feature_major(ctx)
+    zero = np.zeros(obs.shape[1:-2] + (n, obs.shape[-1]))
 
-    h = np.zeros(state_shape)
-    c = np.zeros(state_shape)
-    enc_caches = []
-    for t in range(dims.tau):
-        # the encoder feeds back its raw previous hidden state
-        x = np.concatenate([obs[..., t, :], ctx[..., t, :], h], axis=-1)
-        h, c, cache = lstm_step(model.encoder, h, c, x)
-        if keep_tape:
-            enc_caches.append(cache)
-    enc_h_last = h
+    # each W's columns run [h | inputs | fed-back h or sigmoid(h)], the
+    # feedback block starting at column fb
+    W, b, fb = model.encoder.W, model.encoder.b[..., None], n + dims.d_obs + dims.d_ctx
+    w = np.concatenate([W[..., :n] + W[..., fb:], W[..., n:fb], b], axis=-1)
+    enc = Unroll(w, zero, zero, tau, keep_tape)
+    unroll(enc, [obs, ctx[:tau]])
+    W, b, fb = model.decoder.W, model.decoder.b[..., None], n + dims.d_ctx
+    w = np.concatenate([W[..., :n], W[..., fb:], W[..., n:fb], b], axis=-1)
+    dec = Unroll(w, *enc.state(), dims.horizon, keep_tape, keep_hidden=True, feedback=True)
+    tape = Tape(batched, enc, dec, None) if keep_tape else None
+    del enc  # untaped, the encoder's slabs go here
+    unroll(dec, [ctx[tau:]])
 
-    dec_h = []
-    dec_caches = []
-    for t in range(dims.tau, dims.total_steps):
-        # the decoder feeds back sigmoid(h), a stepwise estimate in (0, 1)
-        x = np.concatenate([ctx[..., t, :], sigmoid(h)], axis=-1)
-        h, c, cache = lstm_step(model.decoder, h, c, x)
-        dec_h.append(h)
-        if keep_tape:
-            dec_caches.append(cache)
-    dec_h = np.stack(dec_h, axis=-2)  # (..., B, horizon, L)
-
-    out_bias = model.out_bias if population is None else model.out_bias[:, None, :]
-    g = dec_h.sum(axis=-2) + out_bias
+    hidden = dec.z[1:, ..., :n, :]  # (horizon, ..., L, B)
+    out_bias = model.out_bias[..., None]
+    g = np.ascontiguousarray((hidden.sum(axis=0) + out_bias).swapaxes(-1, -2))
     y = sigmoid(g)
-    sig_h = sigmoid(dec_h)
-    o = sig_h * y[..., None, :]
+    o = np.multiply(_batch_major(dec.z[1:, ..., n:, :]), y[..., None, :], order="C")
+    dec_h = np.ascontiguousarray(_batch_major(hidden))
 
     if batched:
         pred = Prediction(g, y, o, dec_h)
     else:
         pred = Prediction(g[0], y[0], o[0], dec_h[0])
-    tape = Tape(batched, enc_caches, dec_caches, enc_h_last, sig_h, y) if keep_tape else None
+    if keep_tape:
+        tape.label_probs = y
     return pred, tape
 
 
@@ -299,11 +315,14 @@ def backward(
     passes that path in d_embedding (losses.batch_adjoints does). Covers
     every other path: the embedding's appearance in each step score, the
     decoder's sigmoid(h) feedback input, and the encoder's hidden-state
-    feedback input.
+    feedback input. The tape's slabs become adjoint slabs, so a tape
+    serves one backward call.
     """
     dims = model.dims
+    if tape.encoder is None:
+        raise ValueError("tape already consumed by an earlier backward()")
     lead = tape.label_probs.shape[:-1]  # (B,), or (G, B) for a population
-    horizon = dims.horizon
+    n, horizon = dims.n_labels, dims.horizon
 
     def promote(adj, shape):
         if adj is None:
@@ -315,39 +334,42 @@ def backward(
             raise ValueError(f"adjoint shape {adj.shape} does not match {shape}")
         return adj
 
-    do = promote(d_step_scores, lead + (horizon, dims.n_labels))
-    dg_extra = promote(d_embedding, lead + (dims.n_labels,))
-
-    y = tape.label_probs
-    sig_h = tape.dec_sig_h
+    do = _feature_major(promote(d_step_scores, lead + (horizon, n)))
+    dg_extra = promote(d_embedding, lead + (n,)).swapaxes(-1, -2)
+    y = tape.label_probs.swapaxes(-1, -2)  # (..., L, B), like every adjoint below
+    enc, dec = tape.encoder, tape.decoder
+    tape.encoder = tape.decoder = None
+    sig_h = dec.z[1:, ..., n:, :]
 
     # g receives the direct adjoint and the sigmoid(g) factor inside every
     # step score.
-    dg = dg_extra + np.einsum("...hl,...hl->...l", do, sig_h) * (y * (1.0 - y))
+    dg = np.multiply(do, sig_h, order="C").sum(axis=0)
+    dg *= y * (1.0 - y)
+    dg += dg_extra
     grads = zeros_grads(dims, model.population)
-    grads.out_bias += dg.sum(axis=-2)
+    grads.out_bias[...] = dg.sum(axis=-1)
 
     # Per-step adjoint on decoder hidden states: the sum into g plus the
     # sigmoid(h) factor of that step's score.
-    dh_steps = dg[..., None, :] + do * y[..., None, :] * sig_h * (1.0 - sig_h)
+    dh_steps = np.multiply(do, y, order="C")
+    dh_steps *= sig_h
+    dh_steps *= 1.0 - sig_h
+    dh_steps += dg
 
-    dh_carry = np.zeros(lead + (dims.n_labels,))
-    dc_carry = np.zeros(lead + (dims.n_labels,))
-    for t in range(horizon - 1, -1, -1):
-        dh_t = dh_steps[..., t, :] + dh_carry
-        dh_prev, dc_carry, dx = step_backward(
-            model.decoder, tape.dec_caches[t], dh_t, dc_carry, grads.decoder
-        )
-        # The feedback part of step t's input is sigmoid(previous hidden).
-        prev_sig = tape.dec_sig_h[..., t - 1, :] if t > 0 else sigmoid(tape.enc_h_last)
-        dh_carry = dh_prev + dx[..., dims.d_ctx :] * prev_sig * (1.0 - prev_sig)
-
-    dc = dc_carry
-    dh = dh_carry
-    for t in range(dims.tau - 1, -1, -1):
-        dh, dc, dx = step_backward(model.encoder, tape.enc_caches[t], dh, dc, grads.encoder)
-        # Encoder feedback is the raw previous hidden state.
-        dh = dh + dx[..., dims.d_obs + dims.d_ctx :]
+    zero = np.zeros_like(dg)
+    del sig_h
+    # dW comes back in the Unroll's column order [W_rec | W_x]; scatter it
+    # to W's [h | inputs | feedback] columns (forward's fb)
+    dh, dc, dW, db = unroll_backward(dec, dh_steps, zero, zero)
+    W, fb = grads.decoder.W, n + dims.d_ctx
+    W[..., :n], W[..., fb:], W[..., n:fb] = dW[..., :n], dW[..., n : 2 * n], dW[..., 2 * n :]
+    grads.decoder.b[...] = db
+    del dec, dh_steps  # the decoder's slabs go before the encoder's dW copies
+    _, _, dW, db = unroll_backward(enc, None, dh, dc)
+    W, fb = grads.encoder.W, n + dims.d_obs + dims.d_ctx
+    W[..., :fb] = dW
+    W[..., fb:] = dW[..., :n]  # the folded W_rec stands for both h blocks
+    grads.encoder.b[...] = db
     return grads
 
 

@@ -7,10 +7,12 @@ import pytest
 
 from faultcast.lstm import (
     LstmParams,
+    Unroll,
     init_params,
     lstm_step,
     param_count,
-    step_backward,
+    unroll,
+    unroll_backward,
     zeros_params,
 )
 from faultcast.model import ModelDims, forward, init_model
@@ -35,20 +37,46 @@ def scalar_cell_oracle(wf, wi, wc, wo, bf, bi, bc, bo, h_prev, c_prev, x):
     return o * math.tanh(c), c
 
 
+def plain_cell(params, h0, c0, steps, taped=True):
+    """An Unroll of the plain cell: z = h, and W's columns are [h | x]
+    already, so the weight block is [W | b]. h0, c0 are (hidden, batch)."""
+    w = np.concatenate([params.W, params.b[:, None]], axis=1)
+    return Unroll(w, h0, c0, steps, taped)
+
+
+def unroll_cell(params, h0, c0, xs, taped=True):
+    """The plain cell run over xs (steps, inputs, batch) from (h0, c0);
+    returns the unroll, whose z rows 1.. are the hidden states."""
+    cell = plain_cell(params, h0, c0, len(xs), taped)
+    unroll(cell, [xs])
+    return cell
+
+
+def step(params, h_prev, c_prev, x):
+    """One step of the plain cell on (m,) or (m, batch) signals; returns
+    (h, c, cell)."""
+    col = h_prev.ndim == 1
+    h_prev, c_prev, x = (v[:, None] if col else v for v in (h_prev, c_prev, x))
+    cell = unroll_cell(params, h_prev, c_prev, x[None])
+    h, c = cell.z[1], cell.c[1]
+    return (h[:, 0], c[:, 0], cell) if col else (h, c, cell)
+
+
 class TestStep:
     def test_all_zero_params(self):
         params = zeros_params(3, 2)
-        h, c, cache = lstm_step(params, np.zeros(3), np.zeros(3), np.array([1.0, -2.0]))
+        h, c, cell = step(params, np.zeros(3), np.zeros(3), np.array([1.0, -2.0]))
         np.testing.assert_array_equal(h, np.zeros(3))
         np.testing.assert_array_equal(c, np.zeros(3))
-        np.testing.assert_allclose(cache.f, 0.5)
-        np.testing.assert_allclose(cache.i, 0.5)
-        np.testing.assert_allclose(cache.o_gate, 0.5)
-        np.testing.assert_array_equal(cache.c_cand, np.zeros(3))
+        f, i, o, c_cand = cell.gates4[0]  # gate values, rows f, i, o, c~
+        np.testing.assert_allclose(f, 0.5)
+        np.testing.assert_allclose(i, 0.5)
+        np.testing.assert_allclose(o, 0.5)
+        np.testing.assert_array_equal(c_cand, np.zeros((3, 1)))
 
     def test_zero_params_nonzero_cell(self):
         params = zeros_params(1, 1)
-        h, c, _ = lstm_step(params, np.zeros(1), np.array([1.0]), np.array([0.0]))
+        h, c, _ = step(params, np.zeros(1), np.array([1.0]), np.array([0.0]))
         np.testing.assert_allclose(c, [0.5], atol=1e-15)
         np.testing.assert_allclose(h, [0.5 * math.tanh(0.5)], atol=1e-15)
         np.testing.assert_allclose(h, [0.23105857863], atol=1e-11)
@@ -58,7 +86,7 @@ class TestStep:
             *(np.full((1, 2), 0.1) for _ in range(4)),
             *(np.zeros(1) for _ in range(4)),
         )
-        h, c, _ = lstm_step(params, np.zeros(1), np.zeros(1), np.array([1.0]))
+        h, c, _ = step(params, np.zeros(1), np.zeros(1), np.array([1.0]))
         oh, oc = scalar_cell_oracle(
             (0.1, 0.1), (0.1, 0.1), (0.1, 0.1), (0.1, 0.1),
             0.0, 0.0, 0.0, 0.0,
@@ -74,7 +102,7 @@ class TestStep:
             biases = [rng.normal(size=1) for _ in range(4)]
             params = LstmParams(*mats, *biases)
             h_prev, c_prev, x = rng.normal(size=3)
-            h, c, _ = lstm_step(params, np.array([h_prev]), np.array([c_prev]), np.array([x]))
+            h, c, _ = step(params, np.array([h_prev]), np.array([c_prev]), np.array([x]))
             oh, oc = scalar_cell_oracle(
                 *(tuple(m[0]) for m in mats),
                 *(float(b[0]) for b in biases),
@@ -85,51 +113,72 @@ class TestStep:
 
     def test_input_width_checked(self):
         with pytest.raises(ValueError, match="length 3"):
-            lstm_step(zeros_params(2, 2), np.zeros(2), np.zeros(2), np.zeros(3))
+            step(zeros_params(2, 2), np.zeros(2), np.zeros(2), np.zeros(3))
 
     def test_batched_equals_stacked_single(self):
         rng = make_rng(3)
         params = init_params(rng, 3, 2)
-        xs = rng.normal(size=(4, 2))
+        xs = rng.normal(size=(2, 4))  # (inputs, batch)
         h0 = rng.normal(size=3) * 0.1
         c0 = rng.normal(size=3) * 0.1
-        hb, cb, _ = lstm_step(params, np.tile(h0, (4, 1)), np.tile(c0, (4, 1)), xs)
+        hb, cb, _ = step(params, np.tile(h0[:, None], 4), np.tile(c0[:, None], 4), xs)
         # batched GEMM and single GEMV may round differently in the last ulp
         for k in range(4):
-            hk, ck, _ = lstm_step(params, h0, c0, xs[k])
-            np.testing.assert_allclose(hb[k], hk, rtol=1e-14, atol=1e-15)
-            np.testing.assert_allclose(cb[k], ck, rtol=1e-14, atol=1e-15)
+            hk, ck, _ = step(params, h0, c0, xs[:, k])
+            np.testing.assert_allclose(hb[:, k], hk, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(cb[:, k], ck, rtol=1e-14, atol=1e-15)
+
+    def test_unroll_is_chained_steps(self):
+        # unroll projects the inputs, then calls lstm_step once per step
+        rng = make_rng(21)
+        params = init_params(rng, 3, 2)
+        xs = rng.normal(size=(5, 2, 4))
+        h0, c0 = (rng.normal(size=(3, 4)) * 0.1 for _ in range(2))
+        want = unroll_cell(params, h0, c0, xs)
+        cell = plain_cell(params, h0, c0, len(xs))
+        cell.x = xs
+        np.matmul(cell.w_x_half, xs, out=cell.gates)
+        cell.gates += cell.b_half
+        for t in range(len(xs)):
+            h = lstm_step(cell, t)
+            assert np.shares_memory(h, cell.z[t + 1])
+        for name in ("z", "c", "gates", "tanh_c"):
+            assert getattr(cell, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_untaped_window_keeps_two_rows_and_same_state(self):
+        rng = make_rng(22)
+        params = init_params(rng, 3, 2)
+        xs = rng.normal(size=(6, 2, 5))
+        h0, c0 = (rng.normal(size=(3, 5)) * 0.1 for _ in range(2))
+        taped = unroll_cell(params, h0, c0, xs)
+        untaped = unroll_cell(params, h0, c0, xs, taped=False)
+        assert len(untaped.z) == len(untaped.c) == 2 and len(untaped.gates) == 1
+        for got, want in zip(untaped.state(), taped.state()):
+            assert got.tobytes() == want.tobytes()
 
 
-def unroll(params, h0, c0, xs):
-    """The cell run over a sequence by chained lstm_step calls; returns the
-    stacked hidden and cell states and the caches."""
-    h, c = h0, c0
-    hs, cs, caches = [], [], []
-    for x in xs:
-        h, c, cache = lstm_step(params, h, c, x)
-        hs.append(h)
-        cs.append(c)
-        caches.append(cache)
-    return np.stack(hs), np.stack(cs), caches
-
-
-def unroll_backward(params, caches, dh_steps, dh_fin, dc_fin):
-    """Chained step_backward calls through an unroll; returns the parameter
-    gradients, the adjoints of h0 and c0 and the stacked input adjoints."""
-    grads = zeros_params(params.hidden_size, params.input_size)
-    dh, dc = dh_fin, dc_fin
-    dxs = [None] * len(caches)
-    for t in range(len(caches) - 1, -1, -1):
-        dh, dc, dxs[t] = step_backward(params, caches[t], dh_steps[t] + dh, dc, grads)
-    return grads, dh, dc, np.stack(dxs)
+def unroll_backward_cell(params, cell, dh_steps, dh_fin, dc_fin):
+    """unroll_backward on a plain-cell unroll; returns the parameter
+    gradients, the adjoints of h0 and c0 and the stacked input adjoints,
+    each input adjoint read from the step's row of the adjoint slab."""
+    dh0, dc0, dW, db = unroll_backward(cell, dh_steps, dh_fin, dc_fin)
+    grads = LstmParams.fused(dW, db)
+    dxs = np.stack([params.W[:, params.hidden_size :].T @ da for da in cell.gates])
+    return grads, dh0, dc0, dxs
 
 
 def one_sample(rng, dims):
     return rng.normal(size=(dims.tau, dims.d_obs)), rng.normal(size=(dims.total_steps, dims.d_ctx))
 
 
+def column(v):
+    return np.asarray(v)[:, None]
+
+
 class TestForward:
+    # The model folds the encoder's two h column blocks into one and feeds
+    # the decoder's sigmoid(h) through tanh, so the plain cell chained by
+    # hand agrees with forward() to rounding, not bit for bit.
     def test_single_step_equals_step(self):
         # tau 0, horizon 1: one decoder step from the zero state, fed
         # sigmoid(0) as its first estimate
@@ -138,9 +187,9 @@ class TestForward:
         model = init_model(rng, dims)
         obs, ctx = one_sample(rng, dims)
         pred = forward(model, obs, ctx)[0]
-        zero = np.zeros((1, 2))
-        h, _, _ = lstm_step(model.decoder, zero, zero, np.concatenate([ctx[:1], zero + 0.5], 1))
-        np.testing.assert_array_equal(pred.step_hidden, h)
+        zero = np.zeros(2)
+        h, _, _ = step(model.decoder, zero, zero, np.concatenate([ctx[0], zero + 0.5]))
+        np.testing.assert_allclose(pred.step_hidden[0], h, rtol=0, atol=1e-15)
 
     def test_three_steps_equal_chained_calls(self):
         # tau 1, horizon 2: one encoder step, then two decoder steps, each
@@ -150,58 +199,60 @@ class TestForward:
         model = init_model(rng, dims)
         obs, ctx = one_sample(rng, dims)
         pred = forward(model, obs, ctx)[0]
-        h = c = np.zeros((1, 2))
-        h, c, _ = lstm_step(model.encoder, h, c, np.concatenate([obs[:1], ctx[:1], h], 1))
+        h = c = np.zeros(2)
+        h, c, _ = step(model.encoder, h, c, np.concatenate([obs[0], ctx[0], h]))
         for t in (1, 2):
-            x = np.concatenate([ctx[t : t + 1], sigmoid(h)], 1)
-            h, c, _ = lstm_step(model.decoder, h, c, x)
-            np.testing.assert_array_equal(pred.step_hidden[t - 1], h[0])
+            x = np.concatenate([ctx[t], sigmoid(h)])
+            h, c, _ = step(model.decoder, h, c, x)
+            np.testing.assert_allclose(pred.step_hidden[t - 1], h, rtol=0, atol=1e-15)
 
     def test_hidden_state_bounded(self):
         rng = make_rng(9)
         params = init_params(rng, 4, 3)
-        xs = rng.normal(size=(50, 3)) * 5.0
-        hs, _, _ = unroll(params, np.zeros(4), np.zeros(4), xs)
+        xs = rng.normal(size=(50, 3, 1)) * 5.0
+        hs = unroll_cell(params, np.zeros((4, 1)), np.zeros((4, 1)), xs).z[1:]
         assert np.all(np.abs(hs) < 1.0)
 
     def test_deterministic(self):
         rng = make_rng(4)
         params = init_params(rng, 3, 2)
-        xs = rng.normal(size=(6, 2))
-        a = unroll(params, np.zeros(3), np.zeros(3), xs)[0]
-        b = unroll(params, np.zeros(3), np.zeros(3), xs)[0]
+        xs = rng.normal(size=(6, 2, 1))
+        a = unroll_cell(params, np.zeros((3, 1)), np.zeros((3, 1)), xs).z
+        b = unroll_cell(params, np.zeros((3, 1)), np.zeros((3, 1)), xs).z
         np.testing.assert_array_equal(a, b)
 
 
 def fd_loss(params, h0, c0, xs, dh_steps, dh_fin, dc_fin):
     """Linear functional of the outputs whose gradient unroll_backward returns."""
-    hs, cs, _ = unroll(params, h0, c0, xs)
-    return float(np.sum(dh_steps * hs) + dh_fin @ hs[-1] + dc_fin @ cs[-1])
+    cell = unroll_cell(params, h0, c0, xs)
+    hs, cs = cell.z[1:], cell.c[1:]
+    return float(np.sum(dh_steps * hs) + np.sum(dh_fin * hs[-1]) + np.sum(dc_fin * cs[-1]))
 
 
 class TestBackward:
     def test_zero_adjoints_zero_grads(self):
         rng = make_rng(6)
         params = init_params(rng, 3, 2)
-        xs = rng.normal(size=(5, 2))
-        _, _, caches = unroll(params, np.zeros(3), np.zeros(3), xs)
-        zero = np.zeros(3)
-        grads, _, _, dx = unroll_backward(params, caches, np.zeros((5, 3)), zero, zero)
+        xs = rng.normal(size=(5, 2, 1))
+        zero = np.zeros((3, 1))
+        cell = unroll_cell(params, zero, zero, xs)
+        grads, _, _, dx = unroll_backward_cell(params, cell, np.zeros((5, 3, 1)), zero, zero)
         for _, arr in grads.arrays():
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
-        np.testing.assert_array_equal(dx, np.zeros((5, 2)))
+        np.testing.assert_array_equal(dx, np.zeros((5, 2, 1)))
 
     def test_causality_of_input_grads(self):
         # Adjoints only on step 1 (and none on the final state): inputs after
         # step 1 cannot influence the loss, so their gradients vanish.
         rng = make_rng(10)
         params = init_params(rng, 2, 3)
-        xs = rng.normal(size=(5, 3))
-        _, _, caches = unroll(params, np.zeros(2), np.zeros(2), xs)
-        dh = np.zeros((5, 2))
-        dh[1] = rng.normal(size=2)
-        _, _, _, dx = unroll_backward(params, caches, dh, np.zeros(2), np.zeros(2))
-        np.testing.assert_array_equal(dx[2:], np.zeros((3, 3)))
+        xs = rng.normal(size=(5, 3, 1))
+        zero = np.zeros((2, 1))
+        cell = unroll_cell(params, zero, zero, xs)
+        dh = np.zeros((5, 2, 1))
+        dh[1] = rng.normal(size=(2, 1))
+        _, _, _, dx = unroll_backward_cell(params, cell, dh, zero, zero)
+        np.testing.assert_array_equal(dx[2:], np.zeros((3, 3, 1)))
         assert np.any(dx[1] != 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -211,15 +262,15 @@ class TestBackward:
         inputs = int(rng.choice([1, 2, 5]))
         steps = int(rng.integers(1, 9))
         params = init_params(rng, hidden, inputs)
-        h0 = rng.normal(size=hidden) * 0.3
-        c0 = rng.normal(size=hidden) * 0.3
-        xs = rng.normal(size=(steps, inputs))
-        dh_steps = rng.normal(size=(steps, hidden))
-        dh_fin = rng.normal(size=hidden)
-        dc_fin = rng.normal(size=hidden)
+        h0 = column(rng.normal(size=hidden) * 0.3)
+        c0 = column(rng.normal(size=hidden) * 0.3)
+        xs = rng.normal(size=(steps, inputs))[..., None]
+        dh_steps = rng.normal(size=(steps, hidden))[..., None]
+        dh_fin = column(rng.normal(size=hidden))
+        dc_fin = column(rng.normal(size=hidden))
 
-        _, _, caches = unroll(params, h0, c0, xs)
-        grads = unroll_backward(params, caches, dh_steps, dh_fin, dc_fin)[0]
+        cell = unroll_cell(params, h0, c0, xs)
+        grads = unroll_backward_cell(params, cell, dh_steps, dh_fin, dc_fin)[0]
 
         step = 1e-5
         worst = 0.0
@@ -241,26 +292,27 @@ class TestBackward:
     def test_initial_state_and_input_grads_match_fd(self):
         rng = make_rng(55)
         params = init_params(rng, 2, 2)
-        h0 = rng.normal(size=2) * 0.3
-        c0 = rng.normal(size=2) * 0.3
-        xs = rng.normal(size=(4, 2))
-        dh_steps = rng.normal(size=(4, 2))
-        dh_fin = rng.normal(size=2)
-        dc_fin = rng.normal(size=2)
-        _, _, caches = unroll(params, h0, c0, xs)
-        _, dh0, dc0, dx = unroll_backward(params, caches, dh_steps, dh_fin, dc_fin)
+        h0 = column(rng.normal(size=2) * 0.3)
+        c0 = column(rng.normal(size=2) * 0.3)
+        xs = rng.normal(size=(4, 2))[..., None]
+        dh_steps = rng.normal(size=(4, 2))[..., None]
+        dh_fin = column(rng.normal(size=2))
+        dc_fin = column(rng.normal(size=2))
+        cell = unroll_cell(params, h0, c0, xs)
+        _, dh0, dc0, dx = unroll_backward_cell(params, cell, dh_steps, dh_fin, dc_fin)
 
         step = 1e-5
         for target, grad in ((h0, dh0), (c0, dc0)):
             for k in range(target.size):
-                keep = target[k]
-                target[k] = keep + step
+                keep = target[k, 0]
+                target[k, 0] = keep + step
                 up = fd_loss(params, h0, c0, xs, dh_steps, dh_fin, dc_fin)
-                target[k] = keep - step
+                target[k, 0] = keep - step
                 down = fd_loss(params, h0, c0, xs, dh_steps, dh_fin, dc_fin)
-                target[k] = keep
+                target[k, 0] = keep
                 numeric = (up - down) / (2 * step)
-                assert abs(numeric - grad[k]) / max(abs(numeric), abs(grad[k]), 1e-6) < 1e-4
+                g = grad[k, 0]
+                assert abs(numeric - g) / max(abs(numeric), abs(g), 1e-6) < 1e-4
         flat = xs.ravel()
         gx = dx.ravel()
         for k in range(flat.size):
@@ -365,9 +417,11 @@ class TestFusedCell:
         h_prev, c_prev, dh, dc = (rng.normal(size=(batch, hidden)) for _ in range(4))
         x = rng.normal(size=(batch, inputs))
 
-        h, c, cache = lstm_step(params, h_prev, c_prev, x)
-        grads = zeros_params(hidden, inputs)
-        dh_prev, dc_prev, dx = step_backward(params, cache, dh, dc, grads)
+        # the cell is feature-major: signals go in and come out as (m, batch)
+        cell = unroll_cell(params, h_prev.T, c_prev.T, x.T[None])
+        h, c = cell.z[1].T, cell.c[1].T
+        grads, dh_prev, dc_prev, dx = unroll_backward_cell(params, cell, None, dh.T, dc.T)
+        dh_prev, dc_prev, dx = dh_prev.T, dc_prev.T, dx[0].T
 
         oh, oc, ograds, odh_prev, odc_prev, odx = per_gate_oracle(gates, h_prev, c_prev, x, dh, dc)
         for got, want in ((h, oh), (c, oc), (dh_prev, odh_prev), (dc_prev, odc_prev), (dx, odx)):

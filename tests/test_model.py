@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,81 @@ def members_and_model(dims, population, seed):
     """`population` (or one) fresh models, and the single model or their stack."""
     members = [tiny_model(seed + k, dims) for k in range(population or 1)]
     return members, members[0] if population is None else stack_models(members)
+
+
+PRED_FIELDS = ("embedding", "label_probs", "step_scores", "step_hidden")
+NO_INPUTS = ModelDims(n_labels=1, d_obs=0, d_ctx=0, tau=2, total_steps=3)
+
+
+def assert_same_bits(got, want, index=()):
+    for field in PRED_FIELDS:
+        assert getattr(got, field)[index].tobytes() == getattr(want, field).tobytes(), field
+
+
+class TestTapeIdentity:
+    """The taped forward (one window of every step) and the untaped one (a
+    window of one step) compute the same outputs bit for bit, and a
+    population's member k computes what it computes alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**layout_cases, batch=st.integers(1, 5))
+    @example(dims=EDGE, population=None, seed=0, batch=1)
+    @example(dims=NO_INPUTS, population=2, seed=1, batch=1)
+    def test_untaped_forward_equals_taped(self, dims, population, seed, batch):
+        _, model = members_and_model(dims, population, seed)
+        obs, ctx = rand_inputs(make_rng(seed), dims, batch)
+        taped, tape = forward(model, obs, ctx)
+        untaped, none = forward(model, obs, ctx, keep_tape=False)
+        assert tape is not None and none is None
+        assert_same_bits(untaped, taped)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=small_dims, population=st.integers(1, 3), batch=st.integers(1, 4),
+           shared=st.booleans(), seed=st.integers(0, 2**16))
+    @example(dims=EDGE, population=3, batch=1, shared=False, seed=0)
+    @example(dims=NO_INPUTS, population=2, batch=1, shared=True, seed=1)
+    def test_member_equals_solo_forward_and_backward(self, dims, population, batch, shared,
+                                                     seed):
+        members, stack = members_and_model(dims, population, seed)
+        rng = make_rng(seed)
+        obs, ctx = rand_inputs(rng, dims, batch)
+        if not shared:
+            obs = np.stack([obs + k for k in range(population)])
+            ctx = np.stack([ctx - k for k in range(population)])
+        pred, tape = forward(stack, obs, ctx)
+        adjoints = [rng.normal(size=a.shape) for a in (pred.step_scores, pred.embedding)]
+        grads = backward(stack, tape, *adjoints)
+        for k, model in enumerate(members):
+            mine = (obs, ctx) if shared else (obs[k], ctx[k])
+            want, want_tape = forward(model, *mine)
+            assert_same_bits(pred, want, k)
+            want_grads = backward(model, want_tape, *(a[k] for a in adjoints))
+            assert grads.theta[k].tobytes() == want_grads.theta.tobytes()
+
+    def test_tape_serves_one_backward(self):
+        model = tiny_model(3)
+        obs, ctx = rand_inputs(make_rng(3), DIMS)
+        _, tape = forward(model, obs, ctx)
+        backward(model, tape)
+        with pytest.raises(ValueError, match="consumed"):
+            backward(model, tape)
+
+
+def test_untaped_forward_memory_is_bounded_by_its_outputs():
+    """An untaped forward keeps one step of slabs plus the decoder's hidden
+    states, so at HAR shape its traced peak stays within 3x the bytes it
+    returns; slabs of every step take about 15x."""
+    dims = ModelDims(n_labels=36, d_obs=12, d_ctx=6, tau=75, total_steps=100)
+    model = tiny_model(0, dims)
+    obs, ctx = rand_inputs(make_rng(1), dims, batch=100)
+    tracemalloc.start()
+    try:
+        pred = predict(model, obs, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(getattr(pred, field).nbytes for field in PRED_FIELDS)
+    assert peak <= 3 * returned, f"peak {peak} bytes for {returned} bytes of outputs"
 
 
 class TestLayout:
