@@ -15,22 +15,16 @@ The gates share one fused W (4L, L + I) and b (4L,) (LstmParams), row blocks
 in GATE_ORDER; a population of G cells has W (G, 4L, L + I), b (G, 4L), and
 member k computes exactly what cell k computes alone.
 
-An Unroll runs a cell over T steps for a batch of B. Each quantity is one
-slab (T, ..., rows, B): time-major, the batch last, the member axis G (if
-any) before the rows, so a step's block and each gate's rows in it are
-contiguous. The slabs are the tape. A step multiplies the recurrent input z
-(h, or [h; sigmoid(h)] with feedback) by W_rec and writes its h straight
-into the next step's z row; the external inputs x of a whole window of steps
-are projected (W_x x + b) by one matmul before the loop. The f, i, o rows
-are halved once per unroll, so one tanh over the 4L block gives every gate
-(sigmoid(a) = 1/2 + tanh(a/2)/2). A taped unroll is one window of T steps;
-an untaped one runs windows of one step and keeps two rows of z and c.
-
-Backward forms every step's local derivatives once over the slabs, in place,
-scales them step by step into the adjoint slab (the same memory) and gets dW
-and db after the loop from one matmul and one sum over the (time x batch)
-columns: the time-batched weight gradient of Appleyard et al. 2016
-(arXiv:1604.01946).
+An Unroll runs a cell over T steps for a batch of B on slabs (T, ..., rows,
+B), one per cached quantity: time-major, the batch last, the member axis (if
+any) before the rows, so each gate's rows in a step are contiguous. The
+slabs are the tape. The inputs of a window of steps are projected by one
+matmul before the loop; the f, i, o rows are halved once, so one tanh over
+the 4L block gives every gate (sigmoid(a) = 1/2 + tanh(a/2)/2); each step
+writes its h straight into the next step's recurrent input row. Backward
+forms the local derivatives once over the slabs, in place, scales them step
+by step into the adjoint slab and gets dW and db from one matmul and one sum
+over the (time x batch) columns (Appleyard et al. 2016, arXiv:1604.01946).
 """
 
 from __future__ import annotations
@@ -163,19 +157,19 @@ class Unroll:
     """One cell's weights and slabs for `steps` steps.
 
     w (..., 4L, R + I + 1) holds the columns [W_rec | W_x | b]; h0 and c0
-    (..., L, B) are the initial state; R = 2L with feedback, else L. Taped,
-    every slab keeps all steps; untaped, z keeps all its rows only with
-    keep_hidden. Slabs, step t in row t % rows: z (steps + 1 or 2 rows), z[0]
-    from h0; gates (window, ..., 4L, B), also gate-major as gates4 (window,
-    4, ..., L, B); c (window + 1 rows), c[0] = c0; tanh_c (window rows); x
-    (steps, ..., I, B), taped only.
+    (..., L, B) are the initial state. The recurrent input z is [h;
+    sigmoid(h)] with feedback (R = 2L), else h (R = L). Taped, every slab
+    keeps all steps; untaped, only z does, and only with feedback. Slabs,
+    step t in row t % rows: z (steps + 1 or 2 rows), z[0] from h0; gates
+    (window, ..., 4L, B), gate-major as gates4 (window, 4, ..., L, B); c
+    (window + 1 rows), c[0] = c0; tanh_c (window rows); x (steps, ..., I,
+    B), taped only.
     """
 
     __slots__ = ("n", "steps", "window", "feedback", "w_rec_t", "w_rec_half", "w_x_half",
                  "b_half", "x", "z", "gates", "gates4", "c", "tanh_c")
 
-    def __init__(self, w, h0, c0, steps: int, taped: bool = True,
-                 keep_hidden: bool = False, feedback: bool = False):
+    def __init__(self, w, h0, c0, steps: int, taped: bool = True, feedback: bool = False):
         *lead, n, batch = h0.shape
         lead, rec = tuple(lead), 2 * n if feedback else n
         if w.shape[-2] != 4 * n or w.shape[-1] <= rec:
@@ -187,7 +181,7 @@ class Unroll:
         self.w_rec_t, self.w_rec_half = w[..., :rec].swapaxes(-1, -2), half[..., :rec]
         self.w_x_half, self.b_half = half[..., rec:-1], half[..., -1:]
         self.x = np.empty((0,) + lead + (w.shape[-1] - rec - 1, batch))
-        self.z = np.empty((steps + 1 if taped or keep_hidden else 2,) + lead + (rec, batch))
+        self.z = np.empty((steps + 1 if taped or feedback else 2,) + lead + (rec, batch))
         self.z[0, ..., :n, :] = h0
         if feedback:
             _sigmoid_into(h0, self.z[0, ..., n:, :])

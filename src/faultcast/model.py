@@ -275,9 +275,8 @@ def forward(
     unroll(enc, [obs, ctx[:tau]])
     W, b, fb = model.decoder.W, model.decoder.b[..., None], n + dims.d_ctx
     w = np.concatenate([W[..., :n], W[..., fb:], W[..., n:fb], b], axis=-1)
-    dec = Unroll(w, *enc.state(), dims.horizon, keep_tape, keep_hidden=True, feedback=True)
-    tape = Tape(batched, enc, dec, None) if keep_tape else None
-    del enc  # untaped, the encoder's slabs go here
+    dec = Unroll(w, *enc.state(), dims.horizon, keep_tape, feedback=True)
+    enc = enc if keep_tape else None  # untaped, its slabs go before the decoder runs
     unroll(dec, [ctx[tau:]])
 
     hidden = dec.z[1:, ..., :n, :]  # (horizon, ..., L, B)
@@ -291,9 +290,7 @@ def forward(
         pred = Prediction(g, y, o, dec_h)
     else:
         pred = Prediction(g[0], y[0], o[0], dec_h[0])
-    if keep_tape:
-        tape.label_probs = y
-    return pred, tape
+    return pred, Tape(batched, enc, dec, y) if keep_tape else None
 
 
 def predict(model: ForecastModel, obs: np.ndarray, ctx: np.ndarray) -> Prediction:

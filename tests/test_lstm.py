@@ -175,10 +175,18 @@ def column(v):
     return np.asarray(v)[:, None]
 
 
+def model_cell_step(w, h, c, x, feedback=False):
+    """One step of a one-sample Unroll over the weight columns w, the way
+    model.forward runs a cell; returns (h, c) as (hidden,) vectors."""
+    cell = Unroll(w, column(h), column(c), 1, feedback=feedback)
+    unroll(cell, [column(x)[None]])
+    return tuple(v[:, 0] for v in cell.state())
+
+
 class TestForward:
-    # The model folds the encoder's two h column blocks into one and feeds
-    # the decoder's sigmoid(h) through tanh, so the plain cell chained by
-    # hand agrees with forward() to rounding, not bit for bit.
+    # The hand-chained steps use the model's weight blocks: the encoder's two
+    # h column blocks summed into one, the decoder's [h | sigmoid(h)] blocks
+    # side by side, each followed by the input columns and b.
     def test_single_step_equals_step(self):
         # tau 0, horizon 1: one decoder step from the zero state, fed
         # sigmoid(0) as its first estimate
@@ -187,9 +195,10 @@ class TestForward:
         model = init_model(rng, dims)
         obs, ctx = one_sample(rng, dims)
         pred = forward(model, obs, ctx)[0]
-        zero = np.zeros(2)
-        h, _, _ = step(model.decoder, zero, zero, np.concatenate([ctx[0], zero + 0.5]))
-        np.testing.assert_allclose(pred.step_hidden[0], h, rtol=0, atol=1e-15)
+        W, b, zero = model.decoder.W, model.decoder.b, np.zeros(2)
+        w = np.concatenate([W[:, :2], W[:, 5:], W[:, 2:5], column(b)], axis=1)
+        h, _ = model_cell_step(w, zero, zero, ctx[0], feedback=True)
+        np.testing.assert_array_equal(pred.step_hidden[0], h)
 
     def test_three_steps_equal_chained_calls(self):
         # tau 1, horizon 2: one encoder step, then two decoder steps, each
@@ -199,12 +208,14 @@ class TestForward:
         model = init_model(rng, dims)
         obs, ctx = one_sample(rng, dims)
         pred = forward(model, obs, ctx)[0]
-        h = c = np.zeros(2)
-        h, c, _ = step(model.encoder, h, c, np.concatenate([obs[0], ctx[0], h]))
+        W, b = model.encoder.W, model.encoder.b
+        w = np.concatenate([W[:, :2] + W[:, 5:], W[:, 2:5], column(b)], axis=1)
+        h, c = model_cell_step(w, np.zeros(2), np.zeros(2), np.concatenate([obs[0], ctx[0]]))
+        W, b = model.decoder.W, model.decoder.b
+        w = np.concatenate([W[:, :2], W[:, 3:], W[:, 2:3], column(b)], axis=1)
         for t in (1, 2):
-            x = np.concatenate([ctx[t], sigmoid(h)])
-            h, c, _ = step(model.decoder, h, c, x)
-            np.testing.assert_allclose(pred.step_hidden[t - 1], h, rtol=0, atol=1e-15)
+            h, c = model_cell_step(w, h, c, ctx[t], feedback=True)
+            np.testing.assert_array_equal(pred.step_hidden[t - 1], h)
 
     def test_hidden_state_bounded(self):
         rng = make_rng(9)

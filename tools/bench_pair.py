@@ -2,18 +2,19 @@
 """Paired benchmark of two git revisions of this repository.
 
     python3 tools/bench_pair.py --parent facf9b9 --change HEAD --label feature_major \
-        --seeds 1-10 --seconds 30
+        --seeds 1-10
 
-Checks both revisions out into clean clones under a scratch directory, then
+Checks both revisions out into clean clones in a temporary directory, then
 for every seed and workload runs `python3 perfbench/run.py --workload W
---seed S --seconds N` once in each clone, one run at a time. Pair k (the
-k-th seed) runs the parent first when k is even and the change first when k
-is odd, so drift in the host's speed falls on both sides alike. Writes
-BENCH_<label>.json with, per workload and end-to-end metric, each side's
-median and [q1, q3], the change/parent ratio of the medians, the pairs the
-change won, the metric's direction and bound from BENCHMARK.json, and every
-raw run record; provenance names python, numpy, the BLAS, the CPU count and
-both commits. It reads the workloads and metrics from BENCHMARK.json and
+--seed S --seconds N` once in each clone, one run at a time, N being
+run_seconds from BENCHMARK.json. Pair k (the k-th seed) runs the parent
+first when k is even and the change first when k is odd, so drift in the
+host's speed falls on both sides alike. Writes BENCH_<label>.json with, per
+workload and end-to-end metric, each side's median and [q1, q3], the
+change/parent ratio of the medians, the pairs the change won, the metric's
+direction and bound from BENCHMARK.json, and every raw run record;
+provenance names python, numpy, the BLAS, the CPU count, both commits and
+their src trees. It reads the workloads and metrics from BENCHMARK.json and
 adds none.
 """
 
@@ -119,15 +120,11 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD", help="git revision measured against it")
     parser.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
     parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,5")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="length of each run; default run_seconds from BENCHMARK.json")
     parser.add_argument("--workloads", default=None, help="comma-separated; default all")
-    parser.add_argument("--scratch", default=None, help="directory for the two clones")
-    parser.add_argument("--out-dir", default=str(ROOT))
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
     declared = [w["name"] for w in spec["workloads"]]
     workloads = args.workloads.split(",") if args.workloads else declared
     unknown = set(workloads) - set(declared)
@@ -137,7 +134,7 @@ def main(argv=None) -> int:
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
 
     runs = []
-    with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         trees = {side: checkout(sha, Path(tmp) / side) for side, sha in shas.items()}
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -169,7 +166,7 @@ def main(argv=None) -> int:
                       for w in workloads},
         "runs": runs,
     }
-    out = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"bench_pair: wrote {out}", file=sys.stderr)
     return 0 if all(s["all_correct"] for s in doc["workloads"].values()) else 1
