@@ -386,7 +386,7 @@ def cmd_gridsearch(args) -> int:
     )
     classifiers = _fit_all_classifiers(best_model, train_split, args.seed + 3)
     save_model(best_model, args.out_model, classifiers)
-    write_grid_report(results, best_cfg, args.out_report)
+    write_grid_report(results, args.out_report)
     print(f"searched {len(grid)} grid points")
     print(
         f"selected eta={best_cfg.eta} lambda={best_cfg.lam} beta={best_cfg.beta}; "

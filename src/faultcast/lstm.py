@@ -11,9 +11,10 @@ Gate update for input x_t and previous state (h, c):
     o = sigmoid(w_o @ [h, x] + b_o)         output gate
     h' = o * tanh(c')                       new hidden state
 
-The gates share one fused W (4L, L + I) and b (4L,) (LstmParams), row blocks
-in GATE_ORDER; a population of G cells has W (G, 4L, L + I), b (G, 4L), and
-member k computes exactly what cell k computes alone.
+A cell is its fused W (4L, L + I) and b (4L,) (LstmParams), the gates' row
+blocks in GATE_ORDER; a population of G cells has W (G, 4L, L + I), b (G,
+4L), and member k computes exactly what cell k computes alone. The per-gate
+names w_f ... b_o exist only in the model file (model.param_items).
 
 An Unroll runs a cell over T steps for a batch of B on slabs (T, ..., rows,
 B), one per cached quantity: time-major, the batch last, the member axis (if
@@ -30,112 +31,39 @@ over the (time x batch) columns (Appleyard et al. 2016, arXiv:1604.01946).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
-
-GATE_NAMES = ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")
 
 # Row block of each gate inside the fused W and b. The three sigmoid gates
 # come first, so their rows form one contiguous 3*hidden block.
 GATE_ORDER = ("f", "i", "o", "c")
 
 
-def _gate_view(name: str) -> property:
-    """Read-only attribute returning gate `name`'s rows of the fused arrays,
-    as a view: writing into it writes into W or b."""
-    fused = "W" if name.startswith("w_") else "b"
-    block = GATE_ORDER.index(name[2])
+class LstmParams(NamedTuple):
+    """One cell's parameters: W (4 * hidden, hidden + input) and b (4 *
+    hidden,), their row blocks the gates in GATE_ORDER. A population's
+    carry a leading member axis: W (G, 4 * hidden, hidden + input), b (G,
+    4 * hidden)."""
 
-    def view(self) -> np.ndarray:
-        n = self.hidden_size
-        rows = slice(block * n, (block + 1) * n)
-        return self.W[..., rows, :] if fused == "W" else self.b[..., rows]
-
-    return property(view, doc=f"gate {name!r}: a view into {fused}")
+    W: np.ndarray
+    b: np.ndarray
 
 
-class LstmParams:
-    """One cell's parameters in fused form.
-
-    W is (4 * hidden, hidden + input) and b is (4 * hidden,); their row
-    blocks hold the gates in GATE_ORDER (f, i, o, c). The per-gate names in
-    GATE_NAMES (w_f ... b_o) are views into W and b, and the constructor
-    takes the eight per-gate arrays in GATE_NAMES order. A population's
-    arrays carry a leading member axis: W (G, 4 * hidden, hidden + input),
-    b (G, 4 * hidden).
-    """
-
-    __slots__ = ("W", "b")
-
-    def __init__(self, w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o):
-        gates = dict(zip(GATE_NAMES, (w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o)))
-        hidden, cols = np.shape(w_f)
-        for name, arr in gates.items():
-            want = (hidden, cols) if name.startswith("w_") else (hidden,)
-            if np.shape(arr) != want:
-                raise ValueError(f"gate {name} has shape {np.shape(arr)}, expected {want}")
-        self.W = np.concatenate([gates["w_" + g] for g in GATE_ORDER], dtype=np.float64)
-        self.b = np.concatenate([gates["b_" + g] for g in GATE_ORDER], dtype=np.float64)
-
-    @classmethod
-    def fused(cls, W: np.ndarray, b: np.ndarray) -> "LstmParams":
-        """Wrap existing fused arrays without copying them."""
-        params = cls.__new__(cls)
-        params.W, params.b = W, b
-        return params
-
-    w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o = (_gate_view(n) for n in GATE_NAMES)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.b.shape[-1] // 4
-
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        """(name, per-gate view) pairs in GATE_NAMES order."""
-        return [(name, getattr(self, name)) for name in GATE_NAMES]
-
-
-def param_count(hidden: int, inputs: int) -> int:
-    """Number of scalar parameters: 4 * (hidden^2 + hidden*inputs + hidden)."""
-    if hidden < 1 or inputs < 0:
-        raise ValueError(f"invalid sizes: hidden={hidden}, inputs={inputs}")
-    return 4 * (hidden * hidden + hidden * inputs + hidden)
-
-
-def zeros_params(hidden: int, inputs: int) -> LstmParams:
-    """All-zero parameters for one cell."""
-    return LstmParams.fused(np.zeros((4 * hidden, hidden + inputs)), np.zeros(4 * hidden))
-
-
-def init_params(
-    rng: np.random.Generator,
-    hidden: int,
-    inputs: int,
-    scale_rule: str = "glorot",
-    forget_bias: float = 1.0,
-) -> LstmParams:
+def init_params(rng: np.random.Generator, hidden: int, inputs: int) -> LstmParams:
     """Sample initial parameters.
 
-    "glorot" draws weights uniform on [-a, a] with a = sqrt(6 / (fan_in +
-    fan_out)) = sqrt(6 / (hidden + inputs + hidden)); "small" uses a fixed
-    [-0.1, 0.1]. The forget-gate bias starts at `forget_bias` (1 by default,
-    standard practice for gradient flow over long sequences); other biases
-    start at zero. Draw order is fixed so a seed pins every entry.
+    Each gate's weights are uniform on [-a, a] with a = sqrt(6 / (fan_in +
+    fan_out)) = sqrt(6 / (hidden + inputs + hidden)) (glorot), drawn in the
+    order f, i, c, o, so a seed pins every entry. The forget-gate bias
+    starts at 1 (standard practice for gradient flow over long sequences),
+    the other biases at zero.
     """
-    cols = hidden + inputs
-    if scale_rule == "glorot":
-        a = math.sqrt(6.0 / (hidden + inputs + hidden))
-    elif scale_rule == "small":
-        a = 0.1
-    else:
-        raise ValueError(f"unknown scale_rule: {scale_rule!r}")
-    w = [rng.uniform(-a, a, size=(hidden, cols)) for _ in range(4)]
+    a = math.sqrt(6.0 / (hidden + inputs + hidden))
+    w = {g: rng.uniform(-a, a, size=(hidden, hidden + inputs)) for g in "fico"}
     return LstmParams(
-        *w,
-        np.full(hidden, float(forget_bias)),
-        np.zeros(hidden),
-        np.zeros(hidden),
-        np.zeros(hidden),
+        np.concatenate([w[g] for g in GATE_ORDER]),
+        np.concatenate([np.full(hidden, float(g == "f")) for g in GATE_ORDER]),
     )
 
 

@@ -19,10 +19,12 @@ up with one label. Both networks are single layer by construction.
 
 Parameter layout: a model keeps every parameter in one flat float64 array,
 theta, made of the blocks param_layout lists in order: encoder.W, encoder.b,
-decoder.W, decoder.b, out_bias. The cells and out_bias are named views into
-theta. Gradients (zeros_grads, backward) share the layout, so optimizer
-steps, clipping and finite-difference checks are array operations on theta;
-the model file keeps its per-gate keys (param_items).
+decoder.W, decoder.b, out_bias. The cells (lstm.LstmParams) and out_bias are
+named views into theta. Gradients (zeros_grads, backward) share the layout,
+so optimizer steps, clipping and finite-difference checks are array
+operations on theta. Per-gate names exist only at the file boundary:
+param_items splits each cell into its GATE_KEYS views, which save_model
+writes and load_model fills.
 
 A population (stack_models) holds G models of the same dims as one model
 with a (G, P) theta, so every block carries a leading member axis; forward
@@ -45,12 +47,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import LstmParams, Unroll, init_params, unroll, unroll_backward
+from .lstm import GATE_ORDER, LstmParams, Unroll, init_params, unroll, unroll_backward
 from .num import sigmoid
 
 FORMAT_NAME = "faultcast-model"
 FORMAT_VERSION = 1
 DIM_KEYS = ("n_labels", "d_obs", "d_ctx", "tau", "total_steps")
+# a cell's keys in the model file, in file order; w_g and b_g are gate g's
+# row block of W and b
+GATE_KEYS = ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,8 @@ class ForecastModel:
             size = math.prod(shape)
             views[name] = theta[..., offset : offset + size].reshape(theta.shape[:-1] + shape)
             offset += size
-        self.encoder = LstmParams.fused(views["encoder.W"], views["encoder.b"])
-        self.decoder = LstmParams.fused(views["decoder.W"], views["decoder.b"])
+        self.encoder = LstmParams(views["encoder.W"], views["encoder.b"])
+        self.decoder = LstmParams(views["decoder.W"], views["decoder.b"])
         self.out_bias = views["out_bias"]
 
     @property
@@ -186,9 +191,7 @@ def init_model(rng: np.random.Generator, dims: ModelDims) -> ForecastModel:
     """
     model = ForecastModel(np.zeros(param_size(dims)), dims)
     for cell, inputs in ((model.encoder, dims.enc_input), (model.decoder, dims.dec_input)):
-        drawn = init_params(rng, dims.n_labels, inputs)
-        cell.W[...] = drawn.W
-        cell.b[...] = drawn.b
+        cell.W[...], cell.b[...] = init_params(rng, dims.n_labels, inputs)
     return model
 
 
@@ -200,11 +203,16 @@ def zeros_grads(dims: ModelDims, population: int | None = None) -> ForecastModel
 
 
 def param_items(model: ForecastModel) -> list[tuple[str, np.ndarray]]:
-    """Every parameter as per-gate views, in the model file's fixed order:
-    each cell's gates in lstm.GATE_NAMES order, then out_bias. Takes a model
-    or its gradients."""
-    items = [(f"encoder.{n}", a) for n, a in model.encoder.arrays()]
-    items += [(f"decoder.{n}", a) for n, a in model.decoder.arrays()]
+    """Every parameter under its model-file key, in the file's fixed order:
+    each cell's GATE_KEYS, each a view of its gate's lstm.GATE_ORDER row
+    block of W or b, then out_bias. Takes a model or its gradients."""
+    n, items = model.dims.n_labels, []
+    for section, cell in (("encoder", model.encoder), ("decoder", model.decoder)):
+        for key in GATE_KEYS:
+            block = GATE_ORDER.index(key[2])
+            rows = slice(block * n, (block + 1) * n)
+            view = cell.W[..., rows, :] if key[0] == "w" else cell.b[..., rows]
+            items.append((f"{section}.{key}", view))
     items.append(("out_bias", model.out_bias))
     return items
 
@@ -343,7 +351,7 @@ def backward(
     dg = np.multiply(do, sig_h, order="C").sum(axis=0)
     dg *= y * (1.0 - y)
     dg += dg_extra
-    grads = zeros_grads(dims, model.population)
+    grads = ForecastModel(np.empty(model.theta.shape), dims)  # every block is written below
     grads.out_bias[...] = dg.sum(axis=-1)
 
     # Per-step adjoint on decoder hidden states: the sum into g plus the
@@ -381,14 +389,16 @@ def save_model(model: ForecastModel, path, classifiers: dict | None = None) -> N
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "dims": {key: getattr(model.dims, key) for key in DIM_KEYS},
-        "encoder": {n: a.tolist() for n, a in model.encoder.arrays()},
-        "decoder": {n: a.tolist() for n, a in model.decoder.arrays()},
-        "out_bias": model.out_bias.tolist(),
         "classifiers": classifiers,
     }
-    for name, arr in param_items(model):
+    for key, arr in param_items(model):
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"refusing to save non-finite parameter {name}")
+            raise ValueError(f"refusing to save non-finite parameter {key}")
+        section, _, gate = key.partition(".")
+        if gate:
+            doc.setdefault(section, {})[gate] = arr.tolist()
+        else:
+            doc[section] = arr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")

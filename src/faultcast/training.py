@@ -508,25 +508,26 @@ def grid_search(
     return results[winner].config, best[winner], results
 
 
+def _rank_key(res: GridResult) -> tuple:
+    """Highest micro + macro validation F1 first; exact ties prefer the
+    smaller eta, then the larger lambda."""
+    return (-res.score, res.config.eta, -res.config.lam)
+
+
 def select_best(results: list[GridResult]) -> int:
-    """Index of the best grid point: highest micro + macro validation F1,
-    exact ties broken by smaller eta, then larger lambda."""
-    keys = [(-r.score, r.config.eta, -r.config.lam) for r in results]
-    return min(range(len(results)), key=keys.__getitem__)
+    """Index of the first grid point in rank order (_rank_key)."""
+    return min(range(len(results)), key=lambda k: _rank_key(results[k]))
 
 
-def write_grid_report(results: list[GridResult], best: TrainConfig, path) -> None:
-    """Ranked tab-separated report of every grid point."""
+def write_grid_report(results: list[GridResult], path) -> None:
+    """Ranked tab-separated report of every grid point; the rank-1 row, the
+    one select_best picks, is the selected one."""
     cols = ("rank", "loss", "eta", "lambda", "beta", "val_micro_f1",
             "val_macro_f1", "score", "selected")
-    ordered = sorted(
-        results, key=lambda r: (-r.score, r.config.eta, -r.config.lam)
-    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(cols) + "\n")
-        for rank, res in enumerate(ordered, start=1):
+        for rank, res in enumerate(sorted(results, key=_rank_key), start=1):
             cfg = res.config
-            selected = cfg.eta == best.eta and cfg.lam == best.lam and cfg.beta == best.beta
             row = (rank, cfg.loss, cfg.eta, cfg.lam, cfg.beta,
-                   res.val_micro_f1, res.val_macro_f1, res.score, int(selected))
+                   res.val_micro_f1, res.val_macro_f1, res.score, int(rank == 1))
             fh.write("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")

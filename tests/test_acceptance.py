@@ -42,9 +42,8 @@ from faultcast.losses import (
     segment_loss,
     stepwise_loss,
 )
-from faultcast.lstm import param_count, zeros_params
 from faultcast.metrics import segment_report, stepwise_report
-from faultcast.model import ModelDims, forward, init_model, param_items
+from faultcast.model import ForecastModel, ModelDims, forward, init_model, param_items, param_size
 from faultcast.num import make_rng
 from faultcast.training import TrainConfig, default_grid, grad_check, grid_search, train
 
@@ -231,21 +230,26 @@ def test_c03_loss_unit_fixtures():
     model = init_model(make_rng(0), dims)
     for _, arr in param_items(model):
         arr[...] = 0.0
-    model.encoder.w_f[0, :2] = (3.0, 4.0)
+    key, w_f = param_items(model)[0]
+    assert key.split(".") == ["encoder", "w_f"]
+    w_f[0, :2] = (3.0, 4.0)
     assert abs(l2_penalty(model, 2.0) - 25.0) < tol
     _report("C3 loss-unit-fixtures", True,
             f"{len(checks) + 3} fixtures at 1e-10; p=0 edge weighted 1")
 
 
 def test_c04_parameter_accounting():
-    """param_count matches the enumerated scalar count over a size sweep."""
+    """The model file's parameters, param_size and the closed form 4(h^2 +
+    h*i + h) per cell plus out_bias agree over a size sweep."""
     checked = 0
-    for hidden in range(1, 9):
-        for inputs in range(0, 41):
-            params = zeros_params(hidden, inputs)
-            total = sum(arr.size for _, arr in params.arrays())
-            formula = param_count(hidden, inputs)
-            assert total == formula == 4 * (hidden**2 + hidden * inputs + hidden)
+    for n_labels in range(1, 9):
+        for features in range(0, 41):  # d_obs + d_ctx
+            dims = ModelDims(n_labels, features - features // 3, features // 3, 1, 2)
+            model = ForecastModel(np.zeros(param_size(dims)), dims)
+            total = sum(arr.size for _, arr in param_items(model))
+            h = n_labels
+            formula = sum(4 * (h**2 + h * i + h) for i in (dims.enc_input, dims.dec_input)) + h
+            assert total == param_size(dims) == formula
             checked += 1
     _report("C4 parameter-accounting", True, f"{checked} (hidden, input) pairs")
 

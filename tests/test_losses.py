@@ -178,7 +178,9 @@ class TestL2Penalty:
         model = self.make_model()
         for _, arr in param_items(model):
             arr[...] = 0.0
-        model.encoder.w_f[0, :2] = (3.0, 4.0)
+        key, w_f = param_items(model)[0]
+        assert key.split(".") == ["encoder", "w_f"]
+        w_f[0, :2] = (3.0, 4.0)
         assert abs(l2_penalty(model, 2.0) - 25.0) < ATOL
 
     def test_biases_excluded(self):

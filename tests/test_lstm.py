@@ -1,20 +1,11 @@
-"""LSTM cell: forward semantics, gradient exactness, parameter accounting."""
+"""LSTM cell: forward semantics, gradient exactness, initialization."""
 
 import math
 
 import numpy as np
 import pytest
 
-from faultcast.lstm import (
-    LstmParams,
-    Unroll,
-    init_params,
-    lstm_step,
-    param_count,
-    unroll,
-    unroll_backward,
-    zeros_params,
-)
+from faultcast.lstm import LstmParams, Unroll, init_params, lstm_step, unroll, unroll_backward
 from faultcast.model import ModelDims, forward, init_model
 from faultcast.num import make_rng, sigmoid
 
@@ -35,6 +26,18 @@ def scalar_cell_oracle(wf, wi, wc, wo, bf, bi, bc, bo, h_prev, c_prev, x):
     c = f * c_prev + i * cand
     o = sig(wo[0] * h_prev + wo[1] * x + bo)
     return o * math.tanh(c), c
+
+
+def fused(gates):
+    """The LstmParams of per-gate arrays {"w_f": ..., "b_o": ...}, the row
+    blocks concatenated in the fused layout's order f, i, o, c, written out
+    here so that the layout is checked independently."""
+    return LstmParams(np.concatenate([gates[k] for k in ("w_f", "w_i", "w_o", "w_c")]),
+                      np.concatenate([gates[k] for k in ("b_f", "b_i", "b_o", "b_c")]))
+
+
+def zero_cell(hidden, inputs):
+    return LstmParams(np.zeros((4 * hidden, hidden + inputs)), np.zeros(4 * hidden))
 
 
 def plain_cell(params, h0, c0, steps, taped=True):
@@ -64,7 +67,7 @@ def step(params, h_prev, c_prev, x):
 
 class TestStep:
     def test_all_zero_params(self):
-        params = zeros_params(3, 2)
+        params = zero_cell(3, 2)
         h, c, cell = step(params, np.zeros(3), np.zeros(3), np.array([1.0, -2.0]))
         np.testing.assert_array_equal(h, np.zeros(3))
         np.testing.assert_array_equal(c, np.zeros(3))
@@ -75,17 +78,15 @@ class TestStep:
         np.testing.assert_array_equal(c_cand, np.zeros((3, 1)))
 
     def test_zero_params_nonzero_cell(self):
-        params = zeros_params(1, 1)
+        params = zero_cell(1, 1)
         h, c, _ = step(params, np.zeros(1), np.array([1.0]), np.array([0.0]))
         np.testing.assert_allclose(c, [0.5], atol=1e-15)
         np.testing.assert_allclose(h, [0.5 * math.tanh(0.5)], atol=1e-15)
         np.testing.assert_allclose(h, [0.23105857863], atol=1e-11)
 
     def test_matches_scalar_oracle(self):
-        params = LstmParams(
-            *(np.full((1, 2), 0.1) for _ in range(4)),
-            *(np.zeros(1) for _ in range(4)),
-        )
+        params = fused({k: np.full((1, 2), 0.1) for k in ("w_f", "w_i", "w_c", "w_o")}
+                       | {k: np.zeros(1) for k in ("b_f", "b_i", "b_c", "b_o")})
         h, c, _ = step(params, np.zeros(1), np.zeros(1), np.array([1.0]))
         oh, oc = scalar_cell_oracle(
             (0.1, 0.1), (0.1, 0.1), (0.1, 0.1), (0.1, 0.1),
@@ -100,7 +101,8 @@ class TestStep:
         for _ in range(10):
             mats = [rng.normal(size=(1, 2)) for _ in range(4)]
             biases = [rng.normal(size=1) for _ in range(4)]
-            params = LstmParams(*mats, *biases)
+            params = fused(dict(zip(("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o"),
+                                    mats + biases)))
             h_prev, c_prev, x = rng.normal(size=3)
             h, c, _ = step(params, np.array([h_prev]), np.array([c_prev]), np.array([x]))
             oh, oc = scalar_cell_oracle(
@@ -113,7 +115,7 @@ class TestStep:
 
     def test_input_width_checked(self):
         with pytest.raises(ValueError, match="length 3"):
-            step(zeros_params(2, 2), np.zeros(2), np.zeros(2), np.zeros(3))
+            step(zero_cell(2, 2), np.zeros(2), np.zeros(2), np.zeros(3))
 
     def test_batched_equals_stacked_single(self):
         rng = make_rng(3)
@@ -162,8 +164,8 @@ def unroll_backward_cell(params, cell, dh_steps, dh_fin, dc_fin):
     gradients, the adjoints of h0 and c0 and the stacked input adjoints,
     each input adjoint read from the step's row of the adjoint slab."""
     dh0, dc0, dW, db = unroll_backward(cell, dh_steps, dh_fin, dc_fin)
-    grads = LstmParams.fused(dW, db)
-    dxs = np.stack([params.W[:, params.hidden_size :].T @ da for da in cell.gates])
+    grads = LstmParams(dW, db)
+    dxs = np.stack([params.W[:, cell.n :].T @ da for da in cell.gates])
     return grads, dh0, dc0, dxs
 
 
@@ -248,7 +250,7 @@ class TestBackward:
         zero = np.zeros((3, 1))
         cell = unroll_cell(params, zero, zero, xs)
         grads, _, _, dx = unroll_backward_cell(params, cell, np.zeros((5, 3, 1)), zero, zero)
-        for _, arr in grads.arrays():
+        for arr in grads:
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
         np.testing.assert_array_equal(dx, np.zeros((5, 2, 1)))
 
@@ -285,9 +287,9 @@ class TestBackward:
 
         step = 1e-5
         worst = 0.0
-        for name, arr in params.arrays():
+        for arr, garr in zip(params, grads):
             flat = arr.ravel()
-            gflat = getattr(grads, name).ravel()
+            gflat = garr.ravel()
             for k in range(flat.size):
                 keep = flat[k]
                 flat[k] = keep + step
@@ -337,49 +339,35 @@ class TestBackward:
             assert abs(numeric - gx[k]) / max(abs(numeric), abs(gx[k]), 1e-6) < 1e-4
 
 
-class TestParamAccounting:
-    def test_formula_values(self):
-        assert param_count(1, 1) == 12
-        assert param_count(2, 5) == 64
-        assert param_count(6, 26) == 792
-
-    def test_matches_enumerated_scalars(self):
-        for hidden in range(1, 9):
-            for inputs in range(0, 41, 5):
-                params = zeros_params(hidden, inputs)
-                total = sum(arr.size for _, arr in params.arrays())
-                assert total == param_count(hidden, inputs)
-
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            param_count(0, 3)
-
-
 class TestInit:
     def test_deterministic(self):
         a = init_params(make_rng(5), 3, 4)
         b = init_params(make_rng(5), 3, 4)
-        for (_, x), (_, y) in zip(a.arrays(), b.arrays()):
+        for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_weights_within_range(self):
         hidden, inputs = 4, 6
         a = (6.0 / (hidden + inputs + hidden)) ** 0.5
         params = init_params(make_rng(3), hidden, inputs)
-        for name, arr in params.arrays():
-            if name.startswith("w_"):
-                assert np.all(np.abs(arr) <= a)
+        assert np.all(np.abs(params.W) <= a)
 
     def test_forget_bias_ones(self):
         params = init_params(make_rng(0), 3, 2)
-        np.testing.assert_array_equal(params.b_f, np.ones(3))
-        np.testing.assert_array_equal(params.b_i, np.zeros(3))
-        np.testing.assert_array_equal(params.b_c, np.zeros(3))
-        np.testing.assert_array_equal(params.b_o, np.zeros(3))
+        np.testing.assert_array_equal(params.b, [1.0] * 3 + [0.0] * 9)  # rows f, i, o, c
 
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError, match="scale_rule"):
-            init_params(make_rng(0), 2, 2, scale_rule="fancy")
+    def test_matches_reference_draw(self):
+        # four glorot draws in the order f, i, c, o pin every seeded theta
+        hidden, inputs = 3, 4
+        rng = make_rng(11)
+        a = math.sqrt(6.0 / (hidden + inputs + hidden))
+        w = [rng.uniform(-a, a, size=(hidden, hidden + inputs)) for _ in range(4)]
+        want = fused(dict(zip(("w_f", "w_i", "w_c", "w_o"), w))
+                     | {"b_f": np.ones(hidden), "b_i": np.zeros(hidden),
+                        "b_c": np.zeros(hidden), "b_o": np.zeros(hidden)})
+        got = init_params(make_rng(11), hidden, inputs)
+        assert got.W.tobytes() == want.W.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
 
 
 def per_gate_oracle(gates, h_prev, c_prev, x, dh, dc):
@@ -424,7 +412,7 @@ class TestFusedCell:
         gates = {name: rng.normal(size=(hidden, hidden + inputs)) * 0.3
                  for name in ("w_f", "w_i", "w_c", "w_o")}
         gates.update({name: rng.normal(size=hidden) for name in ("b_f", "b_i", "b_c", "b_o")})
-        params = LstmParams(**gates)
+        params = fused(gates)
         h_prev, c_prev, dh, dc = (rng.normal(size=(batch, hidden)) for _ in range(4))
         x = rng.normal(size=(batch, inputs))
 
@@ -437,27 +425,5 @@ class TestFusedCell:
         oh, oc, ograds, odh_prev, odc_prev, odx = per_gate_oracle(gates, h_prev, c_prev, x, dh, dc)
         for got, want in ((h, oh), (c, oc), (dh_prev, odh_prev), (dc_prev, odc_prev), (dx, odx)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        for name, arr in grads.arrays():
-            np.testing.assert_allclose(arr, ograds[name], rtol=1e-12, atol=1e-12)
-
-    def test_gate_views_write_through(self):
-        params = zeros_params(3, 2)
-        params.w_f[0, :2] = (3.0, 4.0)
-        params.b_o[...] = 7.0
-        params.w_c[2, 4] = -1.0
-        # fused rows run f, i, o, c
-        np.testing.assert_array_equal(params.W[0, :2], (3.0, 4.0))
-        np.testing.assert_array_equal(params.b[6:9], 7.0)
-        assert params.W[11, 4] == -1.0
-        assert np.count_nonzero(params.W) == 3 and np.count_nonzero(params.b) == 3
-
-    def test_fused_write_shows_in_views(self):
-        params = init_params(make_rng(8), 2, 3)
-        params.W[2:4] = 5.0
-        np.testing.assert_array_equal(params.w_i, np.full((2, 5), 5.0))
-        assert not np.any(params.w_f == 5.0)
-
-    def test_constructor_checks_gate_shapes(self):
-        with pytest.raises(ValueError, match="w_c"):
-            LstmParams(*(np.zeros((2, 4)) for _ in range(2)), np.zeros((2, 3)), np.zeros((2, 4)),
-                       *(np.zeros(2) for _ in range(4)))
+        for got, want in zip(grads, fused(ograds)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultcast.model import (
+    GATE_KEYS,
     ForecastModel,
     ModelDims,
     backward,
@@ -20,6 +21,7 @@ from faultcast.model import (
     load_model,
     param_items,
     param_layout,
+    param_size,
     predict,
     save_model,
     stack_models,
@@ -45,15 +47,19 @@ def straight_line_oracle(model, obs, ctx):
 
     dims = model.dims
     L = dims.n_labels
+    p = dict(param_items(model))
 
-    def cell(params, h_prev, c_prev, x_in):
+    def cell(section, h_prev, c_prev, x_in):
+        w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o = (
+            p[f"{section}.{k}"] for k in ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")
+        )
         full = list(h_prev) + list(x_in)
         h_new, c_new = [0.0] * L, [0.0] * L
         for d in range(L):
-            a_f = sum(params.w_f[d][j] * full[j] for j in range(len(full))) + params.b_f[d]
-            a_i = sum(params.w_i[d][j] * full[j] for j in range(len(full))) + params.b_i[d]
-            a_c = sum(params.w_c[d][j] * full[j] for j in range(len(full))) + params.b_c[d]
-            a_o = sum(params.w_o[d][j] * full[j] for j in range(len(full))) + params.b_o[d]
+            a_f = sum(w_f[d][j] * full[j] for j in range(len(full))) + b_f[d]
+            a_i = sum(w_i[d][j] * full[j] for j in range(len(full))) + b_i[d]
+            a_c = sum(w_c[d][j] * full[j] for j in range(len(full))) + b_c[d]
+            a_o = sum(w_o[d][j] * full[j] for j in range(len(full))) + b_o[d]
             c_new[d] = sig(a_f) * c_prev[d] + sig(a_i) * math.tanh(a_c)
             h_new[d] = sig(a_o) * math.tanh(c_new[d])
         return h_new, c_new
@@ -61,12 +67,12 @@ def straight_line_oracle(model, obs, ctx):
     h, c = [0.0] * L, [0.0] * L
     for t in range(dims.tau):
         x = list(obs[t]) + list(ctx[t]) + list(h)
-        h, c = cell(model.encoder, h, c, x)
+        h, c = cell("encoder", h, c, x)
     hidden = []
     feedback = [sig(v) for v in h]
     for t in range(dims.tau, dims.total_steps):
         x = list(ctx[t]) + feedback
-        h, c = cell(model.decoder, h, c, x)
+        h, c = cell("decoder", h, c, x)
         hidden.append(list(h))
         feedback = [sig(v) for v in h]
     g = [sum(row[d] for row in hidden) + model.out_bias[d] for d in range(L)]
@@ -197,10 +203,7 @@ class TestBackward:
         obs, ctx = rand_inputs(rng, DIMS)
         _, tape = forward(model, obs, ctx)
         grads = backward(model, tape)
-        for cell in (grads.encoder, grads.decoder):
-            for _, arr in cell.arrays():
-                np.testing.assert_array_equal(arr, np.zeros_like(arr))
-        np.testing.assert_array_equal(grads.out_bias, np.zeros(2))
+        np.testing.assert_array_equal(grads.theta, np.zeros_like(grads.theta))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_full_gradient_matches_finite_differences(self, seed):
@@ -215,7 +218,7 @@ class TestBackward:
         _, tape = forward(model, obs, ctx)
         grads = backward(model, tape, do, dg)
 
-        pairs = list(zip(param_items(model), (a for _, a in _grad_arrays(grads))))
+        pairs = list(zip(param_items(model), (a for _, a in param_items(grads))))
         step = 1e-5
         worst = 0.0
         for (name, arr), garr in pairs:
@@ -252,13 +255,6 @@ class TestBackward:
         _, tape = forward(model, obs, ctx)
         with pytest.raises(ValueError, match="adjoint"):
             backward(model, tape, d_embedding=np.zeros(3))
-
-
-def _grad_arrays(grads):
-    items = [(f"encoder.{n}", a) for n, a in grads.encoder.arrays()]
-    items += [(f"decoder.{n}", a) for n, a in grads.decoder.arrays()]
-    items.append(("out_bias", grads.out_bias))
-    return items
 
 
 class TestPopulation:
@@ -436,6 +432,31 @@ class TestLayout:
         with pytest.raises(ValueError, match="parameters"):
             ForecastModel(np.zeros(3), DIMS)
 
+    def test_dims_checked(self):
+        # the sizes the parameter count is built from
+        for bad in ((0, 2, 1, 3, 5), (2, -1, 1, 3, 5), (2, 2, -1, 3, 5), (2, 2, 1, 5, 5)):
+            with pytest.raises(ValueError):
+                ModelDims(*bad)
+
+    def test_param_items_are_gate_row_blocks(self):
+        # the model file's per-gate keys, in GATE_KEYS order, are views of
+        # theta at each gate's GATE_ORDER rows; writing one writes W or b
+        n, keys = DIMS.n_labels, [f"{c}.{k}" for c in ("encoder", "decoder") for k in GATE_KEYS]
+        for lead in ((), (2,)):
+            model = ForecastModel(np.zeros(lead + (param_size(DIMS),)), DIMS)
+            items = param_items(model)
+            assert [key for key, _ in items] == keys + ["out_bias"]
+            for k, (_, view) in enumerate(items):
+                assert np.shares_memory(view, model.theta)
+                view[...] = k + 1
+            for cell, first in ((model.encoder, 1), (model.decoder, 9)):
+                # rows run f, i, o, c; w_c and w_o are the third and fourth keys
+                for block, key in enumerate((0, 1, 3, 2)):
+                    rows = slice(block * n, (block + 1) * n)
+                    np.testing.assert_array_equal(cell.W[..., rows, :], first + key)
+                    np.testing.assert_array_equal(cell.b[..., rows], first + 4 + key)
+            np.testing.assert_array_equal(model.out_bias, 17)
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -538,8 +559,9 @@ class TestLoadValidation:
         self._rejects(self._write(tmp_path, edit), repr(f"decoder.{gate}"), "shape")
 
     def test_missing_gate(self, tmp_path):
-        self._rejects(self._write(tmp_path, lambda doc: doc["encoder"].pop("b_o")),
-                      repr("encoder.b_o"))
+        cell, gate = "encoder", "b_o"
+        self._rejects(self._write(tmp_path, lambda doc: doc[cell].pop(gate)),
+                      repr(f"{cell}.{gate}"))
 
     def test_out_bias_wrong_length(self, tmp_path):
         self._rejects(self._write(tmp_path, lambda doc: doc["out_bias"].pop()),
@@ -549,10 +571,12 @@ class TestLoadValidation:
         self._rejects(self._write(tmp_path, lambda doc: doc["dims"].pop("tau")), "'dims'")
 
     def test_ragged_weight(self, tmp_path):
-        def edit(doc):
-            doc["encoder"]["w_c"][1] = doc["encoder"]["w_c"][1][:2]
+        cell, gate = "encoder", "w_c"
 
-        self._rejects(self._write(tmp_path, edit), repr("encoder.w_c"))
+        def edit(doc):
+            doc[cell][gate][1] = doc[cell][gate][1][:2]
+
+        self._rejects(self._write(tmp_path, edit), repr(f"{cell}.{gate}"))
 
     def test_not_an_object(self, tmp_path):
         path = tmp_path / "list.json"

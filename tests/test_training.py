@@ -529,7 +529,24 @@ class TestReports:
         grid = default_grid("base", TrainConfig(max_epochs=1, batch_size=8))[:3]
         best_cfg, _, results = grid_search(grid, TINY, samples[:8], samples[8:])
         path = tmp_path / "grid.tsv"
-        write_grid_report(results, best_cfg, path)
+        write_grid_report(results, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 4
-        assert sum(line.endswith("\t1") for line in lines[1:]) >= 1
+        assert [line.endswith("\t1") for line in lines[1:]] == [True, False, False]
+        assert float(lines[1].split("\t")[2]) == best_cfg.eta
+
+    def test_duplicated_grid_point_selected_once(self, tmp_path):
+        # the two copies of base differ only in their seed; they rank 1st
+        # and 3rd, and only the rank-1 row, the one select_best picks, is
+        # the selected one
+        base = TrainConfig(eta=0.01, lam=0.1)
+        results = [GridResult(replace(base, seed=0), 0.4, 0.2),
+                   GridResult(replace(base, seed=1), 0.5, 0.5),
+                   GridResult(replace(base, eta=0.1, seed=2), 0.4, 0.4)]
+        path = tmp_path / "grid.tsv"
+        write_grid_report(results, path)
+        rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+        assert [(r[0], r[2], r[7], r[8]) for r in rows] == [
+            ("1", "0.01", "1.0", "1"), ("2", "0.1", "0.8", "0"), ("3", "0.01", repr(0.4 + 0.2), "0"),
+        ]
+        assert select_best(results) == 1

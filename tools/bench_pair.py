@@ -81,7 +81,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-metric medians, quartiles and pair wins over one workload's runs."""
     pairs = {}
     for run in runs:
-        pairs.setdefault(run["seed"], {})[run["side"]] = run
+        pairs.setdefault(run["pair"], {})[run["side"]] = run
     complete = [p for p in pairs.values() if len(p) == 2]
     ok = [p for p in complete if all(r["exit"] == 0 for r in p.values())]
     out = {"pairs": len(ok), "seeds": sorted(p["parent"]["seed"] for p in ok),
