@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from faultcast.lstm import LstmParams, Unroll, init_params, lstm_step, unroll, unroll_backward
-from faultcast.model import ModelDims, forward, init_model
+from faultcast.lstm import (
+    GATE_ORDER, LstmParams, Unroll, init_params, lstm_step, unroll, unroll_backward,
+)
+from faultcast.model import ModelDims, forward, init_model, param_items, param_size
 from faultcast.num import make_rng, sigmoid
 
 
@@ -339,6 +341,33 @@ class TestBackward:
             assert abs(numeric - gx[k]) / max(abs(numeric), abs(gx[k]), 1e-6) < 1e-4
 
 
+class TestParamAccounting:
+    """A cell of hidden h over i inputs has 4 (h^2 + h i + h) parameters:
+    each gate's (h, h + i) weight row block and (h,) bias block."""
+
+    @staticmethod
+    def cell_size(hidden, inputs):
+        return sum(arr.size for arr in init_params(make_rng(0), hidden, inputs))
+
+    def test_formula_values(self):
+        assert self.cell_size(1, 1) == 12
+        assert self.cell_size(2, 5) == 64
+        assert self.cell_size(6, 26) == 792
+
+    def test_matches_enumerated_scalars(self):
+        for hidden in range(1, 9):
+            for inputs in range(0, 41, 5):
+                params = init_params(make_rng(hidden + inputs), hidden, inputs)
+                total = 0
+                for block, _ in enumerate(GATE_ORDER):
+                    rows = slice(block * hidden, (block + 1) * hidden)
+                    assert params.W[rows].shape == (hidden, hidden + inputs)
+                    assert params.b[rows].shape == (hidden,)
+                    total += params.W[rows].size + params.b[rows].size
+                assert total == params.W.size + params.b.size
+                assert total == 4 * (hidden * hidden + hidden * inputs + hidden)
+
+
 class TestInit:
     def test_deterministic(self):
         a = init_params(make_rng(5), 3, 4)
@@ -427,3 +456,30 @@ class TestFusedCell:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for got, want in zip(grads, fused(ograds)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_gate_views_write_through(self):
+        # hidden 3, encoder input 4: the model file's per-gate views of the
+        # encoder are views of its fused W and b
+        model = init_model(make_rng(0), ModelDims(3, 1, 0, 2, 4))
+        model.theta[...] = 0.0
+        views = dict(param_items(model))
+        views["encoder.w_f"][0, :2] = (3.0, 4.0)
+        views["encoder.b_o"][...] = 7.0
+        views["encoder.w_c"][2, 4] = -1.0
+        # fused rows run f, i, o, c
+        cell = model.encoder
+        np.testing.assert_array_equal(cell.W[0, :2], (3.0, 4.0))
+        np.testing.assert_array_equal(cell.b[6:9], 7.0)
+        assert cell.W[11, 4] == -1.0
+        assert np.count_nonzero(cell.W) == 3 and np.count_nonzero(cell.b) == 3
+        assert np.count_nonzero(model.theta) == 6
+
+    def test_fused_write_shows_in_views(self):
+        dims = ModelDims(2, 1, 1, 2, 4)
+        model = init_model(make_rng(8), dims)
+        assert model.theta.size == param_size(dims)
+        model.encoder.W[2:4] = 5.0
+        views = dict(param_items(model))
+        np.testing.assert_array_equal(views["encoder.w_i"], np.full((2, 2 + dims.enc_input), 5.0))
+        assert not np.any(views["encoder.w_f"] == 5.0)
+        assert not np.any(views["decoder.w_i"] == 5.0)
