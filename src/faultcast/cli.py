@@ -64,6 +64,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _values(kind, sep=",", count=None):
+    """An argparse type: sep-separated `kind` values as a tuple, exactly
+    `count` of them when given; anything else is a usage error."""
+    def parse(text):
+        try:
+            values = tuple(kind(v) for v in text.split(sep))
+        except ValueError:
+            values = None
+        if values is None or count not in (None, len(values)):
+            want = f"{count or 'one or more'} {sep!r}-separated {kind.__name__} values"
+            raise argparse.ArgumentTypeError(f"need {want}, got {text!r}")
+        return values
+    return parse
+
+
 def _split_flags(p):
     p.add_argument("--n-train", type=int, default=500, help="training split size")
     p.add_argument("--n-val", type=int, default=100, help="validation split size")
@@ -95,14 +110,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tau", type=int, default=None)
     p.add_argument("--total-steps", type=int, default=None)
-    p.add_argument("--labels", type=int, default=None)
+    p.add_argument("--labels", dest="n_labels", type=int, default=None)
     p.add_argument("--d-obs", type=int, default=None)
     p.add_argument("--d-ctx", type=int, default=None)
     p.add_argument("--lag", type=float, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--thresholds", default=None, help="comma-separated, one per label")
-    p.add_argument("--rarity", default=None, help="comma-separated, one per label")
-    p.add_argument("--persistence", default=None, help="lo,hi step range")
+    p.add_argument("--noise", dest="noise_scale", type=float, default=None)
+    p.add_argument("--thresholds", type=_values(float), help="comma-separated, one per label")
+    p.add_argument("--rarity", type=_values(float), help="comma-separated, one per label")
+    p.add_argument("--persistence", type=_values(int, count=2), help="lo,hi step range")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("convert-phm", help="convert plant signals + fault log")
@@ -127,7 +142,8 @@ def build_parser() -> _Parser:
                    help="recording file (repeatable)")
     p.add_argument("--out", required=True)
     p.add_argument("--n-samples", type=int, required=True)
-    p.add_argument("--obs-cols", required=True, help="inclusive 0-based range lo:hi")
+    p.add_argument("--obs-cols", type=_values(int, ":", 2), required=True,
+                   help="inclusive 0-based range lo:hi")
     p.add_argument("--ctx-col", type=int, required=True)
     p.add_argument("--motion-col", type=int, required=True)
     p.add_argument("--object-col", type=int, required=True)
@@ -135,9 +151,9 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-overlap", action="store_true")
-    p.add_argument("--ctx-codes", default=None, help="comma-separated code list")
-    p.add_argument("--motion-codes", default=None)
-    p.add_argument("--object-codes", default=None)
+    p.add_argument("--ctx-codes", type=_values(int), help="comma-separated code list")
+    p.add_argument("--motion-codes", type=_values(int))
+    p.add_argument("--object-codes", type=_values(int))
     p.set_defaults(func=cmd_convert_har)
 
     p = sub.add_parser("train", help="train one model and fit its classifiers")
@@ -204,27 +220,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _csv_floats(text):
-    return tuple(float(v) for v in text.split(","))
-
-
 def cmd_generate(args) -> int:
     cfg = SynthConfig(seed=args.seed)
-    overrides = {}
-    for field, flag in (
-        ("tau", args.tau), ("total_steps", args.total_steps),
-        ("n_labels", args.labels), ("d_obs", args.d_obs), ("d_ctx", args.d_ctx),
-        ("lag", args.lag), ("noise_scale", args.noise),
-    ):
-        if flag is not None:
-            overrides[field] = flag
-    if args.thresholds is not None:
-        overrides["thresholds"] = _csv_floats(args.thresholds)
-    if args.rarity is not None:
-        overrides["rarity"] = _csv_floats(args.rarity)
-    if args.persistence is not None:
-        lo, hi = args.persistence.split(",")
-        overrides["persistence"] = (int(lo), int(hi))
+    # each flag's dest is the SynthConfig field it overrides
+    fields = ("tau", "total_steps", "n_labels", "d_obs", "d_ctx", "lag", "noise_scale",
+              "thresholds", "rarity", "persistence")
+    overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
     if "n_labels" in overrides:
         n = overrides["n_labels"]
         overrides.setdefault("thresholds", (cfg.thresholds[0],) * n)
@@ -260,16 +261,10 @@ def cmd_convert_phm(args) -> int:
 
 
 def cmd_convert_har(args) -> int:
-    lo, hi = args.obs_cols.split(":")
-    codes = {
-        name: None if getattr(args, name) is None
-        else [int(v) for v in getattr(args, name).split(",")]
-        for name in ("ctx_codes", "motion_codes", "object_codes")
-    }
     meta, samples = convert_activity_dat(
         args.data,
         n_samples=args.n_samples,
-        obs_cols=(int(lo), int(hi)),
+        obs_cols=args.obs_cols,
         ctx_col=args.ctx_col,
         motion_col=args.motion_col,
         object_col=args.object_col,
@@ -277,7 +272,9 @@ def cmd_convert_har(args) -> int:
         horizon=args.horizon,
         seed=args.seed,
         allow_overlap=not args.no_overlap,
-        **codes,
+        ctx_codes=args.ctx_codes,
+        motion_codes=args.motion_codes,
+        object_codes=args.object_codes,
     )
     save_dataset(args.out, meta, samples)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -291,7 +288,7 @@ def _load_splits(args):
     return meta, dims, parts
 
 
-def _train_config(args, seed=None) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     return TrainConfig(
         loss=args.loss,
         eta=args.eta,
@@ -300,7 +297,7 @@ def _train_config(args, seed=None) -> TrainConfig:
         batch_size=args.batch_size,
         max_epochs=args.max_epochs,
         patience=args.patience,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         clip_norm=args.clip_norm,
         optimizer=args.optimizer,
     )
@@ -346,14 +343,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_json(path):
+    """A JSON file's content; text that is not JSON raises DatasetError
+    naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DatasetError(f"{path}: invalid JSON ({exc})") from None
+
+
 def _read_grid_file(path, base: TrainConfig):
     """Grid points from a JSON list of {"eta", "lambda" (or "lam"), "beta"}
     objects; a missing key keeps the base config's value."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            points = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: invalid JSON ({exc})") from None
+    points = _read_json(path)
     if not isinstance(points, list) or not points:
         raise DatasetError(f"{path}: grid file must be a non-empty JSON list")
     grid = []
@@ -398,7 +401,7 @@ def cmd_gridsearch(args) -> int:
 _KIND_FLAG = {"svm": "svm", "threshold": "threshold_zero", "nearest-mean": "nearest_mean"}
 
 
-def _select_split(args, meta, samples):
+def _select_split(args, samples):
     if args.split == "all":
         return samples
     parts = dict(
@@ -447,7 +450,7 @@ def _score_split(args):
             raise DatasetError(
                 f"{args.data} has {name}={have} but model {args.model} has {name}={want}"
             )
-    part = _select_split(args, meta, samples)
+    part = _select_split(args, samples)
     if not part:
         return meta, classifiers, None, None, None
     obs, ctx, labels, steps = stack_samples(part)
@@ -569,10 +572,13 @@ def _flatten(doc, prefix=""):
 
 
 def cmd_compare(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = _flatten(json.load(fh))
-    with open(args.baseline, "r", encoding="utf-8") as fh:
-        baseline = _flatten(json.load(fh))
+    flat = []
+    for path in (args.report, args.baseline):
+        doc = _read_json(path)
+        if not isinstance(doc, dict):
+            raise DatasetError(f"{path}: a report must be a JSON object")
+        flat.append(_flatten(doc))
+    report, baseline = flat
     shared = sorted(set(report) & set(baseline))
     if not shared:
         raise DatasetError("the two reports share no numeric fields")

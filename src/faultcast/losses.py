@@ -10,6 +10,7 @@ Each per-sample function accepts an optional leading batch axis and then
 returns one loss per sample. batch_adjoints is the one batch objective: a
 single pass gives the loss breakdown together with the adjoints that
 model.backward and the optimizer need; batch_loss is its breakdown alone.
+Their inputs carry a batch axis; one sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -140,6 +141,13 @@ def _l2_terms(model, lam, zero):
     return reg, grad.theta
 
 
+def _checked(name: str, a, shape: tuple) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"shape mismatch: {name} must be {shape}, got {a.shape}")
+    return a
+
+
 def _pair_stats(embeddings: np.ndarray, labels: np.ndarray):
     """Similarity, target, and sign(g_i - g_j) for every ordered pair."""
     diff = embeddings[..., :, None, :] - embeddings[..., None, :, :]
@@ -172,8 +180,10 @@ def batch_adjoints(
     Returns (breakdown, d_step_scores, d_embedding, d_theta). d_embedding
     holds the pair term and the label-probability path through
     y = sigmoid(g); d_theta is the l2 term's gradient in the model's
-    parameter layout (see _l2_terms), None without a model. The adjoints
-    carry the prediction's batching. For a population's (G, B, ...)
+    parameter layout (see _l2_terms), None without a model. Inputs and
+    adjoints carry a batch axis: labels are shaped like label_probs, (B, L),
+    and step_labels like step_scores, (B, horizon, L); any other shape
+    raises ValueError naming the input. For a population's (G, B, ...)
     predictions, lam and beta may be (G,) vectors, pairs stay within a
     member, and every field of the breakdown is a (G,) vector.
 
@@ -186,13 +196,13 @@ def batch_adjoints(
         raise ValueError(f"unknown loss kind {kind!r}")
     # float arrays with a batch axis: (..., B, L) and (..., B, horizon, L)
     y = np.asarray(pred.label_probs, dtype=np.float64)
-    single = y.ndim == 1
-    y = y[None] if single else y
-    t = np.asarray(labels, dtype=np.float64).reshape(y.shape)
-    g = np.asarray(pred.embedding, dtype=np.float64).reshape(y.shape)
     o = np.asarray(pred.step_scores, dtype=np.float64)
-    o = o.reshape(y.shape[:-1] + o.shape[-2:])
-    ot = np.asarray(step_labels, dtype=np.float64).reshape(o.shape)
+    if y.ndim < 2 or o.shape[:-2] + o.shape[-1:] != y.shape:
+        raise ValueError(f"shape mismatch: label_probs {y.shape} and step_scores {o.shape} "
+                         "must be (batch, labels) and (batch, horizon, labels)")
+    t = _checked("labels", labels, y.shape)
+    g = _checked("embedding", pred.embedding, y.shape)
+    ot = _checked("step_labels", step_labels, o.shape)
     n = y.shape[-2]
     if kind == "siamese" and n < 2:
         raise ValueError("siamese loss needs a batch of at least 2 samples")
@@ -245,6 +255,4 @@ def batch_adjoints(
     total = l_seg + l_step + l_pair + reg
     parts = (total, l_seg, l_step, l_pair, reg)
     breakdown = LossBreakdown(*(map(float, parts) if y.ndim == 2 else parts))
-    if single:
-        do, dg = do[0], dg[0]
     return breakdown, do, dg, d_theta

@@ -8,11 +8,12 @@ sigmoid(h_prev)]: future context plus the squashed previous hidden state,
 which acts as the fed-back stepwise estimate. The encoder's final hidden
 state seeds the first feedback.
 
-Outputs for one sample:
+Inputs carry a batch axis; one sample is a batch of one. Outputs for a
+batch of B samples:
 
-    embedding   g = sum of decoder hidden states + out_bias        (n_labels,)
-    label_probs y = sigmoid(g)                                     (n_labels,)
-    step_scores o_t = sigmoid(h_t) * sigmoid(g)          (horizon, n_labels)
+    embedding   g = sum of decoder hidden states + out_bias     (B, n_labels)
+    label_probs y = sigmoid(g)                                  (B, n_labels)
+    step_scores o_t = sigmoid(h_t) * sigmoid(g)       (B, horizon, n_labels)
 
 Hidden width equals the number of labels, so each embedding dimension lines
 up with one label. Both networks are single layer by construction.
@@ -177,7 +178,6 @@ class Tape:
     """Forward intermediates needed by backward(): each cell's slabs (see
     lstm.py). One per forward call; backward consumes it."""
 
-    batched: bool
     encoder: Unroll
     decoder: Unroll
     label_probs: np.ndarray  # (..., B, L)
@@ -219,12 +219,11 @@ def param_items(model: ForecastModel) -> list[tuple[str, np.ndarray]]:
 
 def _check_input(name: str, x: np.ndarray, steps: int, width: int, population) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if population is None:
-        ok = x.ndim in (2, 3)
-        want = f"({steps}, {width}) or (batch, {steps}, {width})"
-    else:
-        ok = x.ndim == 3 or (x.ndim == 4 and x.shape[0] == population)
-        want = f"(batch, {steps}, {width}) or ({population}, batch, {steps}, {width})"
+    want = f"(batch, {steps}, {width})"
+    ok = x.ndim == 3
+    if population is not None:
+        ok = ok or (x.ndim == 4 and x.shape[0] == population)
+        want += f" or ({population}, batch, {steps}, {width})"
     if not ok or x.shape[-2:] != (steps, width):
         raise ValueError(f"shape mismatch: {name} must be {want}, got {x.shape}")
     return x
@@ -245,12 +244,11 @@ def _batch_major(a: np.ndarray) -> np.ndarray:
 def forward(
     model: ForecastModel, obs: np.ndarray, ctx: np.ndarray, keep_tape: bool = True
 ) -> tuple[Prediction, Tape | None]:
-    """Run the network on one sample or a batch.
+    """Run the network on a batch; one sample is a batch of one.
 
-    obs is (tau, d_obs) or (B, tau, d_obs); ctx is (total_steps, d_ctx) or
-    (B, total_steps, d_ctx). Outputs mirror the input's batching. A
-    population takes one batch per member, (G, B, ...), or one (B, ...)
-    batch that every member sees, and returns (G, B, ...) outputs.
+    obs is (B, tau, d_obs) and ctx (B, total_steps, d_ctx); outputs are (B,
+    ...). A population takes one batch per member, (G, B, ...), or one (B,
+    ...) batch that every member sees, and returns (G, B, ...) outputs.
 
     With keep_tape the cells' slabs keep every step, for backward. Without
     it the encoder keeps one step of slabs and the decoder one step plus
@@ -265,10 +263,7 @@ def forward(
             f"shape mismatch: observations {obs.shape} and context {ctx.shape} "
             f"disagree on batching"
         )
-    batched = obs.ndim > 2
-    if not batched:
-        obs, ctx = obs[None], ctx[None]
-    elif population is not None and obs.ndim == 3:
+    if population is not None and obs.ndim == 3:
         obs = np.broadcast_to(obs, (population,) + obs.shape)
         ctx = np.broadcast_to(ctx, (population,) + ctx.shape)
     n, tau = dims.n_labels, dims.tau
@@ -293,12 +288,7 @@ def forward(
     y = sigmoid(g)
     o = np.multiply(_batch_major(dec.z[1:, ..., n:, :]), y[..., None, :], order="C")
     dec_h = np.ascontiguousarray(_batch_major(hidden))
-
-    if batched:
-        pred = Prediction(g, y, o, dec_h)
-    else:
-        pred = Prediction(g[0], y[0], o[0], dec_h[0])
-    return pred, Tape(batched, enc, dec, y) if keep_tape else None
+    return Prediction(g, y, o, dec_h), Tape(enc, dec, y) if keep_tape else None
 
 
 def predict(model: ForecastModel, obs: np.ndarray, ctx: np.ndarray) -> Prediction:
@@ -315,13 +305,13 @@ def backward(
 ) -> ForecastModel:
     """Exact gradients of a scalar with the given upstream adjoints.
 
-    The adjoints carry the same (possibly unbatched) shapes the matching
-    Prediction fields had. A scalar that reads label_probs = sigmoid(g)
-    passes that path in d_embedding (losses.batch_adjoints does). Covers
-    every other path: the embedding's appearance in each step score, the
-    decoder's sigmoid(h) feedback input, and the encoder's hidden-state
-    feedback input. The tape's slabs become adjoint slabs, so a tape
-    serves one backward call.
+    The adjoints carry the shapes of the matching Prediction fields, batch
+    axis included; None stands for zeros. A scalar that reads label_probs =
+    sigmoid(g) passes that path in d_embedding (losses.batch_adjoints does).
+    Covers every other path: the embedding's appearance in each step score,
+    the decoder's sigmoid(h) feedback input, and the encoder's hidden-state
+    feedback input. The tape's slabs become adjoint slabs, so a tape serves
+    one backward call.
     """
     dims = model.dims
     if tape.encoder is None:
@@ -329,18 +319,14 @@ def backward(
     lead = tape.label_probs.shape[:-1]  # (B,), or (G, B) for a population
     n, horizon = dims.n_labels, dims.horizon
 
-    def promote(adj, shape):
-        if adj is None:
-            return np.zeros(shape)
-        adj = np.asarray(adj, dtype=np.float64)
-        if not tape.batched:
-            adj = adj[None]
+    def adjoint(adj, shape):
+        adj = np.zeros(shape) if adj is None else np.asarray(adj, dtype=np.float64)
         if adj.shape != shape:
             raise ValueError(f"adjoint shape {adj.shape} does not match {shape}")
         return adj
 
-    do = _feature_major(promote(d_step_scores, lead + (horizon, n)))
-    dg_extra = promote(d_embedding, lead + (n,)).swapaxes(-1, -2)
+    do = _feature_major(adjoint(d_step_scores, lead + (horizon, n)))
+    dg_extra = adjoint(d_embedding, lead + (n,)).swapaxes(-1, -2)
     y = tape.label_probs.swapaxes(-1, -2)  # (..., L, B), like every adjoint below
     enc, dec = tape.encoder, tape.decoder
     tape.encoder = tape.decoder = None

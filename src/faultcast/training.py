@@ -262,7 +262,6 @@ def train_population(
         return [(stack.member(k), []) for k in range(len(models))]
 
     obs, ctx, labels, step_labels = stack_samples(train_samples)
-    _check_dims(stack.dims, obs, ctx, labels)
     weights = class_weights(labels)
     scored_samples = val_samples if val_samples else train_samples
     runs = [_Run(make_rng(cfg.seed + 2), stack.member(k)) for k, cfg in enumerate(configs)]
@@ -360,23 +359,6 @@ def train_population(
         if len(keep) < len(active):
             keep_members(np.array(keep, dtype=np.intp))
     return [(run.best, run.history) for run in runs]
-
-
-def _check_dims(dims: ModelDims, obs, ctx, labels):
-    if obs.shape[1:] != (dims.tau, dims.d_obs):
-        raise ValueError(
-            f"dataset observations {obs.shape[1:]} do not match model "
-            f"({dims.tau}, {dims.d_obs})"
-        )
-    if ctx.shape[1:] != (dims.total_steps, dims.d_ctx):
-        raise ValueError(
-            f"dataset context {ctx.shape[1:]} do not match model "
-            f"({dims.total_steps}, {dims.d_ctx})"
-        )
-    if labels.shape[1] != dims.n_labels:
-        raise ValueError(
-            f"dataset has {labels.shape[1]} labels, model expects {dims.n_labels}"
-        )
 
 
 def write_history(history: list[EpochRecord], path) -> None:

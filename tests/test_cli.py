@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from faultcast.classifiers import classifier_from_dict, classify
-from faultcast.cli import main
+from faultcast.cli import build_parser, main
 from faultcast.data import load_dataset, split_samples, stack_samples
 from faultcast.model import forward, load_model
 
@@ -347,9 +347,64 @@ class TestCompare:
         assert all(v == 0.0 for v in diff.values())
 
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"a": 1', "invalid JSON"), ("[1, 2]", "a report must be a JSON object"),
+        ("3", "a report must be a JSON object"), ("null", "a report must be a JSON object"),
+    ])
+    def test_report_that_is_no_json_object_is_data_error(self, tmp_path, capsys, text,
+                                                         message):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"a": 1}')
+        bad.write_text(text)
+        for report, baseline in ((bad, good), (good, bad)):
+            assert run("compare", "--report", str(report), "--baseline", str(baseline),
+                       "--out", str(tmp_path / "diff")) == 2
+            assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "diff.json").exists()
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run("frobnicate") == 1
+
+    def test_list_flags_parse_to_tuples(self, tmp_path):
+        parser = build_parser()
+        args = parser.parse_args(["generate", "--out", "d", "--thresholds", "0.5,1",
+                                  "--rarity", "2", "--persistence", "1,3"])
+        assert (args.thresholds, args.rarity, args.persistence) == ((0.5, 1.0), (2.0,), (1, 3))
+        args = parser.parse_args(["convert-har", "--data", "r", "--out", "o", "--n-samples", "1",
+                                  "--obs-cols", "1:2", "--ctx-col", "3", "--motion-col", "4",
+                                  "--object-col", "5", "--ctx-codes", "1,2"])
+        assert (args.obs_cols, args.ctx_codes, args.motion_codes) == ((1, 2), (1, 2), None)
+        out = tmp_path / "d.jsonl"
+        assert run("generate", "--out", str(out), "--n", "10", "--thresholds", "0.5,0.5,1,1",
+                   "--rarity", "1,2,3,4", "--persistence", "1,3") == 0
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--persistence", "2"), ("--persistence", "2,3,4"), ("--persistence", "2,x"),
+        ("--thresholds", "0.5,,0.5"), ("--rarity", "one"),
+    ])
+    def test_malformed_generate_list_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d.jsonl"
+        assert run("generate", "--out", str(out), "--n", "10", flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and f"argument {flag}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--obs-cols", "1"), ("--obs-cols", "1:x"), ("--ctx-codes", "1,x"),
+        ("--motion-codes", "1;2"), ("--object-codes", ""),
+    ])
+    def test_malformed_convert_har_list_flag_is_usage_error(self, tmp_path, capsys, flag,
+                                                            value):
+        out = tmp_path / "har.jsonl"
+        flags = {"--obs-cols": "1:2", flag: value}
+        assert run("convert-har", "--data", str(tmp_path / "rec.dat"), "--out", str(out),
+                   "--n-samples", "1", "--ctx-col", "3", "--motion-col", "4",
+                   "--object-col", "5", *(x for item in flags.items() for x in item)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and f"argument {flag}" in err
+        assert not out.exists()
 
     def test_missing_required_flag(self):
         assert run("generate") == 1

@@ -322,6 +322,22 @@ class TestBatchLoss:
             got = batch_adjoints(kind, pred, labels, steps, w, model, 0.3, 0.6)[0]
             assert got == batch_loss(kind, pred, labels, steps, w, model, 0.3, 0.6)
 
+    def test_inputs_of_another_shape_rejected(self):
+        # (3, 2) labels hold as many entries as a (2, 3) batch needs, and
+        # (2, 3, 4) step targets as many as (2, 4, 3) scores; neither is
+        # reshaped into place, and a sample without its batch axis is no batch
+        pred = make_pred(make_rng(18), 2, horizon=4, n_labels=3)
+        labels, steps = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), np.zeros((2, 4, 3))
+        w = weights_of(1.0, 1.0, 1.0)
+        batch_adjoints("localize", pred, labels, steps, w)
+        with pytest.raises(ValueError, match=r"labels must be \(2, 3\), got \(3, 2\)"):
+            batch_adjoints("localize", pred, labels.reshape(3, 2), steps, w)
+        with pytest.raises(ValueError, match=r"step_labels must be \(2, 4, 3\), got \(2, 3, 4\)"):
+            batch_adjoints("localize", pred, labels, steps.reshape(2, 3, 4), w)
+        one = FakePrediction(pred.embedding[0], pred.label_probs[0], pred.step_scores[0])
+        with pytest.raises(ValueError, match="label_probs"):
+            batch_adjoints("localize", one, labels[0], steps[0], w)
+
     def test_l2_gradient_is_lam_times_weights(self):
         model = init_model(make_rng(3), ModelDims(2, 1, 1, 2, 5))
         pred = make_pred(make_rng(17), 2)

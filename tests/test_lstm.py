@@ -172,7 +172,9 @@ def unroll_backward_cell(params, cell, dh_steps, dh_fin, dc_fin):
 
 
 def one_sample(rng, dims):
-    return rng.normal(size=(dims.tau, dims.d_obs)), rng.normal(size=(dims.total_steps, dims.d_ctx))
+    """(obs, ctx) of one sample, as a batch of one."""
+    return (rng.normal(size=(1, dims.tau, dims.d_obs)),
+            rng.normal(size=(1, dims.total_steps, dims.d_ctx)))
 
 
 def column(v):
@@ -201,8 +203,8 @@ class TestForward:
         pred = forward(model, obs, ctx)[0]
         W, b, zero = model.decoder.W, model.decoder.b, np.zeros(2)
         w = np.concatenate([W[:, :2], W[:, 5:], W[:, 2:5], column(b)], axis=1)
-        h, _ = model_cell_step(w, zero, zero, ctx[0], feedback=True)
-        np.testing.assert_array_equal(pred.step_hidden[0], h)
+        h, _ = model_cell_step(w, zero, zero, ctx[0, 0], feedback=True)
+        np.testing.assert_array_equal(pred.step_hidden[0, 0], h)
 
     def test_three_steps_equal_chained_calls(self):
         # tau 1, horizon 2: one encoder step, then two decoder steps, each
@@ -214,12 +216,12 @@ class TestForward:
         pred = forward(model, obs, ctx)[0]
         W, b = model.encoder.W, model.encoder.b
         w = np.concatenate([W[:, :2] + W[:, 5:], W[:, 2:5], column(b)], axis=1)
-        h, c = model_cell_step(w, np.zeros(2), np.zeros(2), np.concatenate([obs[0], ctx[0]]))
+        h, c = model_cell_step(w, np.zeros(2), np.zeros(2), np.concatenate([obs[0, 0], ctx[0, 0]]))
         W, b = model.decoder.W, model.decoder.b
         w = np.concatenate([W[:, :2], W[:, 3:], W[:, 2:3], column(b)], axis=1)
         for t in (1, 2):
-            h, c = model_cell_step(w, h, c, ctx[t], feedback=True)
-            np.testing.assert_array_equal(pred.step_hidden[t - 1], h)
+            h, c = model_cell_step(w, h, c, ctx[0, t], feedback=True)
+            np.testing.assert_array_equal(pred.step_hidden[0, t - 1], h)
 
     def test_hidden_state_bounded(self):
         rng = make_rng(9)

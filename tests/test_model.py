@@ -81,10 +81,10 @@ def straight_line_oracle(model, obs, ctx):
     return np.array(g), np.array(y), np.array(o)
 
 
-def rand_inputs(rng, dims, batch=None):
-    shape_obs = (dims.tau, dims.d_obs) if batch is None else (batch, dims.tau, dims.d_obs)
-    shape_ctx = (dims.total_steps, dims.d_ctx) if batch is None else (batch, dims.total_steps, dims.d_ctx)
-    return rng.normal(size=shape_obs), rng.normal(size=shape_ctx)
+def rand_inputs(rng, dims, batch=1):
+    """(obs, ctx) for a batch; one sample is a batch of one."""
+    return (rng.normal(size=(batch, dims.tau, dims.d_obs)),
+            rng.normal(size=(batch, dims.total_steps, dims.d_ctx)))
 
 
 class TestForward:
@@ -94,10 +94,10 @@ class TestForward:
             arr[...] = 0.0
         obs, ctx = rand_inputs(make_rng(1), DIMS)
         pred = predict(model, obs, ctx)
-        np.testing.assert_array_equal(pred.embedding, np.zeros(2))
-        np.testing.assert_allclose(pred.label_probs, 0.5)
-        np.testing.assert_allclose(pred.step_scores, 0.25)
-        np.testing.assert_array_equal(pred.step_hidden, np.zeros((2, 2)))
+        np.testing.assert_array_equal(pred.embedding[0], np.zeros(2))
+        np.testing.assert_allclose(pred.label_probs[0], 0.5)
+        np.testing.assert_allclose(pred.step_scores[0], 0.25)
+        np.testing.assert_array_equal(pred.step_hidden[0], np.zeros((2, 2)))
 
     def test_bias_only_model(self):
         dims = ModelDims(n_labels=1, d_obs=2, d_ctx=1, tau=3, total_steps=5)
@@ -107,19 +107,19 @@ class TestForward:
         model.out_bias[0] = math.log(3.0)
         obs, ctx = rand_inputs(make_rng(2), dims)
         pred = predict(model, obs, ctx)
-        np.testing.assert_allclose(pred.embedding, [math.log(3.0)])
-        np.testing.assert_allclose(pred.label_probs, [0.75], atol=1e-15)
-        np.testing.assert_allclose(pred.step_scores, 0.375, atol=1e-15)
+        np.testing.assert_allclose(pred.embedding[0], [math.log(3.0)])
+        np.testing.assert_allclose(pred.label_probs[0], [0.75], atol=1e-15)
+        np.testing.assert_allclose(pred.step_scores[0], 0.375, atol=1e-15)
 
     def test_matches_straight_line_oracle(self):
         rng = make_rng(33)
         model = tiny_model(7)
         obs, ctx = rand_inputs(rng, DIMS)
         pred = predict(model, obs, ctx)
-        g, y, o = straight_line_oracle(model, obs, ctx)
-        np.testing.assert_allclose(pred.embedding, g, atol=1e-12)
-        np.testing.assert_allclose(pred.label_probs, y, atol=1e-12)
-        np.testing.assert_allclose(pred.step_scores, o, atol=1e-12)
+        g, y, o = straight_line_oracle(model, obs[0], ctx[0])
+        np.testing.assert_allclose(pred.embedding[0], g, atol=1e-12)
+        np.testing.assert_allclose(pred.label_probs[0], y, atol=1e-12)
+        np.testing.assert_allclose(pred.step_scores[0], o, atol=1e-12)
 
     def test_batch_matches_per_sample(self):
         rng = make_rng(4)
@@ -128,9 +128,10 @@ class TestForward:
         batch_pred = predict(model, obs, ctx)
         assert batch_pred.label_probs.shape == (4, 2)
         for k in range(4):
-            single = predict(model, obs[k], ctx[k])
-            np.testing.assert_allclose(batch_pred.embedding[k], single.embedding, atol=1e-12)
-            np.testing.assert_allclose(batch_pred.step_scores[k], single.step_scores, atol=1e-12)
+            # row k of the batch against a batch of one
+            one = predict(model, obs[k : k + 1], ctx[k : k + 1])
+            np.testing.assert_allclose(batch_pred.embedding[k], one.embedding[0], atol=1e-12)
+            np.testing.assert_allclose(batch_pred.step_scores[k], one.step_scores[0], atol=1e-12)
 
     def test_predict_identical_to_forward(self):
         rng = make_rng(6)
@@ -174,11 +175,11 @@ class TestForward:
         base = predict(model, obs, ctx).embedding
         for t in range(DIMS.tau):
             bumped = obs.copy()
-            bumped[t] += 0.5
+            bumped[0, t] += 0.5
             assert not np.allclose(predict(model, bumped, ctx).embedding, base)
         for t in range(DIMS.tau, DIMS.total_steps):
             bumped = ctx.copy()
-            bumped[t] += 0.5
+            bumped[0, t] += 0.5
             assert not np.allclose(predict(model, obs, bumped).embedding, base)
 
     def test_shape_errors_name_offender(self):
@@ -186,9 +187,14 @@ class TestForward:
         rng = make_rng(16)
         obs, ctx = rand_inputs(rng, DIMS)
         with pytest.raises(ValueError, match="observations"):
-            predict(model, obs[:, :1], ctx)
+            predict(model, obs[..., :1], ctx)
         with pytest.raises(ValueError, match="context"):
-            predict(model, obs, ctx[:-1])
+            predict(model, obs, ctx[:, :-1])
+        # one sample is a batch of one; a (tau, d_obs) array is no batch
+        with pytest.raises(ValueError, match=r"observations must be \(batch, 3, 2\)"):
+            predict(model, obs[0], ctx[0])
+        with pytest.raises(ValueError, match=r"context must be \(batch, 5, 1\)"):
+            predict(model, obs, ctx[0])
 
 
 def functional_value(model, obs, ctx, do, dg):
@@ -244,8 +250,8 @@ class TestBackward:
         pred, tape = forward(model, obs, ctx)
         do = rng.normal(size=pred.step_scores.shape)
         grads = backward(model, tape, d_step_scores=do)
-        y = pred.label_probs
-        expected = (do * sigmoid(pred.step_hidden)).sum(axis=0) * y * (1.0 - y)
+        y = pred.label_probs[0]
+        expected = (do[0] * sigmoid(pred.step_hidden[0])).sum(axis=0) * y * (1.0 - y)
         np.testing.assert_allclose(grads.out_bias, expected, atol=1e-12)
 
     def test_adjoint_shape_check(self):
@@ -254,7 +260,9 @@ class TestBackward:
         obs, ctx = rand_inputs(rng, DIMS)
         _, tape = forward(model, obs, ctx)
         with pytest.raises(ValueError, match="adjoint"):
-            backward(model, tape, d_embedding=np.zeros(3))
+            backward(model, tape, d_embedding=np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="adjoint"):
+            backward(model, tape, d_embedding=np.zeros(2))  # no batch axis
 
 
 class TestPopulation:
@@ -284,7 +292,7 @@ class TestPopulation:
     def test_shared_batch_reaches_every_member(self):
         models = [tiny_model(seed) for seed in (4, 5)]
         obs, ctx = rand_inputs(make_rng(41), DIMS)
-        obs, ctx = np.stack([obs] * 3), np.stack([ctx] * 3)
+        obs, ctx = np.concatenate([obs] * 3), np.concatenate([ctx] * 3)
         pred = predict(stack_models(models), obs, ctx)
         for k, model in enumerate(models):
             assert pred.embedding[k].tobytes() == predict(model, obs, ctx).embedding.tobytes()
@@ -293,9 +301,9 @@ class TestPopulation:
         stack = stack_models([tiny_model(1), tiny_model(2)])
         obs, ctx = rand_inputs(make_rng(42), DIMS)
         with pytest.raises(ValueError, match="observations must be .*2, batch"):
-            predict(stack, obs, ctx)  # unbatched
+            predict(stack, obs[0], ctx[0])  # unbatched
         with pytest.raises(ValueError, match="observations"):
-            predict(stack, np.stack([obs[None]] * 3), np.stack([ctx[None]] * 3))  # G=3
+            predict(stack, np.stack([obs] * 3), np.stack([ctx] * 3))  # G=3
         with pytest.raises(ValueError, match="dims"):
             stack_models([tiny_model(1), tiny_model(1, ModelDims(2, 2, 1, 2, 5))])
 
@@ -513,10 +521,10 @@ class TestModelFileCompatibility:
         model, classifiers = load_model(FIXTURE)
         assert classifiers == {"segment": {"kind": "threshold_zero"}}
         rng = make_rng(11)
-        obs, ctx = rng.normal(size=(3, 2)), rng.normal(size=(5, 1))
+        obs, ctx = rng.normal(size=(1, 3, 2)), rng.normal(size=(1, 5, 1))
         pred = predict(model, obs, ctx)
-        np.testing.assert_allclose(pred.embedding, FIXTURE_EMBEDDING, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pred.step_scores, FIXTURE_STEP_SCORES, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pred.embedding[0], FIXTURE_EMBEDDING, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pred.step_scores[0], FIXTURE_STEP_SCORES, rtol=0, atol=1e-12)
 
     def test_per_gate_file_resaves_byte_identically(self, tmp_path):
         model, classifiers = load_model(FIXTURE)

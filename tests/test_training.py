@@ -205,6 +205,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="observations"):
             train(model, samples, [], TrainConfig(max_epochs=1))
 
+    def test_label_count_mismatch_rejected(self):
+        # the samples carry 2 labels, the model 3; the objective names the
+        # labels before any update, so the input model stays as it was
+        samples = tiny_synth(6)
+        model = init_model(make_rng(0), replace(TINY, n_labels=3))
+        before = model.theta.copy()
+        with pytest.raises(ValueError, match=r"labels must be \(6, 3\), got \(6, 2\)"):
+            train(model, samples, [], TrainConfig(max_epochs=1))
+        assert model.theta.tobytes() == before.tobytes()
+
     def test_loss_choice_never_changes_parameter_set(self):
         # the three configurations differ only in the objective; the trained
         # parameter names and shapes stay identical, so scores are comparable
