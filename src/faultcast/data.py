@@ -50,6 +50,8 @@ class DatasetMeta:
                 f"need 0 <= tau < total_steps, got tau={self.tau}, "
                 f"total_steps={self.total_steps}"
             )
+        if self.d_obs < 0 or self.d_ctx < 0:
+            raise DatasetError(f"negative feature dims: d_obs={self.d_obs}, d_ctx={self.d_ctx}")
         if len(self.label_names) != self.n_labels:
             raise DatasetError(
                 f"{len(self.label_names)} label names for {self.n_labels} labels"
@@ -298,6 +300,8 @@ def _lag_path(ctx: np.ndarray, lag: float) -> np.ndarray:
 
 def synth_generate(config: SynthConfig, n: int) -> tuple[DatasetMeta, list[Sample]]:
     """Generate n samples; deterministic for a given (config, n)."""
+    if n < 0:
+        raise ValueError(f"sample count n must be >= 0, got {n}")
     rng = make_rng(config.seed)
     steps, tau = config.total_steps, config.tau
     horizon = steps - tau

@@ -129,10 +129,10 @@ def l2_penalty(model, lam):
 
 def _l2_terms(model, lam, zero):
     """l2_penalty per member and its gradient in the model's parameter
-    layout: lam * W in both cells' W blocks, 0 elsewhere. A member with lam 0
-    gets exactly 0 from both, even from non-finite weights."""
+    layout: lam * W in both cells' W blocks, 0 elsewhere, or None if every
+    lam is 0. A member with lam 0 gets exactly 0, even from non-finite W."""
     if not (lam.any() if isinstance(lam, np.ndarray) else lam):
-        return zero, np.zeros_like(model.theta)
+        return zero, None
     reg = np.where(np.asarray(lam) != 0.0, l2_penalty(model, lam), 0.0)
     grad = zeros_grads(model.dims, model.population)
     lam_w = per_member(lam, 2)
@@ -180,12 +180,12 @@ def batch_adjoints(
     Returns (breakdown, d_step_scores, d_embedding, d_theta). d_embedding
     holds the pair term and the label-probability path through
     y = sigmoid(g); d_theta is the l2 term's gradient in the model's
-    parameter layout (see _l2_terms), None without a model. Inputs and
-    adjoints carry a batch axis: labels are shaped like label_probs, (B, L),
-    and step_labels like step_scores, (B, horizon, L); any other shape
-    raises ValueError naming the input. For a population's (G, B, ...)
-    predictions, lam and beta may be (G,) vectors, pairs stay within a
-    member, and every field of the breakdown is a (G,) vector.
+    parameter layout (see _l2_terms), None without a model or a nonzero lam.
+    Inputs and adjoints carry a batch axis: labels are shaped like
+    label_probs, (B, L), and step_labels like step_scores, (B, horizon, L);
+    any other shape raises ValueError naming the input. For a population's
+    (G, B, ...) predictions, lam and beta may be (G,) vectors, pairs stay
+    within a member, and every field of the breakdown is a (G,) vector.
 
     The segment term uses probabilities clamped to [EPS, 1 - EPS]. Where y
     lies outside that range the clamp would flatten it, so there the term is

@@ -26,6 +26,8 @@ writes its h straight into the next step's recurrent input row. Backward
 forms the local derivatives once over the slabs, in place, scales them step
 by step into the adjoint slab and gets dW and db from one matmul and one sum
 over the (time x batch) columns (Appleyard et al. 2016, arXiv:1604.01946).
+An Unroll is built once per shape and refilled by load for each batch: the
+"persistent" idea of Diamos et al. 2016 (Persistent RNNs), across batches.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def _steps_to_columns(a: np.ndarray) -> np.ndarray:
 
 
 class Unroll:
-    """One cell's weights and slabs for `steps` steps.
+    """One cell's weights and slabs for `steps` steps of a batch, allocated
+    for the shapes of w, h0 and c0, then loaded with them (see load).
 
     w (..., 4L, R + I + 1) holds the columns [W_rec | W_x | b]; h0 and c0
     (..., L, B) are the initial state. The recurrent input z is [h;
@@ -90,34 +93,65 @@ class Unroll:
     keeps all steps; untaped, only z does, and only with feedback. Slabs,
     step t in row t % rows: z (steps + 1 or 2 rows), z[0] from h0; gates
     (window, ..., 4L, B), gate-major as gates4 (window, 4, ..., L, B); c
-    (window + 1 rows), c[0] = c0; tanh_c (window rows); x (steps, ..., I,
-    B), taped only.
+    (window + 1 rows), c[0] = c0; tanh_c (window rows); x (window, ..., I,
+    B), the inputs; taped, values (steps, ..., 3L, B) and the dW columns
+    cols (..., R + I, steps, B) for backward. All are blocks of one array,
+    memory, taken from `memory` if large enough: unrolls sharing it must not
+    be in use at once. fwd and bwd hold each step's views into the slabs.
     """
 
-    __slots__ = ("n", "steps", "window", "feedback", "w_rec_t", "w_rec_half", "w_x_half",
-                 "b_half", "x", "z", "gates", "gates4", "c", "tanh_c")
+    __slots__ = ("n", "steps", "window", "feedback", "memory", "w_rec_t", "half", "w_rec_half",
+                 "w_x_half", "b_half", "x", "z", "gates", "gates4", "c", "tanh_c", "values",
+                 "cols", "fwd", "bwd")
 
-    def __init__(self, w, h0, c0, steps: int, taped: bool = True, feedback: bool = False):
+    def __init__(self, w, h0, c0, steps: int, taped: bool = True, feedback: bool = False,
+                 memory: np.ndarray | None = None):
         *lead, n, batch = h0.shape
         lead, rec = tuple(lead), 2 * n if feedback else n
         if w.shape[-2] != 4 * n or w.shape[-1] <= rec:
             raise ValueError(f"shape mismatch: weights {w.shape} for hidden {n}, recurrent {rec}")
         self.n, self.steps, self.feedback = n, steps, feedback
-        self.window = max(steps, 1) if taped else 1
-        half = w.copy()
-        half[..., : 3 * n, :] *= 0.5  # exact
-        self.w_rec_t, self.w_rec_half = w[..., :rec].swapaxes(-1, -2), half[..., :rec]
-        self.w_x_half, self.b_half = half[..., rec:-1], half[..., -1:]
-        self.x = np.empty((0,) + lead + (w.shape[-1] - rec - 1, batch))
-        self.z = np.empty((steps + 1 if taped or feedback else 2,) + lead + (rec, batch))
+        gr = self.window = max(steps, 1) if taped else 1
+        inputs, kept = w.shape[-1] - rec - 1, steps if taped else 0
+        shapes = {"half": w.shape, "x": (gr,) + lead + (inputs, batch),
+                  "z": (steps + 1 if taped or feedback else 2,) + lead + (rec, batch),
+                  "gates": (gr,) + lead + (4 * n, batch), "c": (gr + 1,) + lead + (n, batch),
+                  "tanh_c": (gr,) + lead + (n, batch), "values": (kept,) + lead + (3 * n, batch),
+                  "cols": lead + (rec + inputs, kept, batch)}
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if memory is None or memory.size < sum(sizes):
+            memory = np.empty(sum(sizes))
+        self.memory = memory
+        for (name, shape), block in zip(shapes.items(), np.split(memory, np.cumsum(sizes))):
+            setattr(self, name, block.reshape(shape))
+        self.w_rec_half, self.w_x_half = self.half[..., :rec], self.half[..., rec:-1]
+        self.b_half = self.half[..., -1:]
+        # lead is () or one member axis, which trades places with the gate axis
+        self.gates4 = self.gates.reshape(self.gates.shape[:-2] + (4, n, batch)).swapaxes(1, -3)
+        # each step's views, as lstm_step and step_backward unpack them;
+        # untaped without feedback, the two z and c rows take turns
+        zr, cr = len(self.z), len(self.c)
+        self.fwd = [(self.gates[t % gr], *self.gates4[t % gr], self.gates[t % gr, ..., : 3 * n, :],
+                     self.c[t % cr], self.c[(t + 1) % cr], self.tanh_c[t % gr], self.z[t % zr],
+                     self.z[(t + 1) % zr, ..., :n, :],
+                     self.z[(t + 1) % zr, ..., n:, :] if feedback else None)
+                    for t in range(steps if zr > 2 else min(steps, 2))]
+        self.bwd = [(self.gates[t], *self.gates4[t], self.tanh_c[t], self.c[t],
+                     self.z[t, ..., n:, :] if feedback else None) for t in range(steps * taped)]
+        self.load(w, h0, c0)
+
+    def load(self, w, h0, c0) -> "Unroll":
+        """Refill the halved weights and the state rows for the next batch from
+        w, h0, c0, shaped as at construction; returns the unroll."""
+        n = self.n
+        self.w_rec_t = w[..., : self.z.shape[-2]].swapaxes(-1, -2)
+        np.multiply(w[..., : 3 * n, :], 0.5, out=self.half[..., : 3 * n, :])  # exact
+        self.half[..., 3 * n :, :] = w[..., 3 * n :, :]
         self.z[0, ..., :n, :] = h0
-        if feedback:
+        if self.feedback:
             _sigmoid_into(h0, self.z[0, ..., n:, :])
-        self.gates = np.empty((self.window,) + lead + (4 * n, batch))
-        self.gates4 = np.moveaxis(self.gates.reshape(self.gates.shape[:-2] + (4, n, batch)), -3, 1)
-        self.c = np.empty((self.window + 1,) + lead + (n, batch))
         self.c[0] = c0
-        self.tanh_c = np.empty((self.window,) + lead + (n, batch))
+        return self
 
     def state(self) -> tuple[np.ndarray, np.ndarray]:
         """(h, c) after the last step, as views."""
@@ -128,42 +162,35 @@ class Unroll:
 def unroll(cell: Unroll, parts: list[np.ndarray]) -> None:
     """Run every step of `cell`; a step's x is the concatenation along the
     features of `parts`, feature-major inputs (steps, ..., d, B)."""
+    width = sum(p.shape[-2] for p in parts)
+    if width != cell.x.shape[-2]:
+        raise ValueError(f"shape mismatch in unroll: input has length {width}, "
+                         f"cell expects {cell.x.shape[-2]}")
     for start in range(0, cell.steps, cell.window):
         stop = min(start + cell.window, cell.steps)
-        x = np.concatenate([p[start:stop] for p in parts], axis=-2)
-        if x.shape[-2] != cell.w_x_half.shape[-1]:
-            raise ValueError(f"shape mismatch in unroll: input has length {x.shape[-2]}, "
-                             f"cell expects {cell.w_x_half.shape[-1]}")
-        gates = cell.gates[: stop - start]
+        x, gates = cell.x[: stop - start], cell.gates[: stop - start]
+        np.concatenate([p[start:stop] for p in parts], axis=-2, out=x)
         np.matmul(cell.w_x_half, x, out=gates)
         gates += cell.b_half
-        if cell.window == cell.steps:
-            cell.x = x
         for t in range(start, stop):
             lstm_step(cell, t)
 
 
 def lstm_step(cell: Unroll, t: int) -> np.ndarray:
-    """Step t, its gates row already holding W_x x + b (f, i, o halved):
-    writes the gate values, c, tanh(c) and the next z row; returns h, a
+    """Step t, its gates row a already holding W_x x + b (f, i, o halved):
+    writes the gate values, c', tanh(c') and the next z row; returns h', a
     view into that row."""
-    s, zr, cr = t % cell.window, len(cell.z), len(cell.c)
-    z_next = cell.z[(t + 1) % zr]
-    a, tanh_c, c_new = cell.gates[s], cell.tanh_c[s], cell.c[(t + 1) % cr]
-    a += np.matmul(cell.w_rec_half, cell.z[t % zr])
+    a, f, i, o, cand, sig, c, c_new, tanh_c, z, h, fb = cell.fwd[t % len(cell.fwd)]
+    a += np.matmul(cell.w_rec_half, z)
     np.tanh(a, out=a)
-    gates = cell.gates4[s]
-    f, i, o, cand = gates[0], gates[1], gates[2], gates[3]
-    sig = a[..., : 3 * cell.n, :]
     sig *= 0.5
     sig += 0.5
-    np.multiply(f, cell.c[t % cr], out=c_new)
+    np.multiply(f, c, out=c_new)
     c_new += i * cand
     np.tanh(c_new, out=tanh_c)
-    h = z_next[..., : cell.n, :]
     np.multiply(o, tanh_c, out=h)
-    if cell.feedback:
-        _sigmoid_into(h, z_next[..., cell.n :, :])
+    if fb is not None:
+        _sigmoid_into(h, fb)
     return h
 
 
@@ -177,7 +204,7 @@ def _local_derivatives(cell: Unroll) -> None:
     gates = cell.gates4[:steps]
     f, i, o, cand = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
     tanh_c, c_prev = cell.tanh_c[:steps], cell.c[:steps]
-    values = np.concatenate([c_prev, cand, tanh_c], axis=-2)  # what f, i, o multiply
+    values = np.concatenate([c_prev, cand, tanh_c], axis=-2, out=cell.values)  # f, i, o's factors
     np.multiply(tanh_c, tanh_c, out=tanh_c)
     np.subtract(1.0, tanh_c, out=tanh_c)
     tanh_c *= o
@@ -200,19 +227,19 @@ def step_backward(
     """Reverse step t, given the adjoints dh, dc of its h and c (merged with
     what flows back from later steps): writes its pre-activation adjoints
     into gates row t; returns (dh_prev, dc_prev), with the feedback path."""
-    da, da4 = cell.gates[t], cell.gates4[t]
-    dc_total = dh * cell.tanh_c[t]
+    da, df, di, do, dcand, tanh_c, c, sig_h = cell.bwd[t]
+    dc_total = dh * tanh_c
     dc_total += dc
-    da4[0] *= dc_total
-    da4[1] *= dc_total
-    da4[3] *= dc_total
-    da4[2] *= dh
-    dc_total *= cell.c[t]
+    df *= dc_total
+    di *= dc_total
+    dcand *= dc_total
+    do *= dh
+    dc_total *= c
     dz = np.matmul(cell.w_rec_t, da)
-    if not cell.feedback:
+    if sig_h is None:
         return dz, dc_total
     dh_prev, dfb = dz[..., : cell.n, :], dz[..., cell.n :, :]
-    dfb *= cell.z[t, ..., cell.n :, :]
+    dfb *= sig_h
     dh_prev += dfb
     return dh_prev, dc_total
 
@@ -224,21 +251,18 @@ def unroll_backward(
     of each step's h (or None) and dh, dc of the final state. Returns (dh0,
     dc0, dW, db), dW (..., 4L, R + I) for [W_rec | W_x]. Consumes the tape:
     gates row t ends up holding step t's pre-activation adjoints, and the
-    other slabs are released before the dW copies."""
+    other slabs hold derivatives, until the next load."""
     steps, lead, batch = cell.steps, cell.gates.shape[1:-2], cell.gates.shape[-1]
     # [z; x] of every step as the columns of one block, copied before the
     # local derivatives overwrite z's sigmoid(h) rows
-    rec = cell.z.shape[-2]
-    width = rec + cell.x.shape[-2]
-    cols = np.empty(lead + (width, steps, batch))
+    cols, rec = cell.cols, cell.z.shape[-2]
     cols[..., :rec, :, :] = _steps_to_columns(cell.z[:steps])
-    cols[..., rec:, :, :] = _steps_to_columns(cell.x)
+    cols[..., rec:, :, :] = _steps_to_columns(cell.x[:steps])
     _local_derivatives(cell)
     for t in range(steps - 1, -1, -1):
         if dh_steps is not None:
             dh = dh + dh_steps[t]
         dh, dc = step_backward(cell, t, dh, dc)
-    cell.z = cell.c = cell.tanh_c = cell.x = None
     da = _steps_to_columns(cell.gates[:steps]).reshape(lead + (4 * cell.n, steps * batch))
-    dW = da @ cols.reshape(lead + (width, steps * batch)).swapaxes(-1, -2)
+    dW = da @ cols.reshape(lead + (cols.shape[-3], steps * batch)).swapaxes(-1, -2)
     return dh, dc, dW, da.sum(axis=-1)

@@ -38,6 +38,9 @@ feature-major slabs (steps, ..., rows, batch), which are the tape. The
 encoder's two h column blocks multiply the same h, so its recurrent block
 is their sum; the decoder's recurrent input is [h; sigmoid(h)], whose
 sigmoid(h) rows also give the step scores.
+A Tape is also a training run's workspace: forward(..., tape=t) refills t
+in place, and backward writes into gradients t holds, valid until the next
+backward on t. Prediction arrays never share memory with a tape.
 """
 
 from __future__ import annotations
@@ -175,12 +178,14 @@ class Prediction:
 
 @dataclass
 class Tape:
-    """Forward intermediates needed by backward(): each cell's slabs (see
-    lstm.py). One per forward call; backward consumes it."""
+    """Each cell's slabs (see lstm.py) and the gradients backward() writes;
+    a backward consumes the tape, and a forward given it refills it."""
 
     encoder: Unroll
     decoder: Unroll
     label_probs: np.ndarray  # (..., B, L)
+    grads: ForecastModel
+    consumed: bool = False
 
 
 def init_model(rng: np.random.Generator, dims: ModelDims) -> ForecastModel:
@@ -242,7 +247,8 @@ def _batch_major(a: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    model: ForecastModel, obs: np.ndarray, ctx: np.ndarray, keep_tape: bool = True
+    model: ForecastModel, obs: np.ndarray, ctx: np.ndarray, keep_tape: bool = True,
+    tape: Tape | None = None,
 ) -> tuple[Prediction, Tape | None]:
     """Run the network on a batch; one sample is a batch of one.
 
@@ -252,7 +258,9 @@ def forward(
 
     With keep_tape the cells' slabs keep every step, for backward. Without
     it the encoder keeps one step of slabs and the decoder one step plus
-    its hidden states; the outputs are the same bit for bit.
+    its hidden states; the outputs are the same bit for bit. Taped, a
+    `tape` of the same dims, members and batch size is refilled and returned;
+    any other is spent, lending its memory to the new tape. Same arithmetic.
     """
     dims = model.dims
     population = model.population
@@ -267,6 +275,10 @@ def forward(
         obs = np.broadcast_to(obs, (population,) + obs.shape)
         ctx = np.broadcast_to(ctx, (population,) + ctx.shape)
     n, tau = dims.n_labels, dims.tau
+    refill = (keep_tape and tape is not None and tape.grads.dims == dims
+              and tape.label_probs.shape == obs.shape[:-2] + (n,))
+    # a tape of other shapes lends its cells' memory to the new tape
+    lent = (tape.encoder.memory, tape.decoder.memory) if keep_tape and tape else (None, None)
     obs, ctx = _feature_major(obs), _feature_major(ctx)
     zero = np.zeros(obs.shape[1:-2] + (n, obs.shape[-1]))
 
@@ -274,21 +286,29 @@ def forward(
     # feedback block starting at column fb
     W, b, fb = model.encoder.W, model.encoder.b[..., None], n + dims.d_obs + dims.d_ctx
     w = np.concatenate([W[..., :n] + W[..., fb:], W[..., n:fb], b], axis=-1)
-    enc = Unroll(w, zero, zero, tau, keep_tape)
+    enc = (tape.encoder.load(w, zero, zero) if refill
+           else Unroll(w, zero, zero, tau, keep_tape, memory=lent[0]))
     unroll(enc, [obs, ctx[:tau]])
     W, b, fb = model.decoder.W, model.decoder.b[..., None], n + dims.d_ctx
     w = np.concatenate([W[..., :n], W[..., fb:], W[..., n:fb], b], axis=-1)
-    dec = Unroll(w, *enc.state(), dims.horizon, keep_tape, feedback=True)
+    dec = (tape.decoder.load(w, *enc.state()) if refill
+           else Unroll(w, *enc.state(), dims.horizon, keep_tape, True, lent[1]))
     enc = enc if keep_tape else None  # untaped, its slabs go before the decoder runs
     unroll(dec, [ctx[tau:]])
 
+    # every output is a fresh array, never a view into the slabs
     hidden = dec.z[1:, ..., :n, :]  # (horizon, ..., L, B)
     out_bias = model.out_bias[..., None]
     g = np.ascontiguousarray((hidden.sum(axis=0) + out_bias).swapaxes(-1, -2))
     y = sigmoid(g)
     o = np.multiply(_batch_major(dec.z[1:, ..., n:, :]), y[..., None, :], order="C")
-    dec_h = np.ascontiguousarray(_batch_major(hidden))
-    return Prediction(g, y, o, dec_h), Tape(enc, dec, y) if keep_tape else None
+    if refill:
+        tape.label_probs, tape.consumed = y, False
+    elif keep_tape:
+        if tape is not None:
+            tape.consumed = True  # its memory may now hold this batch
+        tape = Tape(enc, dec, y, ForecastModel(np.empty(model.theta.shape), dims))
+    return Prediction(g, y, o, _batch_major(hidden).copy()), tape if keep_tape else None
 
 
 def predict(model: ForecastModel, obs: np.ndarray, ctx: np.ndarray) -> Prediction:
@@ -311,10 +331,11 @@ def backward(
     Covers every other path: the embedding's appearance in each step score,
     the decoder's sigmoid(h) feedback input, and the encoder's hidden-state
     feedback input. The tape's slabs become adjoint slabs, so a tape serves
-    one backward call.
+    one backward call. The returned gradients are the tape's own model
+    (Tape.grads), valid until the next backward on that tape.
     """
     dims = model.dims
-    if tape.encoder is None:
+    if tape.consumed:
         raise ValueError("tape already consumed by an earlier backward()")
     lead = tape.label_probs.shape[:-1]  # (B,), or (G, B) for a population
     n, horizon = dims.n_labels, dims.horizon
@@ -328,8 +349,8 @@ def backward(
     do = _feature_major(adjoint(d_step_scores, lead + (horizon, n)))
     dg_extra = adjoint(d_embedding, lead + (n,)).swapaxes(-1, -2)
     y = tape.label_probs.swapaxes(-1, -2)  # (..., L, B), like every adjoint below
-    enc, dec = tape.encoder, tape.decoder
-    tape.encoder = tape.decoder = None
+    enc, dec, grads = tape.encoder, tape.decoder, tape.grads
+    tape.consumed = True
     sig_h = dec.z[1:, ..., n:, :]
 
     # g receives the direct adjoint and the sigmoid(g) factor inside every
@@ -337,8 +358,7 @@ def backward(
     dg = np.multiply(do, sig_h, order="C").sum(axis=0)
     dg *= y * (1.0 - y)
     dg += dg_extra
-    grads = ForecastModel(np.empty(model.theta.shape), dims)  # every block is written below
-    grads.out_bias[...] = dg.sum(axis=-1)
+    grads.out_bias[...] = dg.sum(axis=-1)  # every block of grads is written below
 
     # Per-step adjoint on decoder hidden states: the sum into g plus the
     # sigmoid(h) factor of that step's score.
@@ -348,14 +368,12 @@ def backward(
     dh_steps += dg
 
     zero = np.zeros_like(dg)
-    del sig_h
     # dW comes back in the Unroll's column order [W_rec | W_x]; scatter it
     # to W's [h | inputs | feedback] columns (forward's fb)
     dh, dc, dW, db = unroll_backward(dec, dh_steps, zero, zero)
     W, fb = grads.decoder.W, n + dims.d_ctx
     W[..., :n], W[..., fb:], W[..., n:fb] = dW[..., :n], dW[..., n : 2 * n], dW[..., 2 * n :]
     grads.decoder.b[...] = db
-    del dec, dh_steps  # the decoder's slabs go before the encoder's dW copies
     _, _, dW, db = unroll_backward(enc, None, dh, dc)
     W, fb = grads.encoder.W, n + dims.d_obs + dims.d_ctx
     W[..., :fb] = dW

@@ -20,6 +20,9 @@ model.param_layout), (P,) for one run and (G, P) for a population: an
 optimizer step is one expression over theta, clipping takes one norm per
 member, and a stopped member leaves by one row selection.
 
+A run's workspace is one model.Tape per batch shape, refilled for each
+batch of its shape, holding its gradients, dropped when the run returns.
+
 Sub-seed arithmetic used throughout the package, all derived from one user
 seed: split shuffle = seed, model init = seed + 1, batch shuffle = seed + 2,
 classifier fits = seed + 3, grid point k = seed + k.
@@ -37,8 +40,8 @@ from . import losses
 from .data import Sample, stack_samples
 from .losses import ClassWeights, LossBreakdown, batch_adjoints, batch_loss, class_weights
 from .metrics import segment_report
-from .model import (ForecastModel, ModelDims, backward, forward, init_model, param_layout,
-                    stack_models)
+from .model import (ForecastModel, ModelDims, Tape, backward, forward, init_model,
+                    param_layout, stack_models)
 from .num import make_rng, per_member
 
 ADAM_BETA1 = 0.9
@@ -78,6 +81,9 @@ class TrainConfig:
             raise ValueError(
                 f"batch_size must be >= {min_batch} for loss {self.loss!r}"
             )
+        for name, low in (("max_epochs", 0), ("patience", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         # 0 would zero every update and a negative value reverse it
@@ -160,23 +166,26 @@ def batch_gradients(
     kind: str,
     lam,
     beta,
+    tape: Tape | None = None,
 ):
-    """Loss breakdown and parameter gradients for one batch (one batch per
-    member for a population, with per-member lam and beta)."""
-    pred, tape = forward(model, obs, ctx)
+    """Loss breakdown, gradients and the tape holding them for one batch (one
+    batch per member for a population, with per-member lam and beta); a
+    `tape` of this batch's shape is refilled in place (see model.forward)."""
+    pred, tape = forward(model, obs, ctx, tape=tape)
     breakdown, do, dg, d_theta = batch_adjoints(
         kind, pred, labels, step_labels, weights, model, lam, beta
     )
     grads = backward(model, tape, do, dg)
-    grads.theta += d_theta
-    return breakdown, grads
+    if d_theta is not None:
+        grads.theta += d_theta
+    return breakdown, grads, tape
 
 
-def threshold_validation_f1(model: ForecastModel, samples: list[Sample]):
-    """(micro_f1, macro_f1) of threshold-at-zero decisions on the embeddings;
-    for a population, (micro list, macro list) with one entry per member,
-    from one forward pass."""
-    obs, ctx, labels, _ = stack_samples(samples)
+def threshold_validation_f1(model: ForecastModel, samples):
+    """(micro_f1, macro_f1) of threshold-at-zero decisions on the embeddings
+    of samples (or their stack_samples arrays); for a population, (micro
+    list, macro list) with one entry per member, from one forward pass."""
+    obs, ctx, labels, _ = samples if isinstance(samples, tuple) else stack_samples(samples)
     pred = forward(model, obs, ctx, keep_tape=False)[0]
     decisions = (pred.embedding > 0.0).astype(np.int8)
     truth = labels.astype(int)
@@ -263,7 +272,7 @@ def train_population(
 
     obs, ctx, labels, step_labels = stack_samples(train_samples)
     weights = class_weights(labels)
-    scored_samples = val_samples if val_samples else train_samples
+    scored = stack_samples(val_samples) if val_samples else (obs, ctx, labels, step_labels)
     runs = [_Run(make_rng(cfg.seed + 2), stack.member(k)) for k, cfg in enumerate(configs)]
     state = make_adam_state(stack) if config.optimizer == "adam" else None
     # Stack member i is run active[i]; these arrays are indexed like the stack.
@@ -273,10 +282,13 @@ def train_population(
         for f in ("eta", "lam", "beta")
     )
 
+    tapes, tape = {}, None  # batch index shape -> its Tape, for this population size
+
     def keep_members(keep):
         """Shrink the stack, its optimizer state and hyperparameters to the
-        listed members."""
+        listed members; the tapes of the larger stack go."""
         nonlocal stack, state, active, eta, lam, beta
+        tapes.clear()
         stack = stack.select(keep)
         if state is not None:
             state = AdamState(state.m[keep], state.v[keep], state.t)
@@ -295,7 +307,7 @@ def train_population(
             idx = orders[..., lo : lo + config.batch_size]
             if config.loss == "siamese" and idx.shape[-1] < 2:
                 continue  # a trailing singleton batch has no pairs
-            breakdown, grads = batch_gradients(
+            breakdown, grads, tape = batch_gradients(
                 stack,
                 obs[idx],
                 ctx[idx],
@@ -305,7 +317,9 @@ def train_population(
                 config.loss,
                 lam,
                 beta,
+                tapes.get(idx.shape, tape),  # a tape of another shape lends its memory
             )
+            tapes[idx.shape] = tape
             b = breakdown
             batch_sums += (b.total, b.segment, b.stepwise, b.pairwise, b.reg)
             n_batches += 1
@@ -325,18 +339,18 @@ def train_population(
 
         # Score every run that trained this epoch in one forward pass.
         sums = batch_sums.reshape(5, -1)
-        scored = [(k, sums[:, i], n_batches) for i, k in enumerate(active)]
-        scored += [(k, sums, count) for k, _, sums, count in diverged]
+        records = [(k, sums[:, i], n_batches) for i, k in enumerate(active)]
+        records += [(k, sums, count) for k, _, sums, count in diverged]
         val_model = stack
         if diverged:
             val_model = stack_models(
                 [stack.member(i) for i in range(len(active))] + [m for _, m, _, _ in diverged]
             )
-        micro, macro = threshold_validation_f1(val_model, scored_samples)
+        micro, macro = threshold_validation_f1(val_model, scored)
         if val_model.population is None:
             micro, macro = [micro], [macro]
         seconds = time.perf_counter() - start
-        for (k, sums, count), mi, ma in zip(scored, micro, macro):
+        for (k, sums, count), mi, ma in zip(records, micro, macro):
             mean = sums / max(count, 1)
             runs[k].history.append(
                 EpochRecord(epoch, LossBreakdown(*(float(v) for v in mean)), mi, ma, seconds)
@@ -400,7 +414,7 @@ def grad_check(
     """
     obs, ctx, labels, step_labels = stack_samples(samples)
     weights = class_weights(labels)
-    _, grads = batch_gradients(
+    _, grads, _ = batch_gradients(
         model, obs, ctx, labels, step_labels, weights,
         config.loss, config.lam, config.beta,
     )

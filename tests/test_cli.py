@@ -464,6 +464,33 @@ class TestUsageErrors:
         assert "clip_norm must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--max-epochs", "-3"), ("--patience", "0")])
+    def test_negative_epochs_or_patience_is_rejected(self, workspace, tmp_path, capsys, flag,
+                                                     value):
+        _, data, _, _ = workspace
+        out = tmp_path / "m.json"
+        assert run("train", "--data", str(data), "--out-model", str(out), flag, value,
+                   "--n-train", "60", "--n-val", "20", "--n-test", "20") == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_sample_count_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        assert run("generate", "--out", str(out), "--n", "-5") == 2
+        assert "n must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_feature_dim_in_header_is_data_error(self, workspace, tmp_path, capsys):
+        _, data, _, _ = workspace
+        header, *rest = data.read_text().splitlines()
+        doc = json.loads(header)
+        doc["d_obs"] = -3
+        bad = tmp_path / "neg.jsonl"
+        bad.write_text("\n".join([json.dumps(doc), *rest]) + "\n")
+        assert run("train", "--data", str(bad), "--out-model", str(tmp_path / "m.json")) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "line 1" in err and "d_obs=-3" in err
+
     @pytest.mark.parametrize("flag,field", [("--eta", "eta"), ("--lambda", "lam")])
     def test_nan_step_or_penalty_is_rejected(self, workspace, tmp_path, capsys, flag, field):
         _, data, _, _ = workspace

@@ -237,6 +237,11 @@ class TestGenerator:
         with pytest.raises(ValueError, match="entry per label"):
             small_config(thresholds=(1.0,))
 
+    def test_negative_sample_count_rejected(self):
+        assert synth_generate(small_config(), 0)[1] == []
+        with pytest.raises(ValueError, match="n must be >= 0, got -5"):
+            synth_generate(small_config(), -5)
+
 
 class TestClassStats:
     def test_all_healthy(self):
@@ -276,3 +281,23 @@ class TestMeta:
             DatasetMeta(2, 5, 2, 1, 1, ("a",))
         with pytest.raises(DatasetError):
             DatasetMeta(2, 5, 2, 1, 1, ("a", "b"), source="nowhere")
+
+    @pytest.mark.parametrize("field", ["d_obs", "d_ctx"])
+    def test_negative_feature_dims_rejected(self, field):
+        # the same range ModelDims accepts: zero-width inputs are allowed
+        dims = dict(tau=2, total_steps=5, n_labels=2, d_obs=0, d_ctx=0, label_names=("a", "b"))
+        DatasetMeta(**dims)
+        with pytest.raises(DatasetError, match=f"{field}=-3"):
+            DatasetMeta(**{**dims, field: -3})
+
+    def test_negative_feature_dim_in_header_names_file(self, tmp_path):
+        meta, samples = synth_generate(small_config(), 2)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, meta, samples)
+        header, *rest = path.read_text().splitlines()
+        doc = json.loads(header)
+        doc["d_obs"] = -3
+        path.write_text("\n".join([json.dumps(doc), *rest]) + "\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(path) in str(info.value) and "d_obs=-3" in str(info.value)

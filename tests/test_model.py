@@ -400,6 +400,90 @@ def test_untaped_forward_memory_is_bounded_by_its_outputs():
     assert peak <= 3 * returned, f"peak {peak} bytes for {returned} bytes of outputs"
 
 
+def tape_arrays(tape):
+    """Every array a tape holds: both cells' slabs and buffers, the gradients."""
+    arrays = [tape.grads.theta]
+    for cell in (tape.encoder, tape.decoder):
+        arrays += [getattr(cell, name) for name in
+                   ("half", "x", "z", "gates", "c", "tanh_c", "values", "cols")]
+    return arrays
+
+
+class TestWorkspace:
+    """A tape refilled by forward(..., tape=t) computes what a fresh forward
+    and backward compute, bit for bit, whatever ran through it before."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=small_dims, members=st.integers(2, 3), batch=st.integers(2, 4),
+           trailing=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @example(dims=EDGE, members=2, batch=2, trailing=1, seed=0)
+    @example(dims=NO_INPUTS, members=3, batch=3, trailing=2, seed=1)
+    def test_reused_tapes_equal_fresh_calls(self, dims, members, batch, trailing, seed):
+        # as train_population runs: one tape per batch shape, each new one
+        # built in the memory of the tape before; full and trailing batches,
+        # a population that loses a member, one run alone with a batch of one
+        trailing = min(trailing, batch - 1)
+        plan = [(members, batch), (members, trailing), (members, batch), (members, trailing),
+                (members - 1, batch), (members - 1, batch), (None, 1), (None, batch), (None, 1)]
+        rng, tapes, tape = make_rng(seed), {}, None
+        for population, size in plan:
+            _, model = members_and_model(dims, population, int(rng.integers(2**16)))
+            lead = () if population is None else (population,)
+            obs, ctx = (rng.normal(size=lead + a.shape) for a in rand_inputs(rng, dims, size))
+            old = tapes.get(obs.shape)
+            pred, tape = forward(model, obs, ctx, tape=old or tape)
+            assert old is None or tape is old
+            adjoints = [rng.normal(size=a.shape) for a in (pred.step_scores, pred.embedding)]
+            grads = backward(model, tape, *adjoints)
+            tapes[obs.shape] = tape
+            want, want_tape = forward(model, obs, ctx)
+            assert_same_bits(pred, want)
+            assert grads.theta.tobytes() == backward(model, want_tape, *adjoints).theta.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(**layout_cases, batch=st.integers(1, 3))
+    @example(dims=EDGE, population=None, seed=0, batch=1)  # one step, a batch of one
+    def test_predictions_never_alias_the_tape(self, dims, population, seed, batch):
+        _, model = members_and_model(dims, population, seed)
+        obs, ctx = rand_inputs(make_rng(seed), dims, batch)
+        first, tape = forward(model, obs, ctx)
+        backward(model, tape)
+        second, again = forward(model, obs, ctx, tape=tape)
+        assert again is tape
+        for pred in (first, second):
+            for field in PRED_FIELDS:
+                assert not any(np.shares_memory(getattr(pred, field), a)
+                               for a in tape_arrays(tape)), field
+
+
+def test_training_builds_one_unroll_per_cell_and_batch_shape(monkeypatch):
+    """3 epochs of 37 samples in batches of 16 have two batch shapes (16 and
+    5): two taped Unrolls per cell in all. The validation forward, untaped,
+    builds its own each epoch and keeps none."""
+    import faultcast.model as model_module
+    from faultcast.data import synth_generate, SynthConfig
+    from faultcast.training import TrainConfig, train
+
+    built = []
+
+    class CountingUnroll(model_module.Unroll):
+        def __init__(self, w, h0, c0, steps, taped=True, feedback=False, memory=None):
+            super().__init__(w, h0, c0, steps, taped, feedback, memory)
+            built.append((taped, feedback))
+
+    monkeypatch.setattr(model_module, "Unroll", CountingUnroll)
+    cfg = SynthConfig(tau=2, total_steps=5, n_labels=2, d_obs=1, d_ctx=1,
+                      thresholds=(0.5, 0.5), rarity=(1.0, 2.5))
+    samples = synth_generate(cfg, 49)[1]
+    dims = ModelDims(n_labels=2, d_obs=1, d_ctx=1, tau=2, total_steps=5)
+    config = TrainConfig(loss="localize", batch_size=16, max_epochs=3, patience=3)
+    _, history = train(init_model(make_rng(0), dims), samples[:37], samples[37:], config)
+    assert len(history) == 3
+    taped = [feedback for is_taped, feedback in built if is_taped]
+    assert sorted(taped) == [False, False, True, True]
+    assert len(built) - len(taped) == 2 * 3
+
+
 class TestLayout:
     """theta holds every parameter exactly once; the named views tile it."""
 

@@ -198,6 +198,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(loss="siamese", batch_size=1)
 
+    @pytest.mark.parametrize("field,value", [("max_epochs", -1), ("max_epochs", -3),
+                                             ("patience", 0), ("patience", -1)])
+    def test_epoch_and_patience_ranges(self, field, value):
+        # max_epochs 0 stays valid: a run that returns the initial model
+        TrainConfig(max_epochs=0, patience=1)
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            TrainConfig(**{field: value})
+
     def test_dimension_mismatch_rejected(self):
         samples = tiny_synth(6)
         other = ModelDims(n_labels=2, d_obs=3, d_ctx=1, tau=3, total_steps=5)
@@ -313,7 +321,7 @@ class TestGradientProperty:
         weights = class_weights(labels)
         model = init_model(make_rng(seed + 1), dims)
         model.out_bias[...] = bias
-        breakdown, grads = batch_gradients(
+        breakdown, grads, _ = batch_gradients(
             model, obs, ctx, labels, steps, weights, kind, lam, beta
         )
 
