@@ -33,6 +33,7 @@ An Unroll is built once per shape and refilled by load for each batch: the
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -119,11 +120,10 @@ class Unroll:
                   "tanh_c": (gr,) + lead + (n, batch), "values": (kept,) + lead + (3 * n, batch),
                   "cols": lead + (rec + inputs, kept, batch)}
         sizes = [math.prod(shape) for shape in shapes.values()]
-        if memory is None or memory.size < sum(sizes):
-            memory = np.empty(sum(sizes))
-        self.memory = memory
-        for (name, shape), block in zip(shapes.items(), np.split(memory, np.cumsum(sizes))):
-            setattr(self, name, block.reshape(shape))
+        fits = memory is not None and memory.size >= sum(sizes)
+        self.memory = memory = memory if fits else np.empty(sum(sizes))
+        for (name, shape), size, end in zip(shapes.items(), sizes, accumulate(sizes)):
+            setattr(self, name, memory[end - size : end].reshape(shape))
         self.w_rec_half, self.w_x_half = self.half[..., :rec], self.half[..., rec:-1]
         self.b_half = self.half[..., -1:]
         # lead is () or one member axis, which trades places with the gate axis

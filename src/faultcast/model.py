@@ -277,8 +277,7 @@ def forward(
     n, tau = dims.n_labels, dims.tau
     refill = (keep_tape and tape is not None and tape.grads.dims == dims
               and tape.label_probs.shape == obs.shape[:-2] + (n,))
-    # a tape of other shapes lends its cells' memory to the new tape
-    lent = (tape.encoder.memory, tape.decoder.memory) if keep_tape and tape else (None, None)
+    lender = tape if keep_tape and not refill else None  # lends its memory to a new tape
     obs, ctx = _feature_major(obs), _feature_major(ctx)
     zero = np.zeros(obs.shape[1:-2] + (n, obs.shape[-1]))
 
@@ -287,12 +286,13 @@ def forward(
     W, b, fb = model.encoder.W, model.encoder.b[..., None], n + dims.d_obs + dims.d_ctx
     w = np.concatenate([W[..., :n] + W[..., fb:], W[..., n:fb], b], axis=-1)
     enc = (tape.encoder.load(w, zero, zero) if refill
-           else Unroll(w, zero, zero, tau, keep_tape, memory=lent[0]))
+           else Unroll(w, zero, zero, tau, keep_tape, memory=lender and lender.encoder.memory))
     unroll(enc, [obs, ctx[:tau]])
     W, b, fb = model.decoder.W, model.decoder.b[..., None], n + dims.d_ctx
     w = np.concatenate([W[..., :n], W[..., fb:], W[..., n:fb], b], axis=-1)
     dec = (tape.decoder.load(w, *enc.state()) if refill
-           else Unroll(w, *enc.state(), dims.horizon, keep_tape, True, lent[1]))
+           else Unroll(w, *enc.state(), dims.horizon, keep_tape, True,
+                       lender and lender.decoder.memory))
     enc = enc if keep_tape else None  # untaped, its slabs go before the decoder runs
     unroll(dec, [ctx[tau:]])
 
@@ -305,8 +305,8 @@ def forward(
     if refill:
         tape.label_probs, tape.consumed = y, False
     elif keep_tape:
-        if tape is not None:
-            tape.consumed = True  # its memory may now hold this batch
+        if lender is not None:
+            lender.consumed = True  # its memory may now hold this batch
         tape = Tape(enc, dec, y, ForecastModel(np.empty(model.theta.shape), dims))
     return Prediction(g, y, o, _batch_major(hidden).copy()), tape if keep_tape else None
 
