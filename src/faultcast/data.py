@@ -72,31 +72,31 @@ class Sample:
     step_labels: np.ndarray  # (horizon, n_labels) binary stepwise labels
 
 
-def validate_sample(meta: DatasetMeta, sample: Sample, index: int) -> None:
-    """Raise DatasetError naming the sample index and the violated rule."""
-
-    def fail(reason: str):
-        raise DatasetError(f"sample {index}: {reason}")
-
-    if sample.obs.shape != (meta.tau, meta.d_obs):
-        fail(f"observations shape {sample.obs.shape} != ({meta.tau}, {meta.d_obs})")
-    if sample.ctx.shape != (meta.total_steps, meta.d_ctx):
-        fail(f"context shape {sample.ctx.shape} != ({meta.total_steps}, {meta.d_ctx})")
-    if sample.labels.shape != (meta.n_labels,):
-        fail(f"segment label shape {sample.labels.shape} != ({meta.n_labels},)")
-    if sample.step_labels.shape != (meta.horizon, meta.n_labels):
-        fail(
-            f"stepwise label shape {sample.step_labels.shape} != "
-            f"({meta.horizon}, {meta.n_labels})"
-        )
-    if not (np.isfinite(sample.obs).all() and np.isfinite(sample.ctx).all()):
-        fail("non-finite observation or context value")
-    for name, arr in (("segment", sample.labels), ("stepwise", sample.step_labels)):
-        if not np.isin(arr, (0.0, 1.0)).all():
-            fail(f"{name} labels must be binary")
-    derived = (sample.step_labels.sum(axis=0) > 0).astype(np.float64)
-    if not np.array_equal(derived, sample.labels):
-        fail("segment label inconsistent with stepwise labels")
+def _first_error(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str] | None:
+    """(index, reason) of the first sample that breaks the schema, by the
+    first rule it breaks, or None. Shapes are checked sample by sample, then
+    values over the stack of the samples before any bad shape, a rule a pass."""
+    for index, s in enumerate(samples):
+        for name, arr, shape in (("observations", s.obs, (meta.tau, meta.d_obs)),
+                                 ("context", s.ctx, (meta.total_steps, meta.d_ctx)),
+                                 ("segment label", s.labels, (meta.n_labels,)),
+                                 ("stepwise label", s.step_labels, (meta.horizon, meta.n_labels))):
+            if arr.shape != shape:  # a sample before it may break a value rule
+                return (_first_error(meta, samples[:index])
+                        or (index, f"{name} shape {arr.shape} != {shape}"))
+    if not samples:
+        return None
+    obs, ctx, labels, step_labels = stack_samples(samples)
+    rules = {"non-finite observation or context value":
+             ~(np.isfinite(obs).all(axis=(1, 2)) & np.isfinite(ctx).all(axis=(1, 2))),
+             "segment labels must be binary": ~((labels == 0.0) | (labels == 1.0)).all(axis=1),
+             "stepwise labels must be binary":
+             ~((step_labels == 0.0) | (step_labels == 1.0)).all(axis=(1, 2)),
+             "segment label inconsistent with stepwise labels":
+             ((step_labels.sum(axis=1) > 0) != labels).any(axis=1)}
+    broken = np.stack(list(rules.values()))  # (rule, sample)
+    index = int(np.argmax(broken.any(axis=0)))
+    return (index, list(rules)[int(np.argmax(broken[:, index]))]) if broken.any() else None
 
 
 def save_dataset(path, meta: DatasetMeta, samples: list[Sample]) -> None:
@@ -111,10 +111,11 @@ def save_dataset(path, meta: DatasetMeta, samples: list[Sample]) -> None:
         "label_names": list(meta.label_names),
         "source": meta.source,
     }
+    if bad := _first_error(meta, samples):  # before the file opens: no partial file
+        raise DatasetError(f"sample {bad[0]}: {bad[1]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for i, s in enumerate(samples):
-            validate_sample(meta, s, i)
+        for s in samples:
             rec = {
                 "obs": s.obs.tolist(),
                 "ctx": s.ctx.tolist(),
@@ -172,31 +173,31 @@ def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
     """Read and fully validate a dataset file.
 
     Samples are numbered by record, blank lines skipped; an error in one
-    names the file, its 1-based line and the sample index.
+    names the file, its 1-based line and the sample index. Records are
+    parsed up to the first malformed one and then validated together; the
+    first bad record in file order is reported.
     """
+    samples, lines, malformed = [], [], None
     with open(path, "r", encoding="utf-8") as fh:
         meta = _read_header(path, fh.readline())
-        samples = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            index = len(samples)
+            lines.append(lineno)
             try:
                 rec = json.loads(line)
-                sample = Sample(
+                samples.append(Sample(
                     obs=np.asarray(rec["obs"], dtype=np.float64),
                     ctx=np.asarray(rec["ctx"], dtype=np.float64),
                     labels=np.asarray(rec["labels"], dtype=np.float64),
                     step_labels=np.asarray(rec["step_labels"], dtype=np.float64),
-                )
-                validate_sample(meta, sample, index)
-            except DatasetError as exc:  # validate_sample names the sample
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+                ))
             except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetError(
-                    f"{path}: line {lineno}: sample {index}: malformed record ({exc})"
-                ) from None
-            samples.append(sample)
+                malformed = len(samples), f"malformed record ({exc})"
+                break
+    bad = _first_error(meta, samples) or malformed
+    if bad is not None:
+        raise DatasetError(f"{path}: line {lines[bad[0]]}: sample {bad[0]}: {bad[1]}")
     return meta, samples
 
 

@@ -67,7 +67,7 @@ def class_weights(labels: np.ndarray) -> ClassWeights:
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, EPS, 1.0 - EPS)
+    return np.minimum(np.maximum(p, EPS), 1.0 - EPS)  # np.clip's values, without its overhead
 
 
 def segment_loss(probs, labels, weights: ClassWeights):
@@ -210,16 +210,16 @@ def batch_adjoints(
     reg, d_theta = (zero, None) if model is None else _l2_terms(model, lam, zero)
 
     # segment terms and their adjoint on y, at the clamped probabilities
-    w = weights.weight
+    wt, nt = weights.weight * t, 1.0 - t
     yc = _clamp(y)
-    terms = w * t * np.log(yc) + (1.0 - t) * np.log1p(-yc)
-    dy = -(w * t / yc - (1.0 - t) / (1.0 - yc))
-    saturated = (y < EPS) | (y > 1.0 - EPS)
+    terms = wt * np.log(yc) + nt * np.log1p(-yc)
+    dy = nt / (1.0 - yc) - wt / yc  # +0.0, not -0.0, where t = 1 at weight 0
+    saturated = yc != y
     exact_tail = saturated.any()
     if exact_tail:
-        exact = w * t * np.logaddexp(0.0, -g) + (1.0 - t) * np.logaddexp(0.0, g)
+        exact = wt * np.logaddexp(0.0, -g) + nt * np.logaddexp(0.0, g)
         terms = np.where(saturated, -exact, terms)
-        dg_saturated = -w * t * sigmoid(-g) + (1.0 - t) * y
+        dg_saturated = nt * y - wt * sigmoid(-g)
     seg = -terms.sum(axis=-1)
 
     if kind == "siamese":
@@ -238,19 +238,21 @@ def batch_adjoints(
 
         def times_coef(a):  # a per-sample adjoint, weighted as its sample is
             return per_member(coef, a.ndim - 1) * a
-    else:
-        l_seg = seg.mean(axis=-1)
-        l_step = zero if kind == "base" else stepwise_loss(o, ot).mean(axis=-1)
-        l_pair, dg_pair = zero, np.zeros_like(y)
+    else:  # the sum over the count is what .mean computes, without its overhead
+        l_seg = seg.sum(axis=-1) / n
+        l_step = zero if kind == "base" else stepwise_loss(o, ot).sum(axis=-1) / n
+        l_pair = zero
 
         def times_coef(a):
             return a / n
 
     scale = 2.0 / (o.shape[-1] * o.shape[-2])  # d(stepwise_loss)/d(o) = scale * (o - ot)
     do = np.zeros_like(o) if kind == "base" else times_coef(scale * (o - ot))
-    dg = dg_pair + times_coef(dy) * (y * (1.0 - y))
+    dg = times_coef(dy) * (y * (1.0 - y))
     if exact_tail:
-        dg = np.where(saturated, dg_pair + times_coef(dg_saturated), dg)
+        dg = np.where(saturated, times_coef(dg_saturated), dg)
+    if kind == "siamese":
+        dg += dg_pair
 
     total = l_seg + l_step + l_pair + reg
     parts = (total, l_seg, l_step, l_pair, reg)

@@ -23,9 +23,10 @@ slabs are the tape. The inputs of a window of steps are projected by one
 matmul before the loop; the f, i, o rows are halved once, so one tanh over
 the 4L block gives every gate (sigmoid(a) = 1/2 + tanh(a/2)/2); each step
 writes its h straight into the next step's recurrent input row. Backward
-forms the local derivatives once over the slabs, in place, scales them step
-by step into the adjoint slab and gets dW and db from one matmul and one sum
-over the (time x batch) columns (Appleyard et al. 2016, arXiv:1604.01946).
+forms the local derivatives once over a slab, in place, scales them step by
+step into the adjoint slab, copies its (time x batch) columns into dead slab
+rows and gets dW and db from one matmul and one sum over them (Appleyard et
+al. 2016, arXiv:1604.01946).
 An Unroll is built once per shape and refilled by load for each batch: the
 "persistent" idea of Diamos et al. 2016 (Persistent RNNs), across batches.
 """
@@ -95,30 +96,40 @@ class Unroll:
     step t in row t % rows: z (steps + 1 or 2 rows), z[0] from h0; gates
     (window, ..., 4L, B), gate-major as gates4 (window, 4, ..., L, B); c
     (window + 1 rows), c[0] = c0; tanh_c (window rows); x (window, ..., I,
-    B), the inputs; taped, values (steps, ..., 3L, B) and the dW columns
+    B), the inputs; taped, values (window, ..., 3L, B) and the dW columns
     cols (..., R + I, steps, B) for backward. All are blocks of one array,
     memory, taken from `memory` if large enough: unrolls sharing it must not
-    be in use at once. fwd and bwd hold each step's views into the slabs.
+    be in use at once. fwd and bwd hold each step's views into the slabs,
+    local and back those of the backward pass. Taped, two unrolls can share
+    one gates/c/tanh_c/values slab: one built with `rows` rows, past its
+    steps, and one built `after` it, on the rows from after.steps, so its c0
+    is after's last c row; the later one's backward forms the local
+    derivatives of both. Untaped, rows and after are ignored.
     """
 
     __slots__ = ("n", "steps", "window", "feedback", "memory", "w_rec_t", "half", "w_rec_half",
                  "w_x_half", "b_half", "x", "z", "gates", "gates4", "c", "tanh_c", "values",
-                 "cols", "fwd", "bwd")
+                 "cols", "fwd", "bwd", "local", "back", "after")
 
     def __init__(self, w, h0, c0, steps: int, taped: bool = True, feedback: bool = False,
-                 memory: np.ndarray | None = None):
+                 memory: np.ndarray | None = None, rows: int = 0, after: Unroll | None = None):
         *lead, n, batch = h0.shape
         lead, rec = tuple(lead), 2 * n if feedback else n
         if w.shape[-2] != 4 * n or w.shape[-1] <= rec:
             raise ValueError(f"shape mismatch: weights {w.shape} for hidden {n}, recurrent {rec}")
         self.n, self.steps, self.feedback = n, steps, feedback
         gr = self.window = max(steps, 1) if taped else 1
-        inputs, kept = w.shape[-1] - rec - 1, steps if taped else 0
+        self.after, rows = (after, max(rows, gr)) if taped else (None, gr)
+        after, inputs = self.after, w.shape[-1] - rec - 1
         shapes = {"half": w.shape, "x": (gr,) + lead + (inputs, batch),
                   "z": (steps + 1 if taped or feedback else 2,) + lead + (rec, batch),
-                  "gates": (gr,) + lead + (4 * n, batch), "c": (gr + 1,) + lead + (n, batch),
-                  "tanh_c": (gr,) + lead + (n, batch), "values": (kept,) + lead + (3 * n, batch),
-                  "cols": lead + (rec + inputs, kept, batch)}
+                  "gates": (rows,) + lead + (4 * n, batch), "c": (rows + 1,) + lead + (n, batch),
+                  "tanh_c": (rows,) + lead + (n, batch),
+                  "values": (rows * taped,) + lead + (3 * n, batch),
+                  "cols": lead + (rec + inputs, steps * taped, batch)}
+        if after is not None:  # the slabs are after's rows from after.steps on
+            for name in ("gates", "c", "tanh_c", "values"):
+                setattr(self, name, getattr(after, name)[after.steps :][: shapes.pop(name)[0]])
         sizes = [math.prod(shape) for shape in shapes.values()]
         fits = memory is not None and memory.size >= sum(sizes)
         self.memory = memory = memory if fits else np.empty(sum(sizes))
@@ -138,11 +149,26 @@ class Unroll:
                     for t in range(steps if zr > 2 else min(steps, 2))]
         self.bwd = [(self.gates[t], *self.gates4[t], self.tanh_c[t], self.c[t],
                      self.z[t, ..., n:, :] if feedback else None) for t in range(steps * taped)]
+        self.local = self.back = None
+        if taped:
+            owner = after or self  # with rows past steps, the unroll after forms them
+            if after is not None or rows == steps:
+                g4 = owner.gates4[: len(owner.values)]
+                self.local = (owner.gates[: len(g4), ..., : 3 * n, :], *g4.swapaxes(0, 1),
+                              owner.tanh_c[: len(g4)], owner.c[: len(g4)], owner.values,
+                              self.z[:steps, ..., n:, :] if feedback else None)
+            # the adjoint columns fill memory from the first tanh_c row on: its
+            # tanh_c and values rows (and after's), dead once the step loop has run
+            at = (self.tanh_c.ctypes.data - owner.memory.ctypes.data) // owner.memory.itemsize
+            da = owner.memory[at:][: 4 * n * steps * batch * math.prod(lead)]
+            self.back = (_steps_to_columns(self.z[:steps]), _steps_to_columns(self.x[:steps]),
+                         _steps_to_columns(self.gates[:steps]), da.reshape(lead + (4 * n, -1)),
+                         self.cols.reshape(lead + (rec + inputs, -1)).swapaxes(-1, -2))
         self.load(w, h0, c0)
 
     def load(self, w, h0, c0) -> "Unroll":
         """Refill the halved weights and the state rows for the next batch from
-        w, h0, c0, shaped as at construction; returns the unroll."""
+        w, h0, c0 (not read if built `after`), as at construction; returns it."""
         n = self.n
         self.w_rec_t = w[..., : self.z.shape[-2]].swapaxes(-1, -2)
         np.multiply(w[..., : 3 * n, :], 0.5, out=self.half[..., : 3 * n, :])  # exact
@@ -150,7 +176,8 @@ class Unroll:
         self.z[0, ..., :n, :] = h0
         if self.feedback:
             _sigmoid_into(h0, self.z[0, ..., n:, :])
-        self.c[0] = c0
+        if self.after is None:
+            self.c[0] = c0
         return self
 
     def state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -195,16 +222,12 @@ def lstm_step(cell: Unroll, t: int) -> np.ndarray:
 
 
 def _local_derivatives(cell: Unroll) -> None:
-    """In place over a taped unroll: gate rows f, i, o, c~ become c_prev
-    f(1-f), c~ i(1-i), tanh(c) o(1-o), i(1-c~^2); tanh_c becomes o(1 -
-    tanh(c)^2); c rows below the last become f; with feedback, the
-    sigmoid(h) rows of z below the last become sigmoid'(h)."""
-    n, steps = cell.n, cell.steps
-    sig = cell.gates[:steps, ..., : 3 * n, :]
-    gates = cell.gates4[:steps]
-    f, i, o, cand = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
-    tanh_c, c_prev = cell.tanh_c[:steps], cell.c[:steps]
-    values = np.concatenate([c_prev, cand, tanh_c], axis=-2, out=cell.values)  # f, i, o's factors
+    """In place over the slab rows in cell.local: gate rows f, i, o, c~
+    become c_prev f(1-f), c~ i(1-i), tanh(c) o(1-o), i(1-c~^2); tanh_c
+    becomes o(1 - tanh(c)^2); c rows below the last become f; with
+    feedback, the sigmoid(h) rows of z below the last become sigmoid'(h)."""
+    sig, f, i, o, cand, tanh_c, c_prev, values, fb = cell.local
+    np.concatenate([c_prev, cand, tanh_c], axis=-2, out=values)  # f, i, o's factors
     np.multiply(tanh_c, tanh_c, out=tanh_c)
     np.subtract(1.0, tanh_c, out=tanh_c)
     tanh_c *= o
@@ -216,9 +239,8 @@ def _local_derivatives(cell: Unroll) -> None:
     np.subtract(1.0, sig, out=sig)
     values *= sig
     sig[...] = values
-    if cell.feedback:
-        s = cell.z[:steps, ..., n:, :]
-        s *= 1.0 - s
+    if fb is not None:
+        fb *= 1.0 - fb
 
 
 def step_backward(
@@ -251,18 +273,17 @@ def unroll_backward(
     of each step's h (or None) and dh, dc of the final state. Returns (dh0,
     dc0, dW, db), dW (..., 4L, R + I) for [W_rec | W_x]. Consumes the tape:
     gates row t ends up holding step t's pre-activation adjoints, and the
-    other slabs hold derivatives, until the next load."""
-    steps, lead, batch = cell.steps, cell.gates.shape[1:-2], cell.gates.shape[-1]
+    other slabs hold derivatives and adjoint columns, until the next load.
+    Unrolls sharing a slab are reversed latest first."""
+    z, x, gates, da, cols = cell.back
     # [z; x] of every step as the columns of one block, copied before the
     # local derivatives overwrite z's sigmoid(h) rows
-    cols, rec = cell.cols, cell.z.shape[-2]
-    cols[..., :rec, :, :] = _steps_to_columns(cell.z[:steps])
-    cols[..., rec:, :, :] = _steps_to_columns(cell.x[:steps])
-    _local_derivatives(cell)
-    for t in range(steps - 1, -1, -1):
+    np.concatenate([z, x], axis=-3, out=cell.cols)
+    if cell.local is not None:
+        _local_derivatives(cell)
+    for t in range(cell.steps - 1, -1, -1):
         if dh_steps is not None:
             dh = dh + dh_steps[t]
         dh, dc = step_backward(cell, t, dh, dc)
-    da = _steps_to_columns(cell.gates[:steps]).reshape(lead + (4 * cell.n, steps * batch))
-    dW = da @ cols.reshape(lead + (cols.shape[-3], steps * batch)).swapaxes(-1, -2)
-    return dh, dc, dW, da.sum(axis=-1)
+    da.reshape(gates.shape)[...] = gates
+    return dh, dc, da @ cols, da.sum(axis=-1)

@@ -34,10 +34,11 @@ computing exactly what it computes alone. Its inputs and outputs are (G,
 batch, ...).
 
 Inside forward and backward each cell runs as an lstm.Unroll on
-feature-major slabs (steps, ..., rows, batch), which are the tape. The
-encoder's two h column blocks multiply the same h, so its recurrent block
-is their sum; the decoder's recurrent input is [h; sigmoid(h)], whose
-sigmoid(h) rows also give the step scores.
+feature-major slabs (steps, ..., rows, batch), which are the tape; taped,
+the cells share one gates/c/tanh_c/values slab, the decoder's rows from
+tau, where the encoder's c ends. The encoder's two h column blocks multiply
+the same h, so its recurrent block is their sum; the decoder's recurrent
+input is [h; sigmoid(h)], whose sigmoid(h) rows also give the step scores.
 A Tape is also a training run's workspace: forward(..., tape=t) refills t
 in place, and backward writes into gradients t holds, valid until the next
 backward on t. Prediction arrays never share memory with a tape.
@@ -286,13 +287,14 @@ def forward(
     W, b, fb = model.encoder.W, model.encoder.b[..., None], n + dims.d_obs + dims.d_ctx
     w = np.concatenate([W[..., :n] + W[..., fb:], W[..., n:fb], b], axis=-1)
     enc = (tape.encoder.load(w, zero, zero) if refill
-           else Unroll(w, zero, zero, tau, keep_tape, memory=lender and lender.encoder.memory))
+           else Unroll(w, zero, zero, tau, keep_tape, memory=lender and lender.encoder.memory,
+                       rows=dims.total_steps))
     unroll(enc, [obs, ctx[:tau]])
     W, b, fb = model.decoder.W, model.decoder.b[..., None], n + dims.d_ctx
     w = np.concatenate([W[..., :n], W[..., fb:], W[..., n:fb], b], axis=-1)
     dec = (tape.decoder.load(w, *enc.state()) if refill
            else Unroll(w, *enc.state(), dims.horizon, keep_tape, True,
-                       lender and lender.decoder.memory))
+                       lender and lender.decoder.memory, after=enc))
     enc = enc if keep_tape else None  # untaped, its slabs go before the decoder runs
     unroll(dec, [ctx[tau:]])
 

@@ -400,13 +400,37 @@ def write_history(history: list[EpochRecord], path) -> None:
 # ---------------------------------------------------------------------------
 
 
+FD_BYTES = 1 << 22  # bytes of perturbed parameters fd_gradient runs as one population
+
+
+def fd_gradient(model: ForecastModel, obs, ctx, labels, step_labels, weights: ClassWeights,
+                kind: str, lam: float, beta: float, fd_step: float) -> np.ndarray:
+    """Central finite differences of batch_loss in every coordinate of one
+    model's theta: rows 2k and 2k + 1 of a population hold theta with its
+    coordinate k set to keep + fd_step and keep - fd_step. A member computes
+    exactly what it computes alone; a chunk of FD_BYTES is one forward."""
+    theta, numeric = model.theta, np.empty_like(model.theta)
+    chunk = max(1, FD_BYTES // (2 * theta.nbytes))  # coordinates per population
+    for lo in range(0, theta.size, chunk):
+        k = np.arange(lo, min(lo + chunk, theta.size))
+        rows, j = np.tile(theta, (len(k), 2, 1)), np.arange(len(k))
+        rows[j, 0, k], rows[j, 1, k] = theta[k] + fd_step, theta[k] - fd_step
+        work, lead = ForecastModel(rows.reshape(-1, theta.size), model.dims), (2 * len(k),)
+        total = batch_loss(kind, forward(work, obs, ctx, keep_tape=False)[0],
+                           np.broadcast_to(labels, lead + labels.shape),
+                           np.broadcast_to(step_labels, lead + step_labels.shape),
+                           weights, work, np.full(lead, lam), np.full(lead, beta)).total
+        numeric[k] = (total[0::2] - total[1::2]) / (2.0 * fd_step)
+    return numeric
+
+
 def grad_check(
     model: ForecastModel,
     samples: list[Sample],
     config: TrainConfig,
     fd_step: float = 1e-5,
 ) -> tuple[float, str]:
-    """Compare analytic batch-loss gradients with central finite differences.
+    """Compare analytic batch-loss gradients with fd_gradient's differences.
 
     Returns (max relative error, worst parameter coordinate, named by its
     block in the parameter layout and its index there). Cost is O(#params *
@@ -414,29 +438,9 @@ def grad_check(
     """
     obs, ctx, labels, step_labels = stack_samples(samples)
     weights = class_weights(labels)
-    _, grads, _ = batch_gradients(
-        model, obs, ctx, labels, step_labels, weights,
-        config.loss, config.lam, config.beta,
-    )
-    work = model.copy()
-    theta = work.theta
-
-    def loss_at():
-        pred = forward(work, obs, ctx, keep_tape=False)[0]
-        return batch_loss(
-            config.loss, pred, labels, step_labels, weights,
-            work, config.lam, config.beta,
-        ).total
-
-    numeric = np.empty_like(theta)
-    for k in range(theta.size):
-        keep = theta[k]
-        theta[k] = keep + fd_step
-        up = loss_at()
-        theta[k] = keep - fd_step
-        down = loss_at()
-        theta[k] = keep
-        numeric[k] = (up - down) / (2.0 * fd_step)
+    args = (model, obs, ctx, labels, step_labels, weights, config.loss, config.lam, config.beta)
+    _, grads, _ = batch_gradients(*args)
+    numeric = fd_gradient(*args, fd_step)
 
     denom = np.maximum(np.maximum(np.abs(grads.theta), np.abs(numeric)), 1e-6)
     rel = np.abs(grads.theta - numeric) / denom

@@ -16,5 +16,9 @@ def test_one_repeat_prints_every_shape_and_both_fits():
     assert [r.split("\t")[0] for r in rows[:3]] == ["4+6", "8+12", "16+24"]
     for row in rows[:3]:
         assert all(float(v) > 0 for v in row.split("\t")[1:])
-    assert [r.split(":")[0] for r in rows[3:]] == ["fresh", "resident"]
-    assert all(" us per call, slope " in r for r in rows[3:])
+    assert [r.split(":")[0] for r in rows[3:5]] == ["fresh", "resident"]
+    assert all(" us per call, slope " in r for r in rows[3:5])
+    assert rows[5] == "steps\tforward_us\tbatch_adjoints_us\tbackward_us\toptimizer_step_us"
+    assert [r.split("\t")[0] for r in rows[6:]] == ["4+6", "8+12", "16+24"]
+    for row in rows[6:]:
+        assert len(row.split("\t")) == 5 and all(float(v) > 0 for v in row.split("\t")[1:])

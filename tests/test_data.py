@@ -1,6 +1,7 @@
 """Dataset schema, splitting, and the synthetic generator."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,27 @@ class TestRoundTrip:
         path = tmp_path / "bad.jsonl"
         with pytest.raises(DatasetError, match="sample 1.*inconsistent"):
             save_dataset(path, meta, samples)
+
+    def test_save_writes_nothing_when_a_sample_is_invalid(self, tmp_path):
+        # the last sample is bad: no header and no record of the others
+        meta, samples = synth_generate(small_config(), 3)
+        samples[2].obs[0, 0] = np.inf
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(DatasetError, match="sample 2: non-finite"):
+            save_dataset(path, meta, samples)
+        assert not path.exists()
+
+    def test_load_names_an_invalid_sample_before_a_malformed_line(self, tmp_path):
+        meta, samples = synth_generate(small_config(), 4)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, meta, samples)
+        header, *records = path.read_text().splitlines()
+        records[1] = re.sub(r'"labels":\[\d', '"labels":[2', records[1], count=1)
+        records[3] = records[3][:-2]
+        path.write_text("\n".join([header, *records]) + "\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: line 3: sample 1: segment labels must be binary"
 
     def test_load_rejects_corrupted_record(self, tmp_path):
         meta, samples = synth_generate(small_config(), 2)

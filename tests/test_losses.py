@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultcast.losses import (
     ClassWeights,
@@ -21,7 +23,7 @@ from faultcast.losses import (
     segment_loss,
     stepwise_loss,
 )
-from faultcast.model import ForecastModel, ModelDims, init_model, param_items
+from faultcast.model import ForecastModel, ModelDims, init_model, param_items, param_size
 from faultcast.num import make_rng, sigmoid
 
 ATOL = 1e-10
@@ -379,3 +381,51 @@ class TestSaturatedSegmentTerm:
         down = batch_loss("base", at(g - h), labels, steps, w).total
         assert up != down  # not flat
         assert (up - down) / (2 * h) == pytest.approx(dg[0, 0], rel=1e-4)
+
+
+class TestPopulationAdjoints:
+    """batch_adjoints on a population's (G, B, ...) predictions, with
+    per-member lam and beta, is each member's own call, bit for bit; the
+    finite-difference population of training.fd_gradient rests on this."""
+
+    @pytest.mark.filterwarnings("ignore:label.s. present in every")  # weight 0 is covered too
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(("base", "localize", "siamese")),
+        members=st.integers(1, 4), batch=st.integers(2, 5), n_labels=st.integers(1, 4),
+        horizon=st.integers(1, 3), seed=st.integers(0, 2**16),
+        bias=st.floats(-40.0, 40.0), lam_zero=st.booleans(),
+    )
+    def test_members_equal_their_own_calls(self, kind, members, batch, n_labels, horizon,
+                                           seed, bias, lam_zero):
+        rng = make_rng(seed)
+        dims = ModelDims(n_labels, 1, 1, 1, 1 + horizon)
+        model = ForecastModel(rng.normal(size=(members, param_size(dims))), dims)
+        # embeddings out to |g| ~ 40, past the probability clamp
+        g = rng.normal(size=(members, batch, n_labels)) + bias * rng.uniform(size=(members, 1, 1))
+        y = sigmoid(g)
+        o = rng.uniform(size=(members, batch, horizon, n_labels)) * y[..., None, :]
+        labels = (rng.uniform(size=(batch, n_labels)) < 0.5).astype(np.float64)
+        steps = (rng.uniform(size=(batch, horizon, n_labels)) < 0.4).astype(np.float64)
+        weights = class_weights(labels)
+        lam = rng.uniform(size=members)
+        if lam_zero:  # every other member without the l2 term, a lone one without any
+            lam[::2] = 0.0
+        beta = rng.uniform(size=members)
+        got = batch_adjoints(kind, FakePrediction(g, y, o),
+                             np.broadcast_to(labels, (members,) + labels.shape),
+                             np.broadcast_to(steps, (members,) + steps.shape),
+                             weights, model, lam, beta)
+        for k in range(members):
+            want = batch_adjoints(kind, FakePrediction(g[k], y[k], o[k]), labels, steps, weights,
+                                  model.member(k), float(lam[k]), float(beta[k]))
+            for field in ("total", "segment", "stepwise", "pairwise", "reg"):
+                assert getattr(got[0], field)[k] == getattr(want[0], field), field
+                assert np.signbit(getattr(got[0], field)[k]) == np.signbit(getattr(want[0], field))
+            assert got[1][k].tobytes() == want[1].tobytes()
+            assert got[2][k].tobytes() == want[2].tobytes()
+            want_theta = np.zeros(model.theta.shape[1]) if want[3] is None else want[3]
+            if got[3] is not None:
+                assert got[3][k].tobytes() == want_theta.tobytes()
+            else:
+                assert want[3] is None

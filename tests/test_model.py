@@ -467,8 +467,9 @@ def test_training_builds_one_unroll_per_cell_and_batch_shape(monkeypatch):
     built = []
 
     class CountingUnroll(model_module.Unroll):
-        def __init__(self, w, h0, c0, steps, taped=True, feedback=False, memory=None):
-            super().__init__(w, h0, c0, steps, taped, feedback, memory)
+        def __init__(self, w, h0, c0, steps, taped=True, feedback=False, memory=None, rows=0,
+                     after=None):
+            super().__init__(w, h0, c0, steps, taped, feedback, memory, rows, after)
             built.append((taped, feedback))
 
     monkeypatch.setattr(model_module, "Unroll", CountingUnroll)

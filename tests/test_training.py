@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faultcast.data import Sample, SynthConfig, synth_generate
+from faultcast.data import Sample, SynthConfig, stack_samples, synth_generate
 from faultcast.losses import batch_loss, class_weights
 from faultcast.model import (ForecastModel, ModelDims, init_model, param_items, predict,
                              stack_models, zeros_grads)
@@ -17,6 +17,7 @@ from faultcast.training import (
     TrainConfig,
     batch_gradients,
     default_grid,
+    fd_gradient,
     grad_check,
     grid_search,
     make_adam_state,
@@ -281,6 +282,37 @@ class TestGradCheck:
         assert coarse > fine
 
 
+@pytest.mark.parametrize("kind", ("base", "localize", "siamese"))
+@pytest.mark.parametrize("bias", (0.0, 40.0))
+def test_fd_gradient_equals_the_per_coordinate_loop(kind, bias, monkeypatch):
+    """The population differences equal, bit for bit, two single-model
+    forwards per coordinate, also across chunks of a few coordinates."""
+    import faultcast.training as training
+
+    dims = ModelDims(n_labels=2, d_obs=1, d_ctx=1, tau=2, total_steps=4)
+    samples = synth_generate(SynthConfig(tau=2, total_steps=4, n_labels=2, d_obs=1, d_ctx=1,
+                                         thresholds=(0.5, 0.5), rarity=(1.0, 2.0), seed=6), 3)[1]
+    obs, ctx, labels, steps = stack_samples(samples)
+    weights = class_weights(labels)
+    model = init_model(make_rng(5), dims)
+    model.out_bias[...] = bias
+
+    def loss_at(theta):
+        m = ForecastModel(theta, dims)
+        return batch_loss(kind, predict(m, obs, ctx), labels, steps, weights, m, 0.1, 0.4).total
+
+    h = 1e-5
+    want = np.empty_like(model.theta)
+    for k in range(want.size):
+        up, down = model.theta.copy(), model.theta.copy()
+        up[k] += h
+        down[k] -= h
+        want[k] = (loss_at(up) - loss_at(down)) / (2 * h)
+    monkeypatch.setattr(training, "FD_BYTES", 6 * model.theta.nbytes)  # 3 coordinates a chunk
+    got = fd_gradient(model, obs, ctx, labels, steps, weights, kind, 0.1, 0.4, h)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestGradientProperty:
     """batch_gradients equals central finite differences of batch_loss on
     random small dims, also where out_bias pushes every logit g past the
@@ -325,21 +357,10 @@ class TestGradientProperty:
             model, obs, ctx, labels, steps, weights, kind, lam, beta
         )
 
-        def loss_at(theta):
-            m = ForecastModel(theta, dims)
-            return batch_loss(kind, predict(m, obs, ctx), labels, steps, weights, m,
-                              lam, beta).total
-
         # a loss near 10^3 (|g| = 700) leaves central differences about 1e-9
         # of rounding, so each entry is compared relative to the larger of
         # itself and 1e-4 of the largest gradient entry
-        h = 1e-4
-        numeric = np.empty_like(model.theta)
-        for k in range(numeric.size):
-            up, down = model.theta.copy(), model.theta.copy()
-            up[k] += h
-            down[k] -= h
-            numeric[k] = (loss_at(up) - loss_at(down)) / (2 * h)
+        numeric = fd_gradient(model, obs, ctx, labels, steps, weights, kind, lam, beta, 1e-4)
         analytic = grads.theta
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
                            1e-4 * np.abs(analytic).max())

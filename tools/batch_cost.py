@@ -12,7 +12,9 @@ cases take turns in blocks of BLOCK calls, so a slow spell of the host
 falls on all of them alike. Prints the median time of a call per case,
 then for each way the least-squares line median = intercept + slope *
 steps: the intercept is the cost of a call that does not depend on the
-step count.
+step count. Last, for the resident way, the median time of each phase of
+a call and of the optimizer step after it, as train_population runs them
+(PHASES, timed in a case of their own that takes its turn with the rest).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from time import perf_counter
 
 SHAPES = ((4, 6), (8, 12), (16, 24))  # (observed, forecast) steps
 WAYS = ("fresh", "resident")
+PHASES = ("forward", "batch_adjoints", "backward", "optimizer_step")
 BATCH = 16
 BLOCK = 20  # calls of one case in a row
 
@@ -45,10 +48,25 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--repeats must be >= 1")
 
     from faultcast.data import SynthConfig, stack_samples, synth_generate
-    from faultcast.losses import class_weights
-    from faultcast.model import ModelDims, init_model
+    from faultcast.losses import batch_adjoints, class_weights
+    from faultcast.model import ModelDims, backward, forward, init_model
     from faultcast.num import make_rng
-    from faultcast.training import batch_gradients
+    from faultcast.training import batch_gradients, make_adam_state, optimizer_step
+
+    def phased(args, state, tape):
+        """One resident call, phase by phase, then an Adam step with `state`;
+        returns the tape and each phase's seconds."""
+        model, obs, ctx, labels, step_labels, weights, kind, lam, beta = args
+        stamps = [perf_counter()]
+        pred, tape = forward(model, obs, ctx, tape=tape)
+        stamps.append(perf_counter())
+        _, do, dg, _ = batch_adjoints(kind, pred, labels, step_labels, weights, model, lam, beta)
+        stamps.append(perf_counter())
+        grads = backward(model, tape, do, dg)
+        stamps.append(perf_counter())
+        optimizer_step(model, grads, 0.01, state)
+        stamps.append(perf_counter())
+        return tape, [b - a for a, b in zip(stamps, stamps[1:])]
 
     cases = {}  # (steps, way) -> [args, tape, call times]
     for tau, horizon in SHAPES:
@@ -61,16 +79,24 @@ def main(argv: list[str] | None = None) -> int:
         args = (model, *batch, weights, "localize", 0.0, 0.5)
         for way in WAYS:
             cases[tau + horizon, way] = [args, batch_gradients(*args)[2], []]  # warmed up
+        stepped = model.copy()  # the optimizer moves it, not the model of the other cases
+        phase_args = ((stepped, *args[1:]), make_adam_state(stepped))
+        cases[tau + horizon, "phases"] = [phase_args, phased(*phase_args, None)[0], []]
     while any(len(times) < opts.repeats for _, _, times in cases.values()):
         for (_, way), case in cases.items():
             args, tape, times = case
             for _ in range(min(BLOCK, opts.repeats - len(times))):
+                if way == "phases":
+                    tape, seconds = phased(*args, tape)
+                    times.append(seconds)
+                    continue
                 start = perf_counter()
                 tape = batch_gradients(*args, tape if way == "resident" else None)[2]
                 times.append(perf_counter() - start)
             case[1] = tape
 
-    medians = {key: 1e6 * statistics.median(times) for key, (_, _, times) in cases.items()}
+    medians = {key: 1e6 * statistics.median(times) for key, (_, _, times) in cases.items()
+               if key[1] in WAYS}
     steps = [tau + horizon for tau, horizon in SHAPES]
     print("steps\t" + "\t".join(f"{way}_us" for way in WAYS))
     for (tau, horizon), n in zip(SHAPES, steps):
@@ -78,6 +104,10 @@ def main(argv: list[str] | None = None) -> int:
     for way in WAYS:
         intercept, slope = fit_line(steps, [medians[n, way] for n in steps])
         print(f"{way}: intercept {intercept:.1f} us per call, slope {slope:.2f} us per step")
+    print("steps\t" + "\t".join(f"{phase}_us" for phase in PHASES))
+    for (tau, horizon), n in zip(SHAPES, steps):
+        split = zip(*cases[n, "phases"][2])  # each phase's seconds over the calls
+        print(f"{tau}+{horizon}\t" + "\t".join(f"{1e6 * statistics.median(s):.1f}" for s in split))
     return 0
 
 
