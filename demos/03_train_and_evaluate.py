@@ -9,7 +9,6 @@ model separated the clusters.
 """
 
 from faultcast import (
-    ModelDims,
     SynthConfig,
     TrainConfig,
     classify,
@@ -26,9 +25,8 @@ from faultcast.model import forward
 
 meta, samples = synth_generate(SynthConfig(seed=0), 700)
 train_s, val_s, test_s = split_samples(samples, (400, 100, 200), seed=0)
-dims = ModelDims(meta.n_labels, meta.d_obs, meta.d_ctx, meta.tau, meta.total_steps)
 
-model = init_model(make_rng(1), dims)
+model = init_model(make_rng(1), meta.dims)
 config = TrainConfig(loss="base", eta=0.01, lam=0.01, batch_size=16,
                      max_epochs=300, patience=60, seed=0)
 best, history = train(model, train_s, val_s, config)

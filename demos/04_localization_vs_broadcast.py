@@ -9,7 +9,6 @@ little recall for much better precision and F1.
 """
 
 from faultcast import (
-    ModelDims,
     SynthConfig,
     TrainConfig,
     broadcast_baseline,
@@ -27,9 +26,8 @@ from faultcast.model import forward
 
 meta, samples = synth_generate(SynthConfig(seed=0), 700)
 train_s, val_s, test_s = split_samples(samples, (400, 100, 200), seed=0)
-dims = ModelDims(meta.n_labels, meta.d_obs, meta.d_ctx, meta.tau, meta.total_steps)
 
-model = init_model(make_rng(1), dims)
+model = init_model(make_rng(1), meta.dims)
 config = TrainConfig(loss="localize", eta=0.01, lam=0.01, batch_size=16,
                      max_epochs=400, patience=80, seed=0)
 best, history = train(model, train_s, val_s, config)

@@ -8,12 +8,11 @@ rate and then the larger regularizer.
 
 from dataclasses import replace
 
-from faultcast import ModelDims, SynthConfig, TrainConfig, split_samples, synth_generate
+from faultcast import SynthConfig, TrainConfig, split_samples, synth_generate
 from faultcast.training import grid_search
 
 meta, samples = synth_generate(SynthConfig(seed=0), 500)
 train_s, val_s, test_s = split_samples(samples, (300, 100, 100), seed=0)
-dims = ModelDims(meta.n_labels, meta.d_obs, meta.d_ctx, meta.tau, meta.total_steps)
 
 base = TrainConfig(loss="base", batch_size=16, max_epochs=120, patience=40)
 grid = [
@@ -23,7 +22,7 @@ grid = [
 ]
 print(f"searching {len(grid)} grid points "
       "(each trains its own model from its own seed)...\n")
-best_cfg, best_model, results = grid_search(grid, dims, train_s, val_s, base_seed=0)
+best_cfg, best_model, results = grid_search(grid, meta.dims, train_s, val_s, base_seed=0)
 
 print(f"{'eta':>8}{'lambda':>8}{'val micro':>11}{'val macro':>11}{'sum':>8}")
 for res in sorted(results, key=lambda r: -r.score):

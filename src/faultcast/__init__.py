@@ -17,6 +17,7 @@ from .classifiers import (
 from .data import (
     DatasetError,
     DatasetMeta,
+    ModelDims,
     Sample,
     SynthConfig,
     class_stats,
@@ -30,7 +31,6 @@ from .lstm import LstmParams, init_params, lstm_step
 from .metrics import CountTable, PrfReport, confusion_counts, prf, segment_report, stepwise_report
 from .model import (
     ForecastModel,
-    ModelDims,
     Prediction,
     backward,
     forward,

@@ -33,7 +33,7 @@ import csv
 
 import numpy as np
 
-from .data import DatasetError, DatasetMeta, Sample
+from .data import DatasetError, DatasetMeta, ModelDims, Sample
 from .num import make_rng
 
 
@@ -120,6 +120,20 @@ def _window_starts(
     return sorted(int(s) for s in starts)
 
 
+def _cut_windows(dims: ModelDims, obs, ctx, step_truth, starts) -> list[Sample]:
+    """One sample per window start: dims.tau observed rows of obs, then
+    dims.total_steps rows of ctx and the stepwise labels of the forecast
+    rows, each a copy."""
+    tau, window = dims.tau, dims.total_steps
+    samples = []
+    for s in starts:
+        steps = step_truth[s + tau : s + window]
+        samples.append(Sample(obs=obs[s : s + tau].copy(), ctx=ctx[s : s + window].copy(),
+                              labels=(steps.sum(axis=0) > 0).astype(np.float64),
+                              step_labels=steps.copy()))
+    return samples
+
+
 def convert_plant_csv(
     signals_path,
     faults_path,
@@ -199,29 +213,11 @@ def convert_plant_csv(
             hi = int(np.searchsorted(times, end, side="right"))
             step_truth[lo:hi, code - 1] = 1.0
 
-    window = tau + horizon
-    starts = _window_starts(len(rows), window, n_samples, seed, allow_overlap)
-    samples = []
-    for s in starts:
-        steps = step_truth[s + tau : s + window]
-        samples.append(
-            Sample(
-                obs=obs_all[s : s + tau].copy(),
-                ctx=ctx_all[s : s + window].copy(),
-                labels=(steps.sum(axis=0) > 0).astype(np.float64),
-                step_labels=steps.copy(),
-            )
-        )
-    meta = DatasetMeta(
-        tau=tau,
-        total_steps=window,
-        n_labels=n_labels,
-        d_obs=len(obs_cols),
-        d_ctx=len(ctx_cols),
-        label_names=tuple(f"code_{k + 1}" for k in range(n_labels)),
-        source="phm_adapter",
-    )
-    return meta, samples
+    dims = ModelDims(n_labels, len(obs_cols), len(ctx_cols), tau, tau + horizon)
+    starts = _window_starts(len(rows), dims.total_steps, n_samples, seed, allow_overlap)
+    samples = _cut_windows(dims, obs_all, ctx_all, step_truth, starts)
+    names = tuple(f"code_{k + 1}" for k in range(n_labels))
+    return DatasetMeta(dims, names, "phm_adapter"), samples
 
 
 def _code_map(values: np.ndarray, pinned: list | None, what: str) -> dict:
@@ -277,7 +273,7 @@ def convert_activity_dat(
     motion_map = _code_map(all_rows[:, motion_col], motion_codes, "motion")
     object_map = _code_map(all_rows[:, object_col], object_codes, "object")
     n_motion, n_object = len(motion_map), len(object_map)
-    n_labels = n_motion + n_object
+    dims = ModelDims(n_motion + n_object, hi - lo + 1, len(ctx_map), tau, tau + horizon)
 
     def one_hot(col_values, mapping, width_out):
         out = np.zeros((len(col_values), width_out))
@@ -286,7 +282,6 @@ def convert_activity_dat(
                 out[t, mapping[int(v)]] = 1.0
         return out
 
-    window = tau + horizon
     per_file = [n_samples // len(paths)] * len(paths)
     for k in range(n_samples % len(paths)):
         per_file[k] += 1
@@ -306,29 +301,11 @@ def convert_activity_dat(
             ]
         )
         starts = _window_starts(
-            arr.shape[0], window, quota, seed + file_idx, allow_overlap
+            arr.shape[0], dims.total_steps, quota, seed + file_idx, allow_overlap
         )
-        for s in starts:
-            steps = truth[s + tau : s + window]
-            samples.append(
-                Sample(
-                    obs=obs_all[s : s + tau].copy(),
-                    ctx=ctx_all[s : s + window].copy(),
-                    labels=(steps.sum(axis=0) > 0).astype(np.float64),
-                    step_labels=steps.copy(),
-                )
-            )
+        samples += _cut_windows(dims, obs_all, ctx_all, truth, starts)
     label_names = tuple(
         [f"motion_{c}" for c in sorted(motion_map, key=motion_map.get)]
         + [f"object_{c}" for c in sorted(object_map, key=object_map.get)]
     )
-    meta = DatasetMeta(
-        tau=tau,
-        total_steps=window,
-        n_labels=n_labels,
-        d_obs=hi - lo + 1,
-        d_ctx=len(ctx_map),
-        label_names=label_names,
-        source="har_adapter",
-    )
-    return meta, samples
+    return DatasetMeta(dims, label_names, "har_adapter"), samples

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import JsonField
 from .num import make_rng
 
 KINDS = ("svm", "threshold_zero", "nearest_mean")
@@ -185,26 +186,18 @@ def classifier_to_dict(clf: LabelClassifier) -> dict:
     return out
 
 
-def classifier_from_dict(doc: dict, n_labels: int) -> LabelClassifier:
-    """Rebuild a classifier_to_dict record. ValueError names the field if the
-    kind is not in KINDS, an array the kind reads is missing, or an array is
-    not n_labels long."""
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in KINDS:
-        raise ValueError(f"field 'kind' must be one of {', '.join(KINDS)}, got {kind!r}")
+def classifier_from_dict(record: JsonField, n_labels: int) -> LabelClassifier:
+    """Rebuild a classifier_to_dict record read from a JSON file. A
+    DatasetError names the key if the kind is not in KINDS, or an array the
+    kind reads is missing, or an array given is not n_labels numbers."""
+    kind = record.field("kind")
+    if kind.value not in KINDS:
+        raise kind.error(f"must be one of {', '.join(KINDS)}, got {kind.value!r}")
     arrays = {}
     for name in ("weight", "bias", "pos_mean", "neg_mean", "fallback"):
-        value = doc.get(name)
-        if value is None:
-            if name in _KIND_ARRAYS[kind]:
-                raise ValueError(f"field {name!r} is missing; a {kind} classifier needs it")
-            arrays[name] = None
-            continue
-        try:
-            arr = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"field {name!r} is not a numeric array") from None
-        if arr.shape != (n_labels,):
-            raise ValueError(f"field {name!r} has shape {arr.shape}, need ({n_labels},)")
-        arrays[name] = arr.astype(bool) if name == "fallback" else arr
-    return LabelClassifier(kind, **arrays)
+        given = record.value.get(name) is not None  # null stands for no array
+        needed = given or name in _KIND_ARRAYS[kind.value]
+        arrays[name] = record.get(name, np.ndarray, shape=(n_labels,)) if needed else None
+    if arrays["fallback"] is not None:
+        arrays["fallback"] = arrays["fallback"].astype(bool)
+    return LabelClassifier(kind.value, **arrays)

@@ -31,16 +31,19 @@ from .classifiers import (
 )
 from .data import (
     DatasetError,
+    JsonField,
+    ModelDims,
     SynthConfig,
     class_stats,
     load_dataset,
+    read_json,
     save_dataset,
     split_samples,
     stack_samples,
     synth_generate,
 )
 from .metrics import format_report, segment_report, stepwise_report
-from .model import DIM_KEYS, ModelDims, forward, init_model, load_model, save_model
+from .model import forward, init_model, load_model, save_model
 from .num import make_rng
 from .training import (
     TrainConfig,
@@ -283,9 +286,7 @@ def cmd_convert_har(args) -> int:
 
 def _load_splits(args):
     meta, samples = load_dataset(args.data)
-    parts = split_samples(samples, (args.n_train, args.n_val, args.n_test), args.seed)
-    dims = ModelDims(meta.n_labels, meta.d_obs, meta.d_ctx, meta.tau, meta.total_steps)
-    return meta, dims, parts
+    return meta, split_samples(samples, (args.n_train, args.n_val, args.n_test), args.seed)
 
 
 def _train_config(args) -> TrainConfig:
@@ -323,9 +324,9 @@ def _fit_all_classifiers(model, train_split, seed):
 
 
 def cmd_train(args) -> int:
-    meta, dims, (train_split, val_split, _) = _load_splits(args)
+    meta, (train_split, val_split, _) = _load_splits(args)
     config = _train_config(args)
-    model = init_model(make_rng(args.seed + 1), dims)
+    model = init_model(make_rng(args.seed + 1), meta.dims)
     best, history = train(model, train_split, val_split, config)
     classifiers = _fit_all_classifiers(best, train_split, args.seed + 3)
     save_model(best, args.out_model, classifiers)
@@ -343,49 +344,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_json(path):
-    """A JSON file's content; text that is not JSON raises DatasetError
-    naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise DatasetError(f"{path}: invalid JSON ({exc})") from None
-
-
 def _read_grid_file(path, base: TrainConfig):
     """Grid points from a JSON list of {"eta", "lambda" (or "lam"), "beta"}
     objects; a missing key keeps the base config's value."""
-    points = _read_json(path)
-    if not isinstance(points, list) or not points:
+    points = read_json(path).read(list)
+    if not points:
         raise DatasetError(f"{path}: grid file must be a non-empty JSON list")
-    grid = []
-    for k, rec in enumerate(points):
-        if not isinstance(rec, dict):
-            raise DatasetError(f"{path}: grid entry {k} must be a JSON object, got {rec!r}")
-        try:
-            grid.append(
-                replace(
-                    base,
-                    eta=float(rec.get("eta", base.eta)),
-                    lam=float(rec.get("lambda", rec.get("lam", base.lam))),
-                    beta=float(rec.get("beta", base.beta)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}: grid entry {k}: {exc}") from None
-    return grid
+    return [replace(base, eta=rec.get("eta", float, base.eta),
+                    lam=rec.get("lambda", float, rec.get("lam", float, base.lam)),
+                    beta=rec.get("beta", float, base.beta))
+            for rec in points]
 
 
 def cmd_gridsearch(args) -> int:
-    meta, dims, (train_split, val_split, _) = _load_splits(args)
+    meta, (train_split, val_split, _) = _load_splits(args)
     base = _train_config(args)
     if args.grid_file is not None:
         grid = _read_grid_file(args.grid_file, base)
     else:
         grid = default_grid(args.loss, base)
     best_cfg, best_model, results = grid_search(
-        grid, dims, train_split, val_split, base_seed=args.seed
+        grid, meta.dims, train_split, val_split, base_seed=args.seed
     )
     classifiers = _fit_all_classifiers(best_model, train_split, args.seed + 3)
     save_model(best_model, args.out_model, classifiers)
@@ -417,21 +396,13 @@ def _load_model_with_classifiers(path):
     model, records = load_model(path)
     if not records:
         raise DatasetError(f"{path} has no classifier records; train it with the train command")
+    records = JsonField(records, str(path), "classifiers")
 
-    def read(*keys):
-        rec = records
-        for key in keys:
-            rec = rec.get(key) if isinstance(rec, dict) else None
-        name = ".".join(("classifiers",) + keys)
-        if rec is None:
-            raise DatasetError(f"{path}: missing key {name!r}")
-        try:
-            return classifier_from_dict(rec, model.dims.n_labels)
-        except ValueError as exc:
-            raise DatasetError(f"{path}: key {name!r}: {exc}") from None
+    def read(key):
+        return classifier_from_dict(records.field(key), model.dims.n_labels)
 
-    segment = {kind: read("segment", kind) for kind in KINDS}
-    return model, {"segment": segment, "stepwise": read("stepwise")}
+    return model, {"segment": {kind: read(f"segment.{kind}") for kind in KINDS},
+                   "stepwise": read("stepwise")}
 
 
 def _score_split(args):
@@ -444,12 +415,8 @@ def _score_split(args):
     """
     model, classifiers = _load_model_with_classifiers(args.model)
     meta, samples = load_dataset(args.data)
-    for name in DIM_KEYS:
-        have, want = getattr(meta, name), getattr(model.dims, name)
-        if have != want:
-            raise DatasetError(
-                f"{args.data} has {name}={have} but model {args.model} has {name}={want}"
-            )
+    if meta.dims != model.dims:
+        raise DatasetError(f"{args.data} has {meta.dims} but model {args.model} has {model.dims}")
     part = _select_split(args, samples)
     if not part:
         return meta, classifiers, None, None, None
@@ -574,7 +541,7 @@ def _flatten(doc, prefix=""):
 def cmd_compare(args) -> int:
     flat = []
     for path in (args.report, args.baseline):
-        doc = _read_json(path)
+        doc = read_json(path).value
         if not isinstance(doc, dict):
             raise DatasetError(f"{path}: a report must be a JSON object")
         flat.append(_flatten(doc))

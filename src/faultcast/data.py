@@ -16,7 +16,7 @@ which is validated on load and guaranteed by construction when generating.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,25 +26,129 @@ FORMAT_NAME = "faultcast-dataset"
 FORMAT_VERSION = 1
 
 SOURCES = ("synthetic", "phm_adapter", "har_adapter")
+# records one validation pass stacks: bounds the extra memory of a load or save
+CHECK_RECORDS = 64
 
 
 class DatasetError(ValueError):
     """A dataset file or record violates the schema."""
 
 
+# ---------------------------------------------------------------------------
+# The JSON file boundary
+# ---------------------------------------------------------------------------
+#
+# Every faultcast JSON file (dataset header, model, grid file, report) is
+# decoded by read_json and read by typed key through JsonField, so one set of
+# type rules holds at every edge: true/false is never a number, and a
+# numeric array is one whose numpy dtype comes out integer or floating.
+
+_REQUIRED = object()
+_KINDS = {  # kind: (its name in errors, the decoded types it accepts besides bool)
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    str: ("a string", str),
+    list: ("a JSON list", list),
+    dict: ("a JSON object", dict),
+}
+
+
+class JsonField:
+    """A value decoded from a JSON file, named in every error by `where`
+    (the file, and its line for a dataset header) and its dotted key; the
+    document itself has the empty key."""
+
+    __slots__ = ("value", "where", "key")
+
+    def __init__(self, value, where: str, key: str = ""):
+        self.value, self.where, self.key = value, where, key
+
+    def error(self, problem: str) -> DatasetError:
+        return DatasetError(f"{self.where}: key {self.key!r}: {problem}" if self.key
+                            else f"{self.where}: {problem}")
+
+    def field(self, key: str) -> "JsonField":
+        """The member at dotted `key` below this JSON object."""
+        node = self
+        for part in key.split("."):
+            members = node.read(dict).value
+            name = f"{node.key}.{part}" if node.key else part
+            if part not in members:
+                raise DatasetError(f"{self.where}: missing key {name!r}")
+            node = JsonField(members[part], self.where, name)
+        return node
+
+    def get(self, key: str, kind, default=_REQUIRED, shape=None):
+        """The member at dotted `key`, read as `kind` (see read). With a
+        `default`, `key` is one plain key, and `default` stands for it when
+        it is missing."""
+        if default is not _REQUIRED and key not in self.read(dict).value:
+            return default
+        return self.field(key).read(kind, shape)
+
+    def read(self, kind, shape=None):
+        """This value as `kind`: an int, float or str; this field for dict;
+        a field per item for list; for np.ndarray, a float64 array of
+        `shape`."""
+        if kind is np.ndarray:
+            try:
+                arr = np.array(self.value)
+            except ValueError:  # ragged nesting
+                arr = None
+            if arr is None or arr.dtype.kind not in "iuf":
+                raise self.error("must be a numeric array")
+            if arr.shape != shape:
+                raise self.error(f"has shape {arr.shape}, need {shape}")
+            return arr.astype(np.float64)
+        name, types = _KINDS[kind]
+        if isinstance(self.value, bool) or not isinstance(self.value, types):
+            raise self.error(f"must be {name}, got {json.dumps(self.value)[:40]}")
+        if kind is dict:
+            return self
+        if kind is list:
+            return [JsonField(v, self.where, f"{self.key}[{k}]") for k, v in enumerate(self.value)]
+        return float(self.value) if kind is float else self.value
+
+
+def read_json(path, fmt: tuple[str, int] | None = None, line: str | None = None) -> JsonField:
+    """The JSON document in the file at `path`, or in `line`, the dataset
+    header read from its first line. With fmt = (name, version), the
+    document must be an object whose "format" and "version" keys hold them.
+    Every error is a DatasetError naming the file."""
+    where = str(path) if line is None else f"{path}: line 1"
+    try:
+        if line is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        else:
+            doc = json.loads(line)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DatasetError(f"{where}: invalid JSON ({exc})") from None
+    root = JsonField(doc, where)
+    if fmt is not None:
+        name, version = fmt
+        found = doc.get("format") if isinstance(doc, dict) else None
+        if found != name:
+            raise root.error(f"not a {name} file: key 'format' holds {found!r}")
+        if root.get("version", int) != version:
+            raise root.error(f"unsupported {name} version {doc['version']}")
+    return root
+
+
 @dataclass(frozen=True)
-class DatasetMeta:
-    tau: int
-    total_steps: int
+class ModelDims:
+    """The problem dims a dataset and its models share; the only place
+    they are declared and range-checked."""
+
     n_labels: int
     d_obs: int
     d_ctx: int
-    label_names: tuple[str, ...]
-    source: str = "synthetic"
+    tau: int          # observed steps
+    total_steps: int  # observed + forecast steps
 
     def __post_init__(self):
         if self.n_labels < 1:
-            raise DatasetError(f"n_labels must be >= 1, got {self.n_labels}")
+            raise DatasetError(f"need n_labels >= 1, got n_labels={self.n_labels}")
         if not 0 <= self.tau < self.total_steps:
             raise DatasetError(
                 f"need 0 <= tau < total_steps, got tau={self.tau}, "
@@ -52,16 +156,49 @@ class DatasetMeta:
             )
         if self.d_obs < 0 or self.d_ctx < 0:
             raise DatasetError(f"negative feature dims: d_obs={self.d_obs}, d_ctx={self.d_ctx}")
-        if len(self.label_names) != self.n_labels:
-            raise DatasetError(
-                f"{len(self.label_names)} label names for {self.n_labels} labels"
-            )
-        if self.source not in SOURCES:
-            raise DatasetError(f"unknown source {self.source!r}")
+
+    @classmethod
+    def read(cls, record: JsonField) -> "ModelDims":
+        """The dims held as JSON integers by the object `record`."""
+        values = {f.name: record.get(f.name, int) for f in fields(cls)}
+        try:
+            return cls(**values)
+        except DatasetError as exc:
+            raise record.error(str(exc)) from None
 
     @property
     def horizon(self) -> int:
         return self.total_steps - self.tau
+
+    @property
+    def enc_input(self) -> int:
+        return self.d_obs + self.d_ctx + self.n_labels
+
+    @property
+    def dec_input(self) -> int:
+        return self.d_ctx + self.n_labels
+
+
+@dataclass(frozen=True)
+class DatasetMeta:
+    dims: ModelDims
+    label_names: tuple[str, ...]
+    source: str = "synthetic"
+
+    def __post_init__(self):
+        if len(self.label_names) != self.dims.n_labels:
+            raise DatasetError(
+                f"{len(self.label_names)} label names for {self.dims.n_labels} labels"
+            )
+        if self.source not in SOURCES:
+            raise DatasetError(f"unknown source {self.source!r}")
+
+    n_labels = property(lambda self: self.dims.n_labels)
+    d_obs = property(lambda self: self.dims.d_obs)
+    d_ctx = property(lambda self: self.dims.d_ctx)
+    tau = property(lambda self: self.dims.tau)
+    total_steps = property(lambda self: self.dims.total_steps)
+    horizon = property(lambda self: self.dims.horizon)
 
 
 @dataclass
@@ -74,15 +211,24 @@ class Sample:
 
 def _first_error(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str] | None:
     """(index, reason) of the first sample that breaks the schema, by the
-    first rule it breaks, or None. Shapes are checked sample by sample, then
+    first rule it breaks, or None; checked CHECK_RECORDS samples at a time."""
+    for start in range(0, len(samples), CHECK_RECORDS):
+        if bad := _first_error_in(meta, samples[start : start + CHECK_RECORDS]):
+            return start + bad[0], bad[1]
+    return None
+
+
+def _first_error_in(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str] | None:
+    """_first_error of one chunk. Shapes are checked sample by sample, then
     values over the stack of the samples before any bad shape, a rule a pass."""
+    d = meta.dims
     for index, s in enumerate(samples):
-        for name, arr, shape in (("observations", s.obs, (meta.tau, meta.d_obs)),
-                                 ("context", s.ctx, (meta.total_steps, meta.d_ctx)),
-                                 ("segment label", s.labels, (meta.n_labels,)),
-                                 ("stepwise label", s.step_labels, (meta.horizon, meta.n_labels))):
+        for name, arr, shape in (("observations", s.obs, (d.tau, d.d_obs)),
+                                 ("context", s.ctx, (d.total_steps, d.d_ctx)),
+                                 ("segment label", s.labels, (d.n_labels,)),
+                                 ("stepwise label", s.step_labels, (d.horizon, d.n_labels))):
             if arr.shape != shape:  # a sample before it may break a value rule
-                return (_first_error(meta, samples[:index])
+                return (_first_error_in(meta, samples[:index])
                         or (index, f"{name} shape {arr.shape} != {shape}"))
     if not samples:
         return None
@@ -103,11 +249,7 @@ def save_dataset(path, meta: DatasetMeta, samples: list[Sample]) -> None:
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "tau": meta.tau,
-        "total_steps": meta.total_steps,
-        "n_labels": meta.n_labels,
-        "d_obs": meta.d_obs,
-        "d_ctx": meta.d_ctx,
+        **asdict(meta.dims),
         "label_names": list(meta.label_names),
         "source": meta.source,
     }
@@ -125,48 +267,15 @@ def save_dataset(path, meta: DatasetMeta, samples: list[Sample]) -> None:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-# Header keys after format and version, with the JSON type each must have.
-HEADER_KEYS = {
-    "tau": int,
-    "total_steps": int,
-    "n_labels": int,
-    "d_obs": int,
-    "d_ctx": int,
-    "label_names": list,
-    "source": str,
-}
-
-
 def _read_header(path, line: str) -> DatasetMeta:
     """Parse and schema-check a dataset's first line."""
-    where = f"{path}: line 1"
-    if not line.strip():
-        raise DatasetError(f"{where}: empty file, expected a header record")
+    header = read_json(path, (FORMAT_NAME, FORMAT_VERSION), line)
+    dims = ModelDims.read(header)
+    names = tuple(name.read(str) for name in header.get("label_names", list))
     try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{where}: invalid JSON ({exc})") from None
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt != FORMAT_NAME:
-        raise DatasetError(f"{where}: not a dataset file: format={fmt!r}")
-    if header.get("version") != FORMAT_VERSION:
-        raise DatasetError(f"{where}: unsupported version {header.get('version')!r}")
-    for key, kind in HEADER_KEYS.items():
-        if key not in header:
-            raise DatasetError(f"{where}: header lacks key {key!r}")
-        value = header[key]
-        # bool is an int subclass, but true/false is no dimension
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise DatasetError(f"{where}: header key {key!r} must be a JSON {kind.__name__}")
-    if not all(isinstance(name, str) for name in header["label_names"]):
-        raise DatasetError(f"{where}: header key 'label_names' must list strings")
-    try:
-        return DatasetMeta(
-            **{key: header[key] for key in HEADER_KEYS if key != "label_names"},
-            label_names=tuple(header["label_names"]),
-        )
+        return DatasetMeta(dims, names, header.get("source", str))
     except DatasetError as exc:
-        raise DatasetError(f"{where}: {exc}") from None
+        raise header.error(str(exc)) from None
 
 
 def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
@@ -174,8 +283,8 @@ def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
 
     Samples are numbered by record, blank lines skipped; an error in one
     names the file, its 1-based line and the sample index. Records are
-    parsed up to the first malformed one and then validated together; the
-    first bad record in file order is reported.
+    parsed up to the first malformed one and then validated, CHECK_RECORDS
+    at a time; the first bad record in file order is reported.
     """
     samples, lines, malformed = [], [], None
     with open(path, "r", encoding="utf-8") as fh:
@@ -340,11 +449,7 @@ def synth_generate(config: SynthConfig, n: int) -> tuple[DatasetMeta, list[Sampl
         samples.append(Sample(obs, ctx, labels, step_labels))
 
     meta = DatasetMeta(
-        tau=tau,
-        total_steps=steps,
-        n_labels=config.n_labels,
-        d_obs=config.d_obs,
-        d_ctx=config.d_ctx,
+        ModelDims(config.n_labels, config.d_obs, config.d_ctx, tau, steps),
         label_names=tuple(f"fault_{l + 1}" for l in range(config.n_labels)),
         source="synthetic",
     )

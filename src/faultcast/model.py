@@ -48,53 +48,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import ModelDims, read_json
 from .lstm import GATE_ORDER, LstmParams, Unroll, init_params, unroll, unroll_backward
 from .num import sigmoid
 
 FORMAT_NAME = "faultcast-model"
 FORMAT_VERSION = 1
-DIM_KEYS = ("n_labels", "d_obs", "d_ctx", "tau", "total_steps")
 # a cell's keys in the model file, in file order; w_g and b_g are gate g's
 # row block of W and b
 GATE_KEYS = ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")
-
-
-@dataclass(frozen=True)
-class ModelDims:
-    """Problem dimensions shared by the model and its datasets."""
-
-    n_labels: int
-    d_obs: int
-    d_ctx: int
-    tau: int          # observed steps
-    total_steps: int  # observed + forecast steps
-
-    def __post_init__(self):
-        if self.n_labels < 1:
-            raise ValueError(f"n_labels must be >= 1, got {self.n_labels}")
-        if self.tau < 0 or self.total_steps <= self.tau:
-            raise ValueError(
-                f"need 0 <= tau < total_steps, got tau={self.tau}, "
-                f"total_steps={self.total_steps}"
-            )
-        if self.d_obs < 0 or self.d_ctx < 0:
-            raise ValueError("feature dimensions must be non-negative")
-
-    @property
-    def horizon(self) -> int:
-        return self.total_steps - self.tau
-
-    @property
-    def enc_input(self) -> int:
-        return self.d_obs + self.d_ctx + self.n_labels
-
-    @property
-    def dec_input(self) -> int:
-        return self.d_ctx + self.n_labels
 
 
 def param_layout(dims: ModelDims) -> list[tuple[str, tuple[int, ...]]]:
@@ -394,7 +360,7 @@ def save_model(model: ForecastModel, path, classifiers: dict | None = None) -> N
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "dims": {key: getattr(model.dims, key) for key in DIM_KEYS},
+        "dims": asdict(model.dims),
         "classifiers": classifiers,
     }
     for key, arr in param_items(model):
@@ -414,54 +380,18 @@ def load_model(path) -> tuple[ForecastModel, dict | None]:
     """Read a model file written by save_model; returns (model, classifiers).
 
     Every array is checked against the file's dims. A malformed file raises
-    ValueError naming the file and the offending key.
+    DatasetError naming the file and the offending key.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a model file: invalid JSON ({exc})") from None
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != FORMAT_NAME:
-        raise ValueError(f"{path}: not a model file: format={fmt!r}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {doc.get('version')!r}")
-    for key in ("dims", "encoder", "decoder", "out_bias"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing key {key!r}")
-
-    rec = doc["dims"]
-    if (
-        not isinstance(rec, dict)
-        or set(rec) != set(DIM_KEYS)
-        or any(type(rec[k]) is not int for k in DIM_KEYS)
-    ):
-        raise ValueError(f"{path}: key 'dims' must map {', '.join(DIM_KEYS)} to integers")
-    try:
-        dims = ModelDims(**rec)
-    except ValueError as exc:
-        raise ValueError(f"{path}: key 'dims': {exc}") from None
-
+    doc = read_json(path, (FORMAT_NAME, FORMAT_VERSION))
+    record = doc.field("dims")
+    dims = ModelDims.read(record)
+    if set(record.value) != set(asdict(dims)):
+        raise record.error(f"must hold only {', '.join(asdict(dims))}")
     # fill every per-gate view of a fresh model, in the file's key order
     model = ForecastModel(np.empty(param_size(dims)), dims)
     for key, view in param_items(model):
-        section, _, gate = key.partition(".")
-        value = doc[section]
-        if gate:
-            if not isinstance(value, dict):
-                raise ValueError(f"{path}: key {section!r} must map gate names to arrays")
-            if gate not in value:
-                raise ValueError(f"{path}: missing key {key!r}")
-            value = value[gate]
-        try:
-            arr = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: key {key!r} is not a numeric array") from None
-        if arr.shape != view.shape:
-            raise ValueError(
-                f"{path}: key {key!r} has shape {arr.shape}, dims {dims} need {view.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: key {key!r} holds non-finite values")
-        view[...] = arr
-    return model, doc.get("classifiers")
+        field = doc.field(key)
+        view[...] = field.read(np.ndarray, view.shape)
+        if not np.all(np.isfinite(view)):
+            raise field.error("holds non-finite values")
+    return model, doc.value.get("classifiers")

@@ -57,8 +57,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 def default_splits():
     meta, samples = synth_generate(DEFAULT_SYNTH_CONFIG, 1000)
     train_s, val_s, test_s = split_samples(samples, (500, 100, 400), seed=0)
-    dims = ModelDims(meta.n_labels, meta.d_obs, meta.d_ctx, meta.tau, meta.total_steps)
-    return meta, dims, train_s, val_s, test_s
+    return meta, meta.dims, train_s, val_s, test_s
 
 
 @pytest.fixture(scope="module")
@@ -258,8 +257,7 @@ def test_c05_overfit_capacity():
     """64-sample default synthetic set reaches training micro-F1 >= 0.95."""
     start = time.perf_counter()
     meta, samples = synth_generate(replace(DEFAULT_SYNTH_CONFIG, seed=0), 64)
-    dims = ModelDims(meta.n_labels, meta.d_obs, meta.d_ctx, meta.tau, meta.total_steps)
-    model = init_model(make_rng(1), dims)
+    model = init_model(make_rng(1), meta.dims)
     cfg = TrainConfig(loss="base", eta=0.01, batch_size=16, max_epochs=2000,
                       patience=150, seed=0)
     _, history = train(model, samples, [], cfg)

@@ -14,6 +14,7 @@ from faultcast.classifiers import (
     fit_classifier,
     fit_svm_blocks,
 )
+from faultcast.data import JsonField
 from faultcast.num import make_rng
 
 
@@ -263,7 +264,7 @@ class TestSerialization:
         g = rng.normal(size=(6, 2))
         for kind in ("svm", "threshold_zero", "nearest_mean"):
             clf = fit_classifier(kind, scores, labels, seed=3)
-            back = classifier_from_dict(classifier_to_dict(clf), n_labels=2)
+            back = classifier_from_dict(JsonField(classifier_to_dict(clf), "record"), n_labels=2)
             np.testing.assert_array_equal(classify(clf, g), classify(back, g))
 
     @pytest.mark.parametrize("edit, field", [
@@ -278,6 +279,6 @@ class TestSerialization:
     def test_malformed_record_names_the_field(self, edit, field):
         scores = make_rng(9).normal(size=(20, 2))
         doc = classifier_to_dict(fit_classifier("svm", scores, (scores > 0).astype(float)))
-        classifier_from_dict(doc, n_labels=2)
+        classifier_from_dict(JsonField(doc, "record"), n_labels=2)
         with pytest.raises(ValueError, match=field):
-            classifier_from_dict({**doc, **edit}, n_labels=2)
+            classifier_from_dict(JsonField({**doc, **edit}, "record"), n_labels=2)

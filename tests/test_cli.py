@@ -7,7 +7,7 @@ import pytest
 
 from faultcast.classifiers import classifier_from_dict, classify
 from faultcast.cli import build_parser, main
-from faultcast.data import load_dataset, split_samples, stack_samples
+from faultcast.data import JsonField, load_dataset, split_samples, stack_samples
 from faultcast.model import forward, load_model
 
 
@@ -211,8 +211,9 @@ class TestPredictAndLocalize:
         obs, ctx, _, _ = stack_samples(split_samples(samples, (140, 40, 80), 0)[2])
         pred = forward(model, obs, ctx, keep_tape=False)[0]
         n_labels = model.dims.n_labels
-        segment = classifier_from_dict(classifiers["segment"]["svm"], n_labels)
-        stepwise = classifier_from_dict(classifiers["stepwise"], n_labels)
+        records = JsonField(classifiers, str(model_path))
+        segment = classifier_from_dict(records.field("segment.svm"), n_labels)
+        stepwise = classifier_from_dict(records.field("stepwise"), n_labels)
         expected = {
             "p.jsonl": {"embedding": pred.embedding, "probs": pred.label_probs,
                         "decision": classify(segment, pred.embedding)},
@@ -425,7 +426,7 @@ class TestUsageErrors:
             "--n-train", "60", "--n-val", "20", "--n-test", "20",
         ) == 2
         err = capsys.readouterr().err
-        assert str(grid) in err and "grid entry 0" in err
+        assert str(grid) in err and "'[0]'" in err
         assert not (tmp_path / "gs.json").exists()
 
     def test_non_numeric_plant_cell_is_data_error(self, tmp_path, capsys):
@@ -556,7 +557,7 @@ class TestUsageErrors:
         assert run("localize", "--model", str(bad), "--data", str(data),
                    "--out", str(out), *SPLIT) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and "'classifiers.stepwise'" in err and "'weight'" in err
+        assert str(bad) in err and "'classifiers.stepwise.weight'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["encoder", "decoder", "dims"])

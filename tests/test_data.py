@@ -6,10 +6,12 @@ import re
 import numpy as np
 import pytest
 
+from faultcast import data
 from faultcast.data import (
     DEFAULT_SYNTH_CONFIG,
     DatasetError,
     DatasetMeta,
+    ModelDims,
     SynthConfig,
     class_stats,
     load_dataset,
@@ -70,17 +72,22 @@ class TestRoundTrip:
             save_dataset(path, meta, samples)
         assert not path.exists()
 
-    def test_load_names_an_invalid_sample_before_a_malformed_line(self, tmp_path):
+    def test_load_names_an_invalid_sample_before_a_malformed_line(self, tmp_path,
+                                                                  monkeypatch):
         meta, samples = synth_generate(small_config(), 4)
         path = tmp_path / "data.jsonl"
         save_dataset(path, meta, samples)
         header, *records = path.read_text().splitlines()
-        records[1] = re.sub(r'"labels":\[\d', '"labels":[2', records[1], count=1)
+        records[2] = re.sub(r'"labels":\[\d', '"labels":[2', records[2], count=1)
         records[3] = records[3][:-2]
         path.write_text("\n".join([header, *records]) + "\n")
-        with pytest.raises(DatasetError) as info:
-            load_dataset(path)
-        assert str(info.value) == f"{path}: line 3: sample 1: segment labels must be binary"
+        # one check of all records, then checks of 1 and 2 records, where the
+        # bad record falls in a later check than the first
+        for per_check in (data.CHECK_RECORDS, 1, 2):
+            monkeypatch.setattr(data, "CHECK_RECORDS", per_check)
+            with pytest.raises(DatasetError) as info:
+                load_dataset(path)
+            assert str(info.value) == f"{path}: line 4: sample 2: segment labels must be binary"
 
     def test_load_rejects_corrupted_record(self, tmp_path):
         meta, samples = synth_generate(small_config(), 2)
@@ -298,19 +305,19 @@ class TestClassStats:
 class TestMeta:
     def test_invalid_meta(self):
         with pytest.raises(DatasetError):
-            DatasetMeta(5, 5, 2, 1, 1, ("a", "b"))
+            DatasetMeta(ModelDims(2, 1, 1, 5, 5), ("a", "b"))
         with pytest.raises(DatasetError):
-            DatasetMeta(2, 5, 2, 1, 1, ("a",))
+            DatasetMeta(ModelDims(2, 1, 1, 2, 5), ("a",))
         with pytest.raises(DatasetError):
-            DatasetMeta(2, 5, 2, 1, 1, ("a", "b"), source="nowhere")
+            DatasetMeta(ModelDims(2, 1, 1, 2, 5), ("a", "b"), source="nowhere")
 
     @pytest.mark.parametrize("field", ["d_obs", "d_ctx"])
     def test_negative_feature_dims_rejected(self, field):
-        # the same range ModelDims accepts: zero-width inputs are allowed
-        dims = dict(tau=2, total_steps=5, n_labels=2, d_obs=0, d_ctx=0, label_names=("a", "b"))
-        DatasetMeta(**dims)
+        # zero-width inputs are allowed
+        dims = dict(n_labels=2, d_obs=0, d_ctx=0, tau=2, total_steps=5)
+        DatasetMeta(ModelDims(**dims), ("a", "b"))
         with pytest.raises(DatasetError, match=f"{field}=-3"):
-            DatasetMeta(**{**dims, field: -3})
+            ModelDims(**{**dims, field: -3})
 
     def test_negative_feature_dim_in_header_names_file(self, tmp_path):
         meta, samples = synth_generate(small_config(), 2)

@@ -661,7 +661,7 @@ class TestLoadValidation:
                       repr("out_bias"), "shape")
 
     def test_dims_missing_field(self, tmp_path):
-        self._rejects(self._write(tmp_path, lambda doc: doc["dims"].pop("tau")), "'dims'")
+        self._rejects(self._write(tmp_path, lambda doc: doc["dims"].pop("tau")), "'dims.tau'")
 
     def test_ragged_weight(self, tmp_path):
         cell, gate = "encoder", "w_c"

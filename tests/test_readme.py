@@ -17,7 +17,7 @@ def quick_start_block() -> str:
 def test_library_quick_start_runs(capsys):
     scope = {}
     exec(compile(quick_start_block(), str(README), "exec"), scope)
-    pred, dims = scope["pred"], scope["dims"]
+    pred, dims = scope["pred"], scope["meta"].dims
     assert pred.label_probs.shape == (1, dims.n_labels)
     assert pred.step_scores.shape == (1, dims.horizon, dims.n_labels)
     assert capsys.readouterr().out.count("[") >= 2  # both arrays were printed
