@@ -33,7 +33,7 @@ import csv
 
 import numpy as np
 
-from .data import DatasetError, DatasetMeta, ModelDims, Sample
+from .data import DatasetError, DatasetMeta, ModelDims, Sample, segment_labels
 from .num import make_rng
 
 
@@ -129,7 +129,7 @@ def _cut_windows(dims: ModelDims, obs, ctx, step_truth, starts) -> list[Sample]:
     for s in starts:
         steps = step_truth[s + tau : s + window]
         samples.append(Sample(obs=obs[s : s + tau].copy(), ctx=ctx[s : s + window].copy(),
-                              labels=(steps.sum(axis=0) > 0).astype(np.float64),
+                              labels=segment_labels(steps),
                               step_labels=steps.copy()))
     return samples
 

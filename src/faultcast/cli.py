@@ -43,7 +43,7 @@ from .data import (
     synth_generate,
 )
 from .metrics import format_report, segment_report, stepwise_report
-from .model import forward, init_model, load_model, save_model
+from .model import init_model, load_model, predict, save_model
 from .num import make_rng
 from .training import (
     TrainConfig,
@@ -284,9 +284,14 @@ def cmd_convert_har(args) -> int:
     return 0
 
 
+def _splits(args, samples):
+    """The seeded (train, val, test) split of samples that args asks for."""
+    return split_samples(samples, (args.n_train, args.n_val, args.n_test), args.seed)
+
+
 def _load_splits(args):
     meta, samples = load_dataset(args.data)
-    return meta, split_samples(samples, (args.n_train, args.n_val, args.n_test), args.seed)
+    return meta, _splits(args, samples)
 
 
 def _train_config(args) -> TrainConfig:
@@ -306,7 +311,7 @@ def _train_config(args) -> TrainConfig:
 
 def _fit_all_classifiers(model, train_split, seed):
     obs, ctx, labels, steps = stack_samples(train_split)
-    pred = forward(model, obs, ctx, keep_tape=False)[0]
+    pred = predict(model, obs, ctx)
     n_labels = labels.shape[1]
     # the segment and stepwise svms share one Pegasos loop
     segment_svm, stepwise = fit_svm_blocks(
@@ -383,11 +388,7 @@ _KIND_FLAG = {"svm": "svm", "threshold": "threshold_zero", "nearest-mean": "near
 def _select_split(args, samples):
     if args.split == "all":
         return samples
-    parts = dict(
-        zip(("train", "val", "test"),
-            split_samples(samples, (args.n_train, args.n_val, args.n_test), args.seed))
-    )
-    return parts[args.split]
+    return _splits(args, samples)[("train", "val", "test").index(args.split)]
 
 
 def _load_model_with_classifiers(path):
@@ -421,7 +422,7 @@ def _score_split(args):
     if not part:
         return meta, classifiers, None, None, None
     obs, ctx, labels, steps = stack_samples(part)
-    pred = forward(model, obs, ctx, keep_tape=False)[0]
+    pred = predict(model, obs, ctx)
     return meta, classifiers, pred, labels.astype(int), steps.astype(int)
 
 

@@ -10,7 +10,8 @@ Every sample obeys the consistency identity
 
     labels[l] == 1  iff  step_labels[:, l] contains a 1
 
-which is validated on load and guaranteed by construction when generating.
+stated once, in segment_labels: the generator and the converters build their
+segment labels with it, and load and save validate against it.
 """
 
 from __future__ import annotations
@@ -209,6 +210,12 @@ class Sample:
     step_labels: np.ndarray  # (horizon, n_labels) binary stepwise labels
 
 
+def segment_labels(step_labels: np.ndarray) -> np.ndarray:
+    """The 0/1 segment labels that (..., horizon, labels) stepwise labels
+    imply: a label is 1 iff it is 1 at some forecast step."""
+    return (step_labels.sum(axis=-2) > 0).astype(np.float64)
+
+
 def _first_error(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str] | None:
     """(index, reason) of the first sample that breaks the schema, by the
     first rule it breaks, or None; checked CHECK_RECORDS samples at a time."""
@@ -239,7 +246,7 @@ def _first_error_in(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str]
              "stepwise labels must be binary":
              ~((step_labels == 0.0) | (step_labels == 1.0)).all(axis=(1, 2)),
              "segment label inconsistent with stepwise labels":
-             ((step_labels.sum(axis=1) > 0) != labels).any(axis=1)}
+             (segment_labels(step_labels) != labels).any(axis=1)}
     broken = np.stack(list(rules.values()))  # (rule, sample)
     index = int(np.argmax(broken.any(axis=0)))
     return (index, list(rules)[int(np.argmax(broken[:, index]))]) if broken.any() else None
@@ -445,8 +452,7 @@ def synth_generate(config: SynthConfig, n: int) -> tuple[DatasetMeta, list[Sampl
             for l in np.nonzero(fired)[0]:
                 end = min(t + int(durations[t, l]), steps)
                 step_labels[t - tau : end - tau, l] = 1.0
-        labels = (step_labels.sum(axis=0) > 0).astype(np.float64)
-        samples.append(Sample(obs, ctx, labels, step_labels))
+        samples.append(Sample(obs, ctx, segment_labels(step_labels), step_labels))
 
     meta = DatasetMeta(
         ModelDims(config.n_labels, config.d_obs, config.d_ctx, tau, steps),

@@ -6,9 +6,8 @@ frequency in the training split. A label that never occurs gets weight 1
 (no preference either way); a label that always occurs gets weight 0, which
 silences its positive term, so that case is flagged with a warning.
 
-Each per-sample function accepts an optional leading batch axis and then
-returns one loss per sample. batch_adjoints is the one batch objective: a
-single pass gives the loss breakdown together with the adjoints that
+batch_adjoints is the one batch objective and the only statement of each
+term: a single pass gives the loss breakdown together with the adjoints that
 model.backward and the optimizer need; batch_loss is its breakdown alone.
 Their inputs carry a batch axis; one sample is a batch of one.
 """
@@ -66,52 +65,6 @@ def class_weights(labels: np.ndarray) -> ClassWeights:
     return ClassWeights(p, w)
 
 
-def _clamp(p: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(p, EPS), 1.0 - EPS)  # np.clip's values, without its overhead
-
-
-def segment_loss(probs, labels, weights: ClassWeights):
-    """Weighted cross entropy over labels; only the positive term is weighted.
-
-    -sum_l [ w_l * y~_l * log(y_l) + (1 - y~_l) * log(1 - y_l) ]
-    """
-    y = _clamp(np.asarray(probs, dtype=np.float64))
-    t = np.asarray(labels, dtype=np.float64)
-    terms = weights.weight * t * np.log(y) + (1.0 - t) * np.log1p(-y)
-    return -terms.sum(axis=-1)
-
-
-def stepwise_loss(scores, step_labels):
-    """Mean squared error against the binary stepwise targets.
-
-    (1 / (labels * horizon)) * sum_t [ o~_t (1 - o_t)^2 + (1 - o~_t) o_t^2 ],
-    which is the per-entry squared error since the targets are binary.
-    """
-    o = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(step_labels, dtype=np.float64)
-    if o.shape != t.shape:
-        raise ValueError(f"shape mismatch: scores {o.shape} vs targets {t.shape}")
-    per_entry = t * (1.0 - o) ** 2 + (1.0 - t) * o**2
-    return per_entry.mean(axis=(-2, -1))
-
-
-def pair_similarity(g_i, g_j):
-    """Elementwise exp(-|g_i - g_j|); 1 where the embeddings agree."""
-    g_i = np.asarray(g_i, dtype=np.float64)
-    g_j = np.asarray(g_j, dtype=np.float64)
-    return np.exp(-np.abs(g_i - g_j))
-
-
-def pair_loss(sim, target):
-    """(1/L) * sum_l [ s~ (1 - s)^2 + (1 - s~) s^2 ]."""
-    s = np.asarray(sim, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if s.shape != t.shape:
-        raise ValueError(f"shape mismatch: similarity {s.shape} vs target {t.shape}")
-    per_label = t * (1.0 - s) ** 2 + (1.0 - t) * s**2
-    return per_label.mean(axis=-1)
-
-
 def l2_penalty(model, lam):
     """(lam / 2) * squared Frobenius norm over the LSTM weights: both cells'
     fused W, which hold the eight per-gate weight matrices.
@@ -148,14 +101,6 @@ def _checked(name: str, a, shape: tuple) -> np.ndarray:
     return a
 
 
-def _pair_stats(embeddings: np.ndarray, labels: np.ndarray):
-    """Similarity, target, and sign(g_i - g_j) for every ordered pair."""
-    diff = embeddings[..., :, None, :] - embeddings[..., None, :, :]
-    sim = np.exp(-np.abs(diff))
-    target = (labels[..., :, None, :] == labels[..., None, :, :]).astype(np.float64)
-    return sim, target, np.sign(diff)
-
-
 def batch_loss(
     kind: str, pred, labels, step_labels, weights: ClassWeights, model=None, lam=0.0, beta=0.5
 ) -> LossBreakdown:
@@ -167,7 +112,14 @@ def batch_adjoints(
     kind: str, pred, labels, step_labels, weights: ClassWeights, model=None, lam=0.0, beta=0.5
 ):
     """The batch objective of one of the three configurations, and its
-    adjoints, from one pass:
+    adjoints, from one pass. Per sample, with label probabilities y, targets
+    t, step scores o and step targets o~ over H forecast steps and L labels:
+
+    segment:  -sum_l [ w_l t_l log(y_l) + (1 - t_l) log(1 - y_l) ]
+    stepwise: (1 / (H L)) sum_{h,l} [ o~ (1 - o)^2 + (1 - o~) o^2 ]
+    and per pair of samples i, j, with s = exp(-|g_i - g_j|) and s~ = 1
+    where the two samples' label l agrees, 0 elsewhere:
+    pair:     (1 / L) sum_l [ s~ (1 - s)^2 + (1 - s~) s^2 ]
 
     base:     mean segment loss
     localize: mean (segment + stepwise) loss
@@ -211,7 +163,7 @@ def batch_adjoints(
 
     # segment terms and their adjoint on y, at the clamped probabilities
     wt, nt = weights.weight * t, 1.0 - t
-    yc = _clamp(y)
+    yc = np.minimum(np.maximum(y, EPS), 1.0 - EPS)  # np.clip's values, without its overhead
     terms = wt * np.log(yc) + nt * np.log1p(-yc)
     dy = nt / (1.0 - yc) - wt / yc  # +0.0, not -0.0, where t = 1 at weight 0
     saturated = yc != y
@@ -221,32 +173,38 @@ def batch_adjoints(
         terms = np.where(saturated, -exact, terms)
         dg_saturated = nt * y - wt * sigmoid(-g)
     seg = -terms.sum(axis=-1)
+    if kind != "base":  # the per-sample stepwise loss
+        step = (ot * (1.0 - o) ** 2 + (1.0 - ot) * o**2).mean(axis=(-2, -1))
 
     if kind == "siamese":
         n_pairs = n * (n - 1) // 2
         # each sample sits in (n - 1) of the n_pairs unordered pairs
         coef = beta * (n - 1) / n_pairs
         l_seg = coef * seg.sum(axis=-1)
-        l_step = coef * stepwise_loss(o, ot).sum(axis=-1)
-        sim, target, sign = _pair_stats(g, t)
-        pl = pair_loss(sim, target)  # (..., n, n); diagonal is exactly zero
+        l_step = coef * step.sum(axis=-1)
+        # similarity and target of every ordered pair, then its pair loss,
+        # (..., n, n), whose diagonal is exactly zero
+        diff = g[..., :, None, :] - g[..., None, :, :]
+        sim = np.exp(-np.abs(diff))
+        target = (t[..., :, None, :] == t[..., None, :, :]).astype(np.float64)
+        pl = (target * (1.0 - sim) ** 2 + (1.0 - target) * sim**2).mean(axis=-1)
         l_pair = (1.0 - beta) * pl.sum(axis=(-2, -1)) / (2 * n_pairs)
-        # d(pair_loss)/d(sim) = (2/L)(sim - target); d(sim)/d(g_i) = -sim * sign
+        # d(pair loss)/d(sim) = (2/L)(sim - target); d(sim)/d(g_i) = -sim * sign
         dsim = (2.0 / y.shape[-1]) * (sim - target)
-        contrib = per_member((1.0 - beta) / (2 * n_pairs), 3) * dsim * sim * sign
+        contrib = per_member((1.0 - beta) / (2 * n_pairs), 3) * dsim * sim * np.sign(diff)
         dg_pair = -contrib.sum(axis=-2) + contrib.sum(axis=-3)
 
         def times_coef(a):  # a per-sample adjoint, weighted as its sample is
             return per_member(coef, a.ndim - 1) * a
     else:  # the sum over the count is what .mean computes, without its overhead
         l_seg = seg.sum(axis=-1) / n
-        l_step = zero if kind == "base" else stepwise_loss(o, ot).sum(axis=-1) / n
+        l_step = zero if kind == "base" else step.sum(axis=-1) / n
         l_pair = zero
 
         def times_coef(a):
             return a / n
 
-    scale = 2.0 / (o.shape[-1] * o.shape[-2])  # d(stepwise_loss)/d(o) = scale * (o - ot)
+    scale = 2.0 / (o.shape[-1] * o.shape[-2])  # d(stepwise)/d(o) = scale * (o - ot)
     do = np.zeros_like(o) if kind == "base" else times_coef(scale * (o - ot))
     dg = times_coef(dy) * (y * (1.0 - y))
     if exact_tail:

@@ -41,7 +41,7 @@ from .data import Sample, stack_samples
 from .losses import ClassWeights, LossBreakdown, batch_adjoints, batch_loss, class_weights
 from .metrics import segment_report
 from .model import (ForecastModel, ModelDims, Tape, backward, forward, init_model,
-                    param_layout, stack_models)
+                    param_layout, predict, stack_models)
 from .num import make_rng, per_member
 
 ADAM_BETA1 = 0.9
@@ -186,7 +186,7 @@ def threshold_validation_f1(model: ForecastModel, samples):
     of samples (or their stack_samples arrays); for a population, (micro
     list, macro list) with one entry per member, from one forward pass."""
     obs, ctx, labels, _ = samples if isinstance(samples, tuple) else stack_samples(samples)
-    pred = forward(model, obs, ctx, keep_tape=False)[0]
+    pred = predict(model, obs, ctx)
     decisions = (pred.embedding > 0.0).astype(np.int8)
     truth = labels.astype(int)
     if model.population is None:
@@ -416,7 +416,7 @@ def fd_gradient(model: ForecastModel, obs, ctx, labels, step_labels, weights: Cl
         rows, j = np.tile(theta, (len(k), 2, 1)), np.arange(len(k))
         rows[j, 0, k], rows[j, 1, k] = theta[k] + fd_step, theta[k] - fd_step
         work, lead = ForecastModel(rows.reshape(-1, theta.size), model.dims), (2 * len(k),)
-        total = batch_loss(kind, forward(work, obs, ctx, keep_tape=False)[0],
+        total = batch_loss(kind, predict(work, obs, ctx),
                            np.broadcast_to(labels, lead + labels.shape),
                            np.broadcast_to(step_labels, lead + step_labels.shape),
                            weights, work, np.full(lead, lam), np.full(lead, beta)).total

@@ -17,6 +17,7 @@ context for the committed generator (seed 0):
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,14 +35,7 @@ from faultcast.data import (
     stack_samples,
     synth_generate,
 )
-from faultcast.losses import (
-    class_weights,
-    l2_penalty,
-    pair_loss,
-    pair_similarity,
-    segment_loss,
-    stepwise_loss,
-)
+from faultcast.losses import batch_loss, class_weights, l2_penalty
 from faultcast.metrics import segment_report, stepwise_report
 from faultcast.model import ForecastModel, ModelDims, forward, init_model, param_items, param_size
 from faultcast.num import make_rng
@@ -193,29 +187,49 @@ def test_c03_loss_unit_fixtures():
         vals = np.asarray(vals, dtype=float)
         return ClassWeights(np.full_like(vals, 0.5), vals)
 
+    # each term is its field of batch_loss's breakdown: a batch of one holds
+    # one sample's segment or stepwise loss, a batch of two at beta 0 the
+    # one pair's loss
+    def term(kind, field, g, labels, steps, probs=None, scores=None, weights=None):
+        g, labels, steps = (np.asarray(a, dtype=float) for a in (g, labels, steps))
+        probs = 1.0 / (1.0 + np.exp(-g)) if probs is None else np.asarray(probs, dtype=float)
+        scores = np.zeros_like(steps) if scores is None else np.asarray(scores, dtype=float)
+        weights = w(*[1.0] * g.shape[1]) if weights is None else weights
+        pred = SimpleNamespace(embedding=g, label_probs=probs, step_scores=scores)
+        return getattr(batch_loss(kind, pred, labels, steps, weights, beta=0.0), field)
+
+    def segment(probs, labels, weights):
+        logits = [math.log(p / (1.0 - p)) for p in probs]
+        return term("base", "segment", [logits], [labels], np.zeros((1, 1, len(labels))),
+                    probs=[probs], weights=weights)
+
+    def stepwise(scores, steps):
+        steps = np.asarray(steps, dtype=float)
+        return term("localize", "stepwise", np.zeros((1, steps.shape[1])),
+                    np.zeros((1, steps.shape[1])), [steps], scores=[scores])
+
+    def pair(g_i, g_j, t_i, t_j):
+        return term("siamese", "pairwise", [g_i, g_j], [t_i, t_j],
+                    np.zeros((2, 1, len(g_i))))
+
+    def similarity(g_i, g_j):  # the pair loss of disagreeing labels is s^2
+        return math.sqrt(pair([g_i], [g_j], [1.0], [0.0]))
+
     checks = [
-        ("segment negative term", segment_loss(np.array([0.5]), np.array([0.0]), w(1.0)),
-         math.log(2.0)),
-        ("segment positive term", segment_loss(np.array([0.5]), np.array([1.0]), w(1.0)),
-         math.log(2.0)),
-        ("segment weighted", segment_loss(np.array([0.5, 0.25]), np.array([1.0, 0.0]),
-                                          w(2.0, 1.0)),
+        ("segment negative term", segment([0.5], [0.0], w(1.0)), math.log(2.0)),
+        ("segment positive term", segment([0.5], [1.0], w(1.0)), math.log(2.0)),
+        ("segment weighted", segment([0.5, 0.25], [1.0, 0.0], w(2.0, 1.0)),
          2.0 * math.log(2.0) - math.log(0.75)),
-        ("stepwise corners", stepwise_loss(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])),
-         0.0),
-        ("stepwise quarter", stepwise_loss(np.full((3, 2), 0.25), np.zeros((3, 2))),
-         0.0625),
-        ("stepwise single", stepwise_loss(np.array([[0.25]]), np.array([[1.0]])),
-         0.5625),
-        ("similarity equal", pair_similarity(np.array([1.0]), np.array([1.0]))[0], 1.0),
-        ("similarity log2", pair_similarity(np.array([math.log(2.0)]), np.array([0.0]))[0],
-         0.5),
-        ("similarity hand", pair_similarity(np.array([1.0, -1.0]),
-                                            np.array([0.0, 1.0]))[0],
-         math.exp(-1.0)),
-        ("pair corners", pair_loss(np.array([1.0]), np.array([1.0])), 0.0),
-        ("pair half", pair_loss(np.array([0.5]), np.array([0.0])), 0.25),
-        ("pair hand", pair_loss(np.array([0.5, 0.1]), np.array([1.0, 0.0])), 0.13),
+        ("stepwise corners", stepwise([[1.0, 0.0]], [[1.0, 0.0]]), 0.0),
+        ("stepwise quarter", stepwise(np.full((3, 2), 0.25), np.zeros((3, 2))), 0.0625),
+        ("stepwise single", stepwise([[0.25]], [[1.0]]), 0.5625),
+        ("similarity equal", similarity(1.0, 1.0), 1.0),
+        ("similarity log2", similarity(math.log(2.0), 0.0), 0.5),
+        ("similarity hand", similarity(1.0, 0.0), math.exp(-1.0)),
+        ("pair corners", pair([0.0], [0.0], [1.0], [1.0]), 0.0),
+        ("pair half", pair([math.log(2.0)], [0.0], [1.0], [0.0]), 0.25),
+        ("pair hand", pair([math.log(2.0), math.log(10.0)], [0.0, 0.0], [1.0, 0.0],
+                           [1.0, 1.0]), 0.13),
     ]
     for name, got, want in checks:
         assert abs(float(got) - want) < tol, f"{name}: {got} vs {want}"

@@ -9,19 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faultcast.losses import (
+    EPS,
     ClassWeights,
     batch_adjoints,
     batch_loss,
     class_weights,
     l2_penalty,
-    pair_loss,
-    pair_similarity,
-    segment_loss,
-    stepwise_loss,
 )
 from faultcast.model import ForecastModel, ModelDims, init_model, param_items, param_size
 from faultcast.num import make_rng, sigmoid
@@ -40,6 +37,83 @@ class FakePrediction:
     label_probs: np.ndarray
     step_scores: np.ndarray
     step_hidden: np.ndarray = None
+
+
+# Each term of the objective is read as its field of batch_loss's breakdown:
+# a batch of one sample carries one segment or stepwise loss, and a batch of
+# two at beta 0 carries the one pair's loss.
+
+def segment_of(probs, labels, w):
+    y = np.array([probs], dtype=np.float64)
+    pred = FakePrediction(np.log(y) - np.log1p(-y), y, np.zeros((1, 1, y.shape[1])))
+    return batch_loss("base", pred, np.array([labels], dtype=np.float64),
+                      np.zeros((1, 1, y.shape[1])), w).segment
+
+
+def stepwise_of(scores, step_labels):
+    o = np.array([scores], dtype=np.float64)
+    n_labels = o.shape[2]
+    pred = FakePrediction(np.zeros((1, n_labels)), np.full((1, n_labels), 0.5), o)
+    return batch_loss("localize", pred, np.zeros((1, n_labels)),
+                      np.array([step_labels], dtype=np.float64),
+                      weights_of(*[1.0] * n_labels)).stepwise
+
+
+def pair_of(g_i, g_j, t_i, t_j):
+    """(1/L) sum_l [s~ (1 - s)^2 + (1 - s~) s^2] of the pair, s = exp(-|g_i - g_j|)."""
+    g = np.array([g_i, g_j], dtype=np.float64)
+    n_labels = g.shape[1]
+    pred = FakePrediction(g, sigmoid(g), np.zeros((2, 1, n_labels)))
+    return batch_loss("siamese", pred, np.array([t_i, t_j], dtype=np.float64),
+                      np.zeros((2, 1, n_labels)), weights_of(*[1.0] * n_labels),
+                      beta=0.0).pairwise
+
+
+def similarity_of(g_i, g_j):
+    """exp(-|g_i - g_j|) of one label, as the square root of the pair loss
+    s^2 of two samples whose labels differ."""
+    return math.sqrt(pair_of([g_i], [g_j], [1.0], [0.0]))
+
+
+def softplus(x):
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def oracle_terms(kind, g, y, o, t, ot, w, beta):
+    """(segment, stepwise, pairwise) of one batch from the defining formulas,
+    one sample and one pair at a time. Past the probability clamp the
+    segment term is taken on the logit g."""
+    n, horizon, n_labels = len(o), len(o[0]), len(o[0][0])
+
+    def seg(i):
+        total = 0.0
+        for l in range(n_labels):
+            if EPS <= y[i][l] <= 1.0 - EPS:
+                total -= (w[l] * t[i][l] * math.log(y[i][l])
+                          + (1.0 - t[i][l]) * math.log(1.0 - y[i][l]))
+            else:
+                total += w[l] * t[i][l] * softplus(-g[i][l]) + (1.0 - t[i][l]) * softplus(g[i][l])
+        return total
+
+    def step(i):
+        return sum(ot[i][h][l] * (1.0 - o[i][h][l]) ** 2 + (1.0 - ot[i][h][l]) * o[i][h][l] ** 2
+                   for h in range(horizon) for l in range(n_labels)) / (horizon * n_labels)
+
+    def pair(i, j):
+        total = 0.0
+        for l in range(n_labels):
+            s = math.exp(-abs(g[i][l] - g[j][l]))
+            same = 1.0 if t[i][l] == t[j][l] else 0.0
+            total += same * (1.0 - s) ** 2 + (1.0 - same) * s**2
+        return total / n_labels
+
+    if kind != "siamese":
+        l_step = 0.0 if kind == "base" else sum(step(i) for i in range(n)) / n
+        return sum(seg(i) for i in range(n)) / n, l_step, 0.0
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return (beta * sum(seg(i) + seg(j) for i, j in pairs) / len(pairs),
+            beta * sum(step(i) + step(j) for i, j in pairs) / len(pairs),
+            (1.0 - beta) * sum(pair(i, j) for i, j in pairs) / len(pairs))
 
 
 class TestClassWeights:
@@ -91,17 +165,15 @@ class TestClassWeights:
 
 class TestSegmentLoss:
     def test_negative_only_term(self):
-        got = segment_loss(np.array([0.5]), np.array([0.0]), weights_of(1.0))
+        got = segment_of([0.5], [0.0], weights_of(1.0))
         assert abs(got - math.log(2.0)) < ATOL
 
     def test_positive_only_term(self):
-        got = segment_loss(np.array([0.5]), np.array([1.0]), weights_of(1.0))
+        got = segment_of([0.5], [1.0], weights_of(1.0))
         assert abs(got - math.log(2.0)) < ATOL
 
     def test_weighted_hand_case(self):
-        got = segment_loss(
-            np.array([0.5, 0.25]), np.array([1.0, 0.0]), weights_of(2.0, 1.0)
-        )
+        got = segment_of([0.5, 0.25], [1.0, 0.0], weights_of(2.0, 1.0))
         expected = 2.0 * math.log(2.0) - math.log(0.75)
         assert abs(got - expected) < ATOL
 
@@ -111,22 +183,21 @@ class TestSegmentLoss:
             probs = rng.uniform(1e-6, 1 - 1e-6, size=5)
             labels = (rng.uniform(size=5) < 0.5).astype(float)
             w = weights_of(*rng.uniform(0.1, 3.0, size=5))
-            assert segment_loss(probs, labels, w) >= 0.0
-        near = np.where(np.array([1.0, 0.0]) > 0, 1 - 1e-12, 1e-12)
-        tiny = segment_loss(near, np.array([1.0, 0.0]), weights_of(1.0, 1.0))
+            assert segment_of(probs, labels, w) >= 0.0
+        tiny = segment_of([1 - 1e-12, 1e-12], [1.0, 0.0], weights_of(1.0, 1.0))
         assert tiny < 1e-10
 
 class TestStepwiseLoss:
     def test_zero_at_exact_corners(self):
         target = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert stepwise_loss(target, target) == 0.0
+        assert stepwise_of(target, target) == 0.0
 
     def test_quarter_scores_against_zeros(self):
         scores = np.full((3, 2), 0.25)
-        assert abs(stepwise_loss(scores, np.zeros((3, 2))) - 0.0625) < ATOL
+        assert abs(stepwise_of(scores, np.zeros((3, 2))) - 0.0625) < ATOL
 
     def test_single_entry(self):
-        got = stepwise_loss(np.array([[0.25]]), np.array([[1.0]]))
+        got = stepwise_of([[0.25]], [[1.0]])
         assert abs(got - 0.5625) < ATOL
 
     def test_bounded_unit_interval(self):
@@ -134,33 +205,34 @@ class TestStepwiseLoss:
         for _ in range(30):
             scores = rng.uniform(1e-9, 1 - 1e-9, size=(4, 3))
             target = (rng.uniform(size=(4, 3)) < 0.5).astype(float)
-            val = stepwise_loss(scores, target)
+            val = stepwise_of(scores, target)
             assert 0.0 <= val <= 1.0
 
 class TestPairTerms:
     def test_identical_embeddings_similarity_one(self):
-        g = np.array([0.3, -2.0])
-        np.testing.assert_allclose(pair_similarity(g, g), 1.0)
+        assert similarity_of(0.3, 0.3) == 1.0
+        assert similarity_of(-2.0, -2.0) == 1.0
 
     def test_log2_gap_gives_half(self):
-        s = pair_similarity(np.array([math.log(2.0)]), np.array([0.0]))
-        np.testing.assert_allclose(s, [0.5], atol=ATOL)
+        assert abs(similarity_of(math.log(2.0), 0.0) - 0.5) < ATOL
 
     def test_hand_case(self):
-        s = pair_similarity(np.array([1.0, -1.0]), np.array([0.0, 1.0]))
-        np.testing.assert_allclose(s, [math.exp(-1.0), math.exp(-2.0)], atol=ATOL)
+        assert abs(similarity_of(1.0, 0.0) - math.exp(-1.0)) < ATOL
+        assert abs(similarity_of(-1.0, 1.0) - math.exp(-2.0)) < ATOL
 
     def test_symmetry(self):
         rng = make_rng(8)
         a, b = rng.normal(size=4), rng.normal(size=4)
-        np.testing.assert_array_equal(pair_similarity(a, b), pair_similarity(b, a))
+        t_a, t_b = [1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]
+        assert pair_of(a, b, t_a, t_b) == pair_of(b, a, t_b, t_a)
 
     def test_pair_loss_corners(self):
-        assert pair_loss(np.array([1.0]), np.array([1.0])) == 0.0
-        assert abs(pair_loss(np.array([0.5]), np.array([0.0])) - 0.25) < ATOL
+        assert pair_of([0.7], [0.7], [1.0], [1.0]) == 0.0  # similarity 1, target 1
+        assert abs(pair_of([math.log(2.0)], [0.0], [1.0], [0.0]) - 0.25) < ATOL
 
     def test_pair_loss_hand_case(self):
-        got = pair_loss(np.array([0.5, 0.1]), np.array([1.0, 0.0]))
+        # similarities 0.5 and 0.1 against targets 1 and 0
+        got = pair_of([math.log(2.0), math.log(10.0)], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0])
         assert abs(got - 0.13) < ATOL
 
 class TestL2Penalty:
@@ -209,7 +281,8 @@ class TestBatchLoss:
         steps = np.zeros((1, 3, 2))
         w = weights_of(1.0, 1.0)
         got = batch_loss("base", pred, labels, steps, w)
-        expected = segment_loss(pred.label_probs[0], labels[0], w)
+        expected, _, _ = oracle_terms("base", pred.embedding, pred.label_probs,
+                                      pred.step_scores, labels, steps, w.weight, 0.5)
         assert abs(got.total - expected) < ATOL
         assert got.stepwise == 0.0 and got.pairwise == 0.0
 
@@ -242,11 +315,9 @@ class TestBatchLoss:
         beta = 0.3
         got = batch_loss("siamese", pred, labels, steps, w, beta=beta)
 
-        ly = [segment_loss(pred.label_probs[i], labels[i], w) for i in range(2)]
-        lo = [stepwise_loss(pred.step_scores[i], steps[i]) for i in range(2)]
-        sim = pair_similarity(pred.embedding[0], pred.embedding[1])
-        ls = pair_loss(sim, (labels[0] == labels[1]).astype(float))
-        expected = beta * (ly[0] + ly[1] + lo[0] + lo[1]) + (1 - beta) * ls
+        # one pair: beta * (both segment + stepwise losses) + (1 - beta) * pair loss
+        expected = sum(oracle_terms("siamese", pred.embedding, pred.label_probs,
+                                    pred.step_scores, labels, steps, w.weight, beta))
         assert abs(got.total - expected) < ATOL
 
     def test_siamese_needs_two(self):
@@ -351,6 +422,48 @@ class TestBatchLoss:
             cell.W[...] = 0.5 * src.W
         assert d_theta.tobytes() == expected.tobytes()
         assert batch_adjoints(*args, lam=0.0)[3] is None  # no l2 term
+
+
+class TestBreakdownOracle:
+    """batch_loss's segment, stepwise and pairwise fields against
+    oracle_terms, for one model's (B, ...) predictions and for a
+    population's (G, B, ...) with per-member beta."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(("base", "localize", "siamese")),
+        members=st.one_of(st.none(), st.integers(1, 3)), batch=st.integers(1, 6),
+        n_labels=st.integers(1, 5), horizon=st.integers(1, 3), seed=st.integers(0, 2**16),
+        bias=st.floats(-40.0, 40.0),
+    )
+    def test_fields_equal_the_oracle(self, kind, members, batch, n_labels, horizon, seed, bias):
+        assume(kind != "siamese" or batch >= 2)
+        rng = make_rng(seed)
+        lead = () if members is None else (members,)
+        # embeddings out to |g| ~ 40, past the probability clamp
+        g = rng.normal(size=lead + (batch, n_labels)) + bias * rng.uniform(size=lead + (1, 1))
+        y = sigmoid(g)
+        o = rng.uniform(size=lead + (batch, horizon, n_labels)) * y[..., None, :]
+        labels = (rng.uniform(size=(batch, n_labels)) < 0.5).astype(np.float64)
+        steps = (rng.uniform(size=(batch, horizon, n_labels)) < 0.4).astype(np.float64)
+        w = ClassWeights(np.full(n_labels, 0.5), rng.uniform(0.0, 3.0, size=n_labels))
+        beta = rng.uniform(size=lead) if lead else float(rng.uniform())
+        got = batch_loss(kind, FakePrediction(g, y, o),
+                         np.broadcast_to(labels, lead + labels.shape),
+                         np.broadcast_to(steps, lead + steps.shape), w, beta=beta)
+        for k in range(members or 1):
+            at = (lambda a: a[k]) if lead else (lambda a: a)
+            want = oracle_terms(kind, at(g).tolist(), at(y).tolist(), at(o).tolist(),
+                                labels.tolist(), steps.tolist(), w.weight.tolist(),
+                                float(at(beta)))
+            for field, value in zip(("segment", "stepwise", "pairwise"), want):
+                assert at(getattr(got, field)) == pytest.approx(value, rel=1e-10, abs=1e-12), field
+
+    def test_segment_past_the_clamp(self):
+        g = np.array([[-700.0]])
+        pred = FakePrediction(g, sigmoid(g), np.zeros((1, 1, 1)))
+        got = batch_loss("base", pred, np.ones((1, 1)), np.zeros((1, 1, 1)), weights_of(1.0))
+        assert got.segment == 700.0
 
 
 class TestSaturatedSegmentTerm:

@@ -318,6 +318,16 @@ class TestGradientProperty:
     random small dims, also where out_bias pushes every logit g past the
     probability clamp (|g| = 30, 40, 700), for both label values."""
 
+    @staticmethod
+    def error(analytic, numeric):
+        """The largest entry error. A loss near 10^3 (|g| = 700) leaves
+        central differences about 1e-9 of rounding, so each entry is
+        compared relative to the larger of itself and 1e-4 of the largest
+        gradient entry."""
+        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
+                           1e-4 * np.abs(analytic).max())
+        return np.max(np.abs(analytic - numeric) / scale)
+
     @settings(max_examples=8, deadline=None)
     @given(
         tau=st.integers(0, 2), horizon=st.integers(1, 3), n_labels=st.integers(1, 3),
@@ -357,14 +367,8 @@ class TestGradientProperty:
             model, obs, ctx, labels, steps, weights, kind, lam, beta
         )
 
-        # a loss near 10^3 (|g| = 700) leaves central differences about 1e-9
-        # of rounding, so each entry is compared relative to the larger of
-        # itself and 1e-4 of the largest gradient entry
         numeric = fd_gradient(model, obs, ctx, labels, steps, weights, kind, lam, beta, 1e-4)
-        analytic = grads.theta
-        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
-                           1e-4 * np.abs(analytic).max())
-        assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+        assert self.error(grads.theta, numeric) < 1e-4
 
         # the segment part is the exact logit form, not held flat by a clamp
         g = predict(model, obs, ctx).embedding
@@ -373,6 +377,31 @@ class TestGradientProperty:
         # siamese: each sample sits in n - 1 of the n (n - 1) / 2 pairs
         want = beta * 2 / n * per_sample.sum() if kind == "siamese" else per_sample.mean()
         assert breakdown.segment == pytest.approx(want, rel=1e-9)
+
+
+    @settings(max_examples=2, deadline=None)
+    @given(
+        n_labels=st.integers(16, 24), tau=st.integers(1, 2), horizon=st.integers(1, 2),
+        n=st.integers(2, 3), kind=st.sampled_from(("base", "localize", "siamese")),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n_labels=16, tau=1, horizon=2, n=3, kind="base", seed=0)
+    @example(n_labels=16, tau=2, horizon=1, n=2, kind="localize", seed=1)
+    @example(n_labels=16, tau=1, horizon=1, n=3, kind="siamese", seed=2)
+    def test_wide_dims_match_finite_differences(self, n_labels, tau, horizon, n, kind, seed):
+        """The same gate at the label counts of the real benchmarks: 16-24
+        labels, a few steps. The activity data's 36 labels are left out, as
+        finite differences there take about 10 s a kind."""
+        dims = ModelDims(n_labels, 1, 1, tau, tau + horizon)
+        rng = make_rng(seed)
+        labels = ((np.arange(n)[:, None] + np.arange(n_labels)) % 2).astype(np.float64)
+        steps = (rng.uniform(size=(n, horizon, n_labels)) < 0.4).astype(np.float64)
+        obs, ctx = rng.normal(size=(n, tau, 1)), rng.normal(size=(n, tau + horizon, 1))
+        weights = class_weights(labels)
+        model = init_model(make_rng(seed + 1), dims)
+        args = (model, obs, ctx, labels, steps, weights, kind, 0.1, 0.3)
+        _, grads, _ = batch_gradients(*args)
+        assert self.error(grads.theta, fd_gradient(*args, 1e-4)) < 1e-4
 
 
 class TestGridSearch:
