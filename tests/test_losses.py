@@ -480,9 +480,6 @@ class TestSaturatedSegmentTerm:
             e = np.array([[x]])
             return FakePrediction(e, sigmoid(e), np.zeros((1, 1, 1)))
 
-        def softplus(x):
-            return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
         want = math.log(2.0) * t * softplus(-g) + (1.0 - t) * softplus(g)
         loss, _, dg, _ = batch_adjoints("base", at(g), labels, steps, w)
         assert math.isfinite(loss.total)
