@@ -21,7 +21,7 @@ from faultcast import (
     train,
 )
 from faultcast.data import stack_samples
-from faultcast.model import forward
+from faultcast.model import predict
 
 meta, samples = synth_generate(SynthConfig(seed=0), 700)
 train_s, val_s, test_s = split_samples(samples, (400, 100, 200), seed=0)
@@ -35,9 +35,9 @@ print(f"trained for {len(history)} epochs "
 print(f"final epoch loss: {history[-1].loss.total:.4f}\n")
 
 obs, ctx, labels, _ = stack_samples(train_s)
-train_embeddings = forward(best, obs, ctx, keep_tape=False)[0].embedding
+train_embeddings = predict(best, obs, ctx).embedding
 obs, ctx, labels_test, _ = stack_samples(test_s)
-test_embeddings = forward(best, obs, ctx, keep_tape=False)[0].embedding
+test_embeddings = predict(best, obs, ctx).embedding
 
 print(f"{'classifier':<16}{'micro F1':>10}{'macro F1':>10}")
 for kind in ("svm", "threshold_zero", "nearest_mean"):

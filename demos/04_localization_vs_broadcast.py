@@ -22,7 +22,7 @@ from faultcast import (
     train,
 )
 from faultcast.data import stack_samples
-from faultcast.model import forward
+from faultcast.model import predict
 
 meta, samples = synth_generate(SynthConfig(seed=0), 700)
 train_s, val_s, test_s = split_samples(samples, (400, 100, 200), seed=0)
@@ -34,7 +34,7 @@ best, history = train(model, train_s, val_s, config)
 print(f"trained the localize objective for {len(history)} epochs\n")
 
 obs, ctx, labels, steps = stack_samples(train_s)
-pred = forward(best, obs, ctx, keep_tape=False)[0]
+pred = predict(best, obs, ctx)
 segment_clf = fit_classifier("svm", pred.embedding, labels, seed=3)
 step_clf = fit_classifier(
     "svm",
@@ -44,7 +44,7 @@ step_clf = fit_classifier(
 )
 
 obs, ctx, labels, steps = stack_samples(test_s)
-pred = forward(best, obs, ctx, keep_tape=False)[0]
+pred = predict(best, obs, ctx)
 truth = steps.astype(int)
 localized = stepwise_report(classify(step_clf, pred.step_scores), truth)
 segment_decisions = classify(segment_clf, pred.embedding)

@@ -59,14 +59,8 @@ def _score_matrices(scores, labels):
     return scores, labels, pos_count, fallback
 
 
-def fit_classifier(
-    kind: str,
-    scores: np.ndarray,
-    labels: np.ndarray,
-    seed: int = 0,
-    iterations: int = SVM_ITERATIONS,
-    reg: float = SVM_REG,
-) -> LabelClassifier:
+def fit_classifier(kind: str, scores: np.ndarray, labels: np.ndarray,
+                   seed: int = 0) -> LabelClassifier:
     """Fit per-label decision rules on (samples, labels) score/target matrices.
 
     For svm and nearest_mean, a label needs at least one positive and one
@@ -76,7 +70,7 @@ def fit_classifier(
     if kind not in KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
     if kind == "svm":
-        return fit_svm_blocks([(scores, labels)], seed, iterations, reg)[0]
+        return fit_svm_blocks([(scores, labels)], seed)[0]
     scores, labels, _, fallback = _score_matrices(scores, labels)
     n_labels = scores.shape[1]
     if kind == "threshold_zero":
@@ -93,16 +87,12 @@ def fit_classifier(
     return LabelClassifier("nearest_mean", pos_mean=pos_mean, neg_mean=neg_mean, fallback=fallback)
 
 
-def fit_svm_blocks(
-    blocks,
-    seed: int = 0,
-    iterations: int = SVM_ITERATIONS,
-    reg: float = SVM_REG,
-) -> list[LabelClassifier]:
-    """Fit one svm per (scores, labels) block in a single Pegasos loop.
+def fit_svm_blocks(blocks, seed: int = 0) -> list[LabelClassifier]:
+    """Fit one svm per (scores, labels) block in a single Pegasos loop of
+    SVM_ITERATIONS steps at regularization SVM_REG.
 
     Block k draws its own index stream, make_rng(seed).integers(0, n_k,
-    iterations), exactly as a lone fit does. Every label's update depends
+    SVM_ITERATIONS), exactly as a lone fit does. Every label's update depends
     on that label alone, so the blocks' gathered rows sit side by side,
     SVM_CHUNK iterations at a time, one update runs over all their labels,
     and each result equals fit_classifier("svm", scores_k, labels_k, seed)
@@ -123,13 +113,13 @@ def fit_svm_blocks(
         # a fallback label's lift is never used, and it may divide 0 by 0
         with np.errstate(divide="ignore", invalid="ignore"):
             lifts.append(np.where(fallback, 1.0, np.sqrt((n - pos_count) / pos_count)))
-        streams.append((scores, labels > 0, make_rng(seed).integers(0, n, size=iterations)))
+        streams.append((scores, labels > 0, make_rng(seed).integers(0, n, size=SVM_ITERATIONS)))
     lift = np.concatenate(lifts)
-    eta = 1.0 / (reg * np.arange(1, iterations + 1, dtype=np.float64))
-    decay = 1.0 - eta * reg
+    eta = 1.0 / (SVM_REG * np.arange(1, SVM_ITERATIONS + 1, dtype=np.float64))
+    decay = 1.0 - eta * SVM_REG
     w = np.zeros(len(lift))
     b = np.zeros(len(lift))
-    for first in range(0, iterations, SVM_CHUNK):
+    for first in range(0, SVM_ITERATIONS, SVM_CHUNK):
         rows = slice(first, first + SVM_CHUNK)
         # row t: the sample x_t, its target sign y_t and its hinge step
         # eta_t * balance * y_t, which rounds as the lone fit's does because

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .data import (
     split_samples,
     stack_samples,
     synth_generate,
+    write_json_lines,
 )
 from .metrics import format_report, segment_report, stepwise_report
 from .model import init_model, load_model, predict, save_model
@@ -224,16 +225,14 @@ def build_parser() -> _Parser:
 
 
 def cmd_generate(args) -> int:
-    cfg = SynthConfig(seed=args.seed)
     # each flag's dest is the SynthConfig field it overrides
-    fields = ("tau", "total_steps", "n_labels", "d_obs", "d_ctx", "lag", "noise_scale",
-              "thresholds", "rarity", "persistence")
-    overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(SynthConfig)
+                 if getattr(args, f.name) is not None}
     if "n_labels" in overrides:
         n = overrides["n_labels"]
-        overrides.setdefault("thresholds", (cfg.thresholds[0],) * n)
+        overrides.setdefault("thresholds", (SynthConfig.thresholds[0],) * n)
         overrides.setdefault("rarity", tuple(np.linspace(1.2, 6.6, n)))
-    cfg = replace(cfg, **overrides)
+    cfg = SynthConfig(**overrides)
     meta, samples = synth_generate(cfg, args.n)
     save_dataset(args.out, meta, samples)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -295,18 +294,8 @@ def _load_splits(args):
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        loss=args.loss,
-        eta=args.eta,
-        lam=args.lam,
-        beta=args.beta,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        seed=args.seed,
-        clip_norm=args.clip_norm,
-        optimizer=args.optimizer,
-    )
+    # each training flag's dest is the TrainConfig field it sets
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _fit_all_classifiers(model, train_split, seed):
@@ -427,15 +416,21 @@ def _score_split(args):
 
 
 def _write_records(path, **columns):
-    """Write row i of every column array as line i, one compact JSON object
-    with sorted keys; returns the number of lines."""
-    lines = [
-        json.dumps(dict(zip(columns, row)), sort_keys=True, separators=(",", ":")) + "\n"
-        for row in zip(*(arr.tolist() for arr in columns.values()))
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    return len(lines)
+    """Write row i of every column array as JSON line i (write_json_lines);
+    returns the number of lines."""
+    rows = zip(*(arr.tolist() for arr in columns.values()))
+    return write_json_lines(path, (dict(zip(columns, row)) for row in rows))
+
+
+def _write_report(out, doc, lines, what) -> None:
+    """Write `doc` to <out>.json (sorted keys, indent 1) and the text
+    `lines` to <out>.txt, and say so in one stdout line."""
+    with open(f"{out}.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    with open(f"{out}.txt", "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    print(f"{what} written to {out}.txt and {out}.json")
 
 
 def cmd_evaluate(args) -> int:
@@ -470,12 +465,7 @@ def cmd_evaluate(args) -> int:
             lines.append(f"[stepwise {name}]")
             lines.append(format_report(report).rstrip())
 
-    with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(f"{args.out}.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"reports written to {args.out}.txt and {args.out}.json")
+    _write_report(args.out, doc, lines, "reports")
     return 0
 
 
@@ -551,16 +541,10 @@ def cmd_compare(args) -> int:
     if not shared:
         raise DatasetError("the two reports share no numeric fields")
     diff = {key: report[key] - baseline[key] for key in shared}
-    with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
-        json.dump(diff, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(f"{args.out}.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"{'metric':<44}{'report':>10}{'baseline':>10}{'diff':>10}\n")
-        for key in shared:
-            fh.write(
-                f"{key:<44}{report[key]:>10.4f}{baseline[key]:>10.4f}{diff[key]:>10.4f}\n"
-            )
-    print(f"comparison written to {args.out}.txt and {args.out}.json")
+    lines = [f"{'metric':<44}{'report':>10}{'baseline':>10}{'diff':>10}"]
+    lines += [f"{key:<44}{report[key]:>10.4f}{baseline[key]:>10.4f}{diff[key]:>10.4f}"
+              for key in shared]
+    _write_report(args.out, diff, lines, "comparison")
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -40,9 +41,12 @@ class DatasetError(ValueError):
 # ---------------------------------------------------------------------------
 #
 # Every faultcast JSON file (dataset header, model, grid file, report) is
-# decoded by read_json and read by typed key through JsonField, so one set of
-# type rules holds at every edge: true/false is never a number, and a
-# numeric array is one whose numpy dtype comes out integer or floating.
+# decoded by read_json and read by typed key through JsonField, and the
+# dataset's sample records by load_dataset, so one set of type rules holds
+# at every edge: true/false is never a number, and a numeric array is one
+# whose numpy dtype comes out integer or floating (numeric_array). Every
+# JSON file is written by write_json_lines or, for a report, by one cli
+# writer.
 
 _REQUIRED = object()
 _KINDS = {  # kind: (its name in errors, the decoded types it accepts besides bool)
@@ -52,6 +56,31 @@ _KINDS = {  # kind: (its name in errors, the decoded types it accepts besides bo
     list: ("a JSON list", list),
     dict: ("a JSON object", dict),
 }
+
+
+def numeric_array(value) -> np.ndarray | None:
+    """The decoded JSON `value` as a float64 array if numpy reads it as
+    integers or floats, else None: a string or null inside, an array of
+    only true/false and ragged nesting are no numeric array. The check
+    reads the array's dtype, not each element, so a true among numbers
+    reads as 1."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        return None
+    return arr.astype(np.float64, copy=False) if arr.dtype.kind in "iuf" else None
+
+
+def write_json_lines(path, records) -> int:
+    """Write each record of the iterable `records` as one line of compact
+    JSON with sorted keys; returns the number of lines. Floats take the
+    shortest repr that round-trips, so float64 values reload bit for bit
+    and identical records give identical bytes."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for count, record in enumerate(records, start=1):
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    return count
 
 
 class JsonField:
@@ -92,15 +121,12 @@ class JsonField:
         a field per item for list; for np.ndarray, a float64 array of
         `shape`."""
         if kind is np.ndarray:
-            try:
-                arr = np.array(self.value)
-            except ValueError:  # ragged nesting
-                arr = None
-            if arr is None or arr.dtype.kind not in "iuf":
+            arr = numeric_array(self.value)
+            if arr is None:
                 raise self.error("must be a numeric array")
             if arr.shape != shape:
                 raise self.error(f"has shape {arr.shape}, need {shape}")
-            return arr.astype(np.float64)
+            return arr
         name, types = _KINDS[kind]
         if isinstance(self.value, bool) or not isinstance(self.value, types):
             raise self.error(f"must be {name}, got {json.dumps(self.value)[:40]}")
@@ -210,6 +236,9 @@ class Sample:
     step_labels: np.ndarray  # (horizon, n_labels) binary stepwise labels
 
 
+RECORD_KEYS = tuple(f.name for f in fields(Sample))  # a sample record's keys
+
+
 def segment_labels(step_labels: np.ndarray) -> np.ndarray:
     """The 0/1 segment labels that (..., horizon, labels) stepwise labels
     imply: a label is 1 iff it is 1 at some forecast step."""
@@ -262,16 +291,13 @@ def save_dataset(path, meta: DatasetMeta, samples: list[Sample]) -> None:
     }
     if bad := _first_error(meta, samples):  # before the file opens: no partial file
         raise DatasetError(f"sample {bad[0]}: {bad[1]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for s in samples:
-            rec = {
-                "obs": s.obs.tolist(),
-                "ctx": s.ctx.tolist(),
-                "labels": s.labels.astype(int).tolist(),
-                "step_labels": s.step_labels.astype(int).tolist(),
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    # a generator: a list of every record would hold the dataset twice over
+    write_json_lines(path, chain([header], ({
+        "obs": s.obs.tolist(),
+        "ctx": s.ctx.tolist(),
+        "labels": s.labels.astype(int).tolist(),
+        "step_labels": s.step_labels.astype(int).tolist(),
+    } for s in samples)))
 
 
 def _read_header(path, line: str) -> DatasetMeta:
@@ -302,15 +328,14 @@ def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
             lines.append(lineno)
             try:
                 rec = json.loads(line)
-                samples.append(Sample(
-                    obs=np.asarray(rec["obs"], dtype=np.float64),
-                    ctx=np.asarray(rec["ctx"], dtype=np.float64),
-                    labels=np.asarray(rec["labels"], dtype=np.float64),
-                    step_labels=np.asarray(rec["step_labels"], dtype=np.float64),
-                ))
+                arrays = {key: numeric_array(rec[key]) for key in RECORD_KEYS}
             except (KeyError, TypeError, ValueError) as exc:
                 malformed = len(samples), f"malformed record ({exc})"
                 break
+            if wrong := [key for key, arr in arrays.items() if arr is None]:
+                malformed = len(samples), f"key {wrong[0]!r}: must be a numeric array"
+                break
+            samples.append(Sample(**arrays))
     bad = _first_error(meta, samples) or malformed
     if bad is not None:
         raise DatasetError(f"{path}: line {lines[bad[0]]}: sample {bad[0]}: {bad[1]}")

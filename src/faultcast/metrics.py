@@ -9,7 +9,7 @@ for empty prediction sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,14 +31,7 @@ class PrfReport:
     macro_f1: float
 
     def as_dict(self) -> dict:
-        return {
-            "micro_precision": self.micro_precision,
-            "micro_recall": self.micro_recall,
-            "micro_f1": self.micro_f1,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-        }
+        return asdict(self)
 
 
 def _as_binary(name: str, x) -> np.ndarray:

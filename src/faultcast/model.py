@@ -46,13 +46,12 @@ backward on t. Prediction arrays never share memory with a tape.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ModelDims, read_json
+from .data import ModelDims, read_json, write_json_lines
 from .lstm import GATE_ORDER, LstmParams, Unroll, init_params, unroll, unroll_backward
 from .num import sigmoid
 
@@ -371,9 +370,7 @@ def save_model(model: ForecastModel, path, classifiers: dict | None = None) -> N
             doc.setdefault(section, {})[gate] = arr.tolist()
         else:
             doc[section] = arr.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json_lines(path, [doc])
 
 
 def load_model(path) -> tuple[ForecastModel, dict | None]:

@@ -375,24 +375,22 @@ def train_population(
     return [(run.best, run.history) for run in runs]
 
 
+def _write_tsv(path, cols, rows) -> None:
+    """A tab-separated table: the column names, then a line per row with
+    floats as repr, which round-trips them, and other values as str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(cols) + "\n")
+        for row in rows:
+            fh.write("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def write_history(history: list[EpochRecord], path) -> None:
     """Tab-separated history file; wall time stays out so bytes are stable."""
     cols = ("epoch", "segment", "stepwise", "pairwise", "reg", "total",
             "val_micro_f1", "val_macro_f1")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(cols) + "\n")
-        for rec in history:
-            row = (
-                rec.epoch,
-                rec.loss.segment,
-                rec.loss.stepwise,
-                rec.loss.pairwise,
-                rec.loss.reg,
-                rec.loss.total,
-                rec.val_micro_f1,
-                rec.val_macro_f1,
-            )
-            fh.write("\t".join(repr(v) for v in row) + "\n")
+    _write_tsv(path, cols, ((rec.epoch, rec.loss.segment, rec.loss.stepwise,
+                             rec.loss.pairwise, rec.loss.reg, rec.loss.total,
+                             rec.val_micro_f1, rec.val_macro_f1) for rec in history))
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +522,7 @@ def write_grid_report(results: list[GridResult], path) -> None:
     one select_best picks, is the selected one."""
     cols = ("rank", "loss", "eta", "lambda", "beta", "val_micro_f1",
             "val_macro_f1", "score", "selected")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(cols) + "\n")
-        for rank, res in enumerate(sorted(results, key=_rank_key), start=1):
-            cfg = res.config
-            row = (rank, cfg.loss, cfg.eta, cfg.lam, cfg.beta,
-                   res.val_micro_f1, res.val_macro_f1, res.score, int(rank == 1))
-            fh.write("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    ranked = enumerate(sorted(results, key=_rank_key), start=1)
+    _write_tsv(path, cols, ((rank, res.config.loss, res.config.eta, res.config.lam,
+                             res.config.beta, res.val_micro_f1, res.val_macro_f1, res.score,
+                             int(rank == 1)) for rank, res in ranked))

@@ -1,10 +1,13 @@
 """Decision rules: threshold at zero, per-label SVM, nearest class mean."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultcast import classifiers
 from faultcast.classifiers import (
     SVM_REG,
     broadcast_baseline,
@@ -137,14 +140,14 @@ class TestSvmBlocks:
         iterations=st.integers(0, 2_500),  # crosses SVM_CHUNK boundaries
     )
     def test_blocks_equal_separate_fits(self, blocks, seed, iterations):
-        fused = fit_svm_blocks(blocks, seed=seed, iterations=iterations)
+        with patch.object(classifiers, "SVM_ITERATIONS", iterations):
+            fused = fit_svm_blocks(blocks, seed=seed)
+            alone = [fit_classifier("svm", scores, labels, seed=seed) for scores, labels in blocks]
         assert len(fused) == len(blocks)
-        for (scores, labels), clf in zip(blocks, fused):
+        for (scores, labels), clf, lone in zip(blocks, fused, alone):
             reference = pegasos_reference(scores, labels, seed, iterations)
             assert_same_svm(clf, reference)
-            assert_same_svm(
-                fit_classifier("svm", scores, labels, seed=seed, iterations=iterations), reference
-            )
+            assert_same_svm(lone, reference)
 
     def test_segment_and_stepwise_shapes_at_full_length(self):
         # the train command's pair: a segment block and a 6x longer

@@ -172,6 +172,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize("corrupt, reason", [
         (lambda rec: rec[:-2], "malformed record"),
         (lambda rec: rec.replace('"obs"', '"obz"', 1), "'obs'"),
+        # all true/false reads as bool, which is no numeric array
+        (lambda rec: re.sub(r'"labels":\[[^]]*\]', '"labels":[true,false,false,false]', rec),
+         "key 'labels': must be a numeric array"),
     ])
     def test_malformed_record_names_path_and_line(self, tmp_path, corrupt, reason):
         meta, samples = synth_generate(small_config(), 2)

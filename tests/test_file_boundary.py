@@ -1,6 +1,8 @@
 """The JSON file boundary: every file faultcast reads goes through one strict
-reader, so a missing key or a value of the wrong JSON type is a data error
-that names the file and the key, whichever file it is in."""
+reader, or for a dataset's sample records through its numeric-array rule, so
+a missing key or a value of the wrong JSON type is a data error that names
+the file and the key, whichever file it is in. Every file faultcast writes
+goes through one writer per format."""
 
 import ast
 import contextlib
@@ -54,6 +56,7 @@ CASES = {
     "grid": [((), "list", False), ((0,), "object", False), ((0, "eta"), "float", False),
              ((1, "lambda"), "float", False), ((1, "beta"), "float", False)],
     "report": [((), "object", False)],
+    "record": [((key,), "array", True) for key in ("obs", "ctx", "labels", "step_labels")],
 }
 
 
@@ -100,6 +103,9 @@ def files(tmp_path_factory):
     return {
         "dataset": (json.loads(header), lambda doc: "\n".join([json.dumps(doc), *records]),
                     ["train", "--data", str(bad["dataset"]), "--out-model", str(root / "m.json")]),
+        "record": (json.loads(records[0]),
+                   lambda doc: "\n".join([header, json.dumps(doc), *records[1:]]),
+                   ["train", "--data", str(bad["record"]), "--out-model", str(root / "m.json")]),
         "model": (json.loads(model.read_text()), json.dumps,
                   ["predict", "--model", str(bad["model"]), "--data", str(data),
                    "--out", str(root / "p.jsonl"), *SPLIT]),
@@ -138,26 +144,61 @@ def test_wrong_or_missing_key_is_a_data_error_naming_file_and_key(files, kind, d
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
-def _json_load_callers():
-    """(module, enclosing function) of every json.load/json.loads call."""
-    found = []
-    for source in sorted(SRC.glob("*.py")):
-        tree = ast.parse(source.read_text(encoding="utf-8"))
-        for func in ast.walk(tree):
-            if not isinstance(func, ast.FunctionDef):
+def test_a_record_array_of_strings_and_booleans_makes_train_exit_2(files, capsys):
+    originals, bad = files
+    record, dump, argv = originals["record"]
+    bad["record"].write_text(dump({**record, "obs": [["0.5", True]] * len(record["obs"])}))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {bad['record']}: line 2: sample 0: "
+                                       "key 'obs': must be a numeric array\n")
+
+
+def _callers(wanted):
+    """{(module, qualified name of the innermost enclosing function)} of
+    every call node for which wanted(node) holds."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, f"{scope}.{child.name}".lstrip("."))
                 continue
-            for node in ast.walk(func):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in ("load", "loads")
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "json"):
-                    found.append((source.stem, func.name))
+            if isinstance(child, ast.Call) and wanted(child):
+                found.add((module, scope))
+            visit(child, module, scope)
+
+    for source in sorted(SRC.glob("*.py")):
+        visit(ast.parse(source.read_text(encoding="utf-8")), source.stem, "")
     return found
 
 
+def _is_json_call(*names):
+    return lambda call: (isinstance(call.func, ast.Attribute) and call.func.attr in names
+                         and isinstance(call.func.value, ast.Name)
+                         and call.func.value.id == "json")
+
+
+def _opens_for_writing(call) -> bool:
+    """An open() or .open() call given a mode that writes, appends or creates."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    modes = [arg.value for arg in [*call.args, *(k.value for k in call.keywords)]
+             if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    return name == "open" and any(set(m) <= set("rwaxbt+") and set(m) & set("wax+")
+                                  for m in modes)
+
+
 def test_json_is_decoded_only_by_the_reader_and_the_record_loop():
-    assert sorted(set(_json_load_callers())) == [("data", "load_dataset"),
-                                                 ("data", "read_json")]
+    assert _callers(_is_json_call("load", "loads")) == {("data", "load_dataset"),
+                                                        ("data", "read_json")}
+
+
+def test_files_are_written_only_by_the_three_writers():
+    writers = {("data", "write_json_lines"), ("cli", "_write_report"),
+               ("training", "_write_tsv")}
+    assert _callers(_opens_for_writing) == writers
+    # JsonField.read quotes the value it refuses in its error message
+    assert _callers(_is_json_call("dump", "dumps")) == (
+        writers - {("training", "_write_tsv")} | {("data", "JsonField.read")})
 
 
 def test_the_format_key_is_checked_once():
