@@ -1,6 +1,6 @@
-"""The demos are run by hand, not by the suite (the five take about 13 s
-together), so the suite checks what would break them silently: each must
-compile, and every name it imports from faultcast must exist."""
+"""The demos train models for seconds each, so the suite does not run
+them; it checks what would break them silently: each must compile, and
+every name it imports from faultcast must exist."""
 
 import ast
 import importlib
