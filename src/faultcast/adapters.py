@@ -147,6 +147,7 @@ def convert_plant_csv(
     ctx_prefixes: tuple[str, ...] = ("R",),
 ) -> tuple[DatasetMeta, list[Sample]]:
     """Cut windowed samples from one plant's signals and fault log."""
+    obs_prefixes, ctx_prefixes = tuple(obs_prefixes), tuple(ctx_prefixes)
     with open(signals_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -157,11 +158,11 @@ def convert_plant_csv(
     time_col = lower.index("time")
     obs_cols = [
         i for i, name in enumerate(header)
-        if i != time_col and name.strip().upper().startswith(tuple(obs_prefixes))
+        if i != time_col and name.strip().upper().startswith(obs_prefixes)
     ]
     ctx_cols = [
         i for i, name in enumerate(header)
-        if i != time_col and name.strip().upper().startswith(tuple(ctx_prefixes))
+        if i != time_col and name.strip().upper().startswith(ctx_prefixes)
     ]
     if not obs_cols or not ctx_cols:
         raise DatasetError(

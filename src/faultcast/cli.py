@@ -6,6 +6,10 @@ one --seed, with sub-seeds derived as documented in training (split shuffle
 seed + 3, grid point k = seed + k). Outputs contain no timestamps, so
 identical invocations produce byte-identical files.
 
+A flag that sets a library parameter or config field is named like it and
+has no default of its own: left unset, the library's default holds
+(SynthConfig, TrainConfig, the converters, grad_check).
+
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 verification failure (gradcheck).
 """
@@ -13,9 +17,10 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from .data import (
     synth_generate,
     write_json_lines,
 )
+from .losses import LOSS_KINDS
 from .metrics import format_report, segment_report, stepwise_report
 from .model import init_model, load_model, predict, save_model
 from .num import make_rng
@@ -68,6 +74,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_KIND_FLAG = {"svm": "svm", "threshold": "threshold_zero", "nearest-mean": "nearest_mean"}
+
+
 def _values(kind, sep=",", count=None):
     """An argparse type: sep-separated `kind` values as a tuple, exactly
     `count` of them when given; anything else is a usage error."""
@@ -83,25 +92,53 @@ def _values(kind, sep=",", count=None):
     return parse
 
 
+def _given(args, call) -> dict:
+    """The flags of `args` whose dests name parameters or fields of `call`,
+    as its keyword arguments, leaving out the unset ones (None) so that the
+    library's default holds: every such flag has no argparse default."""
+    names = inspect.signature(call).parameters
+    return {key: value for key, value in vars(args).items()
+            if key in names and value is not None}
+
+
 def _split_flags(p):
     p.add_argument("--n-train", type=int, default=500, help="training split size")
     p.add_argument("--n-val", type=int, default=100, help="validation split size")
     p.add_argument("--n-test", type=int, default=400, help="test split size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="root of every sub-seed")
 
 
 def _train_flags(p):
-    p.add_argument("--loss", choices=("base", "localize", "siamese"), default="base")
-    p.add_argument("--eta", type=float, default=0.01, help="learning rate")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="l2 regularization coefficient")
-    p.add_argument("--beta", type=float, default=0.5, help="pair-loss mixing weight")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=25)
-    p.add_argument("--clip-norm", type=float, default=None,
-                   help="bound on the global gradient norm, > 0")
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
+    # each dest is the TrainConfig field it sets
+    p.add_argument("--loss", choices=LOSS_KINDS)
+    p.add_argument("--eta", type=float, help="learning rate")
+    p.add_argument("--lambda", dest="lam", type=float, help="l2 regularization coefficient")
+    p.add_argument("--beta", type=float, help="pair-loss mixing weight")
+    for flag in ("--batch-size", "--max-epochs", "--patience"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--clip-norm", type=float, help="bound on the global gradient norm, > 0")
+    p.add_argument("--optimizer", choices=("adam", "sgd"))
+    _split_flags(p)
+
+
+def _convert_flags(p, convert):
+    # each dest but --out's is the name of a parameter of `convert`
+    p.add_argument("--out", required=True)
+    p.add_argument("--n-samples", type=int, required=True)
+    for flag in ("--tau", "--horizon", "--seed"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--no-overlap", dest="allow_overlap", action="store_false", default=None,
+                   help="sample non-overlapping windows only")
+    p.set_defaults(func=cmd_convert, convert=convert)
+
+
+def _score_flags(p, func):
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True, help="output path (evaluate: report path prefix)")
+    p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
+    _split_flags(p)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> _Parser:
@@ -111,107 +148,69 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="write a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--total-steps", type=int, default=None)
-    p.add_argument("--labels", dest="n_labels", type=int, default=None)
-    p.add_argument("--d-obs", type=int, default=None)
-    p.add_argument("--d-ctx", type=int, default=None)
-    p.add_argument("--lag", type=float, default=None)
-    p.add_argument("--noise", dest="noise_scale", type=float, default=None)
+    # the other dests are the SynthConfig fields they set
+    for flag in ("--seed", "--tau", "--total-steps", "--d-obs", "--d-ctx"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--labels", dest="n_labels", type=int)
+    p.add_argument("--lag", type=float)
+    p.add_argument("--noise", dest="noise_scale", type=float)
     p.add_argument("--thresholds", type=_values(float), help="comma-separated, one per label")
     p.add_argument("--rarity", type=_values(float), help="comma-separated, one per label")
     p.add_argument("--persistence", type=_values(int, count=2), help="lo,hi step range")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("convert-phm", help="convert plant signals + fault log")
-    p.add_argument("--signals", required=True)
-    p.add_argument("--faults", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-samples", type=int, required=True)
-    p.add_argument("--tau", type=int, default=30)
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--n-labels", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-overlap", action="store_true",
-                   help="sample non-overlapping windows only")
-    p.add_argument("--obs-prefix", action="append", default=None,
+    p.add_argument("--signals", dest="signals_path", required=True)
+    p.add_argument("--faults", dest="faults_path", required=True)
+    p.add_argument("--n-labels", type=int)
+    p.add_argument("--obs-prefix", dest="obs_prefixes", action="append",
                    help="column-name prefix of observation columns (repeatable)")
-    p.add_argument("--ctx-prefix", action="append", default=None,
+    p.add_argument("--ctx-prefix", dest="ctx_prefixes", action="append",
                    help="column-name prefix of context columns (repeatable)")
-    p.set_defaults(func=cmd_convert_phm)
+    _convert_flags(p, convert_plant_csv)
 
     p = sub.add_parser("convert-har", help="convert activity recordings")
-    p.add_argument("--data", action="append", required=True,
+    p.add_argument("--data", dest="paths", action="append", required=True,
                    help="recording file (repeatable)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-samples", type=int, required=True)
     p.add_argument("--obs-cols", type=_values(int, ":", 2), required=True,
                    help="inclusive 0-based range lo:hi")
-    p.add_argument("--ctx-col", type=int, required=True)
-    p.add_argument("--motion-col", type=int, required=True)
-    p.add_argument("--object-col", type=int, required=True)
-    p.add_argument("--tau", type=int, default=75)
-    p.add_argument("--horizon", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-overlap", action="store_true")
-    p.add_argument("--ctx-codes", type=_values(int), help="comma-separated code list")
-    p.add_argument("--motion-codes", type=_values(int))
-    p.add_argument("--object-codes", type=_values(int))
-    p.set_defaults(func=cmd_convert_har)
+    for flag in ("--ctx-col", "--motion-col", "--object-col"):
+        p.add_argument(flag, type=int, required=True)
+    for flag in ("--ctx-codes", "--motion-codes", "--object-codes"):
+        p.add_argument(flag, type=_values(int), help="comma-separated code list")
+    _convert_flags(p, convert_activity_dat)
 
     p = sub.add_parser("train", help="train one model and fit its classifiers")
     p.add_argument("--data", required=True)
     p.add_argument("--out-model", required=True)
-    p.add_argument("--out-history", default=None)
+    p.add_argument("--out-history")
     _train_flags(p)
-    _split_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gridsearch", help="hyperparameter grid search")
     p.add_argument("--data", required=True)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-report", required=True)
-    p.add_argument("--grid-file", default=None,
-                   help="JSON list of {eta, lambda, beta} points")
+    p.add_argument("--grid-file", help="JSON list of {eta, lambda, beta} points")
     _train_flags(p)
-    _split_flags(p)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("evaluate", help="score a trained model on one split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="report path prefix")
-    p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
-    p.add_argument("--classifier",
-                   choices=("svm", "threshold", "nearest-mean", "all"), default="all")
+    _score_flags(p, cmd_evaluate)
+    p.add_argument("--classifier", choices=(*_KIND_FLAG, "all"), default="all")
     p.add_argument("--localize", action="store_true",
                    help="also score stepwise decisions against the broadcast baseline")
-    _split_flags(p)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="emit per-sample predictions")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
-    p.add_argument("--classifier",
-                   choices=("svm", "threshold", "nearest-mean"), default="svm")
-    _split_flags(p)
-    p.set_defaults(func=cmd_predict)
+    _score_flags(p, cmd_predict)
+    p.add_argument("--classifier", choices=tuple(_KIND_FLAG), default="svm")
 
     p = sub.add_parser("localize", help="emit per-step label decisions")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
-    _split_flags(p)
-    p.set_defaults(func=cmd_localize)
+    _score_flags(p, cmd_localize)
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
-    p.add_argument("--loss", choices=("base", "localize", "siamese", "all"),
-                   default="all")
-    p.add_argument("--fd-step", type=float, default=1e-5)
+    p.add_argument("--loss", choices=(*LOSS_KINDS, "all"), default="all")
+    p.add_argument("--fd-step", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -225,9 +224,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_generate(args) -> int:
-    # each flag's dest is the SynthConfig field it overrides
-    overrides = {f.name: getattr(args, f.name) for f in fields(SynthConfig)
-                 if getattr(args, f.name) is not None}
+    overrides = _given(args, SynthConfig)
     if "n_labels" in overrides:
         n = overrides["n_labels"]
         overrides.setdefault("thresholds", (SynthConfig.thresholds[0],) * n)
@@ -244,40 +241,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_convert_phm(args) -> int:
-    meta, samples = convert_plant_csv(
-        args.signals,
-        args.faults,
-        n_samples=args.n_samples,
-        tau=args.tau,
-        horizon=args.horizon,
-        n_labels=args.n_labels,
-        seed=args.seed,
-        allow_overlap=not args.no_overlap,
-        obs_prefixes=tuple(args.obs_prefix) if args.obs_prefix else ("S", "E"),
-        ctx_prefixes=tuple(args.ctx_prefix) if args.ctx_prefix else ("R",),
-    )
-    save_dataset(args.out, meta, samples)
-    print(f"wrote {len(samples)} samples to {args.out}")
-    return 0
-
-
-def cmd_convert_har(args) -> int:
-    meta, samples = convert_activity_dat(
-        args.data,
-        n_samples=args.n_samples,
-        obs_cols=args.obs_cols,
-        ctx_col=args.ctx_col,
-        motion_col=args.motion_col,
-        object_col=args.object_col,
-        tau=args.tau,
-        horizon=args.horizon,
-        seed=args.seed,
-        allow_overlap=not args.no_overlap,
-        ctx_codes=args.ctx_codes,
-        motion_codes=args.motion_codes,
-        object_codes=args.object_codes,
-    )
+def cmd_convert(args) -> int:
+    meta, samples = args.convert(**_given(args, args.convert))
     save_dataset(args.out, meta, samples)
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
@@ -291,11 +256,6 @@ def _splits(args, samples):
 def _load_splits(args):
     meta, samples = load_dataset(args.data)
     return meta, _splits(args, samples)
-
-
-def _train_config(args) -> TrainConfig:
-    # each training flag's dest is the TrainConfig field it sets
-    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _fit_all_classifiers(model, train_split, seed):
@@ -319,7 +279,7 @@ def _fit_all_classifiers(model, train_split, seed):
 
 def cmd_train(args) -> int:
     meta, (train_split, val_split, _) = _load_splits(args)
-    config = _train_config(args)
+    config = TrainConfig(**_given(args, TrainConfig))
     model = init_model(make_rng(args.seed + 1), meta.dims)
     best, history = train(model, train_split, val_split, config)
     classifiers = _fit_all_classifiers(best, train_split, args.seed + 3)
@@ -338,25 +298,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+_GRID_KEYS = {"eta": "eta", "lambda": "lam", "beta": "beta"}  # grid-file key: its field
+
+
 def _read_grid_file(path, base: TrainConfig):
-    """Grid points from a JSON list of {"eta", "lambda" (or "lam"), "beta"}
-    objects; a missing key keeps the base config's value."""
+    """Grid points from a JSON list of objects that hold only the keys
+    "eta", "lambda" and "beta"; a missing key keeps the base config's value."""
     points = read_json(path).read(list)
     if not points:
         raise DatasetError(f"{path}: grid file must be a non-empty JSON list")
-    return [replace(base, eta=rec.get("eta", float, base.eta),
-                    lam=rec.get("lambda", float, rec.get("lam", float, base.lam)),
-                    beta=rec.get("beta", float, base.beta))
-            for rec in points]
+    grid = []
+    for rec in points:
+        for key in rec.read(dict).value:
+            if key not in _GRID_KEYS:
+                raise JsonField(None, rec.where, f"{rec.key}.{key}").error(
+                    "unknown grid key; a point holds only eta, lambda and beta")
+        grid.append(replace(base, **{field: rec.get(key, float, getattr(base, field))
+                                     for key, field in _GRID_KEYS.items()}))
+    return grid
 
 
 def cmd_gridsearch(args) -> int:
     meta, (train_split, val_split, _) = _load_splits(args)
-    base = _train_config(args)
+    base = TrainConfig(**_given(args, TrainConfig))
     if args.grid_file is not None:
         grid = _read_grid_file(args.grid_file, base)
     else:
-        grid = default_grid(args.loss, base)
+        grid = default_grid(base.loss, base)
     best_cfg, best_model, results = grid_search(
         grid, meta.dims, train_split, val_split, base_seed=args.seed
     )
@@ -369,9 +337,6 @@ def cmd_gridsearch(args) -> int:
         f"report written to {args.out_report}"
     )
     return 0
-
-
-_KIND_FLAG = {"svm": "svm", "threshold": "threshold_zero", "nearest-mean": "nearest_mean"}
 
 
 def _select_split(args, samples):
@@ -508,7 +473,7 @@ def cmd_gradcheck(args) -> int:
     for kind in kinds:
         model = init_model(rng, dims)
         config = TrainConfig(loss=kind, lam=0.1, beta=0.4, batch_size=2, seed=args.seed)
-        err, worst = grad_check(model, samples, config, fd_step=args.fd_step)
+        err, worst = grad_check(model, samples, config, **_given(args, grad_check))
         passed = err < GRADCHECK_TOLERANCE
         ok = ok and passed
         print(

@@ -17,6 +17,7 @@ segment labels with it, and load and save validate against it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
@@ -43,10 +44,9 @@ class DatasetError(ValueError):
 # Every faultcast JSON file (dataset header, model, grid file, report) is
 # decoded by read_json and read by typed key through JsonField, and the
 # dataset's sample records by load_dataset, so one set of type rules holds
-# at every edge: true/false is never a number, and a numeric array is one
-# whose numpy dtype comes out integer or floating (numeric_array). Every
-# JSON file is written by write_json_lines or, for a report, by one cli
-# writer.
+# at every edge: true/false is never a number, and a numeric array holds
+# numbers by numeric_array's rule. Every JSON file is written by
+# write_json_lines or, for a report, by one cli writer.
 
 _REQUIRED = object()
 _KINDS = {  # kind: (its name in errors, the decoded types it accepts besides bool)
@@ -63,12 +63,25 @@ def numeric_array(value) -> np.ndarray | None:
     integers or floats, else None: a string or null inside, an array of
     only true/false and ragged nesting are no numeric array. The check
     reads the array's dtype, not each element, so a true among numbers
-    reads as 1."""
+    reads as 1. An integer of any size reads as its float spelling does:
+    100000000000000000000 as 1e20, one past float64's range as inf."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged nesting
         return None
+    if arr.dtype == object:  # an integer past 64 bits, or a non-number inside
+        if not all(isinstance(v, (int, float)) for v in arr.flat):
+            return None
+        return np.array([_json_float(v) for v in arr.flat]).reshape(arr.shape)
     return arr.astype(np.float64, copy=False) if arr.dtype.kind in "iuf" else None
+
+
+def _json_float(number) -> float:
+    """float(number), or +-inf for an integer past float64's range."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
 
 
 def write_json_lines(path, records) -> int:
@@ -418,10 +431,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # dims first, before any per-label check; the generator maps label l
+        # to context channel l mod d_ctx, so it needs d_ctx >= 1
+        ModelDims(self.n_labels, self.d_obs, self.d_ctx, self.tau, self.total_steps)
+        if self.d_ctx < 1:
+            raise ValueError(f"need d_ctx >= 1, got d_ctx={self.d_ctx}")
         if len(self.thresholds) != self.n_labels or len(self.rarity) != self.n_labels:
             raise ValueError("thresholds and rarity must have one entry per label")
-        if min(self.thresholds) <= 0:
-            raise ValueError("thresholds must be positive")
+        if not all(v > 0 for v in (*self.thresholds, *self.rarity)):  # NaN fails too
+            raise ValueError("thresholds and rarity must be positive")
         if not 0.0 < self.lag < 1.0:
             raise ValueError(f"lag must lie in (0, 1), got {self.lag}")
         lo, hi = self.persistence

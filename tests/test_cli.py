@@ -1,14 +1,21 @@
 """Command-line workflow, exercised through main() with small datasets."""
 
+import argparse
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from faultcast.adapters import convert_activity_dat, convert_plant_csv
+from faultcast import cli
 from faultcast.classifiers import classifier_from_dict, classify
 from faultcast.cli import build_parser, main
-from faultcast.data import JsonField, load_dataset, split_samples, stack_samples
+from faultcast.data import (
+    JsonField, SynthConfig, load_dataset, save_dataset, split_samples, stack_samples,
+)
 from faultcast.model import forward, load_model
+from faultcast.training import TrainConfig, grad_check
 
 
 SPLIT = ("--n-train", "140", "--n-val", "40", "--n-test", "80")
@@ -55,6 +62,20 @@ class TestGenerate:
         text = capsys.readouterr().out
         for name in ("fault_1", "fault_2", "fault_3", "fault_4"):
             assert name in text
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--d-ctx", "0"], "d_ctx=0"), (["--total-steps", "0", "--tau", "0"], "total_steps=0"),
+        (["--labels", "0"], "n_labels=0"), (["--tau", "12"], "tau=12"),
+        (["--d-obs", "-1"], "d_obs=-1"), (["--rarity=-1,1,1,1"], "rarity must be positive"),
+        (["--thresholds", "nan,1,1,1"], "thresholds and rarity must be positive"),
+    ])
+    def test_out_of_range_config_is_rejected_before_any_draw(self, tmp_path, capsys, flags,
+                                                              field):
+        out = tmp_path / "d.jsonl"
+        assert run("generate", "--out", str(out), "--n", "5", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_dimension_overrides(self, tmp_path):
         out = tmp_path / "d.jsonl"
@@ -270,6 +291,20 @@ class TestGridSearch:
         lines = report.read_text().splitlines()
         assert len(lines) == 2  # header + one point
         assert model.exists()
+
+    @pytest.mark.parametrize("key", ["lamda", "lam", "loss", "batch_size"])
+    def test_grid_file_key_other_than_eta_lambda_beta_is_data_error(self, workspace, tmp_path,
+                                                                     capsys, key):
+        _, data, _, _ = workspace
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"eta": 0.01, "lambda": 0.0}, {"eta": 0.01, key: 5.0}]))
+        model = tmp_path / "gs.json"
+        assert run("gridsearch", "--data", str(data), "--grid-file", str(grid),
+                   "--out-model", str(model), "--out-report", str(tmp_path / "gs.tsv"),
+                   "--n-train", "60", "--n-val", "20", "--n-test", "20") == 2
+        err = capsys.readouterr().err
+        assert f"{grid}: key '[1].{key}': unknown grid key" in err
+        assert not model.exists()
 
     def test_default_grid_report_size(self, workspace, tmp_path):
         _, data, _, _ = workspace
@@ -571,3 +606,105 @@ class TestUsageErrors:
                    "--out", str(tmp_path / "eval")) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and repr(key) in err
+
+
+# The library call each command's flags feed through one flags-to-kwargs
+# path; the other commands feed none.
+FEEDS = {"generate": SynthConfig, "convert-phm": convert_plant_csv,
+         "convert-har": convert_activity_dat, "train": TrainConfig,
+         "gridsearch": TrainConfig, "gradcheck": grad_check}
+
+
+def _subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestLibraryDefaults:
+    def test_no_flag_restates_a_library_default(self):
+        commands = _subcommands()
+        assert set(FEEDS) < set(commands)
+        for command, sub in commands.items():
+            params = inspect.signature(FEEDS[command]).parameters if command in FEEDS else {}
+            dests = {a.dest for a in sub._actions}
+            assert command not in FEEDS or dests & set(params)
+            for action in sub._actions:
+                # the split flags' --seed also seeds the split and the model
+                # init, which have no library default
+                if action.dest in params and not (action.dest == "seed" and "n_train" in dests):
+                    assert action.default is None, (command, action.option_strings)
+
+    def test_unset_flags_give_the_library_defaults(self):
+        parser = build_parser()
+        for argv in (["train", "--data", "d", "--out-model", "m"],
+                     ["gridsearch", "--data", "d", "--out-model", "m", "--out-report", "r"]):
+            args = parser.parse_args(argv)
+            assert cli._given(args, TrainConfig) == {"seed": 0}
+            assert TrainConfig(seed=args.seed) == TrainConfig()
+
+
+@pytest.fixture
+def raw_files(tmp_path):
+    """A plant signals/faults pair (80 ticks, codes 1-3, one missing cell)
+    and two activity recordings (120 ticks, 4 sensors)."""
+    rows = ["time,S1,S2,E1,R1,R2,X1"]
+    for t in range(80):
+        cell = "" if t == 17 else f"{np.sin(t / 5.0):.6f}"
+        rows.append(f"{t},{0.1 * t:.6f},{cell},20.0,{1.0 if t < 30 else 2.0},0.5,{t % 3}")
+    signals, faults = tmp_path / "signals.csv", tmp_path / "faults.csv"
+    signals.write_text("\n".join(rows) + "\n")
+    faults.write_text("start,end,code\n10,14,1\n40,44,2\n52,58,3\n60,70,1\n")
+    rng = np.random.default_rng(5)
+    recordings = [tmp_path / f"rec{k}.dat" for k in range(2)]
+    for path in recordings:
+        path.write_text("".join(
+            f"{t * 33} " + " ".join(f"{v:.5f}" for v in rng.normal(size=4))
+            + f" {101 if t < 45 else 102} {401 if 30 <= t < 50 else (402 if t >= 70 else 0)}"
+            + f" {501 if 35 <= t < 40 else 0}\n" for t in range(120)))
+    return signals, faults, recordings
+
+
+class TestConvert:
+    @pytest.mark.parametrize("optional", [False, True])
+    def test_flags_write_what_the_library_converter_writes(self, raw_files, tmp_path,
+                                                           optional):
+        # every optional flag unset, then set to a value other than its default
+        signals, faults, recordings = raw_files
+        phm = ["convert-phm", "--signals", str(signals), "--faults", str(faults),
+               "--n-samples", "3"]
+        phm_kwargs = dict(n_samples=3)
+        har = ["convert-har", "--data", str(recordings[0]), "--data", str(recordings[1]),
+               "--n-samples", "2", "--obs-cols", "1:4", "--ctx-col", "5", "--motion-col", "6",
+               "--object-col", "7"]
+        har_kwargs = dict(n_samples=2, obs_cols=(1, 4), ctx_col=5, motion_col=6, object_col=7)
+        if optional:
+            phm += ["--tau", "8", "--horizon", "4", "--n-labels", "3", "--seed", "2",
+                    "--no-overlap", "--obs-prefix", "S", "--obs-prefix", "X",
+                    "--ctx-prefix", "R"]
+            phm_kwargs.update(tau=8, horizon=4, n_labels=3, seed=2, allow_overlap=False,
+                              obs_prefixes=("S", "X"), ctx_prefixes=("R",))
+            har += ["--tau", "10", "--horizon", "5", "--seed", "3",
+                    "--no-overlap", "--ctx-codes", "101,102,103", "--motion-codes", "401,402",
+                    "--object-codes", "501"]
+            har_kwargs.update(tau=10, horizon=5, seed=3, allow_overlap=False,
+                              ctx_codes=(101, 102, 103), motion_codes=(401, 402),
+                              object_codes=(501,))
+        for argv, convert, args, kwargs in (
+            (phm, convert_plant_csv, (signals, faults), phm_kwargs),
+            (har, convert_activity_dat, (recordings,), har_kwargs),
+        ):
+            cli_out, lib_out = tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
+            assert run(*argv, "--out", str(cli_out)) == 0
+            save_dataset(lib_out, *convert(*args, **kwargs))
+            assert cli_out.read_bytes() == lib_out.read_bytes(), argv[0]
+
+    def test_unmatched_prefixes_are_named_as_tuples(self, raw_files, tmp_path, capsys):
+        signals, faults, _ = raw_files
+        out = tmp_path / "plant.jsonl"
+        assert run("convert-phm", "--signals", str(signals), "--faults", str(faults),
+                   "--out", str(out), "--n-samples", "3",
+                   "--obs-prefix", "Q", "--obs-prefix", "Z") == 2
+        assert capsys.readouterr().err == (
+            "error: could not classify columns: 0 observation and 2 context columns "
+            "matched prefixes ('Q', 'Z') / ('R',)\n")
+        assert not out.exists()

@@ -10,12 +10,13 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from faultcast.cli import build_parser, main
-from faultcast.data import DatasetError
+from faultcast.data import DatasetError, numeric_array
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "faultcast"
 SPLIT = ["--n-train", "20", "--n-val", "10", "--n-test", "10"]
@@ -28,7 +29,8 @@ WRONG = {
     "str": [1, True, [], {}, None],
     "list": [{}, "ab", 3, True, None],
     "object": [[1, 2], 3, "x", True],
-    "array": ["string inside", True, False, {}, "x"],
+    "array": ["string inside", "null inside", True, False, {}, "x", [True, False],
+              [[1.0], [1.0, 2.0]]],
 }
 
 # (path, expected type, required) per file kind; a path is a tuple of object
@@ -67,9 +69,13 @@ def _name(path) -> str:
     return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
 
 
+# what "<name> inside" puts in place of an array's last number
+INSIDE = {"string inside": "1.5", "null inside": None, "big inside": "BIG"}
+
+
 def _mutate(doc, path, value):
-    """doc with the value at path dropped (_DROP), given a string as its
-    last number ("string inside") or replaced by value."""
+    """doc with the value at path dropped (_DROP), given another last
+    number (a key of INSIDE) or replaced by value."""
     if not path:
         return value
     parent = doc
@@ -77,11 +83,11 @@ def _mutate(doc, path, value):
         parent = parent[part]
     if value is _DROP:
         del parent[path[-1]]
-    elif value == "string inside":
+    elif isinstance(value, str) and value in INSIDE:
         inner = parent[path[-1]]
         while isinstance(inner[-1], list):
             inner = inner[-1]
-        inner[-1] = "1.5"
+        inner[-1] = INSIDE[value]
     else:
         parent[path[-1]] = value
     return doc
@@ -151,6 +157,57 @@ def test_a_record_array_of_strings_and_booleans_makes_train_exit_2(files, capsys
     assert main(argv) == 2
     assert capsys.readouterr().err == (f"error: {bad['record']}: line 2: sample 0: "
                                        "key 'obs': must be a numeric array\n")
+
+
+def _float_spelling(n: int) -> str:
+    """The integer n's exact value as a JSON float literal: 1.00e2 for 100."""
+    digits = str(abs(n))
+    return f"{'-' if n < 0 else ''}{digits[0]}.{digits[1:]}e{len(digits) - 1}"
+
+
+@pytest.mark.parametrize("kind", ["model", "record"])
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(draw=st.data())
+def test_an_integer_past_64_bits_reads_as_its_float_spelling(files, kind, draw):
+    """100000000000000000000 and 1.00000000000000000000e20 in any numeric
+    array of a model or sample record give the same outcome: the same
+    output bytes, or the same error; past float64's range both read as
+    inf."""
+    originals, bad = files
+    doc, dump, argv = originals[kind]
+    path = draw.draw(st.sampled_from([p for p, expected, _ in CASES[kind] if expected == "array"]))
+    n = draw.draw(st.one_of(st.sampled_from([10**20, 10**400, -(10**400)]),
+                            st.integers(2**64, 10**30), st.integers(-(10**30), -(2**63) - 1)))
+    text = dump(_mutate(json.loads(json.dumps(doc)), path, "big inside"))
+    root = bad[kind].parent
+    outputs = [root / "p.jsonl"]
+    if kind == "record":  # score every sample, the mutated one among them
+        outputs = [root / "eval.json", root / "eval.txt"]
+        argv = ["evaluate", "--model", str(root / "model.json"), "--data", str(bad[kind]),
+                "--out", str(root / "eval"), "--split", "all", *SPLIT]
+    outcomes = []
+    for number in (str(n), _float_spelling(n)):
+        bad[kind].write_text(text.replace('"BIG"', number))
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main(argv)
+        written = [p.read_bytes() if p.exists() else None for p in outputs]
+        for p in outputs:
+            p.unlink(missing_ok=True)
+        outcomes.append((code, err.getvalue(), out.getvalue(), written))
+        assert "Traceback" not in err.getvalue() and "numeric array" not in err.getvalue()
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("value,want", [
+    ([[10**20, 1]], [[1e20, 1.0]]), ([10**20, True], [1e20, 1.0]), ([2**64], [2.0**64]),
+    ([10**20, None], None), ([10**20, "1"], None), ([10**20, {}], None),
+    ([[10**20], [1, 2]], None),
+])
+def test_a_big_integer_beside_other_values(value, want):
+    # beside it, a true still reads as 1, and a non-number is still refused
+    arr = numeric_array(value)
+    assert (arr is None and want is None) or (arr.dtype == np.float64 and arr.tolist() == want)
 
 
 def _callers(wanted):
