@@ -224,12 +224,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_generate(args) -> int:
-    overrides = _given(args, SynthConfig)
-    if "n_labels" in overrides:
-        n = overrides["n_labels"]
-        overrides.setdefault("thresholds", (SynthConfig.thresholds[0],) * n)
-        overrides.setdefault("rarity", tuple(np.linspace(1.2, 6.6, n)))
-    cfg = SynthConfig(**overrides)
+    cfg = SynthConfig(**_given(args, SynthConfig))
     meta, samples = synth_generate(cfg, args.n)
     save_dataset(args.out, meta, samples)
     print(f"wrote {len(samples)} samples to {args.out}")

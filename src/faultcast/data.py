@@ -423,8 +423,10 @@ class SynthConfig:
     n_labels: int = 4
     d_obs: int = 2
     d_ctx: int = 1
-    thresholds: tuple = (0.66, 0.66, 0.66, 0.66)
-    rarity: tuple = (1.2, 2.8, 4.6, 6.6)
+    # one entry per label; unset, 0.66 each, and the rarity ramp from 1.2 to
+    # 6.6: (1.2, 2.8, 4.6, 6.6) at 4 labels, evenly spaced at any other count
+    thresholds: tuple | None = None
+    rarity: tuple | None = None
     persistence: tuple = (2, 4)  # inclusive range of steps a label stays on
     lag: float = 0.4
     noise_scale: float = 0.05
@@ -436,6 +438,12 @@ class SynthConfig:
         ModelDims(self.n_labels, self.d_obs, self.d_ctx, self.tau, self.total_steps)
         if self.d_ctx < 1:
             raise ValueError(f"need d_ctx >= 1, got d_ctx={self.d_ctx}")
+        n = self.n_labels
+        if self.thresholds is None:
+            object.__setattr__(self, "thresholds", (0.66,) * n)
+        if self.rarity is None:
+            ramp = (1.2, 2.8, 4.6, 6.6) if n == 4 else tuple(np.linspace(1.2, 6.6, n).tolist())
+            object.__setattr__(self, "rarity", ramp)
         if len(self.thresholds) != self.n_labels or len(self.rarity) != self.n_labels:
             raise ValueError("thresholds and rarity must have one entry per label")
         if not all(v > 0 for v in (*self.thresholds, *self.rarity)):  # NaN fails too

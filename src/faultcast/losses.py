@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import zeros_grads
+from .model import param_slices
 from .num import per_member, sigmoid
 
 # probability clamp before logs, as sigmoid can saturate in float64; past it
@@ -72,26 +72,30 @@ def l2_penalty(model, lam):
     Biases and the output bias are excluded. For a population, lam may be a
     (G,) vector and the result is one penalty per member.
     """
-    if np.any(np.asarray(lam) < 0):
+    if (np.asarray(lam) < 0).any():
         raise ValueError(f"lam must be >= 0, got {lam}")
-    total = sum(
-        np.sum(cell.W * cell.W, axis=(-2, -1)) for cell in (model.encoder, model.decoder)
-    )
-    return 0.5 * lam * total
+    squares, blocks = model.theta * model.theta, param_slices(model.dims)
+    enc, dec = (np.add.reduce(squares[..., blocks[key]], axis=-1)
+                for key in ("encoder.W", "decoder.W"))
+    return 0.5 * lam * (enc + dec)
 
 
 def _l2_terms(model, lam, zero):
     """l2_penalty per member and its gradient in the model's parameter
-    layout: lam * W in both cells' W blocks, 0 elsewhere, or None if every
+    layout: lam * W in both cells' W blocks, +0.0 elsewhere, or None if every
     lam is 0. A member with lam 0 gets exactly 0, even from non-finite W."""
-    if not (lam.any() if isinstance(lam, np.ndarray) else lam):
+    members = np.count_nonzero(lam) if isinstance(lam, np.ndarray) else bool(lam)  # lam != 0
+    if not members:
         return zero, None
-    reg = np.where(np.asarray(lam) != 0.0, l2_penalty(model, lam), 0.0)
-    grad = zeros_grads(model.dims, model.population)
-    lam_w = per_member(lam, 2)
-    for g, p in ((grad.encoder, model.encoder), (grad.decoder, model.decoder)):
-        np.multiply(lam_w, p.W, out=g.W, where=lam_w != 0.0)
-    return reg, grad.theta
+    reg, d_theta = l2_penalty(model, lam), per_member(lam, 1) * model.theta
+    blocks = param_slices(model.dims)
+    for key in ("encoder.b", "decoder.b", "out_bias"):
+        d_theta[..., blocks[key]] = 0.0
+    if members < np.size(lam):
+        off = lam == 0.0
+        reg = np.where(off, 0.0, reg)
+        d_theta[off] = 0.0
+    return reg, d_theta
 
 
 def _checked(name: str, a, shape: tuple) -> np.ndarray:

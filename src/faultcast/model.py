@@ -21,7 +21,7 @@ up with one label. Both networks are single layer by construction.
 Parameter layout: a model keeps every parameter in one flat float64 array,
 theta, made of the blocks param_layout lists in order: encoder.W, encoder.b,
 decoder.W, decoder.b, out_bias. The cells (lstm.LstmParams) and out_bias are
-named views into theta. Gradients (zeros_grads, backward) share the layout,
+named views into theta. Gradients (backward) share the layout,
 so optimizer steps, clipping and finite-difference checks are array
 operations on theta. Per-gate names exist only at the file boundary:
 param_items splits each cell into its GATE_KEYS views, which save_model
@@ -33,12 +33,13 @@ and backward then run all members in one pass per time step, each member
 computing exactly what it computes alone. Its inputs and outputs are (G,
 batch, ...).
 
-Inside forward and backward each cell runs as an lstm.Unroll on
-feature-major slabs (steps, ..., rows, batch), which are the tape; taped,
-the cells share one gates/c/tanh_c/values slab, the decoder's rows from
-tau, where the encoder's c ends. The encoder's two h column blocks multiply
-the same h, so its recurrent block is their sum; the decoder's recurrent
-input is [h; sigmoid(h)], whose sigmoid(h) rows also give the step scores.
+Inside forward and backward each cell runs as an lstm.Unroll on slabs
+(steps, rows, ..., batch), a member axis beside the batch, which are the
+tape; taped, the cells share one gates/c/tanh_c/values slab, the decoder's
+rows from tau, where the encoder's c ends. The encoder's two h column
+blocks multiply the same h, so its recurrent block is their sum; the
+decoder's recurrent input is [h; sigmoid(h)], whose sigmoid(h) rows also
+give the step scores.
 A Tape is also a training run's workspace: forward(..., tape=t) refills t
 in place, and backward writes into gradients t holds, valid until the next
 backward on t. Prediction arrays never share memory with a tape.
@@ -46,8 +47,11 @@ backward on t. Prediction arrays never share memory with a tape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,6 +86,15 @@ def param_size(dims: ModelDims) -> int:
     return sum(math.prod(shape) for _, shape in param_layout(dims))
 
 
+@functools.cache
+def param_slices(dims: ModelDims) -> MappingProxyType:
+    """Where each block of param_layout lies along theta's last axis, read-only."""
+    layout = param_layout(dims)
+    ends = accumulate(math.prod(shape) for _, shape in layout)
+    return MappingProxyType({name: slice(end - math.prod(shape), end)
+                             for (name, shape), end in zip(layout, ends)})
+
+
 class ForecastModel:
     """A model, its gradients or a population: theta is (P,), or (G, P) for
     G stacked members, laid out as param_layout lists. encoder, decoder and
@@ -96,11 +109,8 @@ class ForecastModel:
             )
         self.theta = theta
         self.dims = dims
-        views, offset = {}, 0
-        for name, shape in param_layout(dims):
-            size = math.prod(shape)
-            views[name] = theta[..., offset : offset + size].reshape(theta.shape[:-1] + shape)
-            offset += size
+        views = {name: theta[..., block].reshape(theta.shape[:-1] + shape)
+                 for (name, shape), block in zip(param_layout(dims), param_slices(dims).values())}
         self.encoder = LstmParams(views["encoder.W"], views["encoder.b"])
         self.decoder = LstmParams(views["decoder.W"], views["decoder.b"])
         self.out_bias = views["out_bias"]
@@ -166,13 +176,6 @@ def init_model(rng: np.random.Generator, dims: ModelDims) -> ForecastModel:
     return model
 
 
-def zeros_grads(dims: ModelDims, population: int | None = None) -> ForecastModel:
-    """All-zero gradients in the parameter layout, for one model or for a
-    population of that many members."""
-    lead = () if population is None else (population,)
-    return ForecastModel(np.zeros(lead + (param_size(dims),)), dims)
-
-
 def param_items(model: ForecastModel) -> list[tuple[str, np.ndarray]]:
     """Every parameter under its model-file key, in the file's fixed order:
     each cell's GATE_KEYS, each a view of its gate's lstm.GATE_ORDER row
@@ -200,16 +203,16 @@ def _check_input(name: str, x: np.ndarray, steps: int, width: int, population) -
     return x
 
 
-def _feature_major(a: np.ndarray) -> np.ndarray:
-    """(..., B, steps, d) as a (steps, ..., d, B) view."""
-    k = a.ndim
-    return a.transpose((k - 2,) + tuple(range(k - 3)) + (k - 1, k - 3))
+def _feature_major(a: np.ndarray, k: int = 2) -> np.ndarray:
+    """(..., B, *rest), rest k axes such as (steps, d), as a (*rest, ..., B)
+    view: the slab layout, the member axis (if any) beside the batch."""
+    m = a.ndim - k
+    return a.transpose(tuple(range(m, a.ndim)) + tuple(range(m)))
 
 
-def _batch_major(a: np.ndarray) -> np.ndarray:
-    """(steps, ..., d, B) as a (..., B, steps, d) view."""
-    k = a.ndim
-    return a.transpose(tuple(range(1, k - 2)) + (k - 1, 0, k - 2))
+def _batch_major(a: np.ndarray, k: int = 2) -> np.ndarray:
+    """(*rest, ..., B), rest k axes, as a (..., B, *rest) view."""
+    return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
 
 
 def forward(
@@ -245,7 +248,7 @@ def forward(
               and tape.label_probs.shape == obs.shape[:-2] + (n,))
     lender = tape if keep_tape and not refill else None  # lends its memory to a new tape
     obs, ctx = _feature_major(obs), _feature_major(ctx)
-    zero = np.zeros(obs.shape[1:-2] + (n, obs.shape[-1]))
+    zero = np.zeros((n,) + obs.shape[2:])
 
     # each W's columns run [h | inputs | fed-back h or sigmoid(h)], the
     # feedback block starting at column fb
@@ -264,11 +267,11 @@ def forward(
     unroll(dec, [ctx[tau:]])
 
     # every output is a fresh array, never a view into the slabs
-    hidden = dec.z[1:, ..., :n, :]  # (horizon, ..., L, B)
-    out_bias = model.out_bias[..., None]
-    g = np.ascontiguousarray((hidden.sum(axis=0) + out_bias).swapaxes(-1, -2))
+    hidden = dec.z[1:, :n]  # (horizon, L, ..., B)
+    out_bias = model.out_bias.T[..., None]
+    g = np.ascontiguousarray(_batch_major(hidden.sum(axis=0) + out_bias, 1))
     y = sigmoid(g)
-    o = np.multiply(_batch_major(dec.z[1:, ..., n:, :]), y[..., None, :], order="C")
+    o = np.multiply(_batch_major(dec.z[1:, n:]), y[..., None, :], order="C")
     if refill:
         tape.label_probs, tape.consumed = y, False
     elif keep_tape:
@@ -314,18 +317,18 @@ def backward(
         return adj
 
     do = _feature_major(adjoint(d_step_scores, lead + (horizon, n)))
-    dg_extra = adjoint(d_embedding, lead + (n,)).swapaxes(-1, -2)
-    y = tape.label_probs.swapaxes(-1, -2)  # (..., L, B), like every adjoint below
+    dg_extra = _feature_major(adjoint(d_embedding, lead + (n,)), 1)
+    y = _feature_major(tape.label_probs, 1)  # (L, ..., B), like every adjoint below
     enc, dec, grads = tape.encoder, tape.decoder, tape.grads
     tape.consumed = True
-    sig_h = dec.z[1:, ..., n:, :]
+    sig_h = dec.z[1:, n:]
 
     # g receives the direct adjoint and the sigmoid(g) factor inside every
     # step score.
     dg = np.multiply(do, sig_h, order="C").sum(axis=0)
     dg *= y * (1.0 - y)
     dg += dg_extra
-    grads.out_bias[...] = dg.sum(axis=-1)  # every block of grads is written below
+    grads.out_bias[...] = dg.sum(axis=-1).T  # every block of grads is written below
 
     # Per-step adjoint on decoder hidden states: the sum into g plus the
     # sigmoid(h) factor of that step's score.

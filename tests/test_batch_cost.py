@@ -13,12 +13,13 @@ def test_one_repeat_prints_every_shape_and_both_fits():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header == "steps\tfresh_us\tresident_us"
-    assert [r.split("\t")[0] for r in rows[:3]] == ["4+6", "8+12", "16+24"]
+    assert [r.split("\t")[0] for r in rows[:4]] == ["4+6", "8+12", "16+24", "9x4+6"]
     for row in rows[:3]:
         assert all(float(v) > 0 for v in row.split("\t")[1:])
-    assert [r.split(":")[0] for r in rows[3:5]] == ["fresh", "resident"]
-    assert all(" us per call, slope " in r for r in rows[3:5])
-    assert rows[5] == "steps\tforward_us\tbatch_adjoints_us\tbackward_us\toptimizer_step_us"
-    assert [r.split("\t")[0] for r in rows[6:]] == ["4+6", "8+12", "16+24"]
-    for row in rows[6:]:
+    assert rows[3].split("\t")[1] == "-" and float(rows[3].split("\t")[2]) > 0
+    assert [r.split(":")[0] for r in rows[4:6]] == ["fresh", "resident"]
+    assert all(" us per call, slope " in r for r in rows[4:6])
+    assert rows[6] == "steps\tforward_us\tbatch_adjoints_us\tbackward_us\toptimizer_step_us"
+    assert [r.split("\t")[0] for r in rows[7:]] == ["4+6", "8+12", "16+24", "9x4+6"]
+    for row in rows[7:]:
         assert len(row.split("\t")) == 5 and all(float(v) > 0 for v in row.split("\t")[1:])

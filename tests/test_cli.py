@@ -1,6 +1,7 @@
 """Command-line workflow, exercised through main() with small datasets."""
 
 import argparse
+import hashlib
 import inspect
 import json
 
@@ -76,6 +77,22 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_label_count_flag_follows_the_library_rule(self, tmp_path):
+        # --labels 4, the default count, writes what no flag writes; --labels
+        # 3 keeps the bytes of the evenly spaced rarity ramp (0.66 thresholds)
+        # it wrote before SynthConfig held the rule
+        written = []
+        for k, flags in enumerate(([], ["--labels", "4"], ["--labels", "3"])):
+            out = tmp_path / f"d{k}.jsonl"
+            assert run("generate", "--out", str(out), "--n", "40", "--seed", "2", *flags) == 0
+            written.append(out.read_bytes())
+        assert written[1] == written[0]
+        assert hashlib.sha256(written[2]).hexdigest() == (
+            "7640a7ca03e5bd631ddad037356bd720190fc3635e06b2c5e7aa19263c5785c4")
+        cfg = SynthConfig(n_labels=3)
+        assert cfg.thresholds == (0.66,) * 3 and cfg.rarity == tuple(np.linspace(1.2, 6.6, 3))
+        assert SynthConfig(n_labels=4) == SynthConfig()
 
     def test_dimension_overrides(self, tmp_path):
         out = tmp_path / "d.jsonl"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultcast.lstm import (
     GATE_ORDER, LstmParams, Unroll, init_params, lstm_step, unroll, unroll_backward,
@@ -485,3 +487,70 @@ class TestFusedCell:
         np.testing.assert_array_equal(views["encoder.w_i"], np.full((2, 2 + dims.enc_input), 5.0))
         assert not np.any(views["encoder.w_f"] == 5.0)
         assert not np.any(views["decoder.w_i"] == 5.0)
+
+
+def population_unroll(rng, members, hidden, inputs, batch, steps, taped=True, feedback=False):
+    """An Unroll of `members` random cells over a (steps, inputs, members,
+    batch) input, each member's weights [W_rec | W_x | b]; returns the
+    unroll, its weights, initial state and input."""
+    rec = 2 * hidden if feedback else hidden
+    w = rng.normal(size=(members, 4 * hidden, rec + inputs + 1))
+    h0, c0 = (rng.normal(size=(hidden, members, batch)) for _ in range(2))
+    xs = rng.normal(size=(steps, inputs, members, batch))
+    cell = Unroll(w, h0, c0, steps, taped, feedback)
+    unroll(cell, [xs])
+    return cell, w, h0, c0, xs
+
+
+class TestSlabLayout:
+    """The member axis sits beside the batch, so every gate block, the
+    sigmoid block and every c, tanh(c), h and sigmoid(h) row a step touches
+    is one C-contiguous block at any population size."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(members=st.sampled_from((1, 2, 9)), hidden=st.integers(1, 3),
+           inputs=st.integers(0, 2), batch=st.integers(1, 4), steps=st.integers(1, 3),
+           taped=st.booleans(), feedback=st.booleans(), seed=st.integers(0, 2**16))
+    def test_step_views_are_contiguous(self, members, hidden, inputs, batch, steps, taped,
+                                       feedback, seed):
+        cell = population_unroll(make_rng(seed), members, hidden, inputs, batch, steps, taped,
+                                 feedback)[0]
+        # fwd: a, f, i, o, c~, sig, c, c', tanh(c'), z (member-first), h', sigmoid(h')
+        views = [v for fwd in cell.fwd for k, v in enumerate(fwd) if k != 9 and v is not None]
+        # bwd: da, df, di, do, dc~, tanh(c), c, sigmoid(h), da (member-first)
+        views += [v for bwd in cell.bwd for v in bwd[:-1] if v is not None]
+        views += list(cell.z[:, :hidden]) + list(cell.z[:, hidden:]) + list(cell.c)
+        views += list(cell.tanh_c)
+        assert views and all(v.flags.c_contiguous for v in views)
+
+
+class TestPopulationSteps:
+    """A population's lstm_step and step_backward compute, per member, bit
+    for bit what the member computes alone, at the shapes where a product
+    over a strided adjoint view rounds differently: a batch of 1-3, 1-3
+    hidden units and 0-2 input columns."""
+
+    @pytest.mark.parametrize("feedback", [False, True])
+    @pytest.mark.parametrize("inputs", [0, 1, 2])
+    def test_members_equal_solo_cells(self, feedback, inputs):
+        rng = make_rng(31 + 2 * inputs + feedback)
+        for hidden in (1, 2, 3):
+            for batch in (1, 2, 3):
+                members, steps = 5, 3
+                cell, w, h0, c0, xs = population_unroll(rng, members, hidden, inputs, batch,
+                                                        steps, feedback=feedback)
+                dh_steps, dh, dc = (rng.normal(size=(steps,) * k + (hidden, members, batch))
+                                    for k in (1, 0, 0))
+                forward_slabs = [getattr(cell, name).copy() for name in ("z", "c", "tanh_c")]
+                got = unroll_backward(cell, dh_steps, dh, dc)
+                for k in range(members):
+                    solo = Unroll(w[k], h0[:, k], c0[:, k], steps, feedback=feedback)
+                    unroll(solo, [xs[:, :, k]])
+                    for slab, name in zip(forward_slabs, ("z", "c", "tanh_c")):
+                        assert slab[:, :, k].tobytes() == getattr(solo, name).tobytes(), name
+                    want = unroll_backward(solo, dh_steps[:, :, k], dh[:, k], dc[:, k])
+                    assert got[0][:, k].tobytes() == want[0].tobytes()  # dh0
+                    assert got[1][:, k].tobytes() == want[1].tobytes()  # dc0
+                    assert got[2][k].tobytes() == want[2].tobytes()  # dW
+                    assert got[3][k].tobytes() == want[3].tobytes()  # db
+                    assert cell.gates[:, :, k].tobytes() == solo.gates.tobytes()  # adjoints

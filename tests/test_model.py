@@ -1,5 +1,6 @@
 """Encoder-decoder network: forward semantics, gradient exactness, I/O."""
 
+import itertools
 import json
 import math
 import tempfile
@@ -352,9 +353,10 @@ class TestTapeIdentity:
         assert_same_bits(untaped, taped)
 
     @settings(max_examples=40, deadline=None)
-    @given(dims=small_dims, population=st.integers(1, 3), batch=st.integers(1, 4),
+    @given(dims=small_dims, population=st.integers(1, 9), batch=st.integers(1, 4),
            shared=st.booleans(), seed=st.integers(0, 2**16))
     @example(dims=EDGE, population=3, batch=1, shared=False, seed=0)
+    @example(dims=ModelDims(3, 2, 2, 2, 5), population=9, batch=3, shared=False, seed=2)
     @example(dims=NO_INPUTS, population=2, batch=1, shared=True, seed=1)
     def test_member_equals_solo_forward_and_backward(self, dims, population, batch, shared,
                                                      seed):
@@ -373,6 +375,25 @@ class TestTapeIdentity:
             assert_same_bits(pred, want, k)
             want_grads = backward(model, want_tape, *(a[k] for a in adjoints))
             assert grads.theta[k].tobytes() == want_grads.theta.tobytes()
+
+    def test_member_equals_solo_over_small_shapes(self):
+        # a pinned sweep of the shapes where the transposed-adjoint product
+        # can round differently: 1-3 labels, a batch of 1-3, 0-2 observed
+        # and context columns; 4 members each, 216 members in all
+        rng = make_rng(77)
+        for n_labels, batch, d_obs, d_ctx in itertools.product((1, 2, 3), (1, 2, 3), (0, 2),
+                                                               (0, 1, 2)):
+            dims = ModelDims(n_labels, d_obs, d_ctx, 1, 3)
+            members, stack = members_and_model(dims, 4, int(rng.integers(2**16)))
+            obs, ctx = (rng.normal(size=(4,) + a.shape) for a in rand_inputs(rng, dims, batch))
+            pred, tape = forward(stack, obs, ctx)
+            adjoints = [rng.normal(size=a.shape) for a in (pred.step_scores, pred.embedding)]
+            grads = backward(stack, tape, *adjoints)
+            for k, model in enumerate(members):
+                want, want_tape = forward(model, obs[k], ctx[k])
+                assert_same_bits(pred, want, k)
+                want_grads = backward(model, want_tape, *(a[k] for a in adjoints))
+                assert grads.theta[k].tobytes() == want_grads.theta.tobytes()
 
     def test_tape_serves_one_backward(self):
         model = tiny_model(3)

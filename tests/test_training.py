@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from faultcast.data import Sample, SynthConfig, stack_samples, synth_generate
 from faultcast.losses import batch_loss, class_weights
-from faultcast.model import (ForecastModel, ModelDims, init_model, param_items, predict,
-                             stack_models, zeros_grads)
+from faultcast.model import (ForecastModel, ModelDims, init_model, param_items, param_size,
+                             predict, stack_models)
 from faultcast.num import make_rng
 from faultcast.training import (
     GridResult,
@@ -40,6 +40,11 @@ def tiny_synth(n, seed=0):
         thresholds=(0.5, 0.5), rarity=(1.0, 2.5), seed=seed,
     )
     return synth_generate(cfg, n)[1]
+
+
+def zeros_grads(dims):
+    """All-zero gradients in the parameter layout of one model."""
+    return ForecastModel(np.zeros(param_size(dims)), dims)
 
 
 class TestOptimizer:

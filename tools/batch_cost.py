@@ -7,14 +7,17 @@ Times training.batch_gradients at the train_small shape (batch 16, 4
 labels, d_obs 2, d_ctx 1, localize loss, lam 0) for 4+6, 8+12 and 16+24
 observed + forecast steps, on one BLAS thread. Two ways per shape:
 `resident` passes each call the tape of the call before, as
-train_population does, and `fresh` builds a new tape per call. The six
-cases take turns in blocks of BLOCK calls, so a slow spell of the host
-falls on all of them alike. Prints the median time of a call per case,
-then for each way the least-squares line median = intercept + slope *
-steps: the intercept is the cost of a call that does not depend on the
-step count. Last, for the resident way, the median time of each phase of
-a call and of the optimizer step after it, as train_population runs them
-(PHASES, timed in a case of their own that takes its turn with the rest).
+train_population does, and `fresh` builds a new tape per call. Beside
+them runs grid_small's population, `9x4+6`: the stock grid's 9 members in
+one stack, base loss, each member's grid lambda and its own batch of 16,
+4+6 steps, resident. The cases take turns in blocks of BLOCK calls, so a
+slow spell of the host falls on all of them alike. Prints the median time
+of a call per case, then for each way the least-squares line median =
+intercept + slope * steps over the single-model shapes: the intercept is
+the cost of a call that does not depend on the step count. Last, for the
+resident way, the median time of each phase of a call and of the
+optimizer step after it, as train_population runs them (PHASES, timed in
+a case of their own that takes its turn with the rest).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 from time import perf_counter
 
 SHAPES = ((4, 6), (8, 12), (16, 24))  # (observed, forecast) steps
+POPULATION = "9x4+6"
 WAYS = ("fresh", "resident")
 PHASES = ("forward", "batch_adjoints", "backward", "optimizer_step")
 BATCH = 16
@@ -47,13 +51,16 @@ def main(argv: list[str] | None = None) -> int:
     if opts.repeats < 1:
         parser.error("--repeats must be >= 1")
 
+    import numpy as np
+
     from faultcast.data import SynthConfig, stack_samples, synth_generate
     from faultcast.losses import batch_adjoints, class_weights
-    from faultcast.model import ModelDims, backward, forward, init_model
+    from faultcast.model import ModelDims, backward, forward, init_model, stack_models
     from faultcast.num import make_rng
-    from faultcast.training import batch_gradients, make_adam_state, optimizer_step
+    from faultcast.training import (batch_gradients, default_grid, make_adam_state,
+                                    optimizer_step)
 
-    def phased(args, state, tape):
+    def phased(args, eta, state, tape):
         """One resident call, phase by phase, then an Adam step with `state`;
         returns the tape and each phase's seconds."""
         model, obs, ctx, labels, step_labels, weights, kind, lam, beta = args
@@ -64,24 +71,34 @@ def main(argv: list[str] | None = None) -> int:
         stamps.append(perf_counter())
         grads = backward(model, tape, do, dg)
         stamps.append(perf_counter())
-        optimizer_step(model, grads, 0.01, state)
+        optimizer_step(model, grads, eta, state)
         stamps.append(perf_counter())
         return tape, [b - a for a, b in zip(stamps, stamps[1:])]
 
-    cases = {}  # (steps, way) -> [args, tape, call times]
+    grid = default_grid("base")
+    cases = {}  # (label, way) -> [args, tape, call times]
     for tau, horizon in SHAPES:
         config = SynthConfig(tau=tau, total_steps=tau + horizon)
         # class weights from a training-sized set, the batch its first samples
         obs, ctx, labels, step_labels = stack_samples(synth_generate(config, 500)[1])
         weights = class_weights(labels)
-        model = init_model(make_rng(1), ModelDims(4, 2, 1, tau, tau + horizon))
+        dims = ModelDims(4, 2, 1, tau, tau + horizon)
+        model = init_model(make_rng(1), dims)
         batch = [a[:BATCH] for a in (obs, ctx, labels, step_labels)]
-        args = (model, *batch, weights, "localize", 0.0, 0.5)
-        for way in WAYS:
-            cases[tau + horizon, way] = [args, batch_gradients(*args)[2], []]  # warmed up
-        stepped = model.copy()  # the optimizer moves it, not the model of the other cases
-        phase_args = ((stepped, *args[1:]), make_adam_state(stepped))
-        cases[tau + horizon, "phases"] = [phase_args, phased(*phase_args, None)[0], []]
+        runs = {f"{tau}+{horizon}": ((model, *batch, weights, "localize", 0.0, 0.5), 0.01)}
+        if (tau, horizon) == SHAPES[0]:  # member k's batch: the k-th block of 16 samples
+            stack = stack_models([init_model(make_rng(1 + k), dims) for k in range(len(grid))])
+            batch = [a[: len(grid) * BATCH].reshape((len(grid), BATCH) + a.shape[1:])
+                     for a in (obs, ctx, labels, step_labels)]
+            runs[POPULATION] = ((stack, *batch, weights, "base",
+                                 np.array([c.lam for c in grid]), 0.5),
+                                np.array([c.eta for c in grid]))
+        for label, (args, eta) in runs.items():
+            for way in WAYS if label != POPULATION else ("resident",):
+                cases[label, way] = [args, batch_gradients(*args)[2], []]  # warmed up
+            stepped = args[0].copy()  # the optimizer moves it, not the model of the other cases
+            phase_args = ((stepped, *args[1:]), eta, make_adam_state(stepped))
+            cases[label, "phases"] = [phase_args, phased(*phase_args, None)[0], []]
     while any(len(times) < opts.repeats for _, _, times in cases.values()):
         for (_, way), case in cases.items():
             args, tape, times = case
@@ -97,17 +114,19 @@ def main(argv: list[str] | None = None) -> int:
 
     medians = {key: 1e6 * statistics.median(times) for key, (_, _, times) in cases.items()
                if key[1] in WAYS}
+    labels = [f"{tau}+{horizon}" for tau, horizon in SHAPES]
     steps = [tau + horizon for tau, horizon in SHAPES]
     print("steps\t" + "\t".join(f"{way}_us" for way in WAYS))
-    for (tau, horizon), n in zip(SHAPES, steps):
-        print(f"{tau}+{horizon}\t" + "\t".join(f"{medians[n, way]:.1f}" for way in WAYS))
+    for label in labels + [POPULATION]:
+        print(label + "".join(f"\t{medians[label, way]:.1f}" if (label, way) in medians
+                              else "\t-" for way in WAYS))
     for way in WAYS:
-        intercept, slope = fit_line(steps, [medians[n, way] for n in steps])
+        intercept, slope = fit_line(steps, [medians[label, way] for label in labels])
         print(f"{way}: intercept {intercept:.1f} us per call, slope {slope:.2f} us per step")
     print("steps\t" + "\t".join(f"{phase}_us" for phase in PHASES))
-    for (tau, horizon), n in zip(SHAPES, steps):
-        split = zip(*cases[n, "phases"][2])  # each phase's seconds over the calls
-        print(f"{tau}+{horizon}\t" + "\t".join(f"{1e6 * statistics.median(s):.1f}" for s in split))
+    for label in labels + [POPULATION]:
+        split = zip(*cases[label, "phases"][2])  # each phase's seconds over the calls
+        print(label + "".join(f"\t{1e6 * statistics.median(s):.1f}" for s in split))
     return 0
 
 
