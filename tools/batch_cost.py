@@ -114,19 +114,19 @@ def main(argv: list[str] | None = None) -> int:
 
     medians = {key: 1e6 * statistics.median(times) for key, (_, _, times) in cases.items()
                if key[1] in WAYS}
-    labels = [f"{tau}+{horizon}" for tau, horizon in SHAPES]
+    names = [f"{tau}+{horizon}" for tau, horizon in SHAPES]
     steps = [tau + horizon for tau, horizon in SHAPES]
     print("steps\t" + "\t".join(f"{way}_us" for way in WAYS))
-    for label in labels + [POPULATION]:
-        print(label + "".join(f"\t{medians[label, way]:.1f}" if (label, way) in medians
-                              else "\t-" for way in WAYS))
+    for name in names + [POPULATION]:
+        print(name + "".join(f"\t{medians[name, way]:.1f}" if (name, way) in medians
+                             else "\t-" for way in WAYS))
     for way in WAYS:
-        intercept, slope = fit_line(steps, [medians[label, way] for label in labels])
+        intercept, slope = fit_line(steps, [medians[name, way] for name in names])
         print(f"{way}: intercept {intercept:.1f} us per call, slope {slope:.2f} us per step")
     print("steps\t" + "\t".join(f"{phase}_us" for phase in PHASES))
-    for label in labels + [POPULATION]:
-        split = zip(*cases[label, "phases"][2])  # each phase's seconds over the calls
-        print(label + "".join(f"\t{1e6 * statistics.median(s):.1f}" for s in split))
+    for name in names + [POPULATION]:
+        split = zip(*cases[name, "phases"][2])  # each phase's seconds over the calls
+        print(name + "".join(f"\t{1e6 * statistics.median(s):.1f}" for s in split))
     return 0
 
 
