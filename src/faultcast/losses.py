@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import param_slices
-from .num import per_member, sigmoid
+from .num import ONE, constant, per_member, sigmoid
 
 # probability clamp before logs, as sigmoid can saturate in float64; past it
 # the batch objective takes the segment term on the logit instead
 EPS = 1e-12
+_LOW, _HIGH = constant(EPS), constant(1.0 - EPS)  # the clamp, as operands (num.constant)
 
 LOSS_KINDS = ("base", "localize", "siamese")
 
@@ -166,19 +167,20 @@ def batch_adjoints(
     reg, d_theta = (zero, None) if model is None else _l2_terms(model, lam, zero)
 
     # segment terms and their adjoint on y, at the clamped probabilities
-    wt, nt = weights.weight * t, 1.0 - t
-    yc = np.minimum(np.maximum(y, EPS), 1.0 - EPS)  # np.clip's values, without its overhead
+    wt, nt = weights.weight * t, ONE - t
+    yc = np.minimum(np.maximum(y, _LOW), _HIGH)  # np.clip's values, without its overhead
     terms = wt * np.log(yc) + nt * np.log1p(-yc)
-    dy = nt / (1.0 - yc) - wt / yc  # +0.0, not -0.0, where t = 1 at weight 0
+    dy = nt / (ONE - yc) - wt / yc  # +0.0, not -0.0, where t = 1 at weight 0
     saturated = yc != y
     exact_tail = saturated.any()
     if exact_tail:
         exact = wt * np.logaddexp(0.0, -g) + nt * np.logaddexp(0.0, g)
         terms = np.where(saturated, -exact, terms)
         dg_saturated = nt * y - wt * sigmoid(-g)
-    seg = -terms.sum(axis=-1)
+    seg = -np.add.reduce(terms, -1)
     if kind != "base":  # the per-sample stepwise loss
-        step = (ot * (1.0 - o) ** 2 + (1.0 - ot) * o**2).mean(axis=(-2, -1))
+        step = np.add.reduce(ot * (ONE - o) ** 2 + (ONE - ot) * o**2, axis=(-2, -1))
+        step /= o.shape[-2] * o.shape[-1]  # the mean, without its overhead
 
     if kind == "siamese":
         n_pairs = n * (n - 1) // 2
@@ -201,8 +203,8 @@ def batch_adjoints(
         def times_coef(a):  # a per-sample adjoint, weighted as its sample is
             return per_member(coef, a.ndim - 1) * a
     else:  # the sum over the count is what .mean computes, without its overhead
-        l_seg = seg.sum(axis=-1) / n
-        l_step = zero if kind == "base" else step.sum(axis=-1) / n
+        l_seg = np.add.reduce(seg, -1) / n
+        l_step = zero if kind == "base" else np.add.reduce(step, -1) / n
         l_pair = zero
 
         def times_coef(a):
@@ -210,7 +212,7 @@ def batch_adjoints(
 
     scale = 2.0 / (o.shape[-1] * o.shape[-2])  # d(stepwise)/d(o) = scale * (o - ot)
     do = np.zeros_like(o) if kind == "base" else times_coef(scale * (o - ot))
-    dg = times_coef(dy) * (y * (1.0 - y))
+    dg = times_coef(dy) * (y * (ONE - y))
     if exact_tail:
         dg = np.where(saturated, times_coef(dg_saturated), dg)
     if kind == "siamese":

@@ -17,19 +17,20 @@ blocks in GATE_ORDER; a population of G cells has W (G, 4L, L + I), b (G,
 names w_f ... b_o exist only in the model file (model.param_items).
 
 An Unroll runs a cell over T steps for a batch of B on slabs (T, rows, ...,
-B), one per cached quantity: time-major, a member axis (if any) just before
-the batch, so each gate's rows in a step are one contiguous block at any
-population size; weights and dW stay member-first, and the matmuls read
-member-first views. The slabs are the tape. A window's inputs are projected
-by one matmul before the loop; the f, i, o rows are halved once, so one tanh
-over the 4L block gives every gate (sigmoid(a) = 1/2 + tanh(a/2)/2); each
-step writes its h straight into the next step's recurrent input row.
-Backward forms the local derivatives once over a slab, in place, scales them
-step by step into the adjoint slab, copies its (time x batch) columns into
-dead slab rows and gets dW and db from one matmul and one sum over them
-(Appleyard et al. 2016, arXiv:1604.01946).
-An Unroll is built once per shape and refilled by load for each batch: the
-"persistent" idea of Diamos et al. 2016 (Persistent RNNs), across batches.
+B), the tape: time-major, a member axis (if any) just before the batch, so
+each gate's rows in a step are one contiguous block at any population size.
+It holds no weights: it reads views of a block its caller fills once per
+batch, W_rec and, with the f, i, o rows halved, W_rec, W_x and b, so one
+tanh over the 4L block gives every gate (sigmoid(a) = 1/2 + tanh(a/2)/2).
+A window's inputs are projected by one matmul before the loop; each step
+writes its h straight into the next step's recurrent input row. Backward
+forms the local derivatives once over a slab, in place, scales them step by
+step into the adjoint slab and gets dW and db from one matmul and one sum
+over its (time x batch) columns, written where the caller asks (Appleyard
+et al. 2016, arXiv:1604.01946). An Unroll is built once per shape and
+refilled by load for each batch (Diamos et al. 2016, Persistent RNNs). Step
+code passes outputs positionally and takes constants as 0-d arrays
+(num.HALF, num.ONE): a Python float operand costs a conversion every call.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
+
+from .num import HALF, ONE
 
 # Row block of each gate inside the fused W and b. The three sigmoid gates
 # come first, so their rows form one contiguous 3*hidden block.
@@ -74,10 +77,10 @@ def init_params(rng: np.random.Generator, hidden: int, inputs: int) -> LstmParam
 
 def _sigmoid_into(v: np.ndarray, out: np.ndarray) -> None:
     """out = sigmoid(v), as 1/2 + tanh(v/2)/2."""
-    np.multiply(v, 0.5, out=out)
-    np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
+    np.multiply(v, HALF, out)
+    np.tanh(out, out)
+    out *= HALF
+    out += HALF
 
 
 def _steps_to_columns(a: np.ndarray) -> np.ndarray:
@@ -92,13 +95,16 @@ def _by_member(a: np.ndarray, lead: tuple) -> np.ndarray:
 
 
 class Unroll:
-    """One cell's weights and slabs for `steps` steps of a batch, allocated
-    for the shapes of w, h0 and c0, then loaded with them (see load).
+    """One cell's slabs for `steps` steps of a batch, allocated for the
+    shapes of weights, h0 and c0, then loaded with h0 and c0 (see load).
 
-    w (..., 4L, R + I + 1) holds the columns [W_rec | W_x | b]; h0 and c0
-    (L, ..., B) are the initial state. The recurrent input z is [h;
-    sigmoid(h)] with feedback (R = 2L), else h (R = L). Taped, every slab
-    keeps all steps; untaped, only z does, and only with feedback. Slabs,
+    weights (w_rec, w_rec_half, w_x_half, b_half) are views read at every
+    forward and backward: W_rec (..., 4L, R), then with the f, i, o rows
+    halved, W_rec, W_x (..., 4L, I) and b as a gates row, (4L, ..., B) or
+    (4L, ..., 1). h0, c0 (L, ..., B) are the initial state. The recurrent
+    input z is [h; sigmoid(h)] with feedback (R = 2L), else h (R = L), and
+    dW's columns [h | x | sigmoid(h)] or [h | x]. Taped, every slab keeps
+    all steps; untaped, only z does, and only with feedback. Slabs,
     step t in row t % rows: z (steps + 1 or 2 rows), z[0] from h0; gates
     (window, 4L, ..., B), gate-major as gates4 (window, 4, L, ..., B); c
     (window + 1 rows), c[0] = c0; tanh_c (window rows); x (window, I, ...,
@@ -113,21 +119,23 @@ class Unroll:
     derivatives of both. Untaped, rows and after are ignored.
     """
 
-    __slots__ = ("n", "lead", "steps", "window", "feedback", "memory", "w_rec_t", "half",
-                 "w_rec_half", "w_x_half", "b_half", "x", "z", "gates", "gates4", "c", "tanh_c",
-                 "values", "cols", "fwd", "bwd", "local", "back", "after")
+    __slots__ = ("n", "lead", "steps", "window", "feedback", "memory", "w_rec_t", "w_rec_half",
+                 "w_x_half", "b_half", "x", "z", "gates", "gates4", "c", "tanh_c", "values",
+                 "cols", "fwd", "bwd", "local", "back", "after")
 
-    def __init__(self, w, h0, c0, steps: int, taped: bool = True, feedback: bool = False,
+    def __init__(self, weights, h0, c0, steps: int, taped: bool = True, feedback: bool = False,
                  memory: np.ndarray | None = None, rows: int = 0, after: Unroll | None = None):
         n, *lead, batch = h0.shape
         lead, rec = tuple(lead), 2 * n if feedback else n
-        if w.shape[-2] != 4 * n or w.shape[-1] <= rec:
-            raise ValueError(f"shape mismatch: weights {w.shape} for hidden {n}, recurrent {rec}")
+        w_rec, self.w_rec_half, self.w_x_half, self.b_half = weights
+        if w_rec.shape[-2:] != (4 * n, rec):
+            raise ValueError(f"shape mismatch: W_rec {w_rec.shape} for hidden {n}, recurrent {rec}")
+        self.w_rec_t = w_rec.swapaxes(-1, -2)
         self.n, self.lead, self.steps, self.feedback = n, lead, steps, feedback
         gr = self.window = max(steps, 1) if taped else 1
         self.after, rows = (after, max(rows, gr)) if taped else (None, gr)
-        after, inputs, tail = self.after, w.shape[-1] - rec - 1, lead + (batch,)
-        shapes = {"half": w.shape, "x": (gr, inputs) + tail,
+        after, inputs, tail = self.after, self.w_x_half.shape[-1], lead + (batch,)
+        shapes = {"x": (gr, inputs) + tail,
                   "z": (steps + 1 if taped or feedback else 2, rec) + tail,
                   "gates": (rows, 4 * n) + tail, "c": (rows + 1, n) + tail,
                   "tanh_c": (rows, n) + tail, "values": (rows * taped, 3 * n) + tail,
@@ -140,8 +148,6 @@ class Unroll:
         self.memory = memory = memory if fits else np.empty(sum(sizes))
         for (name, shape), size, end in zip(shapes.items(), sizes, accumulate(sizes)):
             setattr(self, name, memory[end - size : end].reshape(shape))
-        self.w_rec_half, self.w_x_half = self.half[..., :rec], self.half[..., rec:-1]
-        self.b_half = _by_member(self.half[..., -1:], lead)  # shaped like a gates row
         self.gates4 = self.gates.reshape((len(self.gates), 4, n) + tail)
         # each step's views, as lstm_step and step_backward unpack them;
         # untaped without feedback, the two z and c rows take turns
@@ -167,18 +173,16 @@ class Unroll:
             # tanh_c and values rows (and after's), dead once the step loop has run
             at = (self.tanh_c.ctypes.data - owner.memory.ctypes.data) // owner.memory.itemsize
             da = owner.memory[at:][: 4 * n * steps * batch * math.prod(lead)]
-            self.back = (_steps_to_columns(self.z[:steps]), _steps_to_columns(self.x[:steps]),
+            z, x = _steps_to_columns(self.z[:steps]), _steps_to_columns(self.x[:steps])
+            self.back = ([z[..., :n, :, :], x, z[..., n:, :, :]] if feedback else [z, x],
                          _steps_to_columns(self.gates[:steps]), da.reshape(lead + (4 * n, -1)),
                          self.cols.reshape(lead + (rec + inputs, -1)).swapaxes(-1, -2))
-        self.load(w, h0, c0)
+        self.load(h0, c0)
 
-    def load(self, w, h0, c0) -> "Unroll":
-        """Refill the halved weights and the state rows for the next batch from
-        w, h0, c0 (not read if built `after`), as at construction; returns it."""
+    def load(self, h0, c0) -> "Unroll":
+        """Refill the state rows for the next batch from h0, c0 (not read if
+        built `after`), as at construction; returns the unroll."""
         n = self.n
-        self.w_rec_t = w[..., : self.z.shape[1]].swapaxes(-1, -2)
-        np.multiply(w[..., : 3 * n, :], 0.5, out=self.half[..., : 3 * n, :])  # exact
-        self.half[..., 3 * n :, :] = w[..., 3 * n :, :]
         self.z[0, :n] = h0
         if self.feedback:
             _sigmoid_into(h0, self.z[0, n:])
@@ -203,7 +207,7 @@ def unroll(cell: Unroll, parts: list[np.ndarray]) -> None:
         stop = min(start + cell.window, cell.steps)
         x, gates = cell.x[: stop - start], cell.gates[: stop - start]
         np.concatenate([p[start:stop] for p in parts], axis=1, out=x)
-        np.matmul(cell.w_x_half, _by_member(x, cell.lead), out=_by_member(gates, cell.lead))
+        np.matmul(cell.w_x_half, _by_member(x, cell.lead), _by_member(gates, cell.lead))
         gates += cell.b_half
         for t in range(start, stop):
             lstm_step(cell, t)
@@ -216,13 +220,13 @@ def lstm_step(cell: Unroll, t: int) -> np.ndarray:
     a, f, i, o, cand, sig, c, c_new, tanh_c, z, h, fb = cell.fwd[t % len(cell.fwd)]
     rec = np.matmul(cell.w_rec_half, z)
     a += rec.swapaxes(0, 1) if cell.lead else rec
-    np.tanh(a, out=a)
-    sig *= 0.5
-    sig += 0.5
-    np.multiply(f, c, out=c_new)
+    np.tanh(a, a)
+    sig *= HALF
+    sig += HALF
+    np.multiply(f, c, c_new)
     c_new += i * cand
-    np.tanh(c_new, out=tanh_c)
-    np.multiply(o, tanh_c, out=h)
+    np.tanh(c_new, tanh_c)
+    np.multiply(o, tanh_c, h)
     if fb is not None:
         _sigmoid_into(h, fb)
     return h
@@ -235,19 +239,18 @@ def _local_derivatives(cell: Unroll) -> None:
     feedback, the sigmoid(h) rows of z below the last become sigmoid'(h)."""
     sig, f, i, o, cand, tanh_c, c_prev, values, fb = cell.local
     np.concatenate([c_prev, cand, tanh_c], axis=1, out=values)  # f, i, o's factors
-    np.multiply(tanh_c, tanh_c, out=tanh_c)
-    np.subtract(1.0, tanh_c, out=tanh_c)
+    np.multiply(tanh_c, tanh_c, tanh_c)
+    np.subtract(ONE, tanh_c, tanh_c)
     tanh_c *= o
-    np.multiply(cand, cand, out=cand)
-    np.subtract(1.0, cand, out=cand)
+    np.multiply(cand, cand, cand)
+    np.subtract(ONE, cand, cand)
     cand *= i
     c_prev[...] = f
     values *= sig
-    np.subtract(1.0, sig, out=sig)
-    values *= sig
-    sig[...] = values
+    np.subtract(ONE, sig, sig)
+    np.multiply(values, sig, sig)
     if fb is not None:
-        fb *= 1.0 - fb
+        fb *= ONE - fb
 
 
 def step_backward(
@@ -266,7 +269,7 @@ def step_backward(
     dc_total *= c
     if da_member is None:
         dz = np.matmul(cell.w_rec_t, da)
-    else:  # a contiguous copy: a strided da can round differently from a member's own
+    else:  # a strided da can round unlike a member's own; a strided dz slows later steps
         dz = np.matmul(cell.w_rec_t, da_member.copy()).swapaxes(0, 1).copy()
     if sig_h is None:
         return dz, dc_total
@@ -277,18 +280,20 @@ def step_backward(
 
 
 def unroll_backward(
-    cell: Unroll, dh_steps: np.ndarray | None, dh: np.ndarray, dc: np.ndarray
+    cell: Unroll, dh_steps: np.ndarray | None, dh: np.ndarray, dc: np.ndarray,
+    dW: np.ndarray | None = None, db: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Reverse a taped unroll, given the adjoints dh_steps (steps, L, ..., B)
     of each step's h (or None) and dh, dc of the final state. Returns (dh0,
-    dc0, dW, db), dW (..., 4L, R + I) for [W_rec | W_x]. Consumes the tape:
+    dc0, dW, db), dW (..., 4L, R + I) with columns [h | x | sigmoid(h)] or
+    [h | x], written into the given dW and db if any. Consumes the tape:
     gates row t ends up holding step t's pre-activation adjoints, and the
     other slabs hold derivatives and adjoint columns, until the next load.
     Unrolls sharing a slab are reversed latest first."""
-    z, x, gates, da, cols = cell.back
-    # [z; x] of every step as the columns of one block, copied before the
+    parts, gates, da, cols = cell.back
+    # z and x of every step as the columns of one block, copied before the
     # local derivatives overwrite z's sigmoid(h) rows
-    np.concatenate([z, x], axis=-3, out=cell.cols)
+    np.concatenate(parts, axis=-3, out=cell.cols)
     if cell.local is not None:
         _local_derivatives(cell)
     for t in range(cell.steps - 1, -1, -1):
@@ -296,4 +301,4 @@ def unroll_backward(
             dh = dh + dh_steps[t]
         dh, dc = step_backward(cell, t, dh, dc)
     da.reshape(gates.shape)[...] = gates
-    return dh, dc, da @ cols, da.sum(axis=-1)
+    return dh, dc, np.matmul(da, cols, dW), np.add.reduce(da, -1, None, db)

@@ -1,48 +1,30 @@
 """Encoder-decoder forecasting network for multi-label sequences.
 
-The encoder LSTM consumes the observed window; its step input is the
-concatenation [obs_t, ctx_t, h_prev], where the extra hidden-state feedback
-makes the input width d_obs + d_ctx + n_labels. The decoder LSTM starts from
-the encoder's final (h, c), and each of its steps reads [ctx_t,
-sigmoid(h_prev)]: future context plus the squashed previous hidden state,
-which acts as the fed-back stepwise estimate. The encoder's final hidden
-state seeds the first feedback.
-
-Inputs carry a batch axis; one sample is a batch of one. Outputs for a
-batch of B samples:
+The encoder LSTM reads [obs_t, ctx_t, h_prev] over the observed window; the
+decoder starts from its final (h, c) and reads [ctx_t, sigmoid(h_prev)],
+the fed-back stepwise estimate. Hidden width equals the number of labels,
+so each embedding dimension lines up with one label. Inputs carry a batch
+axis, one sample being a batch of one; for a batch of B:
 
     embedding   g = sum of decoder hidden states + out_bias     (B, n_labels)
     label_probs y = sigmoid(g)                                  (B, n_labels)
     step_scores o_t = sigmoid(h_t) * sigmoid(g)       (B, horizon, n_labels)
 
-Hidden width equals the number of labels, so each embedding dimension lines
-up with one label. Both networks are single layer by construction.
+A model keeps every parameter in one flat float64 theta, the blocks of
+param_layout in order; the cells (lstm.LstmParams) and out_bias are views
+into it, gradients share the layout, and per-gate names exist only at the
+file boundary (param_items). A population (stack_models) is G models as one
+(G, P) theta, run in one pass per time step, each member computing exactly
+what it computes alone; its inputs and outputs are (G, batch, ...).
 
-Parameter layout: a model keeps every parameter in one flat float64 array,
-theta, made of the blocks param_layout lists in order: encoder.W, encoder.b,
-decoder.W, decoder.b, out_bias. The cells (lstm.LstmParams) and out_bias are
-named views into theta. Gradients (backward) share the layout,
-so optimizer steps, clipping and finite-difference checks are array
-operations on theta. Per-gate names exist only at the file boundary:
-param_items splits each cell into its GATE_KEYS views, which save_model
-writes and load_model fills.
-
-A population (stack_models) holds G models of the same dims as one model
-with a (G, P) theta, so every block carries a leading member axis; forward
-and backward then run all members in one pass per time step, each member
-computing exactly what it computes alone. Its inputs and outputs are (G,
-batch, ...).
-
-Inside forward and backward each cell runs as an lstm.Unroll on slabs
-(steps, rows, ..., batch), a member axis beside the batch, which are the
-tape; taped, the cells share one gates/c/tanh_c/values slab, the decoder's
-rows from tau, where the encoder's c ends. The encoder's two h column
-blocks multiply the same h, so its recurrent block is their sum; the
-decoder's recurrent input is [h; sigmoid(h)], whose sigmoid(h) rows also
-give the step scores.
-A Tape is also a training run's workspace: forward(..., tape=t) refills t
-in place, and backward writes into gradients t holds, valid until the next
-backward on t. Prediction arrays never share memory with a tape.
+forward runs each cell as an lstm.Unroll (README, "File formats", has the
+slabs). Both read one weight block, filled from theta in three calls
+(_weight_map): a take, an add folding the encoder's two h column blocks
+(both multiply h) and a multiply halving the f, i, o rows; b sits there as
+a gates row, repeated over the batch (untaped, one column). A Tape is a
+training run's workspace: forward(..., tape=t) refills t, and backward
+writes dW and db straight into t.grads, valid until the next backward on t.
+Prediction arrays never share memory with a tape.
 """
 
 from __future__ import annotations
@@ -57,7 +39,7 @@ import numpy as np
 
 from .data import ModelDims, read_json, write_json_lines
 from .lstm import GATE_ORDER, LstmParams, Unroll, init_params, unroll, unroll_backward
-from .num import sigmoid
+from .num import ONE, sigmoid
 
 FORMAT_NAME = "faultcast-model"
 FORMAT_VERSION = 1
@@ -93,6 +75,36 @@ def param_slices(dims: ModelDims) -> MappingProxyType:
     ends = accumulate(math.prod(shape) for _, shape in layout)
     return MappingProxyType({name: slice(end - math.prod(shape), end)
                              for (name, shape), end in zip(layout, ends)})
+
+
+@functools.lru_cache(maxsize=8)  # a run needs a few at a time; each grows as G * P
+def _weight_map(dims: ModelDims, members: int | None, batch: int) -> tuple:
+    """(index, scale, views) of forward's weight block [raw | half], b rows
+    `batch` wide: raw = theta.take(index) holds fold, then each cell's rec,
+    x and b; after rec += fold, half = raw past fold * scale (1/2 on f, i, o
+    rows). views: each cell's Unroll weights, (start, shape) in the block."""
+    n, lead = dims.n_labels, () if members is None else (members,)
+    size = param_size(dims) * (members or 1)
+    at = ForecastModel(np.arange(size).reshape(lead + (-1,)), dims)  # theta's flat indices
+    tag = ForecastModel(np.ones(size).reshape(lead + (-1,)), dims)
+    pieces = {}
+    for name in ("encoder", "decoder"):
+        (W, b), halved = getattr(at, name), getattr(tag, name)
+        halved.W[..., : 3 * n, :] = halved.b[..., : 3 * n] = 0.5
+        fb = W.shape[-1] - n  # W's columns: [h | inputs | fed-back h or sigmoid(h)]
+        rec = [W[..., :n], W[..., fb:]]
+        if name == "encoder":  # both h blocks multiply h: one add folds them
+            pieces["fold"] = rec.pop()
+        pieces |= {name + ".rec": np.concatenate(rec, axis=-1), name + ".x": W[..., n:fb],
+                   name + ".b": np.moveaxis(b, -1, 0)[..., None].repeat(batch, -1)}
+    index = np.concatenate([p.ravel() for p in pieces.values()])
+    scale = tag.theta.take(index[pieces["fold"].size :])
+    index.flags.writeable = scale.flags.writeable = False
+    start = dict(zip(pieces, accumulate([p.size for p in pieces.values()], initial=0)))
+    return index, scale, tuple(
+        ((start[c + ".rec"], pieces[c + ".rec"].shape),
+         *((start[c + k] + len(scale), pieces[c + k].shape) for k in (".rec", ".x", ".b")))
+        for c in ("encoder", "decoder"))
 
 
 class ForecastModel:
@@ -154,13 +166,14 @@ class Prediction:
 
 @dataclass
 class Tape:
-    """Each cell's slabs (see lstm.py) and the gradients backward() writes;
-    a backward consumes the tape, and a forward given it refills it."""
+    """Each cell's slabs (see lstm.py), the weight block they read and the
+    gradients backward() writes; a forward given it refills it all."""
 
     encoder: Unroll
     decoder: Unroll
     label_probs: np.ndarray  # (..., B, L)
     grads: ForecastModel
+    weights: np.ndarray
     consumed: bool = False
 
 
@@ -193,14 +206,13 @@ def param_items(model: ForecastModel) -> list[tuple[str, np.ndarray]]:
 
 def _check_input(name: str, x: np.ndarray, steps: int, width: int, population) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
+    if x.shape[-2:] == (steps, width) and (
+            x.ndim == 3 or population is not None and x.ndim == 4 and x.shape[0] == population):
+        return x
     want = f"(batch, {steps}, {width})"
-    ok = x.ndim == 3
     if population is not None:
-        ok = ok or (x.ndim == 4 and x.shape[0] == population)
         want += f" or ({population}, batch, {steps}, {width})"
-    if not ok or x.shape[-2:] != (steps, width):
-        raise ValueError(f"shape mismatch: {name} must be {want}, got {x.shape}")
-    return x
+    raise ValueError(f"shape mismatch: {name} must be {want}, got {x.shape}")
 
 
 def _feature_major(a: np.ndarray, k: int = 2) -> np.ndarray:
@@ -250,18 +262,22 @@ def forward(
     obs, ctx = _feature_major(obs), _feature_major(ctx)
     zero = np.zeros((n,) + obs.shape[2:])
 
-    # each W's columns run [h | inputs | fed-back h or sigmoid(h)], the
-    # feedback block starting at column fb
-    W, b, fb = model.encoder.W, model.encoder.b[..., None], n + dims.d_obs + dims.d_ctx
-    w = np.concatenate([W[..., :n] + W[..., fb:], W[..., n:fb], b], axis=-1)
-    enc = (tape.encoder.load(w, zero, zero) if refill
-           else Unroll(w, zero, zero, tau, keep_tape, memory=lender and lender.encoder.memory,
-                       rows=dims.total_steps))
+    # the weight block; untaped, b is one column, broadcast over the batch
+    index, scale, views = _weight_map(dims, population, obs.shape[-1] if keep_tape else 1)
+    block = tape.weights if refill else np.empty(len(index) + len(scale))
+    raw, fold = block[: len(index)], len(index) - len(scale)
+    model.theta.take(index, None, raw, "clip")
+    np.add(raw[fold : 2 * fold], raw[:fold], raw[fold : 2 * fold])
+    np.multiply(raw[fold:], scale, block[len(index) :])
+    if not refill:
+        enc_w, dec_w = ([block[at : at + math.prod(s)].reshape(s) for at, s in c] for c in views)
+
+    enc = (tape.encoder.load(zero, zero) if refill
+           else Unroll(enc_w, zero, zero, tau, keep_tape,
+                       memory=lender and lender.encoder.memory, rows=dims.total_steps))
     unroll(enc, [obs, ctx[:tau]])
-    W, b, fb = model.decoder.W, model.decoder.b[..., None], n + dims.d_ctx
-    w = np.concatenate([W[..., :n], W[..., fb:], W[..., n:fb], b], axis=-1)
-    dec = (tape.decoder.load(w, *enc.state()) if refill
-           else Unroll(w, *enc.state(), dims.horizon, keep_tape, True,
+    dec = (tape.decoder.load(*enc.state()) if refill
+           else Unroll(dec_w, *enc.state(), dims.horizon, keep_tape, True,
                        lender and lender.decoder.memory, after=enc))
     enc = enc if keep_tape else None  # untaped, its slabs go before the decoder runs
     unroll(dec, [ctx[tau:]])
@@ -269,7 +285,7 @@ def forward(
     # every output is a fresh array, never a view into the slabs
     hidden = dec.z[1:, :n]  # (horizon, L, ..., B)
     out_bias = model.out_bias.T[..., None]
-    g = np.ascontiguousarray(_batch_major(hidden.sum(axis=0) + out_bias, 1))
+    g = np.ascontiguousarray(_batch_major(np.add.reduce(hidden, 0) + out_bias, 1))
     y = sigmoid(g)
     o = np.multiply(_batch_major(dec.z[1:, n:]), y[..., None, :], order="C")
     if refill:
@@ -277,7 +293,7 @@ def forward(
     elif keep_tape:
         if lender is not None:
             lender.consumed = True  # its memory may now hold this batch
-        tape = Tape(enc, dec, y, ForecastModel(np.empty(model.theta.shape), dims))
+        tape = Tape(enc, dec, y, ForecastModel(np.empty(model.theta.shape), dims), block)
     return Prediction(g, y, o, _batch_major(hidden).copy()), tape if keep_tape else None
 
 
@@ -325,30 +341,24 @@ def backward(
 
     # g receives the direct adjoint and the sigmoid(g) factor inside every
     # step score.
-    dg = np.multiply(do, sig_h, order="C").sum(axis=0)
-    dg *= y * (1.0 - y)
+    dg = np.add.reduce(np.multiply(do, sig_h, order="C"), 0)
+    dg *= y * (ONE - y)
     dg += dg_extra
-    grads.out_bias[...] = dg.sum(axis=-1).T  # every block of grads is written below
+    grads.out_bias[...] = np.add.reduce(dg, -1).T  # every block of grads is written below
 
     # Per-step adjoint on decoder hidden states: the sum into g plus the
     # sigmoid(h) factor of that step's score.
     dh_steps = np.multiply(do, y, order="C")
     dh_steps *= sig_h
-    dh_steps *= 1.0 - sig_h
+    dh_steps *= ONE - sig_h
     dh_steps += dg
 
-    zero = np.zeros_like(dg)
-    # dW comes back in the Unroll's column order [W_rec | W_x]; scatter it
-    # to W's [h | inputs | feedback] columns (forward's fb)
-    dh, dc, dW, db = unroll_backward(dec, dh_steps, zero, zero)
-    W, fb = grads.decoder.W, n + dims.d_ctx
-    W[..., :n], W[..., fb:], W[..., n:fb] = dW[..., :n], dW[..., n : 2 * n], dW[..., 2 * n :]
-    grads.decoder.b[...] = db
-    _, _, dW, db = unroll_backward(enc, None, dh, dc)
-    W, fb = grads.encoder.W, n + dims.d_obs + dims.d_ctx
-    W[..., :fb] = dW
-    W[..., fb:] = dW[..., :n]  # the folded W_rec stands for both h blocks
-    grads.encoder.b[...] = db
+    zero = np.zeros(dg.shape)
+    # dW comes in W's column order; the encoder's folded W_rec stands for both h blocks
+    dh, dc, _, _ = unroll_backward(dec, dh_steps, zero, zero, *grads.decoder)
+    W = grads.encoder.W
+    unroll_backward(enc, None, dh, dc, W[..., : -n], grads.encoder.b)
+    W[..., -n:] = W[..., :n]
     return grads
 
 

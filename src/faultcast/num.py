@@ -9,7 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "per_member", "sigmoid"]
+__all__ = ["HALF", "ONE", "constant", "make_rng", "per_member", "sigmoid"]
+
+
+def constant(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array: a ufunc takes it as it is,
+    where it converts a Python float operand anew on every call."""
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+HALF, ONE = constant(0.5), constant(1.0)
 
 
 def make_rng(seed: int) -> np.random.Generator:

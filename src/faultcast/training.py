@@ -42,11 +42,13 @@ from .losses import ClassWeights, LossBreakdown, batch_adjoints, batch_loss, cla
 from .metrics import segment_report
 from .model import (ForecastModel, ModelDims, Tape, backward, forward, init_model,
                     param_layout, predict, stack_models)
-from .num import make_rng, per_member
+from .num import constant, make_rng, per_member
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_BETA1, _BETA2, _1_BETA1, _1_BETA2, _EPS = map(constant, (  # optimizer_step's operands
+    ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPS))
 
 GRID_ETAS = (0.001, 0.01, 0.1)
 GRID_LAMBDAS = (0.01, 0.1, 1.0)
@@ -145,14 +147,14 @@ def optimizer_step(
         p -= eta * g
         return model
     state.t += 1
-    correct1 = 1.0 - ADAM_BETA1**state.t
-    correct2 = 1.0 - ADAM_BETA2**state.t
+    correct1 = 1 - ADAM_BETA1**state.t  # Python scalars: they change with the step count
+    correct2 = 1 - ADAM_BETA2**state.t
     m, v = state.m, state.v
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    p -= eta * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+    m *= _BETA1
+    m += _1_BETA1 * g
+    v *= _BETA2
+    v += _1_BETA2 * g * g
+    p -= eta * (m / correct1) / (np.sqrt(v / correct2) + _EPS)
     return model
 
 

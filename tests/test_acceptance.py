@@ -35,9 +35,11 @@ from faultcast.data import (
     stack_samples,
     synth_generate,
 )
-from faultcast.losses import batch_loss, class_weights, l2_penalty
+from faultcast import training
+from faultcast.losses import ClassWeights, batch_loss, class_weights, l2_penalty
 from faultcast.metrics import segment_report, stepwise_report
-from faultcast.model import ForecastModel, ModelDims, forward, init_model, param_items, param_size
+from faultcast.model import (ForecastModel, ModelDims, forward, init_model, param_items,
+                             param_size, predict, stack_models)
 from faultcast.num import make_rng
 from faultcast.training import TrainConfig, default_grid, grad_check, grid_search, train
 
@@ -389,3 +391,38 @@ def test_c10_training_determinism(tmp_path):
     ok = blobs[0] == blobs[1]
     _report("C10 training-determinism", ok,
             f"two runs, {len(blobs[0])} bytes each, byte-identical: {ok}")
+
+
+# The seeds and the bound were fixed before the first run. That run tied on
+# seed 4 (3 of the rarest label's 19 test positives found either way; that
+# member stopped on patience at epoch 37) and was higher on the other four:
+# recall 0.421, 0.263, 0.526, 0.158, 0.579 against 0.263, 0.053, 0.105,
+# 0.158, 0.316. The per-seed claim stays as stated and is expected to fail
+# until a criterion fixed in advance settles it; strict, so a pass shows.
+@pytest.mark.xfail(strict=True, reason="tie on seed 4: recall 0.158 both ways")
+def test_c11_class_weights_lift_the_rarest_label(default_splits, monkeypatch):
+    """The -log(p) class weights, the paper's cost function for imbalanced
+    labels, raise the rarest label's test recall under threshold-at-zero
+    decisions, on each of seeds 1-5, against the same runs with every
+    weight 1. Each side trains its five seeds as one lockstep population."""
+    meta, dims, train_s, val_s, test_s = default_splits
+    seeds = (1, 2, 3, 4, 5)
+    configs = [TrainConfig(loss="base", batch_size=16, max_epochs=60, seed=s) for s in seeds]
+    rarest = int(np.argmin(stack_samples(train_s)[2].mean(axis=0)))
+    obs, ctx, labels, _ = stack_samples(test_s)
+    truth = labels[:, rarest] == 1
+
+    def rarest_recall():
+        models = [init_model(make_rng(s + 1), dims) for s in seeds]
+        runs = training.train_population(models, train_s, val_s, configs)
+        embedding = predict(stack_models([best for best, _ in runs]), obs, ctx).embedding
+        return np.count_nonzero((embedding[..., rarest] > 0.0) & truth, axis=-1) / truth.sum()
+
+    weighted = rarest_recall()
+    monkeypatch.setattr(training, "class_weights",
+                        lambda t: ClassWeights(t.mean(axis=0), np.ones(t.shape[1])))
+    unweighted = rarest_recall()
+    ok = bool(np.all(weighted > unweighted))
+    _report("C11 class-weights-lift-rare-labels", ok,
+            f"label {rarest} test recall weighted {np.round(weighted, 3).tolist()} > "
+            f"unweighted {np.round(unweighted, 3).tolist()} on each seed")

@@ -11,11 +11,16 @@ METRICS = [{"name": "job_ref", "better": "lower", "bound": 0.25},
 
 
 @pytest.fixture(scope="module")
-def summarize():
+def bench_pair():
     spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summarize
+    return module
+
+
+@pytest.fixture(scope="module")
+def summarize(bench_pair):
+    return bench_pair.summarize
 
 
 def run(side, pair, seed, job_ref, f1, exit_code=0):
@@ -62,3 +67,11 @@ def test_incomplete_and_failed_pairs_are_left_out(summarize):
     assert out["pairs"] == 1 and out["seeds"] == [1]
     assert not out["all_correct"]
     assert out["metrics"]["job_ref"]["change_wins"] == 1
+
+
+def test_a_tree_compared_with_itself_writes_identical_outputs(bench_pair, tmp_path):
+    root = TOOL.parents[1]
+    out = bench_pair.compare_outputs({"parent": root, "change": root}, tmp_path)
+    assert out["outputs_identical"] is True
+    assert sorted(out["parent"]) == ["data.jsonl", "grid_model.json", "grid_report.tsv",
+                                     "history.tsv", "model.json"]

@@ -44,11 +44,22 @@ def zero_cell(hidden, inputs):
     return LstmParams(np.zeros((4 * hidden, hidden + inputs)), np.zeros(4 * hidden))
 
 
+def cell_weights(w, rec, batch):
+    """The weights an Unroll reads, from columns w (..., 4L, R + I + 1) =
+    [W_rec | W_x | b]: W_rec, then W_rec, W_x and b with their f, i, o rows
+    halved, b as a gates row (4L, ..., batch), written here so that the
+    model's weight block is checked independently."""
+    half = w.copy()
+    half[..., : 3 * (w.shape[-2] // 4), :] *= 0.5
+    b = np.repeat(np.moveaxis(half[..., -1:], -2, 0), batch, axis=-1)
+    return w[..., :rec], half[..., :rec], half[..., rec:-1], b
+
+
 def plain_cell(params, h0, c0, steps, taped=True):
     """An Unroll of the plain cell: z = h, and W's columns are [h | x]
     already, so the weight block is [W | b]. h0, c0 are (hidden, batch)."""
     w = np.concatenate([params.W, params.b[:, None]], axis=1)
-    return Unroll(w, h0, c0, steps, taped)
+    return Unroll(cell_weights(w, h0.shape[0], h0.shape[-1]), h0, c0, steps, taped)
 
 
 def unroll_cell(params, h0, c0, xs, taped=True):
@@ -186,7 +197,8 @@ def column(v):
 def model_cell_step(w, h, c, x, feedback=False):
     """One step of a one-sample Unroll over the weight columns w, the way
     model.forward runs a cell; returns (h, c) as (hidden,) vectors."""
-    cell = Unroll(w, column(h), column(c), 1, feedback=feedback)
+    cell = Unroll(cell_weights(w, len(h) * (1 + feedback), 1), column(h), column(c), 1,
+                  feedback=feedback)
     unroll(cell, [column(x)[None]])
     return tuple(v[:, 0] for v in cell.state())
 
@@ -497,7 +509,7 @@ def population_unroll(rng, members, hidden, inputs, batch, steps, taped=True, fe
     w = rng.normal(size=(members, 4 * hidden, rec + inputs + 1))
     h0, c0 = (rng.normal(size=(hidden, members, batch)) for _ in range(2))
     xs = rng.normal(size=(steps, inputs, members, batch))
-    cell = Unroll(w, h0, c0, steps, taped, feedback)
+    cell = Unroll(cell_weights(w, rec, batch), h0, c0, steps, taped, feedback)
     unroll(cell, [xs])
     return cell, w, h0, c0, xs
 
@@ -544,7 +556,8 @@ class TestPopulationSteps:
                 forward_slabs = [getattr(cell, name).copy() for name in ("z", "c", "tanh_c")]
                 got = unroll_backward(cell, dh_steps, dh, dc)
                 for k in range(members):
-                    solo = Unroll(w[k], h0[:, k], c0[:, k], steps, feedback=feedback)
+                    solo = Unroll(cell_weights(w[k], hidden * (1 + feedback), batch), h0[:, k],
+                                  c0[:, k], steps, feedback=feedback)
                     unroll(solo, [xs[:, :, k]])
                     for slab, name in zip(forward_slabs, ("z", "c", "tanh_c")):
                         assert slab[:, :, k].tobytes() == getattr(solo, name).tobytes(), name

@@ -422,11 +422,12 @@ def test_untaped_forward_memory_is_bounded_by_its_outputs():
 
 
 def tape_arrays(tape):
-    """Every array a tape holds: both cells' slabs and buffers, the gradients."""
-    arrays = [tape.grads.theta]
+    """Every array a tape holds: both cells' slabs and buffers, the weight
+    block, the gradients."""
+    arrays = [tape.grads.theta, tape.weights]
     for cell in (tape.encoder, tape.decoder):
         arrays += [getattr(cell, name) for name in
-                   ("half", "x", "z", "gates", "c", "tanh_c", "values", "cols")]
+                   ("x", "z", "gates", "c", "tanh_c", "values", "cols")]
     return arrays
 
 
@@ -488,9 +489,9 @@ def test_training_builds_one_unroll_per_cell_and_batch_shape(monkeypatch):
     built = []
 
     class CountingUnroll(model_module.Unroll):
-        def __init__(self, w, h0, c0, steps, taped=True, feedback=False, memory=None, rows=0,
-                     after=None):
-            super().__init__(w, h0, c0, steps, taped, feedback, memory, rows, after)
+        def __init__(self, weights, h0, c0, steps, taped=True, feedback=False, memory=None,
+                     rows=0, after=None):
+            super().__init__(weights, h0, c0, steps, taped, feedback, memory, rows, after)
             built.append((taped, feedback))
 
     monkeypatch.setattr(model_module, "Unroll", CountingUnroll)

@@ -15,13 +15,17 @@ change/parent ratio of the medians, the pairs the change won, the metric's
 direction and bound from BENCHMARK.json, and every raw run record;
 provenance names python, numpy, the BLAS, the CPU count, both commits and
 their src trees. It reads the workloads and metrics from BENCHMARK.json and
-adds none.
+adds none. Once per clone it also runs OUTPUT_COMMANDS, seeded CLI calls,
+and records the sha256 of every file they write and whether the two sides'
+files are byte-identical (`outputs`, `outputs_identical`).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -41,6 +45,36 @@ def checkout(sha: str, dest: Path) -> Path:
     git("clone", "--quiet", "--no-checkout", str(ROOT), str(dest))
     git("checkout", "--quiet", "--detach", sha, cwd=dest)
     return dest
+
+
+SPLIT = ["--n-train", "150", "--n-val", "50", "--n-test", "100"]
+# faultcast CLI arguments, {w} standing for the directory the files go to
+OUTPUT_COMMANDS = (
+    ["generate", "--out", "{w}/data.jsonl", "--n", "300", "--seed", "1"],
+    ["train", "--data", "{w}/data.jsonl", "--out-model", "{w}/model.json", "--out-history",
+     "{w}/history.tsv", "--loss", "localize", "--max-epochs", "3", *SPLIT],
+    ["gridsearch", "--data", "{w}/data.jsonl", "--out-model", "{w}/grid_model.json",
+     "--out-report", "{w}/grid_report.tsv", "--max-epochs", "2", *SPLIT],
+)
+
+
+def output_digests(tree: Path, work: Path) -> dict[str, str]:
+    """sha256 of each file OUTPUT_COMMANDS write, run with `tree`'s package
+    into the empty or new directory `work`, by file name."""
+    work.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    for args in OUTPUT_COMMANDS:
+        subprocess.run([sys.executable, "-m", "faultcast.cli",
+                        *(a.format(w=work) for a in args)],
+                       cwd=tree, env=env, check=True, capture_output=True)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(work.iterdir())}
+
+
+def compare_outputs(trees: dict[str, Path], work: Path) -> dict:
+    """The output_digests of the parent and change trees, and whether they
+    agree file for file."""
+    parent, change = (output_digests(trees[side], work / side) for side in ("parent", "change"))
+    return {"parent": parent, "change": change, "outputs_identical": parent == change}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -136,6 +170,8 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: checkout(sha, Path(tmp) / side) for side, sha in shas.items()}
+        outputs = compare_outputs(trees, Path(tmp) / "outputs")
+        print(f"bench_pair: outputs identical: {outputs['outputs_identical']}", file=sys.stderr)
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for workload in workloads:
@@ -162,6 +198,7 @@ def main(argv=None) -> int:
             "parent_src_tree": git("rev-parse", f"{shas['parent']}:src"),
             "change_src_tree": git("rev-parse", f"{shas['change']}:src"),
         },
+        "outputs": outputs,
         "workloads": {w: summarize([r for r in runs if r["workload"] == w], spec["end_to_end"])
                       for w in workloads},
         "runs": runs,
