@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from faultcast import training
 from faultcast.classifiers import (
     broadcast_baseline,
     classify,
@@ -35,7 +36,6 @@ from faultcast.data import (
     stack_samples,
     synth_generate,
 )
-from faultcast import training
 from faultcast.losses import ClassWeights, batch_loss, class_weights, l2_penalty
 from faultcast.metrics import segment_report, stepwise_report
 from faultcast.model import (ForecastModel, ModelDims, forward, init_model, param_items,
