@@ -12,6 +12,11 @@ scalar in dimension l alone. Three rules are provided:
 Ties and exact boundary hits decide negative, the conservative choice for
 alarm-style labels. Labels whose training data has only one class fall back
 to the threshold rule and are flagged in the classifier.
+
+An svm fit runs one of two Pegasos loops, chosen by its label count: a loop
+on Python floats per label for narrow fits (up to SVM_SCALAR_LABELS), and a
+numpy loop over all labels at once for wider ones. They round alike, so the
+fitted weights are the same bits either way.
 """
 
 from __future__ import annotations
@@ -30,9 +35,13 @@ _KIND_ARRAYS = {"svm": ("weight", "bias"), "threshold_zero": (),
 
 SVM_ITERATIONS = 10_000
 SVM_REG = 1e-2
-# iterations whose samples fit_svm_blocks gathers at a time: all 10,000 at
+# iterations whose samples the vector loop gathers at a time: all 10,000 at
 # once would hold three (10,000, total labels) arrays, 17 MB at 72 labels
 SVM_CHUNK = 1_000
+# the most labels, over all blocks of one fit, that run the Python-float
+# loop: it costs time per label, the vector loop time per iteration, and
+# tools/svm_cost.py measures where they cross
+SVM_SCALAR_LABELS = 40
 
 
 @dataclass
@@ -88,15 +97,17 @@ def fit_classifier(kind: str, scores: np.ndarray, labels: np.ndarray,
 
 
 def fit_svm_blocks(blocks, seed: int = 0) -> list[LabelClassifier]:
-    """Fit one svm per (scores, labels) block in a single Pegasos loop of
-    SVM_ITERATIONS steps at regularization SVM_REG.
+    """Fit one svm per (scores, labels) block by SVM_ITERATIONS Pegasos
+    steps at regularization SVM_REG.
 
     Block k draws its own index stream, make_rng(seed).integers(0, n_k,
-    SVM_ITERATIONS), exactly as a lone fit does. Every label's update depends
-    on that label alone, so the blocks' gathered rows sit side by side,
-    SVM_CHUNK iterations at a time, one update runs over all their labels,
-    and each result equals fit_classifier("svm", scores_k, labels_k, seed)
-    bit for bit.
+    SVM_ITERATIONS), exactly as a lone fit does, and every label's update
+    depends on that label alone. Up to SVM_SCALAR_LABELS labels in all,
+    each label runs its own loop on Python floats; past that, the blocks'
+    gathered rows sit side by side, SVM_CHUNK iterations at a time, and one
+    numpy update runs over all their labels. Both loops do the same IEEE
+    operations in the same order, so each result equals
+    fit_classifier("svm", scores_k, labels_k, seed) bit for bit either way.
     """
     # Pegasos-style updates (Shalev-Shwartz et al. 2007), one seeded sample
     # index per iteration, shared across a block's labels. Positive hinge
@@ -114,9 +125,48 @@ def fit_svm_blocks(blocks, seed: int = 0) -> list[LabelClassifier]:
         with np.errstate(divide="ignore", invalid="ignore"):
             lifts.append(np.where(fallback, 1.0, np.sqrt((n - pos_count) / pos_count)))
         streams.append((scores, labels > 0, make_rng(seed).integers(0, n, size=SVM_ITERATIONS)))
-    lift = np.concatenate(lifts)
     eta = 1.0 / (SVM_REG * np.arange(1, SVM_ITERATIONS + 1, dtype=np.float64))
     decay = 1.0 - eta * SVM_REG
+    widths = [scores.shape[1] for scores, *_ in fits]
+    if sum(widths) <= SVM_SCALAR_LABELS:
+        w, b = _pegasos_scalar(streams, lifts, eta, decay)
+    else:
+        w, b = _pegasos_vector(streams, np.concatenate(lifts), eta, decay)
+    splits = np.cumsum(widths)[:-1]
+    return [
+        LabelClassifier("svm", weight=w_k, bias=b_k, fallback=fallback)
+        for w_k, b_k, (*_, fallback) in zip(np.split(w, splits), np.split(b, splits), fits)
+    ]
+
+
+def _pegasos_scalar(streams, lifts, eta, decay):
+    """(w, b) over all blocks' labels, one Python-float loop per label: a
+    margin w*x + b below 1 (positive) or above -1 (negative) pushes by
+    lift*eta or -eta, then w = w*decay + push*x and b += push, as the
+    vector loop rounds them."""
+    eta, decay = eta.tolist(), decay.tolist()
+    w, b = [], []
+    for (scores, positive, idx), lift in zip(streams, lifts):
+        idx = idx.tolist()
+        for l, lift_l in enumerate(lift.tolist()):
+            x_of, pos_of = scores[:, l].tolist(), positive[:, l].tolist()
+            w_l = b_l = 0.0
+            for i, e, d in zip(idx, eta, decay):
+                x = x_of[i]
+                if pos_of[i]:
+                    push = lift_l * e if w_l * x + b_l < 1.0 else 0.0
+                else:
+                    push = -e if w_l * x + b_l > -1.0 else 0.0
+                w_l = w_l * d + push * x
+                b_l += push
+            w.append(w_l)
+            b.append(b_l)
+    return np.array(w), np.array(b)
+
+
+def _pegasos_vector(streams, lift, eta, decay):
+    """(w, b) over all blocks' labels side by side, SVM_CHUNK iterations'
+    rows gathered at a time and one numpy update per iteration."""
     w = np.zeros(len(lift))
     b = np.zeros(len(lift))
     for first in range(0, SVM_ITERATIONS, SVM_CHUNK):
@@ -135,11 +185,7 @@ def fit_svm_blocks(blocks, seed: int = 0) -> list[LabelClassifier]:
             w *= decay[first + t]
             w += push * x_t
             b += push
-    splits = np.cumsum([scores.shape[1] for scores, *_ in fits])[:-1]
-    return [
-        LabelClassifier("svm", weight=w_k, bias=b_k, fallback=fallback)
-        for w_k, b_k, (*_, fallback) in zip(np.split(w, splits), np.split(b, splits), fits)
-    ]
+    return w, b
 
 
 def classify(clf: LabelClassifier, scores: np.ndarray) -> np.ndarray:

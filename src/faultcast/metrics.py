@@ -42,16 +42,18 @@ def _as_binary(name: str, x) -> np.ndarray:
 
 
 def confusion_counts(pred, truth) -> CountTable:
-    """Per-label tp/fp/fn from (samples, labels) binary matrices."""
+    """Per-label tp/fp/fn from (samples, labels) binary matrices, or from
+    (..., samples, labels) stacks of them: counted over the sample axis,
+    each count is (..., labels)."""
     pred = _as_binary("pred", pred)
     truth = _as_binary("truth", truth)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
-    if pred.ndim != 2:
-        raise ValueError(f"need (samples, labels) matrices, got {pred.shape}")
-    tp = np.logical_and(pred, truth).sum(axis=0)
-    fp = np.logical_and(pred, ~truth).sum(axis=0)
-    fn = np.logical_and(~pred, truth).sum(axis=0)
+    if pred.ndim < 2:
+        raise ValueError(f"need (..., samples, labels) arrays, got {pred.shape}")
+    tp = np.logical_and(pred, truth).sum(axis=-2)
+    fp = np.logical_and(pred, ~truth).sum(axis=-2)
+    fn = np.logical_and(~pred, truth).sum(axis=-2)
     return CountTable(tp.astype(int), fp.astype(int), fn.astype(int))
 
 

@@ -215,16 +215,21 @@ def _check_input(name: str, x: np.ndarray, steps: int, width: int, population) -
     raise ValueError(f"shape mismatch: {name} must be {want}, got {x.shape}")
 
 
+@functools.cache
+def _rotation(ndim: int, shift: int) -> tuple[int, ...]:
+    """The axes of an ndim array rotated left by shift: a transpose order."""
+    return tuple(range(shift, ndim)) + tuple(range(shift))
+
+
 def _feature_major(a: np.ndarray, k: int = 2) -> np.ndarray:
     """(..., B, *rest), rest k axes such as (steps, d), as a (*rest, ..., B)
     view: the slab layout, the member axis (if any) beside the batch."""
-    m = a.ndim - k
-    return a.transpose(tuple(range(m, a.ndim)) + tuple(range(m)))
+    return a.transpose(_rotation(a.ndim, a.ndim - k))
 
 
 def _batch_major(a: np.ndarray, k: int = 2) -> np.ndarray:
     """(*rest, ..., B), rest k axes, as a (..., B, *rest) view."""
-    return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
+    return a.transpose(_rotation(a.ndim, k))
 
 
 def forward(

@@ -39,7 +39,7 @@ import numpy as np
 from . import losses
 from .data import Sample, stack_samples
 from .losses import ClassWeights, LossBreakdown, batch_adjoints, batch_loss, class_weights
-from .metrics import segment_report
+from .metrics import CountTable, confusion_counts, prf
 from .model import (ForecastModel, ModelDims, Tape, backward, forward, init_model,
                     param_layout, predict, stack_models)
 from .num import constant, make_rng, per_member
@@ -191,10 +191,11 @@ def threshold_validation_f1(model: ForecastModel, samples):
     pred = predict(model, obs, ctx)
     decisions = (pred.embedding > 0.0).astype(np.int8)
     truth = labels.astype(int)
+    counts = confusion_counts(decisions, np.broadcast_to(truth, decisions.shape))
     if model.population is None:
-        report = segment_report(decisions, truth)
+        report = prf(counts)
         return report.micro_f1, report.macro_f1
-    reports = [segment_report(d, truth) for d in decisions]
+    reports = [prf(CountTable(*member)) for member in zip(counts.tp, counts.fp, counts.fn)]
     return [r.micro_f1 for r in reports], [r.macro_f1 for r in reports]
 
 

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultcast.metrics import (
+    CountTable,
     confusion_counts,
     format_report,
+    prf,
     segment_report,
     stepwise_report,
 )
@@ -80,6 +84,22 @@ class TestCounts:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             confusion_counts(np.zeros((2, 2)), np.zeros((3, 2)))
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="samples, labels"):
+            confusion_counts(np.zeros(3), np.zeros(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(members=st.integers(1, 5), n=st.integers(1, 12), n_labels=st.integers(1, 6),
+           rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def test_a_stack_reports_each_member_as_alone(self, members, n, n_labels, rate, seed):
+        rng = make_rng(seed)
+        pred = (rng.uniform(size=(members, n, n_labels)) < rate).astype(int)
+        truth = (rng.uniform(size=(n, n_labels)) < 0.5).astype(int)
+        counts = confusion_counts(pred, np.broadcast_to(truth, pred.shape))
+        assert counts.tp.shape == (members, n_labels)
+        for k, member in enumerate(zip(counts.tp, counts.fp, counts.fn)):
+            assert prf(CountTable(*member)) == segment_report(pred[k], truth)
 
 
 class TestPrf:

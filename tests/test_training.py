@@ -163,6 +163,14 @@ class TestTrain:
         recorded = max(r.val_micro_f1 + r.val_macro_f1 for r in history)
         assert abs((micro + macro) - recorded) < 1e-12
 
+    @settings(max_examples=20, deadline=None)
+    @given(members=st.integers(1, 4), n=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def test_population_validation_equals_each_member_alone(self, members, n, seed):
+        samples = tiny_synth(n, seed)
+        alone = [init_model(make_rng(seed + k), TINY) for k in range(members)]
+        micro, macro = threshold_validation_f1(stack_models(alone), samples)
+        assert [*zip(micro, macro)] == [threshold_validation_f1(m, samples) for m in alone]
+
     def test_early_stopping_respects_patience(self):
         samples = tiny_synth(8)
         model = init_model(make_rng(5), TINY)
