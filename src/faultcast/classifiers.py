@@ -13,10 +13,11 @@ Ties and exact boundary hits decide negative, the conservative choice for
 alarm-style labels. Labels whose training data has only one class fall back
 to the threshold rule and are flagged in the classifier.
 
-An svm fit runs one of two Pegasos loops, chosen by its label count: a loop
-on Python floats per label for narrow fits (up to SVM_SCALAR_LABELS), and a
-numpy loop over all labels at once for wider ones. They round alike, so the
-fitted weights are the same bits either way.
+An svm fit runs its Pegasos loop per label on Python floats. A numpy
+update over all labels at once costs about nine calls' dispatch per
+iteration whatever the width, so it is faster only past about 40 labels
+(the activity data's 36 + 36 fit takes about 50 ms more this way, once a
+train).
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ _KIND_ARRAYS = {"svm": ("weight", "bias"), "threshold_zero": (),
 
 SVM_ITERATIONS = 10_000
 SVM_REG = 1e-2
-# iterations whose samples the vector loop gathers at a time: all 10,000 at
-# once would hold three (10,000, total labels) arrays, 17 MB at 72 labels
-SVM_CHUNK = 1_000
-# the most labels, over all blocks of one fit, that run the Python-float
-# loop: it costs time per label, the vector loop time per iteration, and
-# tools/svm_cost.py measures where they cross
-SVM_SCALAR_LABELS = 40
 
 
 @dataclass
@@ -102,12 +96,9 @@ def fit_svm_blocks(blocks, seed: int = 0) -> list[LabelClassifier]:
 
     Block k draws its own index stream, make_rng(seed).integers(0, n_k,
     SVM_ITERATIONS), exactly as a lone fit does, and every label's update
-    depends on that label alone. Up to SVM_SCALAR_LABELS labels in all,
-    each label runs its own loop on Python floats; past that, the blocks'
-    gathered rows sit side by side, SVM_CHUNK iterations at a time, and one
-    numpy update runs over all their labels. Both loops do the same IEEE
-    operations in the same order, so each result equals
-    fit_classifier("svm", scores_k, labels_k, seed) bit for bit either way.
+    depends on that label alone, so each result equals
+    fit_classifier("svm", scores_k, labels_k, seed) bit for bit. Every
+    block is checked before any is fit.
     """
     # Pegasos-style updates (Shalev-Shwartz et al. 2007), one seeded sample
     # index per iteration, shared across a block's labels. Positive hinge
@@ -115,76 +106,41 @@ def fit_svm_blocks(blocks, seed: int = 0) -> list[LabelClassifier]:
     # label's boundary is not dragged toward all-negative, without the
     # precision collapse a fully balanced weighting causes at strong
     # imbalance.
-    if not blocks:
-        return []
     fits = [_score_matrices(scores, labels) for scores, labels in blocks]
-    streams, lifts = [], []
+    eta = 1.0 / (SVM_REG * np.arange(1, SVM_ITERATIONS + 1, dtype=np.float64))
+    decay = (1.0 - eta * SVM_REG).tolist()
+    eta = eta.tolist()
+    out = []
     for scores, labels, pos_count, fallback in fits:
         n = scores.shape[0]
         # a fallback label's lift is never used, and it may divide 0 by 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            lifts.append(np.where(fallback, 1.0, np.sqrt((n - pos_count) / pos_count)))
-        streams.append((scores, labels > 0, make_rng(seed).integers(0, n, size=SVM_ITERATIONS)))
-    eta = 1.0 / (SVM_REG * np.arange(1, SVM_ITERATIONS + 1, dtype=np.float64))
-    decay = 1.0 - eta * SVM_REG
-    widths = [scores.shape[1] for scores, *_ in fits]
-    if sum(widths) <= SVM_SCALAR_LABELS:
-        w, b = _pegasos_scalar(streams, lifts, eta, decay)
-    else:
-        w, b = _pegasos_vector(streams, np.concatenate(lifts), eta, decay)
-    splits = np.cumsum(widths)[:-1]
-    return [
-        LabelClassifier("svm", weight=w_k, bias=b_k, fallback=fallback)
-        for w_k, b_k, (*_, fallback) in zip(np.split(w, splits), np.split(b, splits), fits)
-    ]
-
-
-def _pegasos_scalar(streams, lifts, eta, decay):
-    """(w, b) over all blocks' labels, one Python-float loop per label: a
-    margin w*x + b below 1 (positive) or above -1 (negative) pushes by
-    lift*eta or -eta, then w = w*decay + push*x and b += push, as the
-    vector loop rounds them."""
-    eta, decay = eta.tolist(), decay.tolist()
-    w, b = [], []
-    for (scores, positive, idx), lift in zip(streams, lifts):
-        idx = idx.tolist()
+            lift = np.where(fallback, 1.0, np.sqrt((n - pos_count) / pos_count))
+        idx = make_rng(seed).integers(0, n, size=SVM_ITERATIONS).tolist()
+        w, b = [], []
         for l, lift_l in enumerate(lift.tolist()):
-            x_of, pos_of = scores[:, l].tolist(), positive[:, l].tolist()
-            w_l = b_l = 0.0
-            for i, e, d in zip(idx, eta, decay):
-                x = x_of[i]
-                if pos_of[i]:
-                    push = lift_l * e if w_l * x + b_l < 1.0 else 0.0
-                else:
-                    push = -e if w_l * x + b_l > -1.0 else 0.0
-                w_l = w_l * d + push * x
-                b_l += push
+            w_l, b_l = _pegasos(scores[:, l].tolist(), (labels[:, l] > 0).tolist(), lift_l,
+                                idx, eta, decay)
             w.append(w_l)
             b.append(b_l)
-    return np.array(w), np.array(b)
+        out.append(LabelClassifier("svm", weight=np.array(w, dtype=np.float64),
+                                   bias=np.array(b, dtype=np.float64), fallback=fallback))
+    return out
 
 
-def _pegasos_vector(streams, lift, eta, decay):
-    """(w, b) over all blocks' labels side by side, SVM_CHUNK iterations'
-    rows gathered at a time and one numpy update per iteration."""
-    w = np.zeros(len(lift))
-    b = np.zeros(len(lift))
-    for first in range(0, SVM_ITERATIONS, SVM_CHUNK):
-        rows = slice(first, first + SVM_CHUNK)
-        # row t: the sample x_t, its target sign y_t and its hinge step
-        # eta_t * balance * y_t, which rounds as the lone fit's does because
-        # y_t is +-1
-        x = np.concatenate([scores[idx[rows]] for scores, _, idx in streams], axis=1)
-        positive = np.concatenate([pos[idx[rows]] for _, pos, idx in streams], axis=1)
-        sign = np.where(positive, 1.0, -1.0)
-        step = np.where(positive, lift, 1.0)
-        step *= eta[rows, None]
-        step *= sign
-        for t, x_t in enumerate(x):
-            push = np.where(sign[t] * (w * x_t + b) < 1.0, step[t], 0.0)
-            w *= decay[first + t]
-            w += push * x_t
-            b += push
+def _pegasos(x_of, pos_of, lift, idx, eta, decay):
+    """(w, b) of one label on Python floats: at iteration t a margin
+    w*x + b below 1 (positive sample) or above -1 (negative) pushes by
+    lift*eta_t or -eta_t, then w = w*decay_t + push*x and b += push."""
+    w = b = 0.0
+    for i, e, d in zip(idx, eta, decay):
+        x = x_of[i]
+        if pos_of[i]:
+            push = lift * e if w * x + b < 1.0 else 0.0
+        else:
+            push = -e if w * x + b > -1.0 else 0.0
+        w = w * d + push * x
+        b += push
     return w, b
 
 

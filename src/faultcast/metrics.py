@@ -69,7 +69,10 @@ def _prf_triple(tp: float, fp: float, fn: float) -> tuple[float, float, float]:
 
 
 def prf(counts: CountTable) -> PrfReport:
-    """Micro and macro precision/recall/F1 from confusion counts."""
+    """Micro and macro precision/recall/F1 from one (labels,) count table;
+    a stacked table's members are reported one at a time."""
+    if np.ndim(counts.tp) != 1:
+        raise ValueError(f"need (labels,) counts, got {np.shape(counts.tp)}")
     n_labels = len(counts.tp)
     per_label = [
         _prf_triple(int(counts.tp[l]), int(counts.fp[l]), int(counts.fn[l]))

@@ -128,49 +128,45 @@ def assert_same_svm(clf, reference):
     np.testing.assert_array_equal(clf.fallback, fallback)
 
 
-def assert_blocks_equal_separate_fits(scalar_labels, blocks, seed, iterations):
-    with patch.object(classifiers, "SVM_ITERATIONS", iterations), \
-            patch.object(classifiers, "SVM_SCALAR_LABELS", scalar_labels):
-        fused = fit_svm_blocks(blocks, seed=seed)
-        alone = [fit_classifier("svm", scores, labels, seed=seed) for scores, labels in blocks]
-    assert len(fused) == len(blocks)
-    for (scores, labels), clf, lone in zip(blocks, fused, alone):
-        reference = pegasos_reference(scores, labels, seed, iterations)
-        assert_same_svm(clf, reference)
-        assert_same_svm(lone, reference)
-
-
-def assert_segment_and_stepwise_at_full_length(scalar_labels):
-    # the train command's pair: a segment block and a 6x longer stepwise
-    # block, both at the default iteration count
-    segment = random_block(60, 4, 1)
-    stepwise = random_block(360, 4, 2)
-    with patch.object(classifiers, "SVM_SCALAR_LABELS", scalar_labels):
-        fused = fit_svm_blocks([segment, stepwise], seed=3)
-    for (scores, labels), clf in zip((segment, stepwise), fused):
-        assert_same_svm(clf, pegasos_reference(scores, labels, 3, 10_000))
-
-
-random_fits = given(
-    blocks=st.lists(
-        st.builds(random_block, st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**16)),
-        min_size=1, max_size=3,
-    ),
-    seed=st.integers(0, 2**16),
-    iterations=st.integers(0, 2_500),  # crosses SVM_CHUNK boundaries
-)
-
-
 class TestSvmBlocks:
-    """The default selection, which runs the scalar loop at these widths."""
-
     @settings(max_examples=40, deadline=None)
-    @random_fits
+    @given(
+        blocks=st.lists(
+            st.builds(random_block, st.integers(1, 12), st.integers(1, 4),
+                      st.integers(0, 2**16)),
+            min_size=1, max_size=3,
+        ),
+        seed=st.integers(0, 2**16),
+        iterations=st.integers(0, 2_500),
+    )
     def test_blocks_equal_separate_fits(self, blocks, seed, iterations):
-        assert_blocks_equal_separate_fits(classifiers.SVM_SCALAR_LABELS, blocks, seed, iterations)
+        with patch.object(classifiers, "SVM_ITERATIONS", iterations):
+            fused = fit_svm_blocks(blocks, seed=seed)
+            alone = [fit_classifier("svm", scores, labels, seed=seed) for scores, labels in blocks]
+        assert len(fused) == len(blocks)
+        for (scores, labels), clf, lone in zip(blocks, fused, alone):
+            reference = pegasos_reference(scores, labels, seed, iterations)
+            assert_same_svm(clf, reference)
+            assert_same_svm(lone, reference)
 
     def test_segment_and_stepwise_shapes_at_full_length(self):
-        assert_segment_and_stepwise_at_full_length(classifiers.SVM_SCALAR_LABELS)
+        # the train command's pair: a segment block and a 6x longer
+        # stepwise block, both at the default iteration count
+        segment = random_block(60, 4, 1)
+        stepwise = random_block(360, 4, 2)
+        fused = fit_svm_blocks([segment, stepwise], seed=3)
+        for (scores, labels), clf in zip((segment, stepwise), fused):
+            assert_same_svm(clf, pegasos_reference(scores, labels, 3, 10_000))
+
+    def test_a_wide_fit_at_full_length(self):
+        # 30+30 labels, near the activity data's width, with stepwise
+        # scores far from unit scale
+        segment = random_block(40, 30, 4)
+        scores, labels = random_block(240, 30, 5)
+        stepwise = (scores * 1e3, labels)
+        fused = fit_svm_blocks([segment, stepwise], seed=6)
+        for (scores, labels), clf in zip((segment, stepwise), fused):
+            assert_same_svm(clf, pegasos_reference(scores, labels, 6, 10_000))
 
     def test_no_blocks(self):
         assert fit_svm_blocks([], seed=0) == []
@@ -179,30 +175,6 @@ class TestSvmBlocks:
         with pytest.raises(ValueError, match="shape mismatch"):
             fit_svm_blocks([(np.zeros((3, 2)), np.zeros((3, 2))),
                             (np.zeros((3, 2)), np.zeros((3, 1)))])
-
-
-class TestSvmBlocksOnTheVectorLoop:
-    """The same oracle with SVM_SCALAR_LABELS patched to 0, and a fit wide
-    enough that the default selects the vector loop."""
-
-    @settings(max_examples=40, deadline=None)
-    @random_fits
-    def test_blocks_equal_separate_fits(self, blocks, seed, iterations):
-        assert_blocks_equal_separate_fits(0, blocks, seed, iterations)
-
-    def test_segment_and_stepwise_shapes_at_full_length(self):
-        assert_segment_and_stepwise_at_full_length(0)
-
-    def test_default_selection_past_the_scalar_width(self):
-        # 30+30 labels, at full length and with stepwise scores far from
-        # unit scale
-        segment = random_block(40, 30, 4)
-        scores, labels = random_block(240, 30, 5)
-        stepwise = (scores * 1e3, labels)
-        assert 60 > classifiers.SVM_SCALAR_LABELS
-        fused = fit_svm_blocks([segment, stepwise], seed=6)
-        for (scores, labels), clf in zip((segment, stepwise), fused):
-            assert_same_svm(clf, pegasos_reference(scores, labels, 6, 10_000))
 
 
 class TestNearestMean:

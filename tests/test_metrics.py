@@ -89,6 +89,14 @@ class TestCounts:
         with pytest.raises(ValueError, match="samples, labels"):
             confusion_counts(np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_reports_reject_a_stack(self, n_labels):
+        stack = np.zeros((2, 4, n_labels))
+        with pytest.raises(ValueError, match="labels,"):
+            segment_report(stack, stack)
+        with pytest.raises(ValueError, match="labels,"):
+            prf(confusion_counts(stack, stack))
+
     @settings(max_examples=60, deadline=None)
     @given(members=st.integers(1, 5), n=st.integers(1, 12), n_labels=st.integers(1, 6),
            rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
