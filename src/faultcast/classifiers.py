@@ -16,7 +16,7 @@ to the threshold rule and are flagged in the classifier.
 An svm fit runs its Pegasos loop per label on Python floats. A numpy
 update over all labels at once costs about nine calls' dispatch per
 iteration whatever the width, so it is faster only past about 40 labels
-(the activity data's 36 + 36 fit takes about 50 ms more this way, once a
+(the activity data's 36 + 36 fit takes about 60 ms more this way, once a
 train).
 """
 
