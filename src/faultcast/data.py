@@ -29,7 +29,8 @@ FORMAT_NAME = "faultcast-dataset"
 FORMAT_VERSION = 1
 
 SOURCES = ("synthetic", "phm_adapter", "har_adapter")
-# records one validation pass stacks: bounds the extra memory of a load or save
+# records one validation pass stacks, and samples one generator block holds:
+# bounds the extra memory of a load, save or generate
 CHECK_RECORDS = 64
 
 
@@ -450,6 +451,8 @@ class SynthConfig:
             raise ValueError("thresholds and rarity must be positive")
         if not 0.0 < self.lag < 1.0:
             raise ValueError(f"lag must lie in (0, 1), got {self.lag}")
+        if not 0.0 <= self.noise_scale < math.inf:  # NaN fails too
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         lo, hi = self.persistence
         if not 1 <= lo <= hi:
             raise ValueError(f"invalid persistence range {self.persistence}")
@@ -458,52 +461,44 @@ class SynthConfig:
 DEFAULT_SYNTH_CONFIG = SynthConfig()
 
 
-def _lag_path(ctx: np.ndarray, lag: float) -> np.ndarray:
-    path = np.empty_like(ctx)
-    path[0] = ctx[0]
-    for t in range(1, ctx.shape[0]):
-        path[t] = path[t - 1] + lag * (ctx[t] - path[t - 1])
-    return path
-
-
 def synth_generate(config: SynthConfig, n: int) -> tuple[DatasetMeta, list[Sample]]:
-    """Generate n samples; deterministic for a given (config, n)."""
+    """Generate n samples; deterministic for a given (config, n). Each
+    sample makes its own draws, in a fixed order; the arithmetic after them
+    runs over CHECK_RECORDS samples at a time, one array pass a step."""
     if n < 0:
         raise ValueError(f"sample count n must be >= 0, got {n}")
     rng = make_rng(config.seed)
-    steps, tau = config.total_steps, config.tau
+    steps, tau, d_ctx, n_labels = config.total_steps, config.tau, config.d_ctx, config.n_labels
     horizon = steps - tau
     eff_threshold = np.asarray(config.thresholds) * np.asarray(config.rarity)
-    channel = np.arange(config.n_labels) % config.d_ctx
+    channel = np.arange(n_labels) % d_ctx
     lo, hi = config.persistence
 
     samples = []
-    for _ in range(n):
-        change = rng.uniform(size=(steps, config.d_ctx)) < CHANGE_PROB
-        levels = rng.normal(0.0, LEVEL_SD, size=(steps, config.d_ctx))
-        noise = rng.normal(0.0, 1.0, size=(tau, config.d_obs))
-        durations = rng.integers(lo, hi + 1, size=(steps, config.n_labels))
+    for start in range(0, n, CHECK_RECORDS):
+        m = min(CHECK_RECORDS, n - start)
+        draws = [(rng.uniform(size=(steps, d_ctx)) >= CHANGE_PROB,  # no new setpoint level
+                  rng.normal(0.0, LEVEL_SD, size=(steps, d_ctx)),
+                  rng.normal(0.0, 1.0, size=(tau, config.d_obs)),
+                  rng.integers(lo, hi + 1, size=(steps, n_labels))[tau:].copy())
+                 for _ in range(m)]
+        # ctx holds the drawn levels, then the held setpoints; durations, forecast rows
+        hold, ctx, noise, durations = map(np.stack, zip(*draws))
 
-        ctx = np.empty((steps, config.d_ctx))
-        ctx[0] = levels[0]
+        path = ctx.copy()  # the noiseless lag response
         for t in range(1, steps):
-            ctx[t] = np.where(change[t], levels[t], ctx[t - 1])
+            np.copyto(ctx[:, t], ctx[:, t - 1], where=hold[:, t])
+            path[:, t] = path[:, t - 1] + config.lag * (ctx[:, t] - path[:, t - 1])
+        obs = path[:, :tau, np.arange(config.d_obs) % d_ctx] + config.noise_scale * noise
 
-        path = _lag_path(ctx, config.lag)
-        obs = path[:tau, np.arange(config.d_obs) % config.d_ctx]
-        obs = obs + config.noise_scale * noise
-
-        jump = np.maximum(np.diff(ctx, axis=0, prepend=ctx[:1]), 0.0)
-        dev = np.maximum(ctx - path, 0.0)
-        stat = jump[:, channel] + DEV_GAIN * dev[:, channel]
-
-        step_labels = np.zeros((horizon, config.n_labels))
-        for t in range(tau, steps):
-            fired = stat[t] > eff_threshold
-            for l in np.nonzero(fired)[0]:
-                end = min(t + int(durations[t, l]), steps)
-                step_labels[t - tau : end - tau, l] = 1.0
-        samples.append(Sample(obs, ctx, segment_labels(step_labels), step_labels))
+        jump = np.maximum(np.diff(ctx, axis=1, prepend=ctx[:, :1])[:, tau:], 0.0)
+        dev = np.maximum(ctx[:, tau:] - path[:, tau:], 0.0)
+        fired = jump[..., channel] + DEV_GAIN * dev[..., channel] > eff_threshold
+        on = fired.copy()  # on at step j + s if fired at step j with a duration above s
+        for s in range(1, min(hi, horizon)):
+            on[:, s:] |= fired[:, :-s] & (durations[:, :-s] > s)
+        step_labels = on.astype(np.float64)
+        samples += map(Sample, obs, ctx, segment_labels(step_labels), step_labels)
 
     meta = DatasetMeta(
         ModelDims(config.n_labels, config.d_obs, config.d_ctx, tau, steps),

@@ -28,9 +28,13 @@ def make_rng(seed: int) -> np.random.Generator:
 
     Philox (4x64, 10 rounds) is a fixed algorithm, so one seed reproduces the
     same bit stream on every platform and every run. An instance is
-    single-owner: never draw from the same one on two threads.
+    single-owner: never draw from the same one on two threads. A seed Philox
+    refuses, such as a negative one, is a ValueError naming it.
     """
-    return np.random.Generator(np.random.Philox(seed))
+    try:
+        return np.random.Generator(np.random.Philox(seed))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"seed {seed!r}: {exc}") from None
 
 
 def per_member(v, ndim: int):

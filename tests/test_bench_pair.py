@@ -73,5 +73,5 @@ def test_a_tree_compared_with_itself_writes_identical_outputs(bench_pair, tmp_pa
     root = TOOL.parents[1]
     out = bench_pair.compare_outputs({"parent": root, "change": root}, tmp_path)
     assert out["outputs_identical"] is True
-    assert sorted(out["parent"]) == ["data.jsonl", "grid_model.json", "grid_report.tsv",
-                                     "history.tsv", "model.json"]
+    assert sorted(out["parent"]) == ["data.jsonl", "data_wide.jsonl", "grid_model.json",
+                                     "grid_report.tsv", "history.tsv", "model.json"]

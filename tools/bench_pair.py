@@ -51,6 +51,9 @@ SPLIT = ["--n-train", "150", "--n-val", "50", "--n-test", "100"]
 # faultcast CLI arguments, {w} standing for the directory the files go to
 OUTPUT_COMMANDS = (
     ["generate", "--out", "{w}/data.jsonl", "--n", "300", "--seed", "1"],
+    # a partial generator block, persistence past the horizon, more labels than channels
+    ["generate", "--out", "{w}/data_wide.jsonl", "--n", "130", "--labels", "6", "--d-obs", "3",
+     "--d-ctx", "2", "--tau", "3", "--total-steps", "12", "--persistence", "1,40", "--seed", "2"],
     ["train", "--data", "{w}/data.jsonl", "--out-model", "{w}/model.json", "--out-history",
      "{w}/history.tsv", "--loss", "localize", "--max-epochs", "3", *SPLIT],
     ["gridsearch", "--data", "{w}/data.jsonl", "--out-model", "{w}/grid_model.json",
