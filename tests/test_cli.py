@@ -69,6 +69,9 @@ class TestGenerate:
         (["--labels", "0"], "n_labels=0"), (["--tau", "12"], "tau=12"),
         (["--d-obs", "-1"], "d_obs=-1"), (["--rarity=-1,1,1,1"], "rarity must be positive"),
         (["--thresholds", "nan,1,1,1"], "thresholds and rarity must be positive"),
+        (["--noise", "nan"], "noise_scale must be finite and >= 0, got nan"),
+        (["--noise", "-1"], "noise_scale must be finite and >= 0, got -1.0"),
+        (["--seed", "-1"], "seed -1: "),
     ])
     def test_out_of_range_config_is_rejected_before_any_draw(self, tmp_path, capsys, flags,
                                                               field):
@@ -525,6 +528,14 @@ class TestUsageErrors:
         assert run("train", "--data", str(data), "--out-model", str(out), flag, value,
                    "--n-train", "60", "--n-val", "20", "--n-test", "20") == 2
         assert f"{flag[2:].replace('-', '_')} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_rejected_naming_it(self, workspace, tmp_path, capsys):
+        _, data, _, _ = workspace
+        out = tmp_path / "m.json"
+        assert run("train", "--data", str(data), "--out-model", str(out), "--seed", "-1",
+                   "--n-train", "60", "--n-val", "20", "--n-test", "20") == 2
+        assert "seed -1: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_sample_count_is_rejected(self, tmp_path, capsys):

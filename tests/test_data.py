@@ -1,24 +1,33 @@
 """Dataset schema, splitting, and the synthetic generator."""
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faultcast import data
 from faultcast.data import (
+    CHANGE_PROB,
     DEFAULT_SYNTH_CONFIG,
+    DEV_GAIN,
+    LEVEL_SD,
     DatasetError,
     DatasetMeta,
     ModelDims,
+    Sample,
     SynthConfig,
     class_stats,
     load_dataset,
     save_dataset,
+    segment_labels,
     split_samples,
     synth_generate,
 )
+from faultcast.num import make_rng
 from dataclasses import replace
 
 
@@ -210,7 +219,87 @@ class TestSplit:
             split_samples(samples, (8, 2, 1), seed=0)
 
 
+def _lag_path(ctx: np.ndarray, lag: float) -> np.ndarray:
+    path = np.empty_like(ctx)
+    path[0] = ctx[0]
+    for t in range(1, ctx.shape[0]):
+        path[t] = path[t - 1] + lag * (ctx[t] - path[t - 1])
+    return path
+
+
+def synth_reference(config: SynthConfig, n: int) -> tuple[DatasetMeta, list[Sample]]:
+    """The generator one sample and one step at a time: the oracle of
+    synth_generate, which runs the same arithmetic over blocks of samples."""
+    if n < 0:
+        raise ValueError(f"sample count n must be >= 0, got {n}")
+    rng = make_rng(config.seed)
+    steps, tau = config.total_steps, config.tau
+    horizon = steps - tau
+    eff_threshold = np.asarray(config.thresholds) * np.asarray(config.rarity)
+    channel = np.arange(config.n_labels) % config.d_ctx
+    lo, hi = config.persistence
+
+    samples = []
+    for _ in range(n):
+        change = rng.uniform(size=(steps, config.d_ctx)) < CHANGE_PROB
+        levels = rng.normal(0.0, LEVEL_SD, size=(steps, config.d_ctx))
+        noise = rng.normal(0.0, 1.0, size=(tau, config.d_obs))
+        durations = rng.integers(lo, hi + 1, size=(steps, config.n_labels))
+
+        ctx = np.empty((steps, config.d_ctx))
+        ctx[0] = levels[0]
+        for t in range(1, steps):
+            ctx[t] = np.where(change[t], levels[t], ctx[t - 1])
+
+        path = _lag_path(ctx, config.lag)
+        obs = path[:tau, np.arange(config.d_obs) % config.d_ctx]
+        obs = obs + config.noise_scale * noise
+
+        jump = np.maximum(np.diff(ctx, axis=0, prepend=ctx[:1]), 0.0)
+        dev = np.maximum(ctx - path, 0.0)
+        stat = jump[:, channel] + DEV_GAIN * dev[:, channel]
+
+        step_labels = np.zeros((horizon, config.n_labels))
+        for t in range(tau, steps):
+            fired = stat[t] > eff_threshold
+            for l in np.nonzero(fired)[0]:
+                end = min(t + int(durations[t, l]), steps)
+                step_labels[t - tau : end - tau, l] = 1.0
+        samples.append(Sample(obs, ctx, segment_labels(step_labels), step_labels))
+
+    meta = DatasetMeta(
+        ModelDims(config.n_labels, config.d_obs, config.d_ctx, tau, steps),
+        label_names=tuple(f"fault_{l + 1}" for l in range(config.n_labels)),
+        source="synthetic",
+    )
+    return meta, samples
+
+
 class TestGenerator:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from((0, 1, 63, 64, 65, 130)), tau=st.integers(0, 5),
+           horizon=st.integers(1, 6), n_labels=st.integers(1, 5), d_obs=st.integers(0, 3),
+           d_ctx=st.integers(1, 7), threshold=st.floats(0.02, 1.0),
+           persistence=st.sampled_from(((1, 1), (2, 4), (3, 3), (1, 40), (1, 10**9))),
+           lag=st.floats(0.05, 0.95), noise_scale=st.sampled_from((0.0, 0.05, 2.0)),
+           seed=st.integers(0, 2**40))
+    @example(n=130, tau=0, horizon=5, n_labels=2, d_obs=0, d_ctx=5, threshold=0.1,
+             persistence=(1, 10**9), lag=0.4, noise_scale=0.05, seed=3)
+    def test_equals_the_per_sample_reference(self, n, tau, horizon, n_labels, d_obs, d_ctx,
+                                             threshold, persistence, lag, noise_scale, seed):
+        config = SynthConfig(tau=tau, total_steps=tau + horizon, n_labels=n_labels,
+                             d_obs=d_obs, d_ctx=d_ctx, thresholds=(threshold,) * n_labels,
+                             persistence=persistence, lag=lag, noise_scale=noise_scale,
+                             seed=seed)
+        meta, samples = synth_generate(config, n)
+        ref_meta, ref_samples = synth_reference(config, n)
+        assert meta == ref_meta and len(samples) == len(ref_samples) == n
+        for sample, ref in zip(samples, ref_samples):
+            for key in data.RECORD_KEYS:
+                got, want = getattr(sample, key), getattr(ref, key)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+                assert got.tobytes() == want.tobytes(), key
+
     def test_deterministic(self):
         a_meta, a = synth_generate(small_config(), 6)
         b_meta, b = synth_generate(small_config(), 6)
@@ -268,6 +357,12 @@ class TestGenerator:
             small_config(persistence=(0, 3))
         with pytest.raises(ValueError, match="entry per label"):
             small_config(thresholds=(1.0,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_noise_scale_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match=f"noise_scale must be finite and >= 0, got {value}"):
+            small_config(noise_scale=value)
+        assert small_config(noise_scale=0.0).noise_scale == 0.0
 
     def test_negative_sample_count_rejected(self):
         assert synth_generate(small_config(), 0)[1] == []

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from faultcast.num import make_rng, per_member, sigmoid
 
@@ -67,3 +68,14 @@ class TestPerMember:
         out = per_member(np.array([1.0, 2.0, 3.0]), arr.ndim - 1) * arr
         for k in range(3):
             np.testing.assert_array_equal(out[k], (k + 1.0) * arr[k])
+
+
+class TestMakeRng:
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_a_refused_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match=f"^seed {seed}: "):
+            make_rng(seed)
+
+    def test_same_seed_same_stream(self):
+        assert make_rng(2**100).integers(0, 2**62, 4).tolist() == \
+            make_rng(2**100).integers(0, 2**62, 4).tolist()
