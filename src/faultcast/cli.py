@@ -22,8 +22,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .adapters import convert_activity_dat, convert_plant_csv
 from .classifiers import (
     KINDS,
@@ -281,14 +279,16 @@ def cmd_train(args) -> int:
     save_model(best, args.out_model, classifiers)
     if args.out_history is not None:
         write_history(history, args.out_history)
-    last = history[-1] if history else None
+    diverged = bool(history) and history[-1].stopped == "diverged"
+    returnable = history[:-1] if diverged else history  # a diverged epoch is never the best
     print(
         f"trained {config.loss} for {len(history)} epochs; "
         f"best validation micro+macro F1 = "
-        f"{max((r.val_micro_f1 + r.val_macro_f1 for r in history), default=float('nan')):.4f}"
+        f"{max((r.val_micro_f1 + r.val_macro_f1 for r in returnable), default=float('nan')):.4f}"
     )
-    if last is not None and not np.isfinite(last.loss.total):
-        print("warning: final epoch loss was not finite (run diverged)", file=sys.stderr)
+    if diverged:
+        print(f"warning: run diverged in epoch {history[-1].epoch}; the saved model predates it",
+              file=sys.stderr)
     print(f"model written to {args.out_model}")
     return 0
 

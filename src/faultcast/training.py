@@ -11,9 +11,12 @@ model.stack_models): each time step is one call for all members, forward
 and backward, and member k computes bit for bit what its own run computes.
 The runs may differ only in eta, lam, beta and seed. Each member draws its
 own batch order, keeps its own best snapshot and patience count, and stops
-on its own; a stopped member leaves the stack, and a diverged one gets no
-further update. train is the one-member case, and grid_search trains every
-grid point as one population.
+on its own. A member leaves the stack only at the end of an epoch, for
+patience or for divergence, which its last EpochRecord.stopped names: after
+a non-finite batch loss its weights stay frozen until the epoch ends, and a
+non-finite theta at the end of an epoch counts too. A diverged epoch is
+never the best snapshot. train is the one-member case, and grid_search
+trains every grid point as one population.
 
 Parameters, gradients and Adam moments are theta-shaped arrays (see
 model.param_layout), (P,) for one run and (G, P) for a population: an
@@ -100,6 +103,7 @@ class EpochRecord:
     val_micro_f1: float
     val_macro_f1: float
     seconds: float  # wall time of the whole population's epoch
+    stopped: str | None = None  # on a run's last record: "patience" or "diverged"
 
 
 @dataclass
@@ -237,9 +241,11 @@ def train(
 
     The input model is left untouched. Early stopping fires after
     config.patience epochs without improving micro + macro validation F1;
-    a non-finite batch loss ends the run immediately (the best snapshot so
-    far still wins). With an empty validation list the proxy is scored on
-    the training split instead. This is train_population with one member.
+    a non-finite batch loss ends the run at the end of that epoch, with no
+    update after the non-finite batch, and a non-finite theta does too (the
+    best snapshot before that epoch wins). With an empty validation list the
+    proxy is scored on the training split instead. This is train_population
+    with one member.
     """
     return train_population([model], train_samples, val_samples, [config])[0]
 
@@ -286,31 +292,19 @@ def train_population(
     )
 
     tapes, tape = {}, None  # batch index shape -> its Tape, for this population size
-
-    def keep_members(keep):
-        """Shrink the stack, its optimizer state and hyperparameters to the
-        listed members; the tapes of the larger stack go."""
-        nonlocal stack, state, active, eta, lam, beta
-        tapes.clear()
-        stack = stack.select(keep)
-        if state is not None:
-            state = AdamState(state.m[keep], state.v[keep], state.t)
-        active = [active[i] for i in keep]
-        eta, lam, beta = eta[keep], lam[keep], beta[keep]
-
     n = len(train_samples)
     for epoch in range(config.max_epochs):
         start = time.perf_counter()
         perms = [runs[k].rng.permutation(n) for k in active]
         orders = perms[0] if single else np.stack(perms)  # (n,) or (members, n)
         batch_sums = np.zeros((5,) + np.shape(lam))  # loss parts, per member
-        n_batches = 0
-        diverged = []  # (run, model, loss sums, batches) of runs that diverged this epoch
+        n_batches = np.zeros(np.shape(lam), dtype=np.intp)  # batches each member trained on
+        live = np.ones(np.shape(lam), dtype=bool)  # members with no non-finite batch loss yet
         for lo in range(0, n, config.batch_size):
             idx = orders[..., lo : lo + config.batch_size]
             if config.loss == "siamese" and idx.shape[-1] < 2:
                 continue  # a trailing singleton batch has no pairs
-            breakdown, grads, tape = batch_gradients(
+            b, grads, tape = batch_gradients(
                 stack,
                 obs[idx],
                 ctx[idx],
@@ -323,58 +317,49 @@ def train_population(
                 tapes.get(idx.shape, tape),  # a tape of another shape lends its memory
             )
             tapes[idx.shape] = tape
-            b = breakdown
-            batch_sums += (b.total, b.segment, b.stepwise, b.pairwise, b.reg)
-            n_batches += 1
-            finite = np.isfinite(b.total)
-            if not finite.all():
-                sums = batch_sums.reshape(5, -1)
-                for i in np.flatnonzero(~finite):
-                    diverged.append((active[i], stack.member(i), sums[:, i], n_batches))
-                keep = np.flatnonzero(finite)
-                if not len(keep):
-                    active = []
+            batch_sums += np.where(live, (b.total, b.segment, b.stepwise, b.pairwise, b.reg), 0.0)
+            n_batches += live
+            live &= np.isfinite(b.total)
+            if not live.all():
+                if not live.any():
                     break
-                keep_members(keep)
-                orders, batch_sums = orders[keep], batch_sums[:, keep]
-                grads = grads.select(keep)
+                # a diverged member stays, frozen, until the epoch ends
+                grads.theta[~live] = 0.0
+                eta = np.where(live, eta, 0.0)
             optimizer_step(stack, grads, eta, state, config.clip_norm)
 
-        # Score every run that trained this epoch in one forward pass.
-        sums = batch_sums.reshape(5, -1)
-        records = [(k, sums[:, i], n_batches) for i, k in enumerate(active)]
-        records += [(k, sums, count) for k, _, sums, count in diverged]
-        val_model = stack
-        if diverged:
-            val_model = stack_models(
-                [stack.member(i) for i in range(len(active))] + [m for _, m, _, _ in diverged]
-            )
-        micro, macro = threshold_validation_f1(val_model, scored)
-        if val_model.population is None:
+        micro, macro = threshold_validation_f1(stack, scored)
+        if stack.population is None:
             micro, macro = [micro], [macro]
         seconds = time.perf_counter() - start
-        for (k, sums, count), mi, ma in zip(records, micro, macro):
-            mean = sums / max(count, 1)
-            runs[k].history.append(
-                EpochRecord(epoch, LossBreakdown(*(float(v) for v in mean)), mi, ma, seconds)
-            )
-
+        # The one exit: at the end of an epoch, on divergence or patience.
+        diverged = ~(live & np.isfinite(stack.theta).all(axis=-1)).reshape(-1)
+        means = (batch_sums / n_batches).reshape(5, -1)  # every member trains on batch 0
         keep = []
         for i, k in enumerate(active):
-            run, score = runs[k], micro[i] + macro[i]
-            if score > run.best_score:
+            run, score, stopped = runs[k], micro[i] + macro[i], None
+            if diverged[i]:
+                stopped = "diverged"
+            elif score > run.best_score:
                 run.best_score = score
                 run.best = stack.member(i)
                 run.since_best = 0
             else:
                 run.since_best += 1
-                if run.since_best >= config.patience:
-                    continue
-            keep.append(i)
+                stopped = "patience" if run.since_best >= config.patience else None
+            run.history.append(EpochRecord(epoch, LossBreakdown(*map(float, means[:, i])),
+                                           micro[i], macro[i], seconds, stopped))
+            if stopped is None:
+                keep.append(i)
         if not keep:
             break
         if len(keep) < len(active):
-            keep_members(np.array(keep, dtype=np.intp))
+            tapes.clear()  # they are shaped for the larger stack
+            stack = stack.select(keep)
+            if state is not None:
+                state = AdamState(state.m[keep], state.v[keep], state.t)
+            active = [active[i] for i in keep]
+            eta, lam, beta = eta[keep], lam[keep], beta[keep]
     return [(run.best, run.history) for run in runs]
 
 

@@ -74,4 +74,5 @@ def test_a_tree_compared_with_itself_writes_identical_outputs(bench_pair, tmp_pa
     out = bench_pair.compare_outputs({"parent": root, "change": root}, tmp_path)
     assert out["outputs_identical"] is True
     assert sorted(out["parent"]) == ["data.jsonl", "data_wide.jsonl", "grid_model.json",
-                                     "grid_report.tsv", "history.tsv", "model.json"]
+                                     "grid_report.tsv", "history.tsv", "history_diverged.tsv",
+                                     "model.json", "model_diverged.json"]

@@ -16,7 +16,7 @@ from faultcast.data import (
     JsonField, SynthConfig, load_dataset, save_dataset, split_samples, stack_samples,
 )
 from faultcast.model import forward, load_model
-from faultcast.training import TrainConfig, grad_check
+from faultcast.training import TrainConfig, grad_check, threshold_validation_f1
 
 
 SPLIT = ("--n-train", "140", "--n-val", "40", "--n-test", "80")
@@ -159,6 +159,36 @@ class TestTrain:
             "--max-epochs", "2", "--batch-size", "16",
         ) == 0
         assert out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_whose_update_overflows_saves_a_finite_model_and_warns(self, tmp_path, capsys):
+        data, out = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert run("generate", "--out", str(data), "--n", "16", "--labels", "2",
+                   "--tau", "3", "--total-steps", "5") == 0
+        # one batch an epoch; the first update overflows theta after a finite loss
+        assert run("train", "--data", str(data), "--out-model", str(out), "--n-train", "8",
+                   "--n-val", "4", "--n-test", "4", "--batch-size", "8", "--eta", "1e306",
+                   "--lambda", "1e4", "--optimizer", "sgd", "--max-epochs", "5") == 0
+        assert "warning: run diverged in epoch 0" in capsys.readouterr().err
+        assert np.isfinite(load_model(out)[0].theta).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_printed_best_score_is_the_saved_model_s(self, tmp_path, capsys):
+        data, out = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert run("generate", "--out", str(data), "--n", "40", "--labels", "2",
+                   "--tau", "3", "--total-steps", "5", "--seed", "3") == 0
+        capsys.readouterr()
+        # the loss diverges in the last epoch, whose record (scored on the
+        # weights before the diverging batch) beats every returnable epoch
+        assert run("train", "--data", str(data), "--out-model", str(out), "--n-train", "24",
+                   "--n-val", "12", "--n-test", "4", "--batch-size", "8", "--eta", "100",
+                   "--lambda", "10", "--optimizer", "sgd", "--max-epochs", "30") == 0
+        text = capsys.readouterr()
+        assert "run diverged" in text.err
+        _, samples = load_dataset(data)
+        val = split_samples(samples, (24, 12, 4), 0)[1]
+        micro, macro = threshold_validation_f1(load_model(out)[0], val)
+        assert f"best validation micro+macro F1 = {micro + macro:.4f}\n" in text.out
 
     def test_mismatched_flags_fail_before_writing(self, workspace, tmp_path):
         _, data, _, _ = workspace

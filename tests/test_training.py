@@ -33,6 +33,10 @@ from faultcast.training import (
 TINY = ModelDims(n_labels=2, d_obs=2, d_ctx=1, tau=3, total_steps=5)
 
 
+# One batch of tiny_synth(8) an epoch; the first update overflows theta.
+OVERFLOW_THETA = TrainConfig(batch_size=8, optimizer="sgd", eta=1e306, lam=1e4, max_epochs=5)
+
+
 def tiny_synth(n, seed=0):
     cfg = SynthConfig(
         tau=TINY.tau, total_steps=TINY.total_steps, n_labels=TINY.n_labels,
@@ -147,7 +151,7 @@ class TestTrain:
             model = init_model(make_rng(2), TINY)
             _, history = train(model, samples, samples[:4], cfg)
             runs.append(history)
-        assert len(runs[0]) == len(runs[1])
+        assert len(runs[0]) == len(runs[1]) == 5 and stops(runs[0]) is None  # max_epochs
         for a, b in zip(*runs):
             assert a.loss == b.loss
             assert a.val_micro_f1 == b.val_micro_f1
@@ -177,6 +181,10 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=400, patience=4, batch_size=8, eta=1e-6)
         _, history = train(model, samples, samples[:4], cfg)
         assert len(history) < 400
+        assert stops(history) == "patience"
+        # the run ends `patience` epochs after its first best score
+        scores = [r.val_micro_f1 + r.val_macro_f1 for r in history]
+        assert len(history) == int(np.argmax(scores)) + 1 + cfg.patience
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_guard_stops_run(self):
@@ -192,8 +200,22 @@ class TestTrain:
         best, history = train(model, samples, samples[:4], cfg)
         assert len(history) < 200
         assert not np.isfinite(history[-1].loss.total)
+        assert stops(history) == "diverged"
         for _, arr in param_items(best):
             assert np.all(np.isfinite(arr))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_update_that_overflows_theta_is_never_the_best(self, seed):
+        # one batch an epoch, and eta * lambda so large that the first update
+        # overflows theta after a finite loss: no later batch of the epoch
+        # sees it, so only the end-of-epoch check on theta can
+        samples = tiny_synth(8)
+        model = init_model(make_rng(seed + 1), TINY)
+        best, history = train(model, samples, samples[:4], replace(OVERFLOW_THETA, seed=seed))
+        assert len(history) == 1 and np.isfinite(history[0].loss.total)
+        assert stops(history) == "diverged"
+        assert_same_model(best, model)  # no epoch came before, so the initial weights
 
     @pytest.mark.parametrize("clip_norm", [0.0, -1.0, float("nan")])
     def test_non_positive_clip_norm_rejected(self, clip_norm):
@@ -505,6 +527,12 @@ class TestGridSearch:
                              [base, replace(base, loss="localize")])
 
 
+def stops(history):
+    """The stop reason of a run's last record; every earlier one has None."""
+    assert all(r.stopped is None for r in history[:-1])
+    return history[-1].stopped
+
+
 def history_key(history):
     """Every recorded field but the wall time, as exact reprs (NaN-safe)."""
     return [repr((r.epoch, r.loss, r.val_micro_f1, r.val_macro_f1)) for r in history]
@@ -526,10 +554,25 @@ class TestPopulation:
             (bad, bad_hist), (good, good_hist) = train_population(
                 models, samples, samples[:4], configs)
         assert len(bad_hist) < 20 and not np.isfinite(bad_hist[-1].loss.total)
-        assert len(good_hist) == 20
+        assert stops(bad_hist) == "diverged"
+        assert len(good_hist) == 20 and stops(good_hist) is None
         assert all(np.isfinite(r.loss.total) for r in good_hist)
         for model in (bad, good):
             assert all(np.all(np.isfinite(arr)) for _, arr in param_items(model))
+
+    def test_member_whose_update_overflows_leaves_its_neighbour_unchanged(self):
+        samples = tiny_synth(8)
+        configs = [OVERFLOW_THETA, replace(OVERFLOW_THETA, eta=0.01, lam=0.0, seed=1)]
+        models = [init_model(make_rng(1), TINY), init_model(make_rng(2), TINY)]
+        with np.errstate(all="ignore"):
+            (bad, bad_hist), (good, good_hist) = train_population(
+                models, samples, samples[:4], configs)
+        assert len(bad_hist) == 1 and stops(bad_hist) == "diverged"
+        assert_same_model(bad, models[0])
+        alone, alone_hist = train(models[1], samples, samples[:4], configs[1])
+        assert_same_model(good, alone)
+        assert history_key(good_hist) == history_key(alone_hist)
+        assert len(good_hist) == 5 and stops(good_hist) is None
 
     def test_mismatched_models_rejected(self):
         samples = tiny_synth(6)

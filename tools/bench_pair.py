@@ -56,6 +56,10 @@ OUTPUT_COMMANDS = (
      "--d-ctx", "2", "--tau", "3", "--total-steps", "12", "--persistence", "1,40", "--seed", "2"],
     ["train", "--data", "{w}/data.jsonl", "--out-model", "{w}/model.json", "--out-history",
      "{w}/history.tsv", "--loss", "localize", "--max-epochs", "3", *SPLIT],
+    # the loss overflows mid-epoch, before theta does: the divergence exit
+    ["train", "--data", "{w}/data.jsonl", "--out-model", "{w}/model_diverged.json",
+     "--out-history", "{w}/history_diverged.tsv", "--optimizer", "sgd", "--eta", "1e4",
+     "--lambda", "10", "--batch-size", "8", "--max-epochs", "3", *SPLIT],
     ["gridsearch", "--data", "{w}/data.jsonl", "--out-model", "{w}/grid_model.json",
      "--out-report", "{w}/grid_report.tsv", "--max-epochs", "2", *SPLIT],
 )
