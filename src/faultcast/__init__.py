@@ -26,7 +26,7 @@ from .data import (
     split_samples,
     synth_generate,
 )
-from .losses import ClassWeights, LossBreakdown, batch_loss, class_weights
+from .losses import LossBreakdown, batch_loss, class_weights
 from .lstm import LstmParams, init_params, lstm_step
 from .metrics import CountTable, PrfReport, confusion_counts, prf, segment_report, stepwise_report
 from .model import (

@@ -13,11 +13,11 @@ Ties and exact boundary hits decide negative, the conservative choice for
 alarm-style labels. Labels whose training data has only one class fall back
 to the threshold rule and are flagged in the classifier.
 
-An svm fit runs its Pegasos loop per label on Python floats. A numpy
-update over all labels at once costs about nine calls' dispatch per
-iteration whatever the width, so it is faster only past about 40 labels
-(the activity data's 36 + 36 fit takes about 60 ms more this way, once a
-train).
+An svm fit is SVM_ITERATIONS seeded Pegasos steps (see fit_classifier),
+run per label on Python floats. A numpy update over all labels at once
+costs about nine calls' dispatch per iteration whatever the width, so it is
+faster only past about 40 labels (the activity data's 36 + 36 fits take
+about 60 ms more this way, once a train).
 """
 
 from __future__ import annotations
@@ -69,15 +69,35 @@ def fit_classifier(kind: str, scores: np.ndarray, labels: np.ndarray,
     For svm and nearest_mean, a label needs at least one positive and one
     negative training example; otherwise that label falls back to
     threshold_zero and is recorded in `fallback`.
+
+    svm runs SVM_ITERATIONS Pegasos steps at regularization SVM_REG. Step t
+    (from 1) visits sample idx[t - 1] of the one stream idx =
+    make_rng(seed).integers(0, n, SVM_ITERATIONS), which every label of the
+    fit shares, at rate eta_t = 1 / (SVM_REG t) and decay 1 - eta_t SVM_REG.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
-    if kind == "svm":
-        return fit_svm_blocks([(scores, labels)], seed)[0]
-    scores, labels, _, fallback = _score_matrices(scores, labels)
-    n_labels = scores.shape[1]
+    scores, labels, pos_count, fallback = _score_matrices(scores, labels)
+    n, n_labels = scores.shape
     if kind == "threshold_zero":
         return LabelClassifier("threshold_zero", fallback=np.zeros(n_labels, dtype=bool))
+    if kind == "svm":
+        # Pegasos-style updates (Shalev-Shwartz et al. 2007). Positive hinge
+        # terms carry weight sqrt(n_neg / n_pos): enough lift that a rare
+        # label's boundary is not dragged toward all-negative, without the
+        # precision collapse a fully balanced weighting causes at strong
+        # imbalance. A fallback label's lift is never used, and it may
+        # divide 0 by 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lift = np.where(fallback, 1.0, np.sqrt((n - pos_count) / pos_count))
+        eta = 1.0 / (SVM_REG * np.arange(1, SVM_ITERATIONS + 1, dtype=np.float64))
+        schedule = (make_rng(seed).integers(0, n, size=SVM_ITERATIONS).tolist(),
+                    eta.tolist(), (1.0 - eta * SVM_REG).tolist())
+        weight, bias = np.zeros(n_labels), np.zeros(n_labels)
+        for l, lift_l in enumerate(lift.tolist()):
+            weight[l], bias[l] = _pegasos(scores[:, l].tolist(), (labels[:, l] > 0).tolist(),
+                                          lift_l, *schedule)
+        return LabelClassifier("svm", weight=weight, bias=bias, fallback=fallback)
 
     pos_mean = np.zeros(n_labels)
     neg_mean = np.zeros(n_labels)
@@ -88,44 +108,6 @@ def fit_classifier(kind: str, scores: np.ndarray, labels: np.ndarray,
         pos_mean[l] = scores[mask, l].mean()
         neg_mean[l] = scores[~mask, l].mean()
     return LabelClassifier("nearest_mean", pos_mean=pos_mean, neg_mean=neg_mean, fallback=fallback)
-
-
-def fit_svm_blocks(blocks, seed: int = 0) -> list[LabelClassifier]:
-    """Fit one svm per (scores, labels) block by SVM_ITERATIONS Pegasos
-    steps at regularization SVM_REG.
-
-    Block k draws its own index stream, make_rng(seed).integers(0, n_k,
-    SVM_ITERATIONS), exactly as a lone fit does, and every label's update
-    depends on that label alone, so each result equals
-    fit_classifier("svm", scores_k, labels_k, seed) bit for bit. Every
-    block is checked before any is fit.
-    """
-    # Pegasos-style updates (Shalev-Shwartz et al. 2007), one seeded sample
-    # index per iteration, shared across a block's labels. Positive hinge
-    # terms carry weight sqrt(n_neg / n_pos): enough lift that a rare
-    # label's boundary is not dragged toward all-negative, without the
-    # precision collapse a fully balanced weighting causes at strong
-    # imbalance.
-    fits = [_score_matrices(scores, labels) for scores, labels in blocks]
-    eta = 1.0 / (SVM_REG * np.arange(1, SVM_ITERATIONS + 1, dtype=np.float64))
-    decay = (1.0 - eta * SVM_REG).tolist()
-    eta = eta.tolist()
-    out = []
-    for scores, labels, pos_count, fallback in fits:
-        n = scores.shape[0]
-        # a fallback label's lift is never used, and it may divide 0 by 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lift = np.where(fallback, 1.0, np.sqrt((n - pos_count) / pos_count))
-        idx = make_rng(seed).integers(0, n, size=SVM_ITERATIONS).tolist()
-        w, b = [], []
-        for l, lift_l in enumerate(lift.tolist()):
-            w_l, b_l = _pegasos(scores[:, l].tolist(), (labels[:, l] > 0).tolist(), lift_l,
-                                idx, eta, decay)
-            w.append(w_l)
-            b.append(b_l)
-        out.append(LabelClassifier("svm", weight=np.array(w, dtype=np.float64),
-                                   bias=np.array(b, dtype=np.float64), fallback=fallback))
-    return out
 
 
 def _pegasos(x_of, pos_of, lift, idx, eta, decay):

@@ -29,7 +29,6 @@ from .classifiers import (
     classifier_to_dict,
     classify,
     fit_classifier,
-    fit_svm_blocks,
     broadcast_baseline,
 )
 from .data import (
@@ -55,6 +54,7 @@ from .training import (
     default_grid,
     grad_check,
     grid_search,
+    threshold_validation_f1,
     train,
     write_grid_report,
     write_history,
@@ -252,20 +252,16 @@ def _load_splits(args):
 
 
 def _fit_all_classifiers(model, train_split, seed):
+    """Every segment rule in KINDS on the embedding and the stepwise svm on
+    the step scores, each fit with `seed`, as classifier_to_dict records."""
     obs, ctx, labels, steps = stack_samples(train_split)
     pred = predict(model, obs, ctx)
     n_labels = labels.shape[1]
-    # the segment and stepwise svms share one Pegasos loop
-    segment_svm, stepwise = fit_svm_blocks(
-        [(pred.embedding, labels),
-         (pred.step_scores.reshape(-1, n_labels), steps.reshape(-1, n_labels))],
-        seed=seed,
-    )
-    segment = {"svm": segment_svm}
-    for kind in ("threshold_zero", "nearest_mean"):
-        segment[kind] = fit_classifier(kind, pred.embedding, labels, seed=seed)
+    stepwise = fit_classifier("svm", pred.step_scores.reshape(-1, n_labels),
+                              steps.reshape(-1, n_labels), seed=seed)
     return {
-        "segment": {kind: classifier_to_dict(clf) for kind, clf in segment.items()},
+        "segment": {kind: classifier_to_dict(fit_classifier(kind, pred.embedding, labels, seed))
+                    for kind in KINDS},
         "stepwise": classifier_to_dict(stepwise),
     }
 
@@ -279,14 +275,10 @@ def cmd_train(args) -> int:
     save_model(best, args.out_model, classifiers)
     if args.out_history is not None:
         write_history(history, args.out_history)
-    diverged = bool(history) and history[-1].stopped == "diverged"
-    returnable = history[:-1] if diverged else history  # a diverged epoch is never the best
-    print(
-        f"trained {config.loss} for {len(history)} epochs; "
-        f"best validation micro+macro F1 = "
-        f"{max((r.val_micro_f1 + r.val_macro_f1 for r in returnable), default=float('nan')):.4f}"
-    )
-    if diverged:
+    micro, macro = threshold_validation_f1(best, stack_samples(val_split or train_split))
+    print(f"trained {config.loss} for {len(history)} epochs; "
+          f"best validation micro+macro F1 = {micro[0] + macro[0]:.4f}")
+    if history and history[-1].stopped == "diverged":
         print(f"warning: run diverged in epoch {history[-1].epoch}; the saved model predates it",
               file=sys.stderr)
     print(f"model written to {args.out_model}")

@@ -2,9 +2,10 @@
 pairwise embedding-similarity loss, and the three batch compositions.
 
 Rare labels get amplified through w = -log(p), where p is the label's
-frequency in the training split. A label that never occurs gets weight 1
-(no preference either way); a label that always occurs gets weight 0, which
-silences its positive term, so that case is flagged with a warning.
+frequency in the training split; class_weights returns w as one (labels,)
+vector, the `weights` every objective takes. A label that never occurs gets
+weight 1 (no preference either way); a label that always occurs gets weight
+0, which silences its positive term, so that case is flagged with a warning.
 
 batch_adjoints is the one batch objective and the only statement of each
 term: a single pass gives the loss breakdown together with the adjoints that
@@ -31,12 +32,6 @@ LOSS_KINDS = ("base", "localize", "siamese")
 
 
 @dataclass
-class ClassWeights:
-    frequency: np.ndarray  # empirical p per label, in [0, 1]
-    weight: np.ndarray     # loss weight per label
-
-
-@dataclass
 class LossBreakdown:
     """Additive pieces of one batch loss; total is their exact sum."""
 
@@ -47,8 +42,9 @@ class LossBreakdown:
     reg: float
 
 
-def class_weights(labels: np.ndarray) -> ClassWeights:
-    """Per-label frequency and weight from a (samples, labels) binary matrix."""
+def class_weights(labels: np.ndarray) -> np.ndarray:
+    """The (labels,) loss weight vector, w = -log(p), of a (samples, labels)
+    binary matrix, p being each label's frequency in it."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.ndim != 2 or labels.shape[0] == 0:
         raise ValueError(f"need a non-empty (samples, labels) matrix, got {labels.shape}")
@@ -63,7 +59,7 @@ def class_weights(labels: np.ndarray) -> ClassWeights:
             "their positive loss term is silenced",
             stacklevel=2,
         )
-    return ClassWeights(p, w)
+    return w
 
 
 def l2_penalty(model, lam):
@@ -107,18 +103,19 @@ def _checked(name: str, a, shape: tuple) -> np.ndarray:
 
 
 def batch_loss(
-    kind: str, pred, labels, step_labels, weights: ClassWeights, model=None, lam=0.0, beta=0.5
+    kind: str, pred, labels, step_labels, weights: np.ndarray, model=None, lam=0.0, beta=0.5
 ) -> LossBreakdown:
     """The loss breakdown of batch_adjoints, without its adjoints."""
     return batch_adjoints(kind, pred, labels, step_labels, weights, model, lam, beta)[0]
 
 
 def batch_adjoints(
-    kind: str, pred, labels, step_labels, weights: ClassWeights, model=None, lam=0.0, beta=0.5
+    kind: str, pred, labels, step_labels, weights: np.ndarray, model=None, lam=0.0, beta=0.5
 ):
     """The batch objective of one of the three configurations, and its
     adjoints, from one pass. Per sample, with label probabilities y, targets
-    t, step scores o and step targets o~ over H forecast steps and L labels:
+    t, step scores o and step targets o~ over H forecast steps and L labels,
+    and w the class_weights vector:
 
     segment:  -sum_l [ w_l t_l log(y_l) + (1 - t_l) log(1 - y_l) ]
     stepwise: (1 / (H L)) sum_{h,l} [ o~ (1 - o)^2 + (1 - o~) o^2 ]
@@ -167,7 +164,7 @@ def batch_adjoints(
     reg, d_theta = (zero, None) if model is None else _l2_terms(model, lam, zero)
 
     # segment terms and their adjoint on y, at the clamped probabilities
-    wt, nt = weights.weight * t, ONE - t
+    wt, nt = weights * t, ONE - t
     yc = np.minimum(np.maximum(y, _LOW), _HIGH)  # np.clip's values, without its overhead
     terms = wt * np.log(yc) + nt * np.log1p(-yc)
     dy = nt / (ONE - yc) - wt / yc  # +0.0, not -0.0, where t = 1 at weight 0

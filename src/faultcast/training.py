@@ -41,7 +41,7 @@ import numpy as np
 
 from . import losses
 from .data import Sample, stack_samples
-from .losses import ClassWeights, LossBreakdown, batch_adjoints, batch_loss, class_weights
+from .losses import LossBreakdown, batch_adjoints, batch_loss, class_weights
 from .metrics import CountTable, confusion_counts, prf
 from .model import (ForecastModel, ModelDims, Tape, backward, forward, init_model,
                     param_layout, predict, stack_models)
@@ -168,7 +168,7 @@ def batch_gradients(
     ctx: np.ndarray,
     labels: np.ndarray,
     step_labels: np.ndarray,
-    weights: ClassWeights,
+    weights: np.ndarray,
     kind: str,
     lam,
     beta,
@@ -188,17 +188,14 @@ def batch_gradients(
 
 
 def threshold_validation_f1(model: ForecastModel, samples):
-    """(micro_f1, macro_f1) of threshold-at-zero decisions on the embeddings
-    of samples (or their stack_samples arrays); for a population, (micro
-    list, macro list) with one entry per member, from one forward pass."""
-    obs, ctx, labels, _ = samples if isinstance(samples, tuple) else stack_samples(samples)
-    pred = predict(model, obs, ctx)
-    decisions = (pred.embedding > 0.0).astype(np.int8)
-    truth = labels.astype(int)
-    counts = confusion_counts(decisions, np.broadcast_to(truth, decisions.shape))
-    if model.population is None:
-        report = prf(counts)
-        return report.micro_f1, report.macro_f1
+    """Micro and macro F1 of threshold-at-zero decisions on the embeddings
+    of stacked samples (stack_samples' arrays), from one forward pass, as
+    (micro list, macro list) with one entry per member of a population and
+    one for a single model."""
+    obs, ctx, labels, _ = samples
+    decisions = (predict(model, obs, ctx).embedding > 0.0).astype(np.int8)
+    decisions = decisions.reshape((-1,) + labels.shape)  # (members, samples, labels)
+    counts = confusion_counts(decisions, np.broadcast_to(labels.astype(int), decisions.shape))
     reports = [prf(CountTable(*member)) for member in zip(counts.tp, counts.fp, counts.fn)]
     return [r.micro_f1 for r in reports], [r.macro_f1 for r in reports]
 
@@ -250,6 +247,7 @@ def train(
     return train_population([model], train_samples, val_samples, [config])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is reported as `stopped`
 def train_population(
     models: list[ForecastModel],
     train_samples: list[Sample],
@@ -329,8 +327,6 @@ def train_population(
             optimizer_step(stack, grads, eta, state, config.clip_norm)
 
         micro, macro = threshold_validation_f1(stack, scored)
-        if stack.population is None:
-            micro, macro = [micro], [macro]
         seconds = time.perf_counter() - start
         # The one exit: at the end of an epoch, on divergence or patience.
         diverged = ~(live & np.isfinite(stack.theta).all(axis=-1)).reshape(-1)
@@ -389,7 +385,7 @@ def write_history(history: list[EpochRecord], path) -> None:
 FD_BYTES = 1 << 22  # bytes of perturbed parameters fd_gradient runs as one population
 
 
-def fd_gradient(model: ForecastModel, obs, ctx, labels, step_labels, weights: ClassWeights,
+def fd_gradient(model: ForecastModel, obs, ctx, labels, step_labels, weights: np.ndarray,
                 kind: str, lam: float, beta: float, fd_step: float) -> np.ndarray:
     """Central finite differences of batch_loss in every coordinate of one
     model's theta: rows 2k and 2k + 1 of a population hold theta with its
@@ -486,9 +482,8 @@ def grid_search(
     configs = [replace(cfg, seed=base_seed + k) for k, cfg in enumerate(grid)]
     models = [init_model(make_rng(cfg.seed + 1), dims) for cfg in configs]
     best = [m for m, _ in train_population(models, train_samples, val_samples, configs)]
-    micro, macro = threshold_validation_f1(
-        stack_models(best), val_samples if val_samples else train_samples
-    )
+    scored = stack_samples(val_samples or train_samples)
+    micro, macro = threshold_validation_f1(stack_models(best), scored)
     results = [GridResult(cfg, mi, ma) for cfg, mi, ma in zip(configs, micro, macro)]
     winner = select_best(results)
     return results[winner].config, best[winner], results

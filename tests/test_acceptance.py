@@ -36,7 +36,7 @@ from faultcast.data import (
     stack_samples,
     synth_generate,
 )
-from faultcast.losses import ClassWeights, batch_loss, class_weights, l2_penalty
+from faultcast.losses import batch_loss, class_weights, l2_penalty
 from faultcast.metrics import segment_report, stepwise_report
 from faultcast.model import (ForecastModel, ModelDims, forward, init_model, param_items,
                              param_size, predict, stack_models)
@@ -183,11 +183,9 @@ def test_c02_metric_oracle_equivalence():
 def test_c03_loss_unit_fixtures():
     """Loss examples at 1e-10 absolute tolerance, including the p=0 edge."""
     tol = 1e-10
-    from faultcast.losses import ClassWeights
 
     def w(*vals):
-        vals = np.asarray(vals, dtype=float)
-        return ClassWeights(np.full_like(vals, 0.5), vals)
+        return np.asarray(vals, dtype=float)
 
     # each term is its field of batch_loss's breakdown: a batch of one holds
     # one sample's segment or stepwise loss, a batch of two at beta 0 the
@@ -237,9 +235,9 @@ def test_c03_loss_unit_fixtures():
         assert abs(float(got) - want) < tol, f"{name}: {got} vs {want}"
 
     cw = class_weights(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
-    assert cw.weight[1] == 1.0  # absent label weighted exactly 1
+    assert cw[1] == 1.0  # absent label weighted exactly 1
     cw_half = class_weights(np.array([[1.0], [0.0]]))
-    assert abs(cw_half.weight[0] - math.log(2.0)) < tol
+    assert abs(cw_half[0] - math.log(2.0)) < tol
 
     dims = ModelDims(1, 1, 1, 1, 3)
     model = init_model(make_rng(0), dims)
@@ -419,8 +417,7 @@ def test_c11_class_weights_lift_the_rarest_label(default_splits, monkeypatch):
         return np.count_nonzero((embedding[..., rarest] > 0.0) & truth, axis=-1) / truth.sum()
 
     weighted = rarest_recall()
-    monkeypatch.setattr(training, "class_weights",
-                        lambda t: ClassWeights(t.mean(axis=0), np.ones(t.shape[1])))
+    monkeypatch.setattr(training, "class_weights", lambda t: np.ones(t.shape[1]))
     unweighted = rarest_recall()
     ok = bool(np.all(weighted > unweighted))
     _report("C11 class-weights-lift-rare-labels", ok,

@@ -15,7 +15,6 @@ from faultcast.classifiers import (
     classifier_to_dict,
     classify,
     fit_classifier,
-    fit_svm_blocks,
 )
 from faultcast.data import JsonField
 from faultcast.num import make_rng
@@ -89,7 +88,8 @@ class TestSvm:
 
 def pegasos_reference(scores, labels, seed, iterations, reg=SVM_REG):
     """One svm fit as a plain loop over its own sample stream: the update
-    the fused block fit must reproduce bit for bit. Returns (w, b, fallback)."""
+    fit_classifier("svm", ...) must reproduce bit for bit. Returns (w, b,
+    fallback)."""
     n, n_labels = scores.shape
     pos_count = (labels > 0).sum(axis=0)
     fallback = (pos_count == 0) | (pos_count == n)
@@ -141,40 +141,29 @@ class TestSvmBlocks:
     )
     def test_blocks_equal_separate_fits(self, blocks, seed, iterations):
         with patch.object(classifiers, "SVM_ITERATIONS", iterations):
-            fused = fit_svm_blocks(blocks, seed=seed)
-            alone = [fit_classifier("svm", scores, labels, seed=seed) for scores, labels in blocks]
-        assert len(fused) == len(blocks)
-        for (scores, labels), clf, lone in zip(blocks, fused, alone):
-            reference = pegasos_reference(scores, labels, seed, iterations)
-            assert_same_svm(clf, reference)
-            assert_same_svm(lone, reference)
+            fits = [fit_classifier("svm", scores, labels, seed=seed) for scores, labels in blocks]
+        for (scores, labels), clf in zip(blocks, fits):
+            assert_same_svm(clf, pegasos_reference(scores, labels, seed, iterations))
 
     def test_segment_and_stepwise_shapes_at_full_length(self):
         # the train command's pair: a segment block and a 6x longer
         # stepwise block, both at the default iteration count
-        segment = random_block(60, 4, 1)
-        stepwise = random_block(360, 4, 2)
-        fused = fit_svm_blocks([segment, stepwise], seed=3)
-        for (scores, labels), clf in zip((segment, stepwise), fused):
+        for scores, labels in (random_block(60, 4, 1), random_block(360, 4, 2)):
+            clf = fit_classifier("svm", scores, labels, seed=3)
             assert_same_svm(clf, pegasos_reference(scores, labels, 3, 10_000))
 
     def test_a_wide_fit_at_full_length(self):
         # 30+30 labels, near the activity data's width, with stepwise
         # scores far from unit scale
         segment = random_block(40, 30, 4)
-        scores, labels = random_block(240, 30, 5)
-        stepwise = (scores * 1e3, labels)
-        fused = fit_svm_blocks([segment, stepwise], seed=6)
-        for (scores, labels), clf in zip((segment, stepwise), fused):
+        step_scores, step_labels = random_block(240, 30, 5)
+        for scores, labels in (segment, (step_scores * 1e3, step_labels)):
+            clf = fit_classifier("svm", scores, labels, seed=6)
             assert_same_svm(clf, pegasos_reference(scores, labels, 6, 10_000))
-
-    def test_no_blocks(self):
-        assert fit_svm_blocks([], seed=0) == []
 
     def test_bad_block_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            fit_svm_blocks([(np.zeros((3, 2)), np.zeros((3, 2))),
-                            (np.zeros((3, 2)), np.zeros((3, 1)))])
+            fit_classifier("svm", np.zeros((3, 2)), np.zeros((3, 1)))
 
 
 class TestNearestMean:

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,41 @@ SPLIT = ("--n-train", "140", "--n-val", "40", "--n-test", "80")
 
 def run(*argv):
     return main(list(argv))
+
+
+def overflowing_update_run(root):
+    """A train run with one batch an epoch whose first update overflows
+    theta after a finite loss; returns the (data, model) paths."""
+    root.mkdir(exist_ok=True)
+    data, out = root / "d.jsonl", root / "m.json"
+    assert run("generate", "--out", str(data), "--n", "16", "--labels", "2",
+               "--tau", "3", "--total-steps", "5") == 0
+    assert run("train", "--data", str(data), "--out-model", str(out), "--n-train", "8",
+               "--n-val", "4", "--n-test", "4", "--batch-size", "8", "--eta", "1e306",
+               "--lambda", "1e4", "--optimizer", "sgd", "--max-epochs", "5") == 0
+    return data, out
+
+
+def diverging_loss_run(root):
+    """A train run whose loss diverges in its last epoch, whose record
+    (scored on the weights before the diverging batch) beats every
+    returnable epoch; returns the (data, model) paths."""
+    root.mkdir(exist_ok=True)
+    data, out = root / "d.jsonl", root / "m.json"
+    assert run("generate", "--out", str(data), "--n", "40", "--labels", "2",
+               "--tau", "3", "--total-steps", "5", "--seed", "3") == 0
+    assert run("train", "--data", str(data), "--out-model", str(out), "--n-train", "24",
+               "--n-val", "12", "--n-test", "4", "--batch-size", "8", "--eta", "100",
+               "--lambda", "10", "--optimizer", "sgd", "--max-epochs", "30") == 0
+    return data, out
+
+
+def assert_printed_score_is_the_saved_model_s(printed, data, out, split):
+    _, samples = load_dataset(data)
+    val = split_samples(samples, split, 0)[1]
+    (micro,), (macro,) = threshold_validation_f1(load_model(out)[0], stack_samples(val))
+    assert np.isfinite(micro + macro)
+    assert f"best validation micro+macro F1 = {micro + macro:.4f}\n" in printed
 
 
 @pytest.fixture(scope="module")
@@ -160,35 +196,27 @@ class TestTrain:
         ) == 0
         assert out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_run_whose_update_overflows_saves_a_finite_model_and_warns(self, tmp_path, capsys):
-        data, out = tmp_path / "d.jsonl", tmp_path / "m.json"
-        assert run("generate", "--out", str(data), "--n", "16", "--labels", "2",
-                   "--tau", "3", "--total-steps", "5") == 0
-        # one batch an epoch; the first update overflows theta after a finite loss
-        assert run("train", "--data", str(data), "--out-model", str(out), "--n-train", "8",
-                   "--n-val", "4", "--n-test", "4", "--batch-size", "8", "--eta", "1e306",
-                   "--lambda", "1e4", "--optimizer", "sgd", "--max-epochs", "5") == 0
-        assert "warning: run diverged in epoch 0" in capsys.readouterr().err
+        data, out = overflowing_update_run(tmp_path)
+        text = capsys.readouterr()
+        assert "warning: run diverged in epoch 0" in text.err
         assert np.isfinite(load_model(out)[0].theta).all()
+        # no epoch was returnable, and the saved model's own score is printed
+        assert_printed_score_is_the_saved_model_s(text.out, data, out, (8, 4, 4))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_printed_best_score_is_the_saved_model_s(self, tmp_path, capsys):
-        data, out = tmp_path / "d.jsonl", tmp_path / "m.json"
-        assert run("generate", "--out", str(data), "--n", "40", "--labels", "2",
-                   "--tau", "3", "--total-steps", "5", "--seed", "3") == 0
-        capsys.readouterr()
-        # the loss diverges in the last epoch, whose record (scored on the
-        # weights before the diverging batch) beats every returnable epoch
-        assert run("train", "--data", str(data), "--out-model", str(out), "--n-train", "24",
-                   "--n-val", "12", "--n-test", "4", "--batch-size", "8", "--eta", "100",
-                   "--lambda", "10", "--optimizer", "sgd", "--max-epochs", "30") == 0
+        data, out = diverging_loss_run(tmp_path)
         text = capsys.readouterr()
         assert "run diverged" in text.err
-        _, samples = load_dataset(data)
-        val = split_samples(samples, (24, 12, 4), 0)[1]
-        micro, macro = threshold_validation_f1(load_model(out)[0], val)
-        assert f"best validation micro+macro F1 = {micro + macro:.4f}\n" in text.out
+        assert_printed_score_is_the_saved_model_s(text.out, data, out, (24, 12, 4))
+
+    def test_diverging_runs_print_no_numpy_warning(self, tmp_path):
+        # divergence is reported by the run itself, so numpy's overflow and
+        # invalid-value warnings stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            overflowing_update_run(tmp_path / "update")
+            diverging_loss_run(tmp_path / "loss")
 
     def test_mismatched_flags_fail_before_writing(self, workspace, tmp_path):
         _, data, _, _ = workspace

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from faultcast.losses import (
     EPS,
-    ClassWeights,
     batch_adjoints,
     batch_loss,
     class_weights,
@@ -27,8 +26,7 @@ ATOL = 1e-10
 
 
 def weights_of(*w):
-    w = np.asarray(w, dtype=np.float64)
-    return ClassWeights(np.full_like(w, 0.5), w)
+    return np.asarray(w, dtype=np.float64)
 
 
 @dataclass
@@ -125,25 +123,26 @@ class TestClassWeights:
         n = labels.shape[0]
         k = round(n / math.e)
         labels[:k, 0] = 1.0
-        cw = class_weights(labels)
-        assert abs(cw.weight[0] - (-math.log(k / n))) < ATOL
+        w = class_weights(labels)
+        assert abs(w[0] - (-math.log(k / n))) < ATOL
 
     def test_absent_label_weight_one(self):
         labels = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        cw = class_weights(labels)
-        assert cw.frequency[1] == 0.0
-        assert cw.weight[1] == 1.0
+        w = class_weights(labels)
+        assert w.shape == (2,)
+        assert abs(w[0] - (-math.log(2 / 3))) < ATOL
+        assert w[1] == 1.0
 
     def test_half_frequency(self):
         labels = np.array([[1.0], [0.0], [1.0], [0.0]])
-        cw = class_weights(labels)
-        assert abs(cw.weight[0] - math.log(2.0)) < ATOL
+        w = class_weights(labels)
+        assert abs(w[0] - math.log(2.0)) < ATOL
 
     def test_always_present_label_warns_and_weights_zero(self):
         labels = np.ones((4, 1))
         with pytest.warns(UserWarning, match="weight 0"):
-            cw = class_weights(labels)
-        assert cw.weight[0] == 0.0
+            w = class_weights(labels)
+        assert w[0] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -157,9 +156,8 @@ class TestClassWeights:
         counts = np.maximum(1, (p * n).astype(int))
         for l, k in enumerate(counts):
             labels[:k, l] = 1.0
-        cw = class_weights(labels)
-        order = np.argsort(cw.frequency)
-        sorted_w = cw.weight[order]
+        order = np.argsort(labels.mean(axis=0))
+        sorted_w = class_weights(labels)[order]
         assert np.all(np.diff(sorted_w) <= 1e-12)
 
 
@@ -282,7 +280,7 @@ class TestBatchLoss:
         w = weights_of(1.0, 1.0)
         got = batch_loss("base", pred, labels, steps, w)
         expected, _, _ = oracle_terms("base", pred.embedding, pred.label_probs,
-                                      pred.step_scores, labels, steps, w.weight, 0.5)
+                                      pred.step_scores, labels, steps, w, 0.5)
         assert abs(got.total - expected) < ATOL
         assert got.stepwise == 0.0 and got.pairwise == 0.0
 
@@ -317,7 +315,7 @@ class TestBatchLoss:
 
         # one pair: beta * (both segment + stepwise losses) + (1 - beta) * pair loss
         expected = sum(oracle_terms("siamese", pred.embedding, pred.label_probs,
-                                    pred.step_scores, labels, steps, w.weight, beta))
+                                    pred.step_scores, labels, steps, w, beta))
         assert abs(got.total - expected) < ATOL
 
     def test_siamese_needs_two(self):
@@ -446,7 +444,7 @@ class TestBreakdownOracle:
         o = rng.uniform(size=lead + (batch, horizon, n_labels)) * y[..., None, :]
         labels = (rng.uniform(size=(batch, n_labels)) < 0.5).astype(np.float64)
         steps = (rng.uniform(size=(batch, horizon, n_labels)) < 0.4).astype(np.float64)
-        w = ClassWeights(np.full(n_labels, 0.5), rng.uniform(0.0, 3.0, size=n_labels))
+        w = rng.uniform(0.0, 3.0, size=n_labels)
         beta = rng.uniform(size=lead) if lead else float(rng.uniform())
         got = batch_loss(kind, FakePrediction(g, y, o),
                          np.broadcast_to(labels, lead + labels.shape),
@@ -454,7 +452,7 @@ class TestBreakdownOracle:
         for k in range(members or 1):
             at = (lambda a: a[k]) if lead else (lambda a: a)
             want = oracle_terms(kind, at(g).tolist(), at(y).tolist(), at(o).tolist(),
-                                labels.tolist(), steps.tolist(), w.weight.tolist(),
+                                labels.tolist(), steps.tolist(), w.tolist(),
                                 float(at(beta)))
             for field, value in zip(("segment", "stepwise", "pairwise"), want):
                 assert at(getattr(got, field)) == pytest.approx(value, rel=1e-10, abs=1e-12), field

@@ -163,17 +163,21 @@ class TestTrain:
         best, history = train(
             model, samples, samples[:8], TrainConfig(max_epochs=12, batch_size=8, seed=1)
         )
-        micro, macro = threshold_validation_f1(best, samples[:8])
+        micro, macro = threshold_validation_f1(best, stack_samples(samples[:8]))
         recorded = max(r.val_micro_f1 + r.val_macro_f1 for r in history)
-        assert abs((micro + macro) - recorded) < 1e-12
+        assert abs((micro[0] + macro[0]) - recorded) < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(members=st.integers(1, 4), n=st.integers(1, 12), seed=st.integers(0, 2**16))
     def test_population_validation_equals_each_member_alone(self, members, n, seed):
         samples = tiny_synth(n, seed)
         alone = [init_model(make_rng(seed + k), TINY) for k in range(members)]
-        micro, macro = threshold_validation_f1(stack_models(alone), samples)
-        assert [*zip(micro, macro)] == [threshold_validation_f1(m, samples) for m in alone]
+        scored = stack_samples(samples)
+        micro, macro = threshold_validation_f1(stack_models(alone), scored)
+        each = [threshold_validation_f1(m, scored) for m in alone]
+        assert (micro, macro) == ([mi for (mi,), _ in each], [ma for _, (ma,) in each])
+        # a single model is scored as the population of itself
+        assert each[0] == threshold_validation_f1(stack_models(alone[:1]), scored)
 
     def test_early_stopping_respects_patience(self):
         samples = tiny_synth(8)
@@ -186,7 +190,6 @@ class TestTrain:
         scores = [r.val_micro_f1 + r.val_macro_f1 for r in history]
         assert len(history) == int(np.argmax(scores)) + 1 + cfg.patience
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_guard_stops_run(self):
         # eta * lambda >> 2 makes plain SGD amplify the weights geometrically
         # until the l2 term overflows; the run must stop and keep a finite
@@ -204,7 +207,6 @@ class TestTrain:
         for _, arr in param_items(best):
             assert np.all(np.isfinite(arr))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(4))
     def test_update_that_overflows_theta_is_never_the_best(self, seed):
         # one batch an epoch, and eta * lambda so large that the first update
@@ -407,7 +409,7 @@ class TestGradientProperty:
 
         # the segment part is the exact logit form, not held flat by a clamp
         g = predict(model, obs, ctx).embedding
-        per_sample = (weights.weight * labels * np.logaddexp(0.0, -g)
+        per_sample = (weights * labels * np.logaddexp(0.0, -g)
                       + (1.0 - labels) * np.logaddexp(0.0, g)).sum(axis=-1)
         # siamese: each sample sits in n - 1 of the n (n - 1) / 2 pairs
         want = beta * 2 / n * per_sample.sum() if kind == "siamese" else per_sample.mean()
@@ -483,7 +485,6 @@ class TestGridSearch:
         tied[0] = result(0.1, 0.01, 0.7, 0.5)
         assert select_best(tied) == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_members_match_standalone_runs(self):
         # every grid point trains in one population; member k must match a
         # standalone train() of point k bit for bit, including a member
@@ -506,7 +507,8 @@ class TestGridSearch:
                 assert_same_model(got, want)
                 assert history_key(got_hist) == history_key(want_hist)
             for res, cfg, (want, _) in zip(results, configs, alone):
-                assert res == GridResult(cfg, *threshold_validation_f1(want, val_s))
+                (micro,), (macro,) = threshold_validation_f1(want, stack_samples(val_s))
+                assert res == GridResult(cfg, micro, macro)
             winner = select_best(results)
             assert best_cfg == configs[winner]
             assert_same_model(best_model, alone[winner][0])
@@ -550,9 +552,8 @@ class TestPopulation:
                            lam=1.0)
         configs = [replace(base, eta=1e4), replace(base, eta=0.01, seed=1)]
         models = [init_model(make_rng(6), TINY), init_model(make_rng(7), TINY)]
-        with np.errstate(all="ignore"):
-            (bad, bad_hist), (good, good_hist) = train_population(
-                models, samples, samples[:4], configs)
+        (bad, bad_hist), (good, good_hist) = train_population(
+            models, samples, samples[:4], configs)
         assert len(bad_hist) < 20 and not np.isfinite(bad_hist[-1].loss.total)
         assert stops(bad_hist) == "diverged"
         assert len(good_hist) == 20 and stops(good_hist) is None
@@ -564,9 +565,8 @@ class TestPopulation:
         samples = tiny_synth(8)
         configs = [OVERFLOW_THETA, replace(OVERFLOW_THETA, eta=0.01, lam=0.0, seed=1)]
         models = [init_model(make_rng(1), TINY), init_model(make_rng(2), TINY)]
-        with np.errstate(all="ignore"):
-            (bad, bad_hist), (good, good_hist) = train_population(
-                models, samples, samples[:4], configs)
+        (bad, bad_hist), (good, good_hist) = train_population(
+            models, samples, samples[:4], configs)
         assert len(bad_hist) == 1 and stops(bad_hist) == "diverged"
         assert_same_model(bad, models[0])
         alone, alone_hist = train(models[1], samples, samples[:4], configs[1])
@@ -613,9 +613,8 @@ class TestPopulation:
         configs = [replace(base, eta=eta, lam=lam, beta=beta, seed=seed + k)
                    for k, (eta, lam, beta) in enumerate(points)]
         models = [init_model(make_rng(seed + k), dims) for k in range(len(points))]
-        with np.errstate(all="ignore"):
-            members = train_population(models, samples[:6], samples[6:], configs)
-            alone = [train(m, samples[:6], samples[6:], cfg) for m, cfg in zip(models, configs)]
+        members = train_population(models, samples[:6], samples[6:], configs)
+        alone = [train(m, samples[:6], samples[6:], cfg) for m, cfg in zip(models, configs)]
         for (got, got_hist), (want, want_hist) in zip(members, alone):
             assert_same_model(got, want)
             assert history_key(got_hist) == history_key(want_hist)

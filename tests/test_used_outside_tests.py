@@ -1,10 +1,9 @@
 """Library code that only tests call is dead weight. Every public top-level
-function or class in src/faultcast is named outside tests/: in the package
-itself (its own module counts), in perfbench/, tools/ or demos/, or in
-README.md."""
+function or class in src/faultcast is named outside tests/: in a module of
+the package (its own module counts), or in perfbench/, tools/ or demos/.
+A re-export in __init__.py and a word of README.md are no use."""
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,11 +34,10 @@ def names_in(source: str) -> set[str]:
 
 
 def test_every_public_definition_is_named_outside_tests():
-    files = sorted(SRC.glob("*.py"))
+    files = [f for f in sorted(SRC.glob("*.py")) if f.name != "__init__.py"]
     for user in USERS:
         files += sorted((ROOT / user).rglob("*.py"))
     named = set().union(*(names_in(f.read_text(encoding="utf-8")) for f in files))
-    named |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
     unused = [f"{module}.{name}" for module, name in public_definitions() if name not in named]
     assert not unused, f"named only in tests: {unused}"
 
