@@ -8,15 +8,15 @@ window.
 
 import numpy as np
 
-from faultcast import SynthConfig, class_stats, synth_generate
+from faultcast.data import SynthConfig, class_stats, synth_generate
 
 config = SynthConfig(seed=7)
 meta, samples = synth_generate(config, 600)
 
-print(f"{len(samples)} samples: tau={meta.tau} observed steps, "
-      f"{meta.horizon} forecast steps, {meta.n_labels} labels")
-print(f"observations: {meta.d_obs} sensor channels; "
-      f"context: {meta.d_ctx} setpoint channel(s)\n")
+print(f"{len(samples)} samples: tau={meta.dims.tau} observed steps, "
+      f"{meta.dims.horizon} forecast steps, {meta.dims.n_labels} labels")
+print(f"observations: {meta.dims.d_obs} sensor channels; "
+      f"context: {meta.dims.d_ctx} setpoint channel(s)\n")
 
 counts = class_stats(samples)
 print(f"{'label':<10}{'count':>7}{'frequency':>12}")

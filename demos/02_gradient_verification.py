@@ -7,8 +7,10 @@ objectives: the analytic gradient must match a central finite difference to
 better than one part in ten thousand.
 """
 
-from faultcast import ModelDims, SynthConfig, TrainConfig, init_model, make_rng, synth_generate
-from faultcast.training import grad_check
+from faultcast.data import ModelDims, SynthConfig, synth_generate
+from faultcast.model import init_model
+from faultcast.num import make_rng
+from faultcast.training import TrainConfig, grad_check
 
 dims = ModelDims(n_labels=2, d_obs=2, d_ctx=1, tau=3, total_steps=5)
 cfg_synth = SynthConfig(

@@ -8,20 +8,12 @@ strong; how close the fitted rules land to it depends on how cleanly the
 model separated the clusters.
 """
 
-from faultcast import (
-    SynthConfig,
-    TrainConfig,
-    classify,
-    fit_classifier,
-    init_model,
-    make_rng,
-    segment_report,
-    split_samples,
-    synth_generate,
-    train,
-)
-from faultcast.data import stack_samples
-from faultcast.model import predict
+from faultcast.classifiers import classify, fit_classifier
+from faultcast.data import SynthConfig, split_samples, stack_samples, synth_generate
+from faultcast.metrics import segment_report
+from faultcast.model import init_model, predict
+from faultcast.num import make_rng
+from faultcast.training import TrainConfig, train
 
 meta, samples = synth_generate(SynthConfig(seed=0), 700)
 train_s, val_s, test_s = split_samples(samples, (400, 100, 200), seed=0)

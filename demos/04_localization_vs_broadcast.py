@@ -8,21 +8,12 @@ which shows up as high recall but low precision. Localization trades a
 little recall for much better precision and F1.
 """
 
-from faultcast import (
-    SynthConfig,
-    TrainConfig,
-    broadcast_baseline,
-    classify,
-    fit_classifier,
-    init_model,
-    make_rng,
-    split_samples,
-    stepwise_report,
-    synth_generate,
-    train,
-)
-from faultcast.data import stack_samples
-from faultcast.model import predict
+from faultcast.classifiers import broadcast_baseline, classify, fit_classifier
+from faultcast.data import SynthConfig, split_samples, stack_samples, synth_generate
+from faultcast.metrics import stepwise_report
+from faultcast.model import init_model, predict
+from faultcast.num import make_rng
+from faultcast.training import TrainConfig, train
 
 meta, samples = synth_generate(SynthConfig(seed=0), 700)
 train_s, val_s, test_s = split_samples(samples, (400, 100, 200), seed=0)
@@ -38,8 +29,8 @@ pred = predict(best, obs, ctx)
 segment_clf = fit_classifier("svm", pred.embedding, labels, seed=3)
 step_clf = fit_classifier(
     "svm",
-    pred.step_scores.reshape(-1, meta.n_labels),
-    steps.reshape(-1, meta.n_labels),
+    pred.step_scores.reshape(-1, meta.dims.n_labels),
+    steps.reshape(-1, meta.dims.n_labels),
     seed=3,
 )
 
@@ -49,7 +40,7 @@ truth = steps.astype(int)
 localized = stepwise_report(classify(step_clf, pred.step_scores), truth)
 segment_decisions = classify(segment_clf, pred.embedding)
 broadcast = stepwise_report(
-    broadcast_baseline(segment_decisions, meta.horizon), truth
+    broadcast_baseline(segment_decisions, meta.dims.horizon), truth
 )
 
 print(f"{'decisions':<12}{'micro F1':>10}{'precision':>11}{'recall':>9}")

@@ -8,8 +8,8 @@ rate and then the larger regularizer.
 
 from dataclasses import replace
 
-from faultcast import SynthConfig, TrainConfig, split_samples, synth_generate
-from faultcast.training import grid_search
+from faultcast.data import SynthConfig, split_samples, synth_generate
+from faultcast.training import TrainConfig, grid_search
 
 meta, samples = synth_generate(SynthConfig(seed=0), 500)
 train_s, val_s, test_s = split_samples(samples, (300, 100, 100), seed=0)

@@ -46,7 +46,7 @@ from .data import (
     write_json_lines,
 )
 from .losses import LOSS_KINDS
-from .metrics import format_report, segment_report, stepwise_report
+from .metrics import segment_report, stepwise_report
 from .model import init_model, load_model, predict, save_model
 from .num import make_rng
 from .training import (
@@ -389,36 +389,34 @@ def cmd_evaluate(args) -> int:
     meta, classifiers, pred, truth, step_truth = _score_split(args)
     if pred is None:
         raise DatasetError(f"split {args.split!r} is empty")
-    n_samples = len(truth)
-
     kinds = (
         list(_KIND_FLAG.values())
         if args.classifier == "all"
         else [_KIND_FLAG[args.classifier]]
     )
-    doc = {"split": args.split, "n_samples": n_samples, "segment": {}}
-    lines = [f"split: {args.split}", f"n_samples: {n_samples}"]
-    for kind in kinds:
-        clf = classifiers["segment"][kind]
-        report = segment_report(classify(clf, pred.embedding), truth)
-        doc["segment"][kind] = report.as_dict()
-        lines.append(f"[segment {kind}]")
-        lines.append(format_report(report).rstrip())
-
+    doc = {"split": args.split, "n_samples": len(truth), "segment": {
+        kind: segment_report(classify(classifiers["segment"][kind], pred.embedding),
+                             truth).as_dict() for kind in kinds}}
     if args.localize:
-        step_clf = classifiers["stepwise"]
-        seg_clf = classifiers["segment"][kinds[0]]
-        localized = classify(step_clf, pred.step_scores)
-        broadcast = broadcast_baseline(classify(seg_clf, pred.embedding), meta.horizon)
-        reports = {"localized": stepwise_report(localized, step_truth),
-                   "broadcast": stepwise_report(broadcast, step_truth)}
-        doc["stepwise"] = {name: report.as_dict() for name, report in reports.items()}
-        for name, report in reports.items():
-            lines.append(f"[stepwise {name}]")
-            lines.append(format_report(report).rstrip())
-
-    _write_report(args.out, doc, lines, "reports")
+        localized = classify(classifiers["stepwise"], pred.step_scores)
+        segment_decisions = classify(classifiers["segment"][kinds[0]], pred.embedding)
+        broadcast = broadcast_baseline(segment_decisions, meta.dims.horizon)
+        doc["stepwise"] = {"localized": stepwise_report(localized, step_truth).as_dict(),
+                           "broadcast": stepwise_report(broadcast, step_truth).as_dict()}
+    _write_report(args.out, doc, _report_lines(doc), "reports")
     return 0
+
+
+def _report_lines(doc: dict) -> list[str]:
+    """An evaluate report's text: `key: value` for each top-level field,
+    then for each report of each section a `[section name]` header and its
+    fields as `key: repr(value)`."""
+    lines = [f"{key}: {value}" for key, value in doc.items() if not isinstance(value, dict)]
+    for section, reports in doc.items():
+        if isinstance(reports, dict):
+            for name, report in reports.items():
+                lines += [f"[{section} {name}]", *(f"{k}: {v!r}" for k, v in report.items())]
+    return lines
 
 
 def cmd_predict(args) -> int:

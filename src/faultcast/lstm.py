@@ -109,7 +109,10 @@ class Unroll:
     (window, 4L, ..., B), gate-major as gates4 (window, 4, L, ..., B); c
     (window + 1 rows), c[0] = c0; tanh_c (window rows); x (window, I, ...,
     B), the inputs; taped, values (window, 3L, ..., B) and the dW columns
-    cols (..., R + I, steps, B) for backward. All are blocks of one array,
+    cols (..., R + I, steps, B) for backward; with a member axis, rec (4L,
+    ..., B) and dz (R, ..., B), which a step's W_rec z and W_rec^T da are
+    written into member-first (rec_out, dz_out), so each is added or
+    returned as one block. All are blocks of one array,
     memory, taken from `memory` if large enough: unrolls sharing it must not
     be in use at once. fwd and bwd hold each step's views into the slabs,
     local and back those of the backward pass. Taped, two unrolls can share
@@ -121,7 +124,7 @@ class Unroll:
 
     __slots__ = ("n", "lead", "steps", "window", "feedback", "memory", "w_rec_t", "w_rec_half",
                  "w_x_half", "b_half", "x", "z", "gates", "gates4", "c", "tanh_c", "values",
-                 "cols", "fwd", "bwd", "local", "back", "after")
+                 "cols", "fwd", "bwd", "local", "back", "after", "rec", "rec_out", "dz", "dz_out")
 
     def __init__(self, weights, h0, c0, steps: int, taped: bool = True, feedback: bool = False,
                  memory: np.ndarray | None = None, rows: int = 0, after: Unroll | None = None):
@@ -137,6 +140,7 @@ class Unroll:
         after, inputs, tail = self.after, self.w_x_half.shape[-1], lead + (batch,)
         shapes = {"x": (gr, inputs) + tail,
                   "z": (steps + 1 if taped or feedback else 2, rec) + tail,
+                  "rec": (4 * n,) + tail if lead else (0,), "dz": (rec,) + tail if lead else (0,),
                   "gates": (rows, 4 * n) + tail, "c": (rows + 1, n) + tail,
                   "tanh_c": (rows, n) + tail, "values": (rows * taped, 3 * n) + tail,
                   "cols": lead + (rec + inputs, steps * taped, batch)}
@@ -149,6 +153,8 @@ class Unroll:
         for (name, shape), size, end in zip(shapes.items(), sizes, accumulate(sizes)):
             setattr(self, name, memory[end - size : end].reshape(shape))
         self.gates4 = self.gates.reshape((len(self.gates), 4, n) + tail)
+        self.rec_out = self.rec.swapaxes(0, 1) if lead else None
+        self.dz_out = self.dz.swapaxes(0, 1) if lead else None
         # each step's views, as lstm_step and step_backward unpack them;
         # untaped without feedback, the two z and c rows take turns
         zr, cr = len(self.z), len(self.c)
@@ -218,8 +224,8 @@ def lstm_step(cell: Unroll, t: int) -> np.ndarray:
     writes the gate values, c', tanh(c') and the next z row; returns h', a
     view into that row."""
     a, f, i, o, cand, sig, c, c_new, tanh_c, z, h, fb = cell.fwd[t % len(cell.fwd)]
-    rec = np.matmul(cell.w_rec_half, z)
-    a += rec.swapaxes(0, 1) if cell.lead else rec
+    rec = np.matmul(cell.w_rec_half, z, cell.rec_out)
+    a += cell.rec if cell.lead else rec
     np.tanh(a, a)
     sig *= HALF
     sig += HALF
@@ -258,7 +264,8 @@ def step_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse step t, given the adjoints dh, dc of its h and c (merged with
     what flows back from later steps): writes its pre-activation adjoints
-    into gates row t; returns (dh_prev, dc_prev), with the feedback path."""
+    into gates row t; returns (dh_prev, dc_prev), with the feedback path,
+    dh_prev at G > 1 a view of cell.dz, which the cell's next step rewrites."""
     da, df, di, do, dcand, tanh_c, c, sig_h, da_member = cell.bwd[t]
     dc_total = dh * tanh_c
     dc_total += dc
@@ -269,8 +276,9 @@ def step_backward(
     dc_total *= c
     if da_member is None:
         dz = np.matmul(cell.w_rec_t, da)
-    else:  # a strided da can round unlike a member's own; a strided dz slows later steps
-        dz = np.matmul(cell.w_rec_t, da_member.copy()).swapaxes(0, 1).copy()
+    else:  # a strided da can round unlike a member's own
+        np.matmul(cell.w_rec_t, da_member.copy(), cell.dz_out)
+        dz = cell.dz
     if sig_h is None:
         return dz, dc_total
     dh_prev, dfb = dz[: cell.n], dz[cell.n :]

@@ -106,7 +106,3 @@ def stepwise_report(pred_steps, truth_steps) -> PrfReport:
     flat_truth = truth_steps.reshape(-1, truth_steps.shape[-1])
     return prf(confusion_counts(flat_pred, flat_truth))
 
-
-def format_report(report: PrfReport) -> str:
-    """Human-readable key: value lines."""
-    return "".join(f"{k}: {v!r}\n" for k, v in report.as_dict().items())

@@ -75,4 +75,5 @@ def test_a_tree_compared_with_itself_writes_identical_outputs(bench_pair, tmp_pa
     assert out["outputs_identical"] is True
     assert sorted(out["parent"]) == ["data.jsonl", "data_wide.jsonl", "grid_model.json",
                                      "grid_report.tsv", "history.tsv", "history_diverged.tsv",
-                                     "model.json", "model_diverged.json"]
+                                     "model.json", "model_diverged.json", "preds.jsonl",
+                                     "report.json", "report.txt", "steps.jsonl"]

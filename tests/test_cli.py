@@ -1,6 +1,7 @@
 """Command-line workflow, exercised through main() with small datasets."""
 
 import argparse
+import ast
 import hashlib
 import inspect
 import json
@@ -256,6 +257,33 @@ class TestEvaluate:
         assert set(doc["stepwise"]) == {"localized", "broadcast"}
         for rec in doc["stepwise"].values():
             assert len(rec) == 6
+
+    def test_each_text_line_states_its_json_field(self, workspace, tmp_path):
+        # the .txt is rendered from the .json's document: top-level fields as
+        # `key: value`, then a `[section name]` header per report and its
+        # fields as `key: repr(value)`, every field once (the .json sorts its keys)
+        _, data, model, _ = workspace
+        out = tmp_path / "report"
+        assert run("evaluate", "--model", str(model), "--data", str(data), "--out", str(out),
+                   "--localize", *SPLIT) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        stated, where = [], ()
+        for line in (tmp_path / "report.txt").read_text().splitlines():
+            if line.startswith("["):
+                where = tuple(line.strip("[]").split(" "))
+                assert len(where) == 2 and isinstance(doc[where[0]][where[1]], dict), line
+                continue
+            key, value = line.split(": ")
+            if where:
+                assert ast.literal_eval(value) == doc[where[0]][where[1]][key], line
+            else:
+                assert value == str(doc[key]), line
+            stated.append((*where, key))
+        fields = [(key,) for key, v in doc.items() if not isinstance(v, dict)]
+        fields += [(section, name, key) for section, reports in doc.items()
+                   if isinstance(reports, dict) for name, report in reports.items()
+                   for key in report]
+        assert sorted(stated) == sorted(fields) and len(fields) == 2 + 5 * 6
 
     def test_untrained_model_file_rejected(self, workspace, tmp_path):
         root, data, model, _ = workspace

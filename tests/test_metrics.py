@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from faultcast.metrics import (
     CountTable,
     confusion_counts,
-    format_report,
     prf,
     segment_report,
     stepwise_report,
@@ -194,11 +193,3 @@ class TestStepwise:
         )
         for key, val in oracle.items():
             assert report[key] == val
-
-
-class TestFormatting:
-    def test_key_value_lines(self):
-        report = segment_report(np.array([[1, 0]]), np.array([[1, 0]]))
-        text = format_report(report)
-        assert "micro_f1: 1.0" in text
-        assert len(text.strip().splitlines()) == 6

@@ -62,6 +62,13 @@ OUTPUT_COMMANDS = (
      "--lambda", "10", "--batch-size", "8", "--max-epochs", "3", *SPLIT],
     ["gridsearch", "--data", "{w}/data.jsonl", "--out-model", "{w}/grid_model.json",
      "--out-report", "{w}/grid_report.tsv", "--max-epochs", "2", *SPLIT],
+    # the three scoring commands on the trained model: reports, predictions, localizations
+    ["evaluate", "--model", "{w}/model.json", "--data", "{w}/data.jsonl", "--out", "{w}/report",
+     "--localize", *SPLIT],
+    ["predict", "--model", "{w}/model.json", "--data", "{w}/data.jsonl", "--out",
+     "{w}/preds.jsonl", *SPLIT],
+    ["localize", "--model", "{w}/model.json", "--data", "{w}/data.jsonl", "--out",
+     "{w}/steps.jsonl", *SPLIT],
 )
 
 
