@@ -124,7 +124,8 @@ class Unroll:
 
     __slots__ = ("n", "lead", "steps", "window", "feedback", "memory", "w_rec_t", "w_rec_half",
                  "w_x_half", "b_half", "x", "z", "gates", "gates4", "c", "tanh_c", "values",
-                 "cols", "fwd", "bwd", "local", "back", "after", "rec", "rec_out", "dz", "dz_out")
+                 "cols", "fwd", "bwd", "local", "back", "after", "rec", "rec_out", "dz", "dz_out",
+                 "product")
 
     def __init__(self, weights, h0, c0, steps: int, taped: bool = True, feedback: bool = False,
                  memory: np.ndarray | None = None, rows: int = 0, after: Unroll | None = None):
@@ -134,6 +135,10 @@ class Unroll:
         if w_rec.shape[-2:] != (4 * n, rec):
             raise ValueError(f"shape mismatch: W_rec {w_rec.shape} for hidden {n}, recurrent {rec}")
         self.w_rec_t = w_rec.swapaxes(-1, -2)
+        # one cell's C-contiguous W_rec takes np.dot, the matmul gufunc's bits
+        # at half its call cost; strided weights would round unlike matmul
+        flat = w_rec.flags.c_contiguous and self.w_rec_half.flags.c_contiguous
+        self.product = np.dot if flat and not lead else np.matmul
         self.n, self.lead, self.steps, self.feedback = n, lead, steps, feedback
         gr = self.window = max(steps, 1) if taped else 1
         self.after, rows = (after, max(rows, gr)) if taped else (None, gr)
@@ -224,7 +229,7 @@ def lstm_step(cell: Unroll, t: int) -> np.ndarray:
     writes the gate values, c', tanh(c') and the next z row; returns h', a
     view into that row."""
     a, f, i, o, cand, sig, c, c_new, tanh_c, z, h, fb = cell.fwd[t % len(cell.fwd)]
-    rec = np.matmul(cell.w_rec_half, z, cell.rec_out)
+    rec = cell.product(cell.w_rec_half, z, cell.rec_out)
     a += cell.rec if cell.lead else rec
     np.tanh(a, a)
     sig *= HALF
@@ -275,7 +280,7 @@ def step_backward(
     do *= dh
     dc_total *= c
     if da_member is None:
-        dz = np.matmul(cell.w_rec_t, da)
+        dz = cell.product(cell.w_rec_t, da)
     else:  # a strided da can round unlike a member's own
         np.matmul(cell.w_rec_t, da_member.copy(), cell.dz_out)
         dz = cell.dz
@@ -309,4 +314,5 @@ def unroll_backward(
             dh = dh + dh_steps[t]
         dh, dc = step_backward(cell, t, dh, dc)
     da.reshape(gates.shape)[...] = gates
-    return dh, dc, np.matmul(da, cols, dW), np.add.reduce(da, -1, None, db)
+    product = cell.product if dW is None or dW.flags.c_contiguous else np.matmul
+    return dh, dc, product(da, cols, dW), np.add.reduce(da, -1, None, db)

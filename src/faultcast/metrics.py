@@ -36,6 +36,8 @@ class PrfReport:
 
 def _as_binary(name: str, x) -> np.ndarray:
     x = np.asarray(x)
+    if x.dtype == bool:  # binary by its type
+        return x
     if not np.isin(x, (0, 1)).all():
         raise ValueError(f"{name} must be binary (0/1 entries)")
     return x.astype(bool)

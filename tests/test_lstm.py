@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from faultcast.lstm import (
     GATE_ORDER, LstmParams, Unroll, init_params, lstm_step, unroll, unroll_backward,
 )
-from faultcast.model import ModelDims, forward, init_model, param_items, param_size
+from faultcast.model import (ModelDims, forward, init_model, param_items, param_size,
+                             stack_models)
 from faultcast.num import make_rng, sigmoid
 
 
@@ -567,3 +568,56 @@ class TestPopulationSteps:
                     assert got[2][k].tobytes() == want[2].tobytes()  # dW
                     assert got[3][k].tobytes() == want[3].tobytes()  # db
                     assert cell.gates[:, :, k].tobytes() == solo.gates.tobytes()  # adjoints
+
+
+class TestSingleModelProducts:
+    """One cell with C-contiguous weights, as model.forward builds it, takes
+    np.dot for W_rec z, W_rec^T da and dW: the bits of a member of a
+    population with contiguous weights, whose products go through matmul.
+    Strided weights keep matmul."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(members=st.integers(2, 9), hidden=st.integers(1, 36), inputs=st.integers(0, 3),
+           batch=st.integers(1, 128), steps=st.integers(1, 3), feedback=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_dot_cell_equals_population_member(self, members, hidden, inputs, batch, steps,
+                                                feedback, seed):
+        rng = make_rng(seed)
+        rec = hidden * (1 + feedback)
+        w = rng.normal(size=(members, 4 * hidden, rec + inputs + 1))
+        h0, c0 = (rng.normal(size=(hidden, members, batch)) for _ in range(2))
+        xs = rng.normal(size=(steps, inputs, members, batch))
+        dh_steps, dh, dc = (rng.normal(size=(steps,) * k + (hidden, members, batch))
+                            for k in (1, 0, 0))
+
+        def contiguous(w):
+            return [np.ascontiguousarray(a) for a in cell_weights(w, rec, batch)]
+
+        cell = Unroll(contiguous(w), h0, c0, steps, feedback=feedback)
+        unroll(cell, [xs])
+        forward_slabs = [getattr(cell, name).copy() for name in ("z", "c", "tanh_c")]
+        got = unroll_backward(cell, dh_steps, dh, dc)
+        k = int(rng.integers(members))
+        strided = Unroll(cell_weights(w[k], rec, batch), h0[:, k], c0[:, k], steps,
+                         feedback=feedback)
+        assert strided.product is np.matmul
+        solo = Unroll(contiguous(w[k]), h0[:, k], c0[:, k], steps, feedback=feedback)
+        assert cell.product is np.matmul and solo.product is np.dot
+        unroll(solo, [xs[:, :, k]])
+        for slab, name in zip(forward_slabs, ("z", "c", "tanh_c")):
+            assert slab[:, :, k].tobytes() == getattr(solo, name).tobytes(), name
+        want = unroll_backward(solo, dh_steps[:, :, k], dh[:, k], dc[:, k])
+        for j, name in enumerate(("dh0", "dc0")):
+            assert got[j][:, k].tobytes() == want[j].tobytes(), name
+        for j, name in enumerate(("dW", "db"), start=2):
+            assert got[j][k].tobytes() == want[j].tobytes(), name
+
+    def test_model_forward_takes_dot_for_one_model_only(self):
+        dims = ModelDims(n_labels=3, d_obs=2, d_ctx=1, tau=2, total_steps=4)
+        model = init_model(make_rng(3), dims)
+        obs, ctx = one_sample(make_rng(4), dims)
+        tape = forward(model, obs, ctx)[1]
+        assert tape.encoder.product is np.dot and tape.decoder.product is np.dot
+        population = stack_models([model, init_model(make_rng(5), dims)])
+        tape = forward(population, obs, ctx)[1]
+        assert tape.encoder.product is np.matmul and tape.decoder.product is np.matmul

@@ -318,6 +318,26 @@ class TestGradCheck:
         coarse, _ = grad_check(model, samples, cfg, fd_step=0.5)
         assert coarse > fine
 
+    def test_leaves_no_population_weight_map_cached(self):
+        # at 4 labels an fd_gradient population's weight map is megabytes;
+        # dims no other test uses, so that no map of theirs is cached yet
+        import tracemalloc
+
+        from faultcast.model import _weight_map
+
+        config = SynthConfig(d_obs=3, tau=3, total_steps=7, seed=3)
+        dims = ModelDims(n_labels=4, d_obs=3, d_ctx=1, tau=3, total_steps=7)
+        samples = synth_generate(config, 2)[1]
+        model, cfg = init_model(make_rng(8), dims), TrainConfig(loss="localize", batch_size=2)
+        before = _weight_map.cache_info().currsize
+        tracemalloc.start()
+        try:
+            grad_check(model, samples, cfg)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 200_000
+        assert _weight_map.cache_info().currsize <= before
 
 @pytest.mark.parametrize("kind", ("base", "localize", "siamese"))
 @pytest.mark.parametrize("bias", (0.0, 40.0))
@@ -573,6 +593,71 @@ class TestPopulation:
         assert_same_model(good, alone)
         assert history_key(good_hist) == history_key(alone_hist)
         assert len(good_hist) == 5 and stops(good_hist) is None
+
+    def test_loss_turning_non_finite_mid_epoch_masks_only_its_member(self, monkeypatch):
+        # plain SGD with eta 1e3 and lambda 1 grows member 0's weights until
+        # its loss overflows at the second of an epoch's three batches; from
+        # there the loss sums are masked, and every member must still match
+        # its solo run, stop reason included
+        samples = tiny_synth(12)
+        base = TrainConfig(max_epochs=20, batch_size=4, patience=20, optimizer="sgd", lam=1.0)
+        configs = [replace(base, eta=1e3), replace(base, eta=0.01, seed=1),
+                   replace(base, eta=0.1, lam=0.0, seed=2)]
+        models = [init_model(make_rng(6 + k), TINY) for k in range(3)]
+        members = train_population(models, samples, samples[:4], configs)
+        totals = []  # member 0's batch losses, trained alone
+
+        def recorded(*args):
+            out = batch_gradients(*args)
+            totals.append(out[0].total)
+            return out
+
+        monkeypatch.setattr("faultcast.training.batch_gradients", recorded)
+        alone = [train(models[0], samples, samples[:4], configs[0])]
+        monkeypatch.undo()
+        first = next(i for i, total in enumerate(totals) if not np.isfinite(total))
+        assert first % 3 == 1  # mid-epoch, with one batch after it
+        alone += [train(m, samples, samples[:4], cfg) for m, cfg in zip(models[1:], configs[1:])]
+        for (got, got_hist), (want, want_hist) in zip(members, alone):
+            assert_same_model(got, want)
+            assert history_key(got_hist) == history_key(want_hist)
+            assert [r.stopped for r in got_hist] == [r.stopped for r in want_hist]
+        assert [stops(hist) for _, hist in members] == ["diverged", None, None]
+        assert [len(hist) for _, hist in members] == [first // 3 + 1, 20, 20]
+
+    def test_finite_losses_after_a_non_finite_one_stay_out_of_its_sums(self, monkeypatch):
+        # member 0's loss reads inf at the second batch of its fourth epoch
+        # while its weights stay finite, so its later batch that epoch is
+        # finite: the masked sums must leave it out, as its solo run stops
+        # there
+        samples = tiny_synth(12)
+        base = TrainConfig(max_epochs=6, batch_size=4, patience=6, loss="localize")
+        configs = [base, replace(base, eta=0.1, seed=1), replace(base, lam=0.1, seed=2)]
+        models = [init_model(make_rng(6 + k), TINY) for k in range(3)]
+        calls = []
+
+        def spoiled(*args):  # call 10 is batch 1 of epoch 3
+            b, grads, tape = batch_gradients(*args)
+            calls.append(b.total)
+            if len(calls) == 11:
+                total = np.array(b.total)
+                total.reshape(-1)[0] = np.inf
+                b = replace(b, total=total if total.ndim else float(total))
+            return b, grads, tape
+
+        monkeypatch.setattr("faultcast.training.batch_gradients", spoiled)
+        members = train_population(models, samples, samples[:4], configs)
+        calls.clear()
+        alone = [train(models[0], samples, samples[:4], configs[0])]
+        monkeypatch.undo()
+        assert all(np.isfinite(total) for total in calls)  # only the spoiled loss is inf
+        alone += [train(m, samples, samples[:4], cfg) for m, cfg in zip(models[1:], configs[1:])]
+        for (got, got_hist), (want, want_hist) in zip(members, alone):
+            assert_same_model(got, want)
+            assert history_key(got_hist) == history_key(want_hist)
+            assert [r.stopped for r in got_hist] == [r.stopped for r in want_hist]
+        assert [len(hist) for _, hist in members] == [4, 6, 6]
+        assert np.isfinite(members[0][1][-1].loss.segment)
 
     def test_mismatched_models_rejected(self):
         samples = tiny_synth(6)

@@ -17,7 +17,9 @@ intercept + slope * steps over the single-model shapes: the intercept is
 the cost of a call that does not depend on the step count. Last, for the
 resident way, the median time of each phase of a call and of the
 optimizer step after it, as train_population runs them (PHASES, timed in
-a case of their own that takes its turn with the rest).
+a case of their own that takes its turn with the rest). Then, as a row of
+its own, the median time of a validation pass, threshold_validation_f1 on
+VALIDATION samples, for the 4+6 model alone and for the 9-member stack.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ WAYS = ("fresh", "resident")
 PHASES = ("forward", "batch_adjoints", "backward", "optimizer_step")
 BATCH = 16
 BLOCK = 20  # calls of one case in a row
+VALIDATION = 100  # samples a validation pass scores
 
 
 def fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
@@ -58,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     from faultcast.model import ModelDims, backward, forward, init_model, stack_models
     from faultcast.num import make_rng
     from faultcast.training import (batch_gradients, default_grid, make_adam_state,
-                                    optimizer_step)
+                                    optimizer_step, threshold_validation_f1)
 
     def phased(args, eta, state, tape):
         """One resident call, phase by phase, then an Adam step with `state`;
@@ -93,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
             runs[POPULATION] = ((stack, *batch, weights, "base",
                                  np.array([c.lam for c in grid]), 0.5),
                                 np.array([c.eta for c in grid]))
+            scored = [a[-VALIDATION:] for a in (obs, ctx, labels, step_labels)]
+            for members, scorer in ((1, model), (len(grid), stack)):
+                cases[members, "validation"] = [(scorer, scored), None, []]
         for label, (args, eta) in runs.items():
             for way in WAYS if label != POPULATION else ("resident",):
                 cases[label, way] = [args, batch_gradients(*args)[2], []]  # warmed up
@@ -106,6 +112,11 @@ def main(argv: list[str] | None = None) -> int:
                 if way == "phases":
                     tape, seconds = phased(*args, tape)
                     times.append(seconds)
+                    continue
+                if way == "validation":
+                    start = perf_counter()
+                    threshold_validation_f1(*args)
+                    times.append(perf_counter() - start)
                     continue
                 start = perf_counter()
                 tape = batch_gradients(*args, tape if way == "resident" else None)[2]
@@ -127,6 +138,10 @@ def main(argv: list[str] | None = None) -> int:
     for name in names + [POPULATION]:
         split = zip(*cases[name, "phases"][2])  # each phase's seconds over the calls
         print(name + "".join(f"\t{1e6 * statistics.median(s):.1f}" for s in split))
+    members = [key[0] for key in cases if key[1] == "validation"]
+    print("pass\t" + "\t".join(f"members_{m}_us" for m in members))
+    print("validation" + "".join(f"\t{1e6 * statistics.median(cases[m, 'validation'][2]):.1f}"
+                                 for m in members))
     return 0
 
 
