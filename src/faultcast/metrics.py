@@ -36,11 +36,9 @@ class PrfReport:
 
 def _as_binary(name: str, x) -> np.ndarray:
     x = np.asarray(x)
-    if x.dtype == bool:  # binary by its type
-        return x
-    if not np.isin(x, (0, 1)).all():
+    if x.dtype != bool and not np.isin(x, (0, 1)).all():  # a bool array is binary by its type
         raise ValueError(f"{name} must be binary (0/1 entries)")
-    return x.astype(bool)
+    return x.astype(bool, copy=False)
 
 
 def confusion_counts(pred, truth) -> CountTable:

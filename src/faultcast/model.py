@@ -77,7 +77,6 @@ def param_slices(dims: ModelDims) -> MappingProxyType:
                              for (name, shape), end in zip(layout, ends)})
 
 
-@functools.lru_cache(maxsize=8)  # a run needs a few at a time; each grows as G * P
 def _weight_map(dims: ModelDims, members: int | None, batch: int) -> tuple:
     """(index, scale, views) of forward's weight block [raw | half], b rows
     `batch` wide: raw = theta.take(index) holds fold, then each cell's rec,
@@ -105,6 +104,15 @@ def _weight_map(dims: ModelDims, members: int | None, batch: int) -> tuple:
         ((start[c + ".rec"], pieces[c + ".rec"].shape),
          *((start[c + k] + len(scale), pieces[c + k].shape) for k in (".rec", ".x", ".b")))
         for c in ("encoder", "decoder"))
+
+
+_model_maps = functools.lru_cache(maxsize=8)(_weight_map)  # a run needs a few at a time
+_population_maps = functools.lru_cache(maxsize=8)(_weight_map)  # each grows as G * P
+
+
+def forget_population_maps() -> None:
+    """Drop the cached weight maps of populations; those of single models stay."""
+    _population_maps.cache_clear()
 
 
 class ForecastModel:
@@ -268,7 +276,8 @@ def forward(
     zero = np.zeros((n,) + obs.shape[2:])
 
     # the weight block; untaped, b is one column, broadcast over the batch
-    index, scale, views = _weight_map(dims, population, obs.shape[-1] if keep_tape else 1)
+    maps = _model_maps if population is None else _population_maps
+    index, scale, views = maps(dims, population, obs.shape[-1] if keep_tape else 1)
     block = tape.weights if refill else np.empty(len(index) + len(scale))
     raw, fold = block[: len(index)], len(index) - len(scale)
     model.theta.take(index, None, raw, "clip")

@@ -43,8 +43,8 @@ from . import losses
 from .data import Sample, stack_samples
 from .losses import LossBreakdown, batch_adjoints, batch_loss, class_weights
 from .metrics import CountTable, confusion_counts, prf
-from .model import (ForecastModel, ModelDims, Tape, _weight_map, backward, forward, init_model,
-                    param_layout, predict, stack_models)
+from .model import (ForecastModel, ModelDims, Tape, backward, forget_population_maps, forward,
+                    init_model, param_layout, predict, stack_models)
 from .num import constant, make_rng, per_member
 
 ADAM_BETA1 = 0.9
@@ -194,10 +194,7 @@ def threshold_validation_f1(model: ForecastModel, samples):
     one for a single model."""
     obs, ctx, labels, _ = samples
     decisions = (predict(model, obs, ctx).embedding > 0.0).reshape((-1,) + labels.shape)
-    truth = labels.astype(bool)[None]  # (members, samples, labels), like decisions
-    if len(decisions) > 1:
-        truth = np.broadcast_to(truth, decisions.shape)
-    counts = confusion_counts(decisions, truth)
+    counts = confusion_counts(decisions, np.broadcast_to(labels.astype(bool), decisions.shape))
     reports = [prf(CountTable(*member)) for member in zip(counts.tp, counts.fp, counts.fn)]
     return [r.micro_f1 for r in reports], [r.macro_f1 for r in reports]
 
@@ -299,7 +296,7 @@ def train_population(
         orders = perms[0] if single else np.stack(perms)  # (n,) or (members, n)
         batch_sums = np.zeros((5,) + np.shape(lam))  # loss parts, per member
         n_batches = np.zeros(np.shape(lam), dtype=np.intp)  # batches each member trained on
-        live = True  # every member, until a non-finite batch loss; then a mask of members
+        live = np.ones(np.shape(lam), dtype=bool)  # members with no non-finite batch loss yet
         for lo in range(0, n, config.batch_size):
             idx = orders[..., lo : lo + config.batch_size]
             if config.loss == "siamese" and idx.shape[-1] < 2:
@@ -317,20 +314,15 @@ def train_population(
                 tapes.get(idx.shape, tape),  # a tape of another shape lends its memory
             )
             tapes[idx.shape] = tape
-            parts = (b.total, b.segment, b.stepwise, b.pairwise, b.reg)
-            finite = np.isfinite(b.total)
-            if live is not True or not finite.all():  # mask the sums of diverged members
-                batch_sums += np.where(live, parts, 0.0)
-                n_batches += live
-                live = live & finite
+            batch_sums += np.where(live, (b.total, b.segment, b.stepwise, b.pairwise, b.reg), 0.0)
+            n_batches += live
+            live &= np.isfinite(b.total)
+            if not live.all():
                 if not live.any():
                     break
                 # a diverged member stays, frozen, until the epoch ends
                 grads.theta[~live] = 0.0
                 eta = np.where(live, eta, 0.0)
-            else:
-                batch_sums += parts
-                n_batches += 1
             optimizer_step(stack, grads, eta, state, config.clip_norm)
 
         micro, macro = threshold_validation_f1(stack, scored)
@@ -397,21 +389,22 @@ def fd_gradient(model: ForecastModel, obs, ctx, labels, step_labels, weights: np
     """Central finite differences of batch_loss in every coordinate of one
     model's theta: rows 2k and 2k + 1 of a population hold theta with its
     coordinate k set to keep + fd_step and keep - fd_step. A member computes
-    exactly what it computes alone; a chunk of FD_BYTES is one forward, and
-    no chunk's weight map (model._weight_map) stays cached."""
+    exactly what it computes alone; a chunk of FD_BYTES is one forward."""
     theta, numeric = model.theta, np.empty_like(model.theta)
     chunk = max(1, FD_BYTES // (2 * theta.nbytes))  # coordinates per population
-    for lo in range(0, theta.size, chunk):
-        k = np.arange(lo, min(lo + chunk, theta.size))
-        rows, j = np.tile(theta, (len(k), 2, 1)), np.arange(len(k))
-        rows[j, 0, k], rows[j, 1, k] = theta[k] + fd_step, theta[k] - fd_step
-        work, lead = ForecastModel(rows.reshape(-1, theta.size), model.dims), (2 * len(k),)
-        total = batch_loss(kind, predict(work, obs, ctx),
-                           np.broadcast_to(labels, lead + labels.shape),
-                           np.broadcast_to(step_labels, lead + step_labels.shape),
-                           weights, work, np.full(lead, lam), np.full(lead, beta)).total
-        numeric[k] = (total[0::2] - total[1::2]) / (2.0 * fd_step)
-    _weight_map.cache_clear()  # a chunk's map grows as its members, megabytes at 4 labels
+    try:
+        for lo in range(0, theta.size, chunk):
+            k = np.arange(lo, min(lo + chunk, theta.size))
+            rows, j = np.tile(theta, (len(k), 2, 1)), np.arange(len(k))
+            rows[j, 0, k], rows[j, 1, k] = theta[k] + fd_step, theta[k] - fd_step
+            work, lead = ForecastModel(rows.reshape(-1, theta.size), model.dims), (2 * len(k),)
+            total = batch_loss(kind, predict(work, obs, ctx),
+                               np.broadcast_to(labels, lead + labels.shape),
+                               np.broadcast_to(step_labels, lead + step_labels.shape),
+                               weights, work, np.full(lead, lam), np.full(lead, beta)).total
+            numeric[k] = (total[0::2] - total[1::2]) / (2.0 * fd_step)
+    finally:  # a chunk's weight map is megabytes at 4 labels
+        forget_population_maps()
     return numeric
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultcast.lstm import (
-    GATE_ORDER, LstmParams, Unroll, init_params, lstm_step, unroll, unroll_backward,
+    DOT_MACS, GATE_ORDER, LstmParams, Unroll, init_params, lstm_step, unroll, unroll_backward,
 )
 from faultcast.model import (ModelDims, forward, init_model, param_items, param_size,
                              stack_models)
@@ -572,9 +572,9 @@ class TestPopulationSteps:
 
 class TestSingleModelProducts:
     """One cell with C-contiguous weights, as model.forward builds it, takes
-    np.dot for W_rec z, W_rec^T da and dW: the bits of a member of a
-    population with contiguous weights, whose products go through matmul.
-    Strided weights keep matmul."""
+    np.dot for W_rec z and W_rec^T da up to DOT_MACS multiply-adds: the bits
+    of a member of a population with contiguous weights, whose products go
+    through matmul. Strided weights and larger products keep matmul."""
 
     @settings(max_examples=25, deadline=None)
     @given(members=st.integers(2, 9), hidden=st.integers(1, 36), inputs=st.integers(0, 3),
@@ -602,7 +602,8 @@ class TestSingleModelProducts:
                          feedback=feedback)
         assert strided.product is np.matmul
         solo = Unroll(contiguous(w[k]), h0[:, k], c0[:, k], steps, feedback=feedback)
-        assert cell.product is np.matmul and solo.product is np.dot
+        small = 4 * hidden * rec * batch <= DOT_MACS
+        assert cell.product is np.matmul and solo.product is (np.dot if small else np.matmul)
         unroll(solo, [xs[:, :, k]])
         for slab, name in zip(forward_slabs, ("z", "c", "tanh_c")):
             assert slab[:, :, k].tobytes() == getattr(solo, name).tobytes(), name
@@ -621,3 +622,13 @@ class TestSingleModelProducts:
         population = stack_models([model, init_model(make_rng(5), dims)])
         tape = forward(population, obs, ctx)[1]
         assert tape.encoder.product is np.matmul and tape.decoder.product is np.matmul
+
+    def test_large_products_keep_matmul(self):
+        # score_long's shape: 36 labels, 100 samples, where dot is the slower call
+        dims = ModelDims(n_labels=36, d_obs=2, d_ctx=1, tau=2, total_steps=4)
+        model = init_model(make_rng(3), dims)
+        obs, ctx = one_sample(make_rng(4), dims)
+        tape = forward(model, np.repeat(obs, 100, 0), np.repeat(ctx, 100, 0))[1]
+        assert tape.encoder.product is np.matmul and tape.decoder.product is np.matmul
+        tape = forward(model, obs, ctx)[1]
+        assert tape.encoder.product is np.dot and tape.decoder.product is np.dot

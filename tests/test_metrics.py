@@ -80,6 +80,16 @@ class TestCounts:
         with pytest.raises(ValueError, match="binary"):
             confusion_counts(np.array([[2, 0]]), np.array([[1, 0]]))
 
+    def test_bool_and_integer_matrices_count_alike(self):
+        pred = np.array([[1, 0], [1, 1], [0, 0]])
+        truth = np.array([[1, 0], [0, 1], [0, 1]])
+        want = confusion_counts(pred, truth)
+        for got in (confusion_counts(pred.astype(bool), truth.astype(bool)),
+                    confusion_counts(pred.astype(bool), truth.astype(np.int8))):
+            for field in ("tp", "fp", "fn"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             confusion_counts(np.zeros((2, 2)), np.zeros((3, 2)))

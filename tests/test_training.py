@@ -323,13 +323,12 @@ class TestGradCheck:
         # dims no other test uses, so that no map of theirs is cached yet
         import tracemalloc
 
-        from faultcast.model import _weight_map
+        from faultcast.model import _population_maps
 
         config = SynthConfig(d_obs=3, tau=3, total_steps=7, seed=3)
         dims = ModelDims(n_labels=4, d_obs=3, d_ctx=1, tau=3, total_steps=7)
         samples = synth_generate(config, 2)[1]
         model, cfg = init_model(make_rng(8), dims), TrainConfig(loss="localize", batch_size=2)
-        before = _weight_map.cache_info().currsize
         tracemalloc.start()
         try:
             grad_check(model, samples, cfg)
@@ -337,7 +336,27 @@ class TestGradCheck:
         finally:
             tracemalloc.stop()
         assert kept < 200_000
-        assert _weight_map.cache_info().currsize <= before
+        assert _population_maps.cache_info().currsize == 0
+
+    def test_failing_fd_gradient_leaves_no_population_weight_map_cached(self, monkeypatch):
+        from faultcast.model import _model_maps, _population_maps
+
+        samples = tiny_synth(2, seed=11)
+        model = init_model(make_rng(8), TINY)
+        cfg = TrainConfig(loss="base", batch_size=2)
+
+        def failing(*args):
+            raise FloatingPointError("stop")
+
+        monkeypatch.setattr("faultcast.training.batch_loss", failing)
+        with pytest.raises(FloatingPointError):
+            grad_check(model, samples, cfg)
+        assert _population_maps.cache_info().currsize == 0
+        # the single model's map stays: its next forward finds it
+        hits = _model_maps.cache_info().hits
+        arrays = stack_samples(samples)
+        batch_gradients(model, *arrays, class_weights(arrays[2]), "base", 0.0, 0.5)
+        assert _model_maps.cache_info().hits == hits + 1
 
 @pytest.mark.parametrize("kind", ("base", "localize", "siamese"))
 @pytest.mark.parametrize("bias", (0.0, 40.0))
@@ -597,8 +616,8 @@ class TestPopulation:
     def test_loss_turning_non_finite_mid_epoch_masks_only_its_member(self, monkeypatch):
         # plain SGD with eta 1e3 and lambda 1 grows member 0's weights until
         # its loss overflows at the second of an epoch's three batches; from
-        # there the loss sums are masked, and every member must still match
-        # its solo run, stop reason included
+        # there the live mask keeps it out of the loss sums, and every member
+        # must still match its solo run, stop reason included
         samples = tiny_synth(12)
         base = TrainConfig(max_epochs=20, batch_size=4, patience=20, optimizer="sgd", lam=1.0)
         configs = [replace(base, eta=1e3), replace(base, eta=0.01, seed=1),
