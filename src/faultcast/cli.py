@@ -34,7 +34,6 @@ from .classifiers import (
 from .data import (
     DatasetError,
     JsonField,
-    ModelDims,
     SynthConfig,
     class_stats,
     load_dataset,
@@ -242,8 +241,12 @@ def cmd_convert(args) -> int:
 
 
 def _splits(args, samples):
-    """The seeded (train, val, test) split of samples that args asks for."""
-    return split_samples(samples, (args.n_train, args.n_val, args.n_test), args.seed)
+    """The seeded (train, val, test) split of samples that args asks for;
+    a split the --data file cannot fill is a DatasetError naming it."""
+    try:
+        return split_samples(samples, (args.n_train, args.n_val, args.n_test), args.seed)
+    except ValueError as exc:
+        raise DatasetError(f"{args.data}: {exc}") from None
 
 
 def _load_splits(args):
@@ -446,17 +449,13 @@ def cmd_localize(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     kinds = ("base", "localize", "siamese") if args.loss == "all" else (args.loss,)
-    dims = ModelDims(n_labels=2, d_obs=2, d_ctx=1, tau=3, total_steps=5)
+    cfg = SynthConfig(tau=3, total_steps=5, n_labels=2, d_obs=2, d_ctx=1,
+                      thresholds=(0.5, 0.5), rarity=(1.0, 2.0), seed=args.seed)
+    meta, samples = synth_generate(cfg, 2)
     rng = make_rng(args.seed)
-    cfg = SynthConfig(
-        tau=dims.tau, total_steps=dims.total_steps, n_labels=dims.n_labels,
-        d_obs=dims.d_obs, d_ctx=dims.d_ctx,
-        thresholds=(0.5, 0.5), rarity=(1.0, 2.0), seed=args.seed,
-    )
-    _, samples = synth_generate(cfg, 2)
     ok = True
     for kind in kinds:
-        model = init_model(rng, dims)
+        model = init_model(rng, meta.dims)
         config = TrainConfig(loss=kind, lam=0.1, beta=0.4, batch_size=2, seed=args.seed)
         err, worst = grad_check(model, samples, config, **_given(args, grad_check))
         passed = err < GRADCHECK_TOLERANCE

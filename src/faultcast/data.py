@@ -239,7 +239,6 @@ class DatasetMeta:
     d_ctx = property(lambda self: self.dims.d_ctx)
     tau = property(lambda self: self.dims.tau)
     total_steps = property(lambda self: self.dims.total_steps)
-    horizon = property(lambda self: self.dims.horizon)
 
 
 @dataclass

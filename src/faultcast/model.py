@@ -19,9 +19,10 @@ what it computes alone; its inputs and outputs are (G, batch, ...).
 
 forward runs each cell as an lstm.Unroll (README, "File formats", has the
 slabs). Both read one weight block, filled from theta in three calls
-(_weight_map): a take, an add folding the encoder's two h column blocks
-(both multiply h) and a multiply halving the f, i, o rows; b sits there as
-a gates row, repeated over the batch (untaped, one column). A Tape is a
+along its last axis by one model's map (_weight_map), a row per member: a
+take, an add folding the encoder's two h column blocks (both multiply h)
+and a multiply halving the f, i, o rows; b sits there as a gates row,
+repeated over the batch (untaped, one column). A Tape is a
 training run's workspace: forward(..., tape=t) refills t, and backward
 writes dW and db straight into t.grads, valid until the next backward on t.
 Prediction arrays never share memory with a tape.
@@ -38,7 +39,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .data import ModelDims, read_json, write_json_lines
-from .lstm import GATE_ORDER, LstmParams, Unroll, init_params, unroll, unroll_backward
+from .lstm import (GATE_ORDER, LstmParams, Unroll, _by_member, init_params, unroll,
+                   unroll_backward)
 from .num import ONE, sigmoid
 
 FORMAT_NAME = "faultcast-model"
@@ -77,42 +79,35 @@ def param_slices(dims: ModelDims) -> MappingProxyType:
                              for (name, shape), end in zip(layout, ends)})
 
 
-def _weight_map(dims: ModelDims, members: int | None, batch: int) -> tuple:
-    """(index, scale, views) of forward's weight block [raw | half], b rows
-    `batch` wide: raw = theta.take(index) holds fold, then each cell's rec,
-    x and b; after rec += fold, half = raw past fold * scale (1/2 on f, i, o
-    rows). views: each cell's Unroll weights, (start, shape) in the block."""
-    n, lead = dims.n_labels, () if members is None else (members,)
-    size = param_size(dims) * (members or 1)
-    at = ForecastModel(np.arange(size).reshape(lead + (-1,)), dims)  # theta's flat indices
-    tag = ForecastModel(np.ones(size).reshape(lead + (-1,)), dims)
+@functools.lru_cache(maxsize=8)  # a run needs a few at a time
+def _weight_map(dims: ModelDims, batch: int) -> tuple:
+    """(index, scale, views) of one model's weight block [raw | half], b
+    rows `batch` wide: raw = theta.take(index) holds fold, then each cell's
+    rec, x and b; after rec += fold, half = raw past fold * scale (1/2 on f,
+    i, o rows). views: each cell's Unroll weights, (start, shape) in raw for
+    rec, then in half for rec, x and b."""
+    n = dims.n_labels
+    at = ForecastModel(np.arange(param_size(dims)), dims)  # theta's indices
+    tag = ForecastModel(np.ones(param_size(dims)), dims)
     pieces = {}
     for name in ("encoder", "decoder"):
         (W, b), halved = getattr(at, name), getattr(tag, name)
-        halved.W[..., : 3 * n, :] = halved.b[..., : 3 * n] = 0.5
+        halved.W[: 3 * n] = halved.b[: 3 * n] = 0.5
         fb = W.shape[-1] - n  # W's columns: [h | inputs | fed-back h or sigmoid(h)]
-        rec = [W[..., :n], W[..., fb:]]
+        rec = [W[:, :n], W[:, fb:]]
         if name == "encoder":  # both h blocks multiply h: one add folds them
             pieces["fold"] = rec.pop()
-        pieces |= {name + ".rec": np.concatenate(rec, axis=-1), name + ".x": W[..., n:fb],
-                   name + ".b": np.moveaxis(b, -1, 0)[..., None].repeat(batch, -1)}
+        pieces |= {name + ".rec": np.concatenate(rec, axis=-1), name + ".x": W[:, n:fb],
+                   name + ".b": b[:, None].repeat(batch, -1)}
     index = np.concatenate([p.ravel() for p in pieces.values()])
-    scale = tag.theta.take(index[pieces["fold"].size :])
+    fold = pieces["fold"].size
+    scale = tag.theta.take(index[fold:])
     index.flags.writeable = scale.flags.writeable = False
     start = dict(zip(pieces, accumulate([p.size for p in pieces.values()], initial=0)))
     return index, scale, tuple(
         ((start[c + ".rec"], pieces[c + ".rec"].shape),
-         *((start[c + k] + len(scale), pieces[c + k].shape) for k in (".rec", ".x", ".b")))
+         *((start[c + k] - fold, pieces[c + k].shape) for k in (".rec", ".x", ".b")))
         for c in ("encoder", "decoder"))
-
-
-_model_maps = functools.lru_cache(maxsize=8)(_weight_map)  # a run needs a few at a time
-_population_maps = functools.lru_cache(maxsize=8)(_weight_map)  # each grows as G * P
-
-
-def forget_population_maps() -> None:
-    """Drop the cached weight maps of populations; those of single models stay."""
-    _population_maps.cache_clear()
 
 
 class ForecastModel:
@@ -275,16 +270,23 @@ def forward(
     obs, ctx = _feature_major(obs), _feature_major(ctx)
     zero = np.zeros((n,) + obs.shape[2:])
 
-    # the weight block; untaped, b is one column, broadcast over the batch
-    maps = _model_maps if population is None else _population_maps
-    index, scale, views = maps(dims, population, obs.shape[-1] if keep_tape else 1)
-    block = tape.weights if refill else np.empty(len(index) + len(scale))
-    raw, fold = block[: len(index)], len(index) - len(scale)
-    model.theta.take(index, None, raw, "clip")
-    np.add(raw[fold : 2 * fold], raw[:fold], raw[fold : 2 * fold])
-    np.multiply(raw[fold:], scale, block[len(index) :])
+    # the weight block: one model's map taken along theta's last axis, all
+    # members' raw rows, then their half rows; untaped, b is one column,
+    # broadcast over the batch
+    index, scale, views = _weight_map(dims, obs.shape[-1] if keep_tape else 1)
+    lead, fold = model.theta.shape[:-1], len(index) - len(scale)
+    cut = math.prod(lead) * len(index)
+    block = tape.weights if refill else np.empty(math.prod(lead) * (len(index) + len(scale)))
+    raw, half = block[:cut].reshape(lead + (-1,)), block[cut:].reshape(lead + (-1,))
+    model.theta.take(index, -1, raw, "clip")
+    np.add(raw[..., fold : 2 * fold], raw[..., :fold], raw[..., fold : 2 * fold])
+    np.multiply(raw[..., fold:], scale, half)
     if not refill:
-        enc_w, dec_w = ([block[at : at + math.prod(s)].reshape(s) for at, s in c] for c in views)
+        def piece(part, at, shape):
+            return part[..., at : at + math.prod(shape)].reshape(lead + shape)
+        # b reaches its Unroll as a (4L, G, B) gates row
+        enc_w, dec_w = ((piece(raw, *r), piece(half, *h), piece(half, *x),
+                         _by_member(piece(half, *b), lead)) for r, h, x, b in views)
 
     enc = (tape.encoder.load(zero, zero) if refill
            else Unroll(enc_w, zero, zero, tau, keep_tape,

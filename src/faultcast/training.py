@@ -43,7 +43,7 @@ from . import losses
 from .data import Sample, stack_samples
 from .losses import LossBreakdown, batch_adjoints, batch_loss, class_weights
 from .metrics import CountTable, confusion_counts, prf
-from .model import (ForecastModel, ModelDims, Tape, backward, forget_population_maps, forward,
+from .model import (ForecastModel, ModelDims, Tape, backward, forward,
                     init_model, param_layout, predict, stack_models)
 from .num import constant, make_rng, per_member
 
@@ -392,19 +392,16 @@ def fd_gradient(model: ForecastModel, obs, ctx, labels, step_labels, weights: np
     exactly what it computes alone; a chunk of FD_BYTES is one forward."""
     theta, numeric = model.theta, np.empty_like(model.theta)
     chunk = max(1, FD_BYTES // (2 * theta.nbytes))  # coordinates per population
-    try:
-        for lo in range(0, theta.size, chunk):
-            k = np.arange(lo, min(lo + chunk, theta.size))
-            rows, j = np.tile(theta, (len(k), 2, 1)), np.arange(len(k))
-            rows[j, 0, k], rows[j, 1, k] = theta[k] + fd_step, theta[k] - fd_step
-            work, lead = ForecastModel(rows.reshape(-1, theta.size), model.dims), (2 * len(k),)
-            total = batch_loss(kind, predict(work, obs, ctx),
-                               np.broadcast_to(labels, lead + labels.shape),
-                               np.broadcast_to(step_labels, lead + step_labels.shape),
-                               weights, work, np.full(lead, lam), np.full(lead, beta)).total
-            numeric[k] = (total[0::2] - total[1::2]) / (2.0 * fd_step)
-    finally:  # a chunk's weight map is megabytes at 4 labels
-        forget_population_maps()
+    for lo in range(0, theta.size, chunk):
+        k = np.arange(lo, min(lo + chunk, theta.size))
+        rows, j = np.tile(theta, (len(k), 2, 1)), np.arange(len(k))
+        rows[j, 0, k], rows[j, 1, k] = theta[k] + fd_step, theta[k] - fd_step
+        work, lead = ForecastModel(rows.reshape(-1, theta.size), model.dims), (2 * len(k),)
+        total = batch_loss(kind, predict(work, obs, ctx),
+                           np.broadcast_to(labels, lead + labels.shape),
+                           np.broadcast_to(step_labels, lead + step_labels.shape),
+                           weights, work, np.full(lead, lam), np.full(lead, beta)).total
+        numeric[k] = (total[0::2] - total[1::2]) / (2.0 * fd_step)
     return numeric
 
 

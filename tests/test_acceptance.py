@@ -318,7 +318,7 @@ def test_c07_localization_benefit(default_splits):
     truth = steps.astype(int)
     localized = stepwise_report(classify(step_clf, pred.step_scores), truth)
     broadcast = stepwise_report(
-        broadcast_baseline(classify(seg_clf, pred.embedding), meta.horizon), truth
+        broadcast_baseline(classify(seg_clf, pred.embedding), meta.dims.horizon), truth
     )
     ok = (
         localized.micro_f1 > broadcast.micro_f1

@@ -39,7 +39,7 @@ class TestPlantConverter:
         )
         assert meta.d_obs == 3  # S1, S2, E1
         assert meta.d_ctx == 2  # R1, R2
-        assert meta.tau == 8 and meta.horizon == 4
+        assert meta.tau == 8 and meta.dims.horizon == 4
         assert len(samples) == 5
         for s in samples:
             assert s.obs.shape == (8, 3)

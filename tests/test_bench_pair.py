@@ -77,3 +77,20 @@ def test_a_tree_compared_with_itself_writes_identical_outputs(bench_pair, tmp_pa
                                      "grid_report.tsv", "history.tsv", "history_diverged.tsv",
                                      "model.json", "model_diverged.json", "preds.jsonl",
                                      "report.json", "report.txt", "steps.jsonl"]
+
+
+def test_signed_rank_p_on_known_sets(bench_pair, summarize):
+    # 10 of 10 pairs faster: 2 of the 1,024 sign patterns are as extreme
+    runs = [r for k in range(10) for r in pair(k, k + 1, (2.0 + k, 0.5), (1.0 + k, 0.5))]
+    job = summarize(runs, METRICS)["metrics"]["job_ref"]
+    assert job["signed_rank_p"] == 0.001953125
+    assert job["pair_ratios"] == [(1.0 + k) / (2.0 + k) for k in range(10)]
+    assert job["pair_ratio_median"] == (5.0 / 6.0 + 6.0 / 7.0) / 2
+    # every pair mirrored by a swapped one: the rank sums balance
+    runs = [r for k in range(5) for r in pair(2 * k, k, (2.0, 0.5), (3.0 + k, 0.5))
+            + pair(2 * k + 1, k, (3.0 + k, 0.5), (2.0, 0.5))]
+    assert summarize(runs, METRICS)["metrics"]["job_ref"]["signed_rank_p"] == 1.0
+    # equal runs leave no difference to rank
+    assert summarize(runs, METRICS)["metrics"]["f1"]["signed_rank_p"] == 1.0
+    # tied magnitudes share a mean rank: ranks 1.5, 1.5, 3 with signs +, -, +
+    assert bench_pair.signed_rank_p([0.1, -0.1, 0.3, 0.0]) == 0.75

@@ -141,7 +141,7 @@ class TestGenerate:
             "--tau", "5", "--total-steps", "9",
         ) == 0
         meta, _ = load_dataset(out)
-        assert meta.n_labels == 3 and meta.tau == 5 and meta.horizon == 4
+        assert meta.n_labels == 3 and meta.tau == 5 and meta.dims.horizon == 4
 
 
 class TestTrain:
@@ -670,6 +670,23 @@ class TestUsageErrors:
                    "--n-train", "10", "--n-val", "5", "--n-test", "5") == 2
         err = capsys.readouterr().err
         assert str(data) in err and str(model) in err and f"{field}={value}" in err
+        assert [p.name for p in tmp_path.iterdir()] == [data.name]
+
+    @pytest.mark.parametrize("command", ("train", "gridsearch", "evaluate", "predict",
+                                         "localize"))
+    def test_split_larger_than_the_dataset_is_data_error_naming_it(self, workspace, tmp_path,
+                                                                   capsys, command):
+        _, _, model, _ = workspace
+        data, out = tmp_path / "short.jsonl", str(tmp_path / "out")
+        assert run("generate", "--out", str(data), "--n", "39") == 0
+        capsys.readouterr()
+        outputs = {"train": ("--out-model", out),
+                   "gridsearch": ("--out-model", out, "--out-report", out + ".tsv")}
+        assert run(command, "--data", str(data),
+                   *outputs.get(command, ("--model", str(model), "--out", out)),
+                   "--n-train", "20", "--n-val", "10", "--n-test", "10") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: split sizes (20, 10, 10) need 40 samples, dataset has 39\n"
         assert [p.name for p in tmp_path.iterdir()] == [data.name]
 
     def test_dataset_header_without_tau_is_data_error(self, workspace, tmp_path, capsys):

@@ -12,7 +12,9 @@ first when k is even and the change first when k is odd, so drift in the
 host's speed falls on both sides alike. Writes BENCH_<label>.json with, per
 workload and end-to-end metric, each side's median and [q1, q3], the
 change/parent ratio of the medians, the pairs the change won, the metric's
-direction and bound from BENCHMARK.json, and every raw run record;
+direction and bound from BENCHMARK.json, the per-pair change/parent ratios
+with their median and the exact two-sided Wilcoxon signed-rank p over
+their logs, and every raw run record;
 provenance names python, numpy, the BLAS, the CPU count, both commits and
 their src trees. It reads the workloads and metrics from BENCHMARK.json and
 adds none. Once per clone it also runs OUTPUT_COMMANDS, seeded CLI calls,
@@ -24,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -125,6 +129,24 @@ def quartiles(xs: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
+def signed_rank_p(diffs: list[float]) -> float:
+    """Exact two-sided p of the Wilcoxon signed-rank test: zero differences
+    dropped, tied |d| sharing their mean rank, every sign pattern counted;
+    1.0 when no difference is left."""
+    d = sorted((x for x in diffs if x != 0), key=abs)
+    ranks = []  # doubled, so that mean ranks of ties stay integers
+    for _, tied in itertools.groupby(d, key=abs):
+        k = len(list(tied))
+        ranks += [2 * len(ranks) + k + 1] * k
+    total = sum(ranks)
+    counts = [1] + [0] * total  # sign patterns by their doubled positive rank sum
+    for r in ranks:
+        for s in range(total, r - 1, -1):
+            counts[s] += counts[s - r]
+    dev = abs(2 * sum(r for r, x in zip(ranks, d) if x > 0) - total)
+    return sum(c for s, c in enumerate(counts) if abs(2 * s - total) >= dev) / 2 ** len(d)
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-metric medians, quartiles and pair wins over one workload's runs."""
     pairs = {}
@@ -148,6 +170,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 wins += 1
         med = {side: statistics.median(v) if v else None for side, v in values.items()}
         q = {side: quartiles(v) for side, v in values.items()}
+        ratios = [b / a if a else None for a, b in zip(values["parent"], values["change"])]
+        known = [r for r in ratios if r is not None]
+        logs = [math.log(b) - math.log(a)
+                for a, b in zip(values["parent"], values["change"]) if a > 0 and b > 0]
         gap = None
         if ok:
             gap = abs(med["change"] - med["parent"]) > (q["parent"][1] - q["parent"][0])
@@ -158,6 +184,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "change_wins": wins, "ties": ties, "pairs": len(ok),
             "better": metric["better"], "bound": metric["bound"],
             "median_gap_exceeds_parent_iqr": gap,
+            "pair_ratios": ratios,
+            "pair_ratio_median": statistics.median(known) if known else None,
+            "signed_rank_p": signed_rank_p(logs),
         }
     return out
 
@@ -204,7 +233,8 @@ def main(argv=None) -> int:
                    f"clean clones of both revisions, one run at a time; pair k uses the k-th "
                    f"seed and runs the parent first when k is even; medians and [q1, q3] "
                    f"(linear interpolation) over each side's runs; change_wins counts pairs "
-                   f"where the change is better in the metric's direction"),
+                   f"where the change is better in the metric's direction; signed_rank_p is "
+                   f"the exact two-sided Wilcoxon signed-rank p over the pairs' log ratios"),
         "provenance": {
             **{key: origin.get(key) for key in ("python", "numpy", "blas", "blas_threads",
                                                 "nproc", "cpus_usable")},
