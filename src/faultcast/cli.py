@@ -245,7 +245,7 @@ def _splits(args, samples):
     a split the --data file cannot fill is a DatasetError naming it."""
     try:
         return split_samples(samples, (args.n_train, args.n_val, args.n_test), args.seed)
-    except ValueError as exc:
+    except DatasetError as exc:
         raise DatasetError(f"{args.data}: {exc}") from None
 
 

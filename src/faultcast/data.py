@@ -360,8 +360,8 @@ def split_samples(samples: list[Sample], sizes: tuple[int, int, int], seed: int)
     n_train, n_val, n_test = sizes
     if min(sizes) < 0:
         raise ValueError(f"split sizes must be non-negative, got {sizes}")
-    if n_train + n_val + n_test > len(samples):
-        raise ValueError(
+    if n_train + n_val + n_test > len(samples):  # the data's fault, not the sizes'
+        raise DatasetError(
             f"split sizes {sizes} need {n_train + n_val + n_test} samples, "
             f"dataset has {len(samples)}"
         )

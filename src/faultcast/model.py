@@ -18,14 +18,14 @@ file boundary (param_items). A population (stack_models) is G models as one
 what it computes alone; its inputs and outputs are (G, batch, ...).
 
 forward runs each cell as an lstm.Unroll (README, "File formats", has the
-slabs). Both read one weight block, filled from theta in three calls
-along its last axis by one model's map (_weight_map), a row per member: a
-take, an add folding the encoder's two h column blocks (both multiply h)
-and a multiply halving the f, i, o rows; b sits there as a gates row,
-repeated over the batch (untaped, one column). A Tape is a
-training run's workspace: forward(..., tape=t) refills t, and backward
-writes dW and db straight into t.grads, valid until the next backward on t.
-Prediction arrays never share memory with a tape.
+slabs). Both read one weight block, filled from theta in three calls along
+its last axis by one model's map (_weight_map), a row per member: a take,
+an add folding the encoder's two h column blocks (both multiply h) and a
+multiply halving the f, i, o rows; b sits there as a gates row, repeated
+over the batch (untaped, one column). A Tape is a training run's workspace:
+forward(..., tape=t) refills t, and backward writes dW and db straight into
+t.grads, valid until the next backward on t. Prediction arrays never share
+memory with a tape.
 """
 
 from __future__ import annotations

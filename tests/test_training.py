@@ -319,7 +319,7 @@ class TestGradCheck:
         coarse, _ = grad_check(model, samples, cfg, fd_step=0.5)
         assert coarse > fine
 
-    @pytest.mark.parametrize("raises", (False, True))
+    @pytest.mark.parametrize("raises", (False, True), ids=("returning", "raising"))
     def test_keeps_no_megabytes_after_grad_check(self, raises, monkeypatch):
         # at 4 labels an fd_gradient population's weight block is megabytes;
         # whether grad_check returns or raises, only one model's map may stay
