@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -29,9 +29,14 @@ FORMAT_NAME = "faultcast-dataset"
 FORMAT_VERSION = 1
 
 SOURCES = ("synthetic", "phm_adapter", "har_adapter")
-# records one validation pass stacks, and samples one generator block holds:
-# bounds the extra memory of a load, save or generate
+# records one validation pass stacks, one load block reads at most, and
+# samples one generator block holds: bounds the extra memory of a load, save
+# or generate
 CHECK_RECORDS = 64
+# numbers one load block decodes at most, by the header's dims, so that its
+# decoded JSON stays small: 178 synthetic records of 46 numbers would fit
+# (CHECK_RECORDS caps them at 64), three HAR-shaped ones of 2,436
+BLOCK_NUMBERS = 2**13
 
 
 class DatasetError(ValueError):
@@ -258,6 +263,23 @@ def segment_labels(step_labels: np.ndarray) -> np.ndarray:
     return (step_labels.sum(axis=-2) > 0).astype(np.float64)
 
 
+def _record_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """The shape of each array of a sample record, by its key, in
+    RECORD_KEYS order."""
+    return {"obs": (dims.tau, dims.d_obs), "ctx": (dims.total_steps, dims.d_ctx),
+            "labels": (dims.n_labels,), "step_labels": (dims.horizon, dims.n_labels)}
+
+
+_SHAPE_NAMES = {"obs": "observations", "ctx": "context", "labels": "segment label",
+                "step_labels": "stepwise label"}
+
+
+def _as_declared(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """`arr`, or an empty `arr` as `shape` when `shape` holds no numbers
+    either: the JSON [] of a (0, d) array keeps no inner dimension."""
+    return arr.reshape(shape) if arr.size == 0 and math.prod(shape) == 0 else arr
+
+
 def _first_error(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str] | None:
     """(index, reason) of the first sample that breaks the schema, by the
     first rule it breaks, or None; checked CHECK_RECORDS samples at a time."""
@@ -270,18 +292,19 @@ def _first_error(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str] | 
 def _first_error_in(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str] | None:
     """_first_error of one chunk. Shapes are checked sample by sample, then
     values over the stack of the samples before any bad shape, a rule a pass."""
-    d = meta.dims
+    shapes = _record_shapes(meta.dims)
     for index, s in enumerate(samples):
-        for name, arr, shape in (("observations", s.obs, (d.tau, d.d_obs)),
-                                 ("context", s.ctx, (d.total_steps, d.d_ctx)),
-                                 ("segment label", s.labels, (d.n_labels,)),
-                                 ("stepwise label", s.step_labels, (d.horizon, d.n_labels))):
+        for key, shape in shapes.items():
+            arr = getattr(s, key)
             if arr.shape != shape:  # a sample before it may break a value rule
                 return (_first_error_in(meta, samples[:index])
-                        or (index, f"{name} shape {arr.shape} != {shape}"))
-    if not samples:
-        return None
-    obs, ctx, labels, step_labels = stack_samples(samples)
+                        or (index, f"{_SHAPE_NAMES[key]} shape {arr.shape} != {shape}"))
+    return _value_error(*stack_samples(samples)) if samples else None
+
+
+def _value_error(obs, ctx, labels, step_labels) -> tuple[int, str] | None:
+    """(index, reason) of the first sample of stacked, well-shaped arrays
+    that breaks a value rule, by the first rule it breaks, or None."""
     rules = {"non-finite observation or context value":
              ~(np.isfinite(obs).all(axis=(1, 2)) & np.isfinite(ctx).all(axis=(1, 2))),
              "segment labels must be binary": ~((labels == 0.0) | (labels == 1.0)).all(axis=1),
@@ -324,32 +347,80 @@ def _read_header(path, line: str) -> DatasetMeta:
         raise header.error(str(exc)) from None
 
 
+def _block_arrays(records: list, shapes: dict) -> list[np.ndarray] | None:
+    """The (records, *shape) float64 array of each key of the decoded
+    `records`, one np.array call a key, or None when a key is missing or a
+    conversion is ragged, not numeric or of another shape."""
+    arrays = []
+    for key, shape in shapes.items():
+        try:
+            arr = np.array([rec[key] for rec in records])
+        except (KeyError, TypeError, ValueError):
+            return None
+        arr = _as_declared(arr, shape := (len(records), *shape))
+        if arr.dtype.kind not in "iuf" or arr.shape != shape:
+            return None
+        arrays.append(arr.astype(np.float64, copy=False))
+    return arrays
+
+
 def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
     """Read and fully validate a dataset file.
 
     Samples are numbered by record, blank lines skipped; an error in one
-    names the file, its 1-based line and the sample index. Records are
-    parsed up to the first malformed one and then validated, CHECK_RECORDS
-    at a time; the first bad record in file order is reported.
+    names the file, its 1-based line and the sample index, and the first
+    bad record in file order is reported.
+
+    The file is streamed a block of records at a time: CHECK_RECORDS at
+    most, and only as many as hold BLOCK_NUMBERS numbers by the header's
+    dims (one at least), so a block's decoded JSON stays small. Each key is
+    converted across a block by one np.array call, and the block's arrays
+    are validated together. A block with a u or an f in a line (true,
+    false, null, Infinity), or one whose conversion fails, is read record
+    by record instead, up to its first malformed record, which ends the
+    read. The samples of a block are row views of its arrays, so one kept
+    sample keeps its whole block alive. An empty array reads as its
+    declared shape when that shape holds no numbers either: [] is the
+    (0, d_obs) observations of a tau of 0.
     """
-    samples, lines, malformed = [], [], None
+    samples, lines, bad, malformed = [], [], None, None
     with open(path, "r", encoding="utf-8") as fh:
         meta = _read_header(path, fh.readline())
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            lines.append(lineno)
-            try:
-                rec = json.loads(line)
-                arrays = {key: numeric_array(rec[key]) for key in RECORD_KEYS}
-            except (KeyError, TypeError, ValueError) as exc:
-                malformed = len(samples), f"malformed record ({exc})"
+        shapes = _record_shapes(meta.dims)
+        size = max(1, min(CHECK_RECORDS, BLOCK_NUMBERS // sum(map(math.prod, shapes.values()))))
+        numbered = ((lineno, line) for lineno, line in enumerate(fh, start=2) if line.strip())
+        for block in iter(lambda: list(islice(numbered, size)), []):
+            start, arrays = len(samples), None
+            lines += [lineno for lineno, _ in block]
+            # a u or an f: true, false, null or Infinity, which no JSON number
+            # or record key holds; only the record loop refuses all-true/false
+            if not any("u" in line or "f" in line for _, line in block):
+                try:
+                    arrays = _block_arrays([json.loads(line) for _, line in block], shapes)
+                except (ValueError, RecursionError):  # the record loop names the line
+                    pass
+            if arrays is not None:
+                samples += map(Sample, *arrays)
+                found = _value_error(*arrays)
+            else:
+                for _, line in block:
+                    try:
+                        rec = json.loads(line)
+                        arrays = {key: numeric_array(rec[key]) for key in RECORD_KEYS}
+                    except (KeyError, TypeError, ValueError) as exc:
+                        malformed = len(samples), f"malformed record ({exc})"
+                        break
+                    if wrong := [key for key, arr in arrays.items() if arr is None]:
+                        malformed = len(samples), f"key {wrong[0]!r}: must be a numeric array"
+                        break
+                    samples.append(Sample(**{key: _as_declared(arr, shapes[key])
+                                             for key, arr in arrays.items()}))
+                found = _first_error_in(meta, samples[start:])
+            if bad is None and found is not None:
+                bad = start + found[0], found[1]
+            if malformed is not None:
                 break
-            if wrong := [key for key, arr in arrays.items() if arr is None]:
-                malformed = len(samples), f"key {wrong[0]!r}: must be a numeric array"
-                break
-            samples.append(Sample(**arrays))
-    bad = _first_error(meta, samples) or malformed
+    bad = bad or malformed
     if bad is not None:
         raise DatasetError(f"{path}: line {lines[bad[0]]}: sample {bad[0]}: {bad[1]}")
     return meta, samples

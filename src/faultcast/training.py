@@ -480,9 +480,18 @@ def grid_search(
         raise ValueError("grid must not be empty")
     configs = [replace(cfg, seed=base_seed + k) for k, cfg in enumerate(grid)]
     models = [init_model(make_rng(cfg.seed + 1), dims) for cfg in configs]
-    best = [m for m, _ in train_population(models, train_samples, val_samples, configs)]
-    scored = stack_samples(val_samples or train_samples)
-    micro, macro = threshold_validation_f1(stack_models(best), scored)
+    trained = train_population(models, train_samples, val_samples, configs)
+    best = [m for m, _ in trained]
+    # A snapshot was scored in the epoch it was taken: the first non-diverged
+    # one with the highest micro + macro. Only an initial model (no such
+    # epoch: max_epochs 0, or divergence in epoch 0) needs a forward here.
+    kept = [[r for r in history if r.stopped != "diverged"] for _, history in trained]
+    if all(kept):
+        taken = [max(k, key=lambda r: r.val_micro_f1 + r.val_macro_f1) for k in kept]
+        micro, macro = [r.val_micro_f1 for r in taken], [r.val_macro_f1 for r in taken]
+    else:
+        scored = stack_samples(val_samples or train_samples)
+        micro, macro = threshold_validation_f1(stack_models(best), scored)
     results = [GridResult(cfg, mi, ma) for cfg, mi, ma in zip(configs, micro, macro)]
     winner = select_best(results)
     return results[winner].config, best[winner], results

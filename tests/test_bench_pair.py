@@ -94,3 +94,26 @@ def test_signed_rank_p_on_known_sets(bench_pair, summarize):
     assert summarize(runs, METRICS)["metrics"]["f1"]["signed_rank_p"] == 1.0
     # tied magnitudes share a mean rank: ranks 1.5, 1.5, 3 with signs +, -, +
     assert bench_pair.signed_rank_p([0.1, -0.1, 0.3, 0.0]) == 0.75
+
+
+def test_holm_adjustment_over_every_metric_of_every_workload(bench_pair):
+    # sorted 0.005, 0.01, 0.03, 0.04, 0.5 times 5, 4, 3, 2, 1, each raised to
+    # the largest before it and capped at 1
+    p = {("a", "job_ref"): 0.01, ("a", "f1"): 0.04, ("b", "job_ref"): 0.03,
+         ("b", "f1"): 0.005, ("c", "job_ref"): 0.5}
+    workloads = {}
+    for (w, name), value in p.items():
+        workloads.setdefault(w, {"metrics": {}})["metrics"][name] = {"signed_rank_p": value}
+    bench_pair.add_holm(workloads)
+    got = {(w, name): m["signed_rank_p_holm"]
+           for w, s in workloads.items() for name, m in s["metrics"].items()}
+    want = {("a", "job_ref"): 0.04, ("a", "f1"): 0.09, ("b", "job_ref"): 0.09,
+            ("b", "f1"): 0.025, ("c", "job_ref"): 0.5}
+    assert got == pytest.approx(want, abs=1e-15)
+    assert all(m["signed_rank_p"] == p[w, name]  # reported beside, not replaced
+               for w, s in workloads.items() for name, m in s["metrics"].items())
+    # ties share their adjusted value, and no value passes 1
+    workloads = {"a": {"metrics": {"x": {"signed_rank_p": 0.4}, "y": {"signed_rank_p": 0.4},
+                                   "z": {"signed_rank_p": 1.0}}}}
+    bench_pair.add_holm(workloads)
+    assert [m["signed_rank_p_holm"] for m in workloads["a"]["metrics"].values()] == [1.0] * 3

@@ -143,6 +143,15 @@ class TestGenerate:
         meta, _ = load_dataset(out)
         assert meta.n_labels == 3 and meta.tau == 5 and meta.dims.horizon == 4
 
+    def test_a_tau_0_dataset_trains(self, tmp_path, capsys):
+        # its observations are written as [], which keeps no inner dimension
+        data, out = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert run("generate", "--out", str(data), "--n", "40", "--tau", "0",
+                   "--total-steps", "6") == 0
+        assert run("train", "--data", str(data), "--out-model", str(out), "--n-train", "24",
+                   "--n-val", "8", "--n-test", "8", "--max-epochs", "2") == 0
+        assert "error" not in capsys.readouterr().err and load_model(out)[0].dims.tau == 0
+
 
 class TestTrain:
     def test_outputs_exist(self, workspace):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -22,6 +23,7 @@ from faultcast.data import (
     SynthConfig,
     class_stats,
     load_dataset,
+    numeric_array,
     save_dataset,
     segment_labels,
     split_samples,
@@ -196,6 +198,162 @@ class TestRoundTrip:
             load_dataset(path)
         message = str(info.value)
         assert message.startswith(f"{path}: line 3: sample 1: ") and reason in message
+
+
+    @pytest.mark.parametrize("record_by_record", [False, True])
+    @pytest.mark.parametrize("d_obs", [0, 2])
+    def test_tau_0_round_trip(self, tmp_path, monkeypatch, d_obs, record_by_record):
+        # (0, d_obs) observations are written as [], read as their declared shape
+        meta, samples = synth_generate(small_config(tau=0, total_steps=3, d_obs=d_obs), 5)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, meta, samples)
+        if record_by_record:
+            monkeypatch.setattr(data, "_block_arrays", lambda records, shapes: None)
+        meta2, samples2 = load_dataset(path)
+        assert meta2 == meta and len(samples2) == 5
+        for a, b in zip(samples, samples2):
+            for key in data.RECORD_KEYS:
+                got, want = getattr(b, key), getattr(a, key)
+                assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
+                                                                  want.tobytes()), key
+
+    def test_an_empty_array_keeps_a_declared_shape_that_holds_numbers(self, tmp_path):
+        meta, samples = synth_generate(small_config(), 2)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, meta, samples)
+        header, *records = path.read_text().splitlines()
+        records[1] = re.sub(r'"obs":\[.*?\]\]', '"obs":[]', records[1], count=1)
+        path.write_text("\n".join([header, *records]) + "\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: line 3: sample 1: observations shape (0,) != (4, 2)"
+
+
+def reference_load(path):
+    """The record-by-record reader load_dataset must agree with: every
+    record parsed by numeric_array up to the first malformed one, an empty
+    array read as its declared shape when that holds no numbers, then
+    _first_error over the samples."""
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = data._read_header(path, fh.readline())
+        rest = list(enumerate(fh, start=2))
+    d = meta.dims
+    shapes = {"obs": (d.tau, d.d_obs), "ctx": (d.total_steps, d.d_ctx),
+              "labels": (d.n_labels,), "step_labels": (d.horizon, d.n_labels)}
+    samples, lines, malformed = [], [], None
+    for lineno, line in rest:
+        if not line.strip():
+            continue
+        lines.append(lineno)
+        try:
+            rec = json.loads(line)
+            arrays = {key: numeric_array(rec[key]) for key in data.RECORD_KEYS}
+        except (KeyError, TypeError, ValueError) as exc:
+            malformed = len(samples), f"malformed record ({exc})"
+            break
+        if wrong := [key for key, arr in arrays.items() if arr is None]:
+            malformed = len(samples), f"key {wrong[0]!r}: must be a numeric array"
+            break
+        samples.append(Sample(**{key: arr.reshape(shapes[key])
+                                 if arr.size == 0 and math.prod(shapes[key]) == 0 else arr
+                                 for key, arr in arrays.items()}))
+    bad = data._first_error(meta, samples) or malformed
+    if bad is not None:
+        raise DatasetError(f"{path}: line {lines[bad[0]]}: sample {bad[0]}: {bad[1]}")
+    return meta, samples
+
+
+def _outcome(load, path):
+    """("ok", dims, every array's shape, dtype and bytes) or ("error", message)."""
+    try:
+        meta, samples = load(path)
+    except DatasetError as exc:
+        return "error", str(exc)
+    return "ok", meta, [(a.shape, a.dtype, a.tobytes()) for s in samples
+                        for a in (s.obs, s.ctx, s.labels, s.step_labels)]
+
+
+def _numbers(value):
+    """Paths (index tuples) of the numbers in a nested list."""
+    if isinstance(value, list):
+        return [(k, *rest) for k, item in enumerate(value) for rest in _numbers(item)]
+    return [()]
+
+
+def _mutate_record(rec: dict, kind: str, rnd) -> dict:
+    """`rec`, a sample record with one key or more, with one seeded change
+    of `kind` in one of its keys."""
+    key = rnd.choice(sorted(rec))
+    if kind == "missing key":
+        del rec[key]
+    elif kind == "all true/false":
+        rec[key] = json.loads(re.sub(r"-?[\d.]+(e-?\d+)?|NaN",
+                                     lambda _: rnd.choice(["true", "false"]),
+                                     json.dumps(rec[key])))
+    elif kind == "ragged" and (rows := [r for r in rec[key] if isinstance(r, list)]):
+        rnd.choice(rows).append(0.0)
+    elif kind == "ragged":
+        rec[key].append([0.0])
+    elif paths := [p for p in _numbers(rec[key]) if p]:
+        *at, last = rnd.choice(paths)
+        node = rec[key]
+        for k in at:
+            node = node[k]
+        node[last] = {"null": None, "string": "0.5", "NaN": math.nan, "big integer":
+                      rnd.choice([2**64, -(2**70), 10**400])}[kind]
+    return rec
+
+
+MUTATIONS = ("none", "all true/false", "null", "string", "NaN", "big integer", "ragged",
+             "missing key", "blank lines", "truncation")
+
+
+class TestReaderProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(tau=st.integers(0, 3), horizon=st.integers(1, 3), n_labels=st.integers(1, 3),
+           d_obs=st.integers(0, 2), d_ctx=st.integers(0, 2), n=st.integers(0, 7),
+           per_block=st.sampled_from((1, 2, 64)),
+           mutations=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**32)),
+                              max_size=2),
+           seed=st.integers(0, 2**32))
+    @example(tau=0, horizon=2, n_labels=2, d_obs=0, d_ctx=0, n=3, per_block=2,
+             mutations=[("all true/false", 5)], seed=1)
+    def test_matches_the_record_by_record_reference(self, tmp_path_factory, tau, horizon,
+                                                    n_labels, d_obs, d_ctx, n, per_block,
+                                                    mutations, seed):
+        """Valid datasets of small random dims, with seeded line mutations:
+        load_dataset returns bit-identical arrays or raises the same message."""
+        rng = make_rng(seed)
+        dims = ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon)
+        meta = DatasetMeta(dims, tuple(f"l{k}" for k in range(n_labels)))
+        samples = []
+        for _ in range(n):
+            step_labels = (rng.uniform(size=(horizon, n_labels)) < 0.3).astype(float)
+            samples.append(Sample(rng.normal(size=(tau, d_obs)),
+                                  rng.normal(size=(tau + horizon, d_ctx)),
+                                  segment_labels(step_labels), step_labels))
+        path = tmp_path_factory.mktemp("reader") / "data.jsonl"
+        save_dataset(path, meta, samples)
+        header, *records = path.read_text().splitlines()
+        for kind, at in mutations:
+            rnd = random.Random(at)
+            k = rnd.randrange(len(records) + 1)
+            if kind == "blank lines":
+                records.insert(k, rnd.choice(["", "  ", "\t"]))
+            elif kind == "truncation" and records:
+                line = records[k % len(records)]
+                records[k % len(records)] = line[: rnd.randrange(max(1, len(line)))]
+            elif kind != "none" and records:
+                try:  # not a blank or truncated line
+                    rec = json.loads(records[k % len(records)])
+                except ValueError:
+                    continue
+                records[k % len(records)] = json.dumps(_mutate_record(rec, kind, rnd),
+                                                       separators=(",", ":"))
+        path.write_text("\n".join([header, *records]) + "\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "CHECK_RECORDS", per_block)
+            assert _outcome(load_dataset, path) == _outcome(reference_load, path)
 
 
 class TestSplit:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from faultcast import training
 from faultcast.data import Sample, SynthConfig, stack_samples, synth_generate
 from faultcast.losses import batch_loss, class_weights
 from faultcast.model import (ForecastModel, ModelDims, init_model, param_items, param_size,
@@ -541,6 +542,39 @@ class TestGridSearch:
             assert not np.isfinite(alone[0][1][-1].loss.total), kind  # diverged
             early = {n for n in lengths[1:] if n < base.max_epochs}
             assert len(early) > 1, (kind, lengths)  # early stops at different epochs
+
+    @staticmethod
+    def count_validations(monkeypatch):
+        calls = []
+
+        def counted(model, samples):
+            calls.append(model.theta.shape)
+            return threshold_validation_f1(model, samples)
+
+        monkeypatch.setattr(training, "threshold_validation_f1", counted)
+        return calls
+
+    def test_scores_each_point_in_its_epochs_only(self, monkeypatch):
+        # no early exit: one validation forward an epoch, none after training
+        calls = self.count_validations(monkeypatch)
+        samples = tiny_synth(20)
+        grid = default_grid("base", TrainConfig(max_epochs=4, batch_size=8, patience=4))
+        _, _, results = grid_search(grid, TINY, samples[:12], samples[12:])
+        assert len(calls) == 4 and len(results) == 9
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_a_point_left_at_its_initial_model_is_scored_after_training(self, monkeypatch,
+                                                                        epochs):
+        # no epoch to take a score from: max_epochs 0, or divergence in epoch 0
+        calls = self.count_validations(monkeypatch)
+        samples = tiny_synth(12)
+        grid = [replace(OVERFLOW_THETA, max_epochs=epochs),
+                replace(OVERFLOW_THETA, eta=0.01, lam=0.01, max_epochs=epochs)]
+        _, _, results = grid_search(grid, TINY, samples[:8], samples[8:], base_seed=2)
+        assert len(calls) == epochs + 1
+        initial = init_model(make_rng(3), TINY)  # point 0 runs with seed 2
+        (micro,), (macro,) = threshold_validation_f1(initial, stack_samples(samples[8:]))
+        assert (results[0].val_micro_f1, results[0].val_macro_f1) == (micro, macro)
 
     def test_grid_points_must_share_training_fields(self):
         samples = tiny_synth(12)

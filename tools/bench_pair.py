@@ -13,8 +13,9 @@ host's speed falls on both sides alike. Writes BENCH_<label>.json with, per
 workload and end-to-end metric, each side's median and [q1, q3], the
 change/parent ratio of the medians, the pairs the change won, the metric's
 direction and bound from BENCHMARK.json, the per-pair change/parent ratios
-with their median and the exact two-sided Wilcoxon signed-rank p over
-their logs, and every raw run record;
+with their median, the exact two-sided Wilcoxon signed-rank p over
+their logs and its Holm adjustment over every metric x workload test of
+the file, and every raw run record;
 provenance names python, numpy, the BLAS, the CPU count, both commits and
 their src trees. It reads the workloads and metrics from BENCHMARK.json and
 adds none. Once per clone it also runs OUTPUT_COMMANDS, seeded CLI calls,
@@ -147,6 +148,17 @@ def signed_rank_p(diffs: list[float]) -> float:
     return sum(c for s, c in enumerate(counts) if abs(2 * s - total) >= dev) / 2 ** len(d)
 
 
+def add_holm(workloads: dict) -> None:
+    """Give each metric of each workload summary its signed_rank_p_holm:
+    Holm's step-down adjustment of its signed_rank_p over every metric x
+    workload test of the file, reported beside it and judging nothing."""
+    tests = [m for w in workloads.values() for m in w["metrics"].values()]
+    running = 0.0
+    for rank, m in enumerate(sorted(tests, key=lambda m: m["signed_rank_p"])):
+        running = max(running, min(1.0, (len(tests) - rank) * m["signed_rank_p"]))
+        m["signed_rank_p_holm"] = running
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-metric medians, quartiles and pair wins over one workload's runs."""
     pairs = {}
@@ -234,7 +246,9 @@ def main(argv=None) -> int:
                    f"seed and runs the parent first when k is even; medians and [q1, q3] "
                    f"(linear interpolation) over each side's runs; change_wins counts pairs "
                    f"where the change is better in the metric's direction; signed_rank_p is "
-                   f"the exact two-sided Wilcoxon signed-rank p over the pairs' log ratios"),
+                   f"the exact two-sided Wilcoxon signed-rank p over the pairs' log ratios, "
+                   f"signed_rank_p_holm its Holm adjustment over every metric x workload "
+                   f"test of this file"),
         "provenance": {
             **{key: origin.get(key) for key in ("python", "numpy", "blas", "blas_threads",
                                                 "nproc", "cpus_usable")},
@@ -247,6 +261,7 @@ def main(argv=None) -> int:
                       for w in workloads},
         "runs": runs,
     }
+    add_holm(doc["workloads"])
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"bench_pair: wrote {out}", file=sys.stderr)
