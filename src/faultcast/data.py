@@ -29,9 +29,8 @@ FORMAT_NAME = "faultcast-dataset"
 FORMAT_VERSION = 1
 
 SOURCES = ("synthetic", "phm_adapter", "har_adapter")
-# records one validation pass stacks, one load block reads at most, and
-# samples one generator block holds: bounds the extra memory of a load, save
-# or generate
+# records one load block or save check converts at most, and samples one
+# generator block holds: bounds the extra memory of a load, save or generate
 CHECK_RECORDS = 64
 # numbers one load block decodes at most, by the header's dims, so that its
 # decoded JSON stays small: 178 synthetic records of 46 numbers would fit
@@ -168,7 +167,7 @@ def read_json(path, fmt: tuple[str, int] | None = None, line: str | None = None)
                 doc = json.load(fh)
         else:
             doc = json.loads(line)
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise DatasetError(f"{where}: invalid JSON ({exc})") from None
     root = JsonField(doc, where)
     if fmt is not None:
@@ -254,9 +253,6 @@ class Sample:
     step_labels: np.ndarray  # (horizon, n_labels) binary stepwise labels
 
 
-RECORD_KEYS = tuple(f.name for f in fields(Sample))  # a sample record's keys
-
-
 def segment_labels(step_labels: np.ndarray) -> np.ndarray:
     """The 0/1 segment labels that (..., horizon, labels) stepwise labels
     imply: a label is 1 iff it is 1 at some forecast step."""
@@ -265,7 +261,7 @@ def segment_labels(step_labels: np.ndarray) -> np.ndarray:
 
 def _record_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
     """The shape of each array of a sample record, by its key, in
-    RECORD_KEYS order."""
+    Sample's field order."""
     return {"obs": (dims.tau, dims.d_obs), "ctx": (dims.total_steps, dims.d_ctx),
             "labels": (dims.n_labels,), "step_labels": (dims.horizon, dims.n_labels)}
 
@@ -278,28 +274,6 @@ def _as_declared(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """`arr`, or an empty `arr` as `shape` when `shape` holds no numbers
     either: the JSON [] of a (0, d) array keeps no inner dimension."""
     return arr.reshape(shape) if arr.size == 0 and math.prod(shape) == 0 else arr
-
-
-def _first_error(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str] | None:
-    """(index, reason) of the first sample that breaks the schema, by the
-    first rule it breaks, or None; checked CHECK_RECORDS samples at a time."""
-    for start in range(0, len(samples), CHECK_RECORDS):
-        if bad := _first_error_in(meta, samples[start : start + CHECK_RECORDS]):
-            return start + bad[0], bad[1]
-    return None
-
-
-def _first_error_in(meta: DatasetMeta, samples: list[Sample]) -> tuple[int, str] | None:
-    """_first_error of one chunk. Shapes are checked sample by sample, then
-    values over the stack of the samples before any bad shape, a rule a pass."""
-    shapes = _record_shapes(meta.dims)
-    for index, s in enumerate(samples):
-        for key, shape in shapes.items():
-            arr = getattr(s, key)
-            if arr.shape != shape:  # a sample before it may break a value rule
-                return (_first_error_in(meta, samples[:index])
-                        or (index, f"{_SHAPE_NAMES[key]} shape {arr.shape} != {shape}"))
-    return _value_error(*stack_samples(samples)) if samples else None
 
 
 def _value_error(obs, ctx, labels, step_labels) -> tuple[int, str] | None:
@@ -317,7 +291,48 @@ def _value_error(obs, ctx, labels, step_labels) -> tuple[int, str] | None:
     return (index, list(rules)[int(np.argmax(broken[:, index]))]) if broken.any() else None
 
 
+def _convert(records: list, shapes: dict) -> list[np.ndarray] | str:
+    """The (records, *shape) float64 array of each key of `records`, one
+    numeric_array call a key, or the reason they fail, by the first rule
+    they break: a missing key or a record that is no object, then a key
+    that holds no numeric array, then one of another shape."""
+    try:
+        columns = [[rec[key] for rec in records] for key in shapes]
+    except (KeyError, TypeError) as exc:
+        return f"malformed record ({exc})"
+    arrays = [numeric_array(column) for column in columns]
+    for key, arr in zip(shapes, arrays):
+        if arr is None:
+            return f"key {key!r}: must be a numeric array"
+    arrays = [_as_declared(arr, (len(records), *shape))
+              for arr, shape in zip(arrays, shapes.values())]
+    for (key, shape), arr in zip(shapes.items(), arrays):
+        if arr.shape[1:] != shape:
+            return f"{_SHAPE_NAMES[key]} shape {arr.shape[1:]} != {shape}"
+    return arrays
+
+
+def _check(records: list, shapes: dict, whole: bool):
+    """(samples, bad): the samples of `records` up to the first that breaks
+    the schema, and that one's (index, reason) or None; its reason is
+    _convert's, else _value_error's. The records are converted whole when
+    `whole`, else, or when that conversion fails, one at a time."""
+    converted = _convert(records, shapes) if whole and len(records) > 1 else None
+    parts = ([(0, converted)] if isinstance(converted, list)
+             else ((index, _convert([rec], shapes)) for index, rec in enumerate(records)))
+    samples = []
+    for start, arrays in parts:
+        bad = (0, arrays) if isinstance(arrays, str) else _value_error(*arrays)
+        if bad:
+            return samples, (start + bad[0], bad[1])
+        samples += map(Sample, *arrays)
+    return samples, None
+
+
 def save_dataset(path, meta: DatasetMeta, samples: list[Sample]) -> None:
+    """Write a dataset file. The samples are first checked by load_dataset's
+    rules, through the same check, CHECK_RECORDS at a time; the first bad
+    one raises before the file opens, so no partial file is left."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -325,8 +340,13 @@ def save_dataset(path, meta: DatasetMeta, samples: list[Sample]) -> None:
         "label_names": list(meta.label_names),
         "source": meta.source,
     }
-    if bad := _first_error(meta, samples):  # before the file opens: no partial file
-        raise DatasetError(f"sample {bad[0]}: {bad[1]}")
+    shapes = _record_shapes(meta.dims)
+    for start in range(0, len(samples), CHECK_RECORDS):
+        # as float64, the values a file holds: a chunk of all-bool labels is numeric too
+        chunk = [{key: np.asarray(getattr(s, key), np.float64) for key in shapes}
+                 for s in samples[start : start + CHECK_RECORDS]]
+        if bad := _check(chunk, shapes, True)[1]:
+            raise DatasetError(f"sample {start + bad[0]}: {bad[1]}")
     # a generator: a list of every record would hold the dataset twice over
     write_json_lines(path, chain([header], ({
         "obs": s.obs.tolist(),
@@ -347,82 +367,49 @@ def _read_header(path, line: str) -> DatasetMeta:
         raise header.error(str(exc)) from None
 
 
-def _block_arrays(records: list, shapes: dict) -> list[np.ndarray] | None:
-    """The (records, *shape) float64 array of each key of the decoded
-    `records`, one np.array call a key, or None when a key is missing or a
-    conversion is ragged, not numeric or of another shape."""
-    arrays = []
-    for key, shape in shapes.items():
-        try:
-            arr = np.array([rec[key] for rec in records])
-        except (KeyError, TypeError, ValueError):
-            return None
-        arr = _as_declared(arr, shape := (len(records), *shape))
-        if arr.dtype.kind not in "iuf" or arr.shape != shape:
-            return None
-        arrays.append(arr.astype(np.float64, copy=False))
-    return arrays
-
-
 def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
     """Read and fully validate a dataset file.
 
     Samples are numbered by record, blank lines skipped; an error in one
     names the file, its 1-based line and the sample index, and the first
-    bad record in file order is reported.
+    bad record in file order is reported, by the first rule it breaks.
+    save_dataset checks its samples through the same check.
 
     The file is streamed a block of records at a time: CHECK_RECORDS at
     most, and only as many as hold BLOCK_NUMBERS numbers by the header's
     dims (one at least), so a block's decoded JSON stays small. Each key is
-    converted across a block by one np.array call, and the block's arrays
-    are validated together. A block with a u or an f in a line (true,
-    false, null, Infinity), or one whose conversion fails, is read record
-    by record instead, up to its first malformed record, which ends the
-    read. The samples of a block are row views of its arrays, so one kept
-    sample keeps its whole block alive. An empty array reads as its
-    declared shape when that shape holds no numbers either: [] is the
-    (0, d_obs) observations of a tau of 0.
+    converted across a block by one numeric_array call, and the block's
+    arrays are validated together. A block with a u or an f in a line
+    (true, false, null, Infinity), or one whose conversion fails, is
+    converted a record at a time instead. The samples of a block are row
+    views of its arrays, so one kept sample keeps its whole block alive. An
+    empty array reads as its declared shape when that shape holds no
+    numbers either: [] is the (0, d_obs) observations of a tau of 0.
     """
-    samples, lines, bad, malformed = [], [], None, None
+    samples = []
     with open(path, "r", encoding="utf-8") as fh:
         meta = _read_header(path, fh.readline())
         shapes = _record_shapes(meta.dims)
         size = max(1, min(CHECK_RECORDS, BLOCK_NUMBERS // sum(map(math.prod, shapes.values()))))
-        numbered = ((lineno, line) for lineno, line in enumerate(fh, start=2) if line.strip())
+        # iterating a file yields no "" line; isspace, unlike strip, copies none
+        numbered = ((lineno, line) for lineno, line in enumerate(fh, start=2)
+                    if not line.isspace())
         for block in iter(lambda: list(islice(numbered, size)), []):
-            start, arrays = len(samples), None
-            lines += [lineno for lineno, _ in block]
-            # a u or an f: true, false, null or Infinity, which no JSON number
-            # or record key holds; only the record loop refuses all-true/false
-            if not any("u" in line or "f" in line for _, line in block):
+            records, malformed = [], None
+            for _, line in block:
                 try:
-                    arrays = _block_arrays([json.loads(line) for _, line in block], shapes)
-                except (ValueError, RecursionError):  # the record loop names the line
-                    pass
-            if arrays is not None:
-                samples += map(Sample, *arrays)
-                found = _value_error(*arrays)
-            else:
-                for _, line in block:
-                    try:
-                        rec = json.loads(line)
-                        arrays = {key: numeric_array(rec[key]) for key in RECORD_KEYS}
-                    except (KeyError, TypeError, ValueError) as exc:
-                        malformed = len(samples), f"malformed record ({exc})"
-                        break
-                    if wrong := [key for key, arr in arrays.items() if arr is None]:
-                        malformed = len(samples), f"key {wrong[0]!r}: must be a numeric array"
-                        break
-                    samples.append(Sample(**{key: _as_declared(arr, shapes[key])
-                                             for key, arr in arrays.items()}))
-                found = _first_error_in(meta, samples[start:])
-            if bad is None and found is not None:
-                bad = start + found[0], found[1]
-            if malformed is not None:
-                break
-    bad = bad or malformed
-    if bad is not None:
-        raise DatasetError(f"{path}: line {lines[bad[0]]}: sample {bad[0]}: {bad[1]}")
+                    records.append(json.loads(line))
+                except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
+                    malformed = len(records), f"malformed record ({exc})"
+                    break
+            # a u or an f: true, false, null or Infinity, which no JSON number
+            # or record key holds; only a record alone refuses all-true/false
+            whole = not any("u" in line or "f" in line for _, line in block)
+            found, bad = _check(records, shapes, whole)
+            if bad := bad or malformed:
+                raise DatasetError(f"{path}: line {block[bad[0]][0]}: "
+                                   f"sample {len(samples) + bad[0]}: {bad[1]}")
+            samples += found
     return meta, samples
 
 

@@ -309,8 +309,8 @@ def test_c07_localization_benefit(default_splits):
     seg_clf = fit_classifier("svm", pred.embedding, labels, seed=3)
     step_clf = fit_classifier(
         "svm",
-        pred.step_scores.reshape(-1, meta.n_labels),
-        steps.reshape(-1, meta.n_labels),
+        pred.step_scores.reshape(-1, meta.dims.n_labels),
+        steps.reshape(-1, meta.dims.n_labels),
         seed=3,
     )
     obs, ctx, labels, steps = stack_samples(test_s)

@@ -37,9 +37,9 @@ class TestPlantConverter:
         meta, samples = convert_plant_csv(
             signals, faults, n_samples=5, tau=8, horizon=4, n_labels=2, seed=0
         )
-        assert meta.d_obs == 3  # S1, S2, E1
-        assert meta.d_ctx == 2  # R1, R2
-        assert meta.tau == 8 and meta.dims.horizon == 4
+        assert meta.dims.d_obs == 3  # S1, S2, E1
+        assert meta.dims.d_ctx == 2  # R1, R2
+        assert meta.dims.tau == 8 and meta.dims.horizon == 4
         assert len(samples) == 5
         for s in samples:
             assert s.obs.shape == (8, 3)
@@ -176,9 +176,9 @@ class TestActivityConverter:
             activity_files, n_samples=6, obs_cols=(1, 4), ctx_col=5,
             motion_col=6, object_col=7, tau=20, horizon=10, seed=0,
         )
-        assert meta.d_obs == 4
-        assert meta.d_ctx == 2  # activities 101, 102
-        assert meta.n_labels == 3  # motions 401, 402 + object 501
+        assert meta.dims.d_obs == 4
+        assert meta.dims.d_ctx == 2  # activities 101, 102
+        assert meta.dims.n_labels == 3  # motions 401, 402 + object 501
         assert meta.label_names == ("motion_401", "motion_402", "object_501")
         assert len(samples) == 6
         for s in samples:
@@ -204,7 +204,7 @@ class TestActivityConverter:
             motion_col=6, object_col=7, tau=20, horizon=10, seed=0,
             motion_codes=[401, 402, 403], object_codes=[501, 502],
         )
-        assert meta.n_labels == 5
+        assert meta.dims.n_labels == 5
         assert "motion_403" in meta.label_names
 
     def test_split_across_recordings(self, activity_files):

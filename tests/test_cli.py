@@ -92,7 +92,7 @@ class TestGenerate:
         out = tmp_path / "empty.jsonl"
         assert run("generate", "--out", str(out), "--n", "0") == 0
         meta, samples = load_dataset(out)
-        assert samples == [] and meta.n_labels == 4
+        assert samples == [] and meta.dims.n_labels == 4
 
     def test_stats_table_lists_labels(self, tmp_path, capsys):
         out = tmp_path / "d.jsonl"
@@ -141,7 +141,7 @@ class TestGenerate:
             "--tau", "5", "--total-steps", "9",
         ) == 0
         meta, _ = load_dataset(out)
-        assert meta.n_labels == 3 and meta.tau == 5 and meta.dims.horizon == 4
+        assert meta.dims.n_labels == 3 and meta.dims.tau == 5 and meta.dims.horizon == 4
 
     def test_a_tau_0_dataset_trains(self, tmp_path, capsys):
         # its observations are written as [], which keeps no inner dimension

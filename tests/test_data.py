@@ -30,7 +30,10 @@ from faultcast.data import (
     synth_generate,
 )
 from faultcast.num import make_rng
-from dataclasses import replace
+from dataclasses import fields, replace
+
+
+RECORD_KEYS = tuple(f.name for f in fields(Sample))  # a sample record's keys
 
 
 def small_config(**overrides):
@@ -207,12 +210,12 @@ class TestRoundTrip:
         meta, samples = synth_generate(small_config(tau=0, total_steps=3, d_obs=d_obs), 5)
         path = tmp_path / "data.jsonl"
         save_dataset(path, meta, samples)
-        if record_by_record:
-            monkeypatch.setattr(data, "_block_arrays", lambda records, shapes: None)
+        if record_by_record:  # blocks of one record
+            monkeypatch.setattr(data, "CHECK_RECORDS", 1)
         meta2, samples2 = load_dataset(path)
         assert meta2 == meta and len(samples2) == 5
         for a, b in zip(samples, samples2):
-            for key in data.RECORD_KEYS:
+            for key in RECORD_KEYS:
                 got, want = getattr(b, key), getattr(a, key)
                 assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
                                                                   want.tobytes()), key
@@ -229,11 +232,28 @@ class TestRoundTrip:
         assert str(info.value) == f"{path}: line 3: sample 1: observations shape (0,) != (4, 2)"
 
 
+def reference_error(shapes, samples):
+    """(index, reason) of the first sample that breaks the schema, each
+    sample checked on its own: its shapes in key order, an empty array
+    taken as its declared shape when that holds no numbers either, then
+    its values by data._value_error."""
+    for index, s in enumerate(samples):
+        arrays = [getattr(s, key) for key in shapes]
+        arrays = [arr.reshape(shape) if arr.size == 0 and math.prod(shape) == 0 else arr
+                  for arr, shape in zip(arrays, shapes.values())]
+        for (key, shape), arr in zip(shapes.items(), arrays):
+            if arr.shape != shape:
+                return index, f"{data._SHAPE_NAMES[key]} shape {arr.shape} != {shape}"
+        if bad := data._value_error(*(arr[None] for arr in arrays)):
+            return index, bad[1]
+    return None
+
+
 def reference_load(path):
     """The record-by-record reader load_dataset must agree with: every
     record parsed by numeric_array up to the first malformed one, an empty
     array read as its declared shape when that holds no numbers, then
-    _first_error over the samples."""
+    reference_error over the samples."""
     with open(path, "r", encoding="utf-8") as fh:
         meta = data._read_header(path, fh.readline())
         rest = list(enumerate(fh, start=2))
@@ -247,8 +267,8 @@ def reference_load(path):
         lines.append(lineno)
         try:
             rec = json.loads(line)
-            arrays = {key: numeric_array(rec[key]) for key in data.RECORD_KEYS}
-        except (KeyError, TypeError, ValueError) as exc:
+            arrays = {key: numeric_array(rec[key]) for key in RECORD_KEYS}
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             malformed = len(samples), f"malformed record ({exc})"
             break
         if wrong := [key for key, arr in arrays.items() if arr is None]:
@@ -257,7 +277,7 @@ def reference_load(path):
         samples.append(Sample(**{key: arr.reshape(shapes[key])
                                  if arr.size == 0 and math.prod(shapes[key]) == 0 else arr
                                  for key, arr in arrays.items()}))
-    bad = data._first_error(meta, samples) or malformed
+    bad = reference_error(shapes, samples) or malformed
     if bad is not None:
         raise DatasetError(f"{path}: line {lines[bad[0]]}: sample {bad[0]}: {bad[1]}")
     return meta, samples
@@ -286,6 +306,8 @@ def _mutate_record(rec: dict, kind: str, rnd) -> dict:
     key = rnd.choice(sorted(rec))
     if kind == "missing key":
         del rec[key]
+    elif kind == "deep nesting":  # past the decoder's recursion limit
+        rec[key] = DEEP
     elif kind == "all true/false":
         rec[key] = json.loads(re.sub(r"-?[\d.]+(e-?\d+)?|NaN",
                                      lambda _: rnd.choice(["true", "false"]),
@@ -305,7 +327,20 @@ def _mutate_record(rec: dict, kind: str, rnd) -> dict:
 
 
 MUTATIONS = ("none", "all true/false", "null", "string", "NaN", "big integer", "ragged",
-             "missing key", "blank lines", "truncation")
+             "missing key", "blank lines", "truncation", "deep nesting")
+DEEP = "DEEP"  # a mutated line holds a 100,000-deep list in its place
+
+
+def _random_dataset(dims: ModelDims, n: int, seed: int):
+    """A valid dataset of n seeded samples of `dims`."""
+    rng = make_rng(seed)
+    samples = []
+    for _ in range(n):
+        step_labels = (rng.uniform(size=(dims.horizon, dims.n_labels)) < 0.3).astype(float)
+        samples.append(Sample(rng.normal(size=(dims.tau, dims.d_obs)),
+                              rng.normal(size=(dims.total_steps, dims.d_ctx)),
+                              segment_labels(step_labels), step_labels))
+    return DatasetMeta(dims, tuple(f"l{k}" for k in range(dims.n_labels))), samples
 
 
 class TestReaderProperty:
@@ -318,20 +353,15 @@ class TestReaderProperty:
            seed=st.integers(0, 2**32))
     @example(tau=0, horizon=2, n_labels=2, d_obs=0, d_ctx=0, n=3, per_block=2,
              mutations=[("all true/false", 5)], seed=1)
+    @example(tau=1, horizon=1, n_labels=1, d_obs=1, d_ctx=1, n=3, per_block=2,
+             mutations=[("deep nesting", 1)], seed=1)
     def test_matches_the_record_by_record_reference(self, tmp_path_factory, tau, horizon,
                                                     n_labels, d_obs, d_ctx, n, per_block,
                                                     mutations, seed):
         """Valid datasets of small random dims, with seeded line mutations:
         load_dataset returns bit-identical arrays or raises the same message."""
-        rng = make_rng(seed)
-        dims = ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon)
-        meta = DatasetMeta(dims, tuple(f"l{k}" for k in range(n_labels)))
-        samples = []
-        for _ in range(n):
-            step_labels = (rng.uniform(size=(horizon, n_labels)) < 0.3).astype(float)
-            samples.append(Sample(rng.normal(size=(tau, d_obs)),
-                                  rng.normal(size=(tau + horizon, d_ctx)),
-                                  segment_labels(step_labels), step_labels))
+        meta, samples = _random_dataset(ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon),
+                                        n, seed)
         path = tmp_path_factory.mktemp("reader") / "data.jsonl"
         save_dataset(path, meta, samples)
         header, *records = path.read_text().splitlines()
@@ -344,16 +374,85 @@ class TestReaderProperty:
                 line = records[k % len(records)]
                 records[k % len(records)] = line[: rnd.randrange(max(1, len(line)))]
             elif kind != "none" and records:
-                try:  # not a blank or truncated line
+                try:  # not a blank, truncated or deep line
                     rec = json.loads(records[k % len(records)])
-                except ValueError:
+                except (ValueError, RecursionError):
                     continue
-                records[k % len(records)] = json.dumps(_mutate_record(rec, kind, rnd),
-                                                       separators=(",", ":"))
+                records[k % len(records)] = json.dumps(
+                    _mutate_record(rec, kind, rnd), separators=(",", ":")
+                ).replace(f'"{DEEP}"', "[" * 100_000 + "]" * 100_000)
         path.write_text("\n".join([header, *records]) + "\n")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(data, "CHECK_RECORDS", per_block)
             assert _outcome(load_dataset, path) == _outcome(reference_load, path)
+
+
+SAVE_FAULTS = ("none", "shape", "NaN", "inf", "non-binary", "inconsistent", "bool labels",
+               "int labels")
+
+
+def _fault_sample(s: Sample, kind: str, rnd) -> Sample:
+    """`s` with one seeded fault of `kind`; "bool labels" and "int labels"
+    give both its label arrays that dtype, which is no fault."""
+    arrays = {key: getattr(s, key).copy() for key in RECORD_KEYS}
+    if kind in ("bool labels", "int labels"):
+        for key in ("labels", "step_labels"):
+            arrays[key] = arrays[key].astype(bool if kind == "bool labels" else np.int64)
+    elif kind == "shape":
+        key = rnd.choice(RECORD_KEYS)
+        arr = arrays[key]
+        arrays[key] = rnd.choice([arr.ravel(), arr[None], arr.T, arr[:-1],
+                                  np.concatenate([arr, np.zeros((1, *arr.shape[1:]))])])
+    elif kind in ("NaN", "inf", "non-binary"):
+        keys = ["obs", "ctx"] if kind != "non-binary" else ["labels", "step_labels"]
+        if keys := [key for key in keys if arrays[key].size]:
+            arr = arrays[rnd.choice(keys)].reshape(-1)  # a view: writes reach the array
+            arr[rnd.randrange(arr.size)] = {"NaN": math.nan, "inf": -math.inf}.get(
+                kind, rnd.choice([0.5, 2.0, math.nan]))
+    elif kind == "inconsistent":
+        arrays["labels"][rnd.randrange(arrays["labels"].size)] += 1.0
+    return Sample(**arrays)
+
+
+class TestSaveProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(tau=st.integers(0, 3), horizon=st.integers(1, 3), n_labels=st.integers(1, 3),
+           d_obs=st.integers(0, 2), d_ctx=st.integers(0, 2), n=st.integers(0, 7),
+           per_check=st.sampled_from((1, 2, 64)),
+           faults=st.lists(st.tuples(st.sampled_from(SAVE_FAULTS), st.integers(0, 2**32)),
+                           max_size=3),
+           seed=st.integers(0, 2**32))
+    # every label array of the one check bool, or int: the file holds 0 and 1
+    @example(tau=2, horizon=2, n_labels=2, d_obs=1, d_ctx=1, n=2, per_check=64,
+             faults=[("bool labels", 0), ("bool labels", 1)], seed=1)
+    @example(tau=2, horizon=2, n_labels=2, d_obs=1, d_ctx=1, n=2, per_check=64,
+             faults=[("int labels", 0), ("int labels", 1)], seed=1)
+    def test_matches_the_per_sample_reference(self, tmp_path_factory, tau, horizon, n_labels,
+                                              d_obs, d_ctx, n, per_check, faults, seed):
+        """Samples with seeded shape and value faults: save_dataset raises
+        reference_error's message and writes nothing, or writes a file that
+        loads back as the samples' values in float64."""
+        meta, samples = _random_dataset(ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon),
+                                        n, seed)
+        for kind, at in faults:
+            if samples:  # sample at % n, so an example picks it
+                samples[at % n] = _fault_sample(samples[at % n], kind, random.Random(at))
+        shapes = data._record_shapes(meta.dims)
+        want = reference_error(shapes, samples)
+        path = tmp_path_factory.mktemp("save") / "data.jsonl"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "CHECK_RECORDS", per_check)
+            if want is not None:
+                with pytest.raises(DatasetError) as info:
+                    save_dataset(path, meta, samples)
+                assert str(info.value) == f"sample {want[0]}: {want[1]}" and not path.exists()
+                return
+            save_dataset(path, meta, samples)
+        loaded = [(arr.shape, arr.dtype, arr.tobytes()) for s in load_dataset(path)[1]
+                  for arr in vars(s).values()]
+        expected = [np.asarray(getattr(s, key), np.float64).reshape(shape)
+                    for s in samples for key, shape in shapes.items()]
+        assert loaded == [(arr.shape, arr.dtype, arr.tobytes()) for arr in expected]
 
 
 class TestSplit:
@@ -453,7 +552,7 @@ class TestGenerator:
         ref_meta, ref_samples = synth_reference(config, n)
         assert meta == ref_meta and len(samples) == len(ref_samples) == n
         for sample, ref in zip(samples, ref_samples):
-            for key in data.RECORD_KEYS:
+            for key in RECORD_KEYS:
                 got, want = getattr(sample, key), getattr(ref, key)
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), key
                 assert got.tobytes() == want.tobytes(), key
@@ -534,7 +633,8 @@ class TestClassStats:
         for s in samples:
             s.labels[:] = 0.0
             s.step_labels[:] = 0.0
-        np.testing.assert_array_equal(class_stats(samples), np.zeros(meta.n_labels, dtype=int))
+        np.testing.assert_array_equal(class_stats(samples),
+                                      np.zeros(meta.dims.n_labels, dtype=int))
 
     def test_hand_counted(self):
         _, samples = synth_generate(small_config(), 3)

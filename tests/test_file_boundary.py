@@ -159,6 +159,23 @@ def test_a_record_array_of_strings_and_booleans_makes_train_exit_2(files, capsys
                                        "key 'obs': must be a numeric array\n")
 
 
+# where a 100,000-deep list goes in each kind of file: past the JSON
+# decoder's recursion limit, which raises RecursionError, not ValueError
+DEEP_AT = {"dataset": ("label_names",), "record": ("obs",), "model": ("encoder", "w_f"),
+           "grid": (0, "eta"), "report": ()}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_AT))
+def test_a_value_nested_too_deep_makes_the_command_exit_2(files, kind, capsys):
+    originals, bad = files
+    doc, dump, argv = originals[kind]
+    text = dump(_mutate(json.loads(json.dumps(doc)), DEEP_AT[kind], "DEEP"))
+    bad[kind].write_text(text.replace('"DEEP"', "[" * 100_000 + "]" * 100_000))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad[kind]}") and err.count("\n") == 1, err[:200]
+
+
 def _float_spelling(n: int) -> str:
     """The integer n's exact value as a JSON float literal: 1.00e2 for 100."""
     digits = str(abs(n))
