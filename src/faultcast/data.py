@@ -317,6 +317,7 @@ def _check(records: list, shapes: dict, whole: bool):
     the schema, and that one's (index, reason) or None; its reason is
     _convert's, else _value_error's. The records are converted whole when
     `whole`, else, or when that conversion fails, one at a time."""
+    # a lone record is converted alone below anyway, and _value_error takes no empty stack
     converted = _convert(records, shapes) if whole and len(records) > 1 else None
     parts = ([(0, converted)] if isinstance(converted, list)
              else ((index, _convert([rec], shapes)) for index, rec in enumerate(records)))

@@ -232,6 +232,11 @@ class TestRoundTrip:
         assert str(info.value) == f"{path}: line 3: sample 1: observations shape (0,) != (4, 2)"
 
 
+def record_shapes(d: ModelDims) -> dict:
+    return {"obs": (d.tau, d.d_obs), "ctx": (d.total_steps, d.d_ctx),
+            "labels": (d.n_labels,), "step_labels": (d.horizon, d.n_labels)}
+
+
 def reference_error(shapes, samples):
     """(index, reason) of the first sample that breaks the schema, each
     sample checked on its own: its shapes in key order, an empty array
@@ -257,9 +262,7 @@ def reference_load(path):
     with open(path, "r", encoding="utf-8") as fh:
         meta = data._read_header(path, fh.readline())
         rest = list(enumerate(fh, start=2))
-    d = meta.dims
-    shapes = {"obs": (d.tau, d.d_obs), "ctx": (d.total_steps, d.d_ctx),
-              "labels": (d.n_labels,), "step_labels": (d.horizon, d.n_labels)}
+    shapes = record_shapes(meta.dims)
     samples, lines, malformed = [], [], None
     for lineno, line in rest:
         if not line.strip():
@@ -397,20 +400,22 @@ def _fault_sample(s: Sample, kind: str, rnd) -> Sample:
     arrays = {key: getattr(s, key).copy() for key in RECORD_KEYS}
     if kind in ("bool labels", "int labels"):
         for key in ("labels", "step_labels"):
-            arrays[key] = arrays[key].astype(bool if kind == "bool labels" else np.int64)
+            with np.errstate(invalid="ignore"):  # an earlier NaN fault casts to some integer
+                arrays[key] = arrays[key].astype(bool if kind == "bool labels" else np.int64)
     elif kind == "shape":
         key = rnd.choice(RECORD_KEYS)
         arr = arrays[key]
         arrays[key] = rnd.choice([arr.ravel(), arr[None], arr.T, arr[:-1],
                                   np.concatenate([arr, np.zeros((1, *arr.shape[1:]))])])
-    elif kind in ("NaN", "inf", "non-binary"):
-        keys = ["obs", "ctx"] if kind != "non-binary" else ["labels", "step_labels"]
+    elif kind != "none":  # one value of an array the kind concerns
+        keys = {"NaN": ["obs", "ctx"], "inf": ["obs", "ctx"], "inconsistent": ["labels"],
+                "non-binary": ["labels", "step_labels"]}[kind]
         if keys := [key for key in keys if arrays[key].size]:
-            arr = arrays[rnd.choice(keys)].reshape(-1)  # a view: writes reach the array
-            arr[rnd.randrange(arr.size)] = {"NaN": math.nan, "inf": -math.inf}.get(
-                kind, rnd.choice([0.5, 2.0, math.nan]))
-    elif kind == "inconsistent":
-        arrays["labels"][rnd.randrange(arrays["labels"].size)] += 1.0
+            key = rnd.choice(keys)
+            arr = arrays[key] = arrays[key].astype(np.float64)  # NaN fits no int or bool
+            at = tuple(rnd.randrange(n) for n in arr.shape)
+            arr[at] = {"NaN": math.nan, "inf": -math.inf, "inconsistent": 1.0 - arr[at],
+                       "non-binary": rnd.choice([0.5, 2.0, math.nan])}[kind]
     return Sample(**arrays)
 
 
@@ -437,7 +442,7 @@ class TestSaveProperty:
         for kind, at in faults:
             if samples:  # sample at % n, so an example picks it
                 samples[at % n] = _fault_sample(samples[at % n], kind, random.Random(at))
-        shapes = data._record_shapes(meta.dims)
+        shapes = record_shapes(meta.dims)
         want = reference_error(shapes, samples)
         path = tmp_path_factory.mktemp("save") / "data.jsonl"
         with pytest.MonkeyPatch.context() as patch:
