@@ -92,12 +92,14 @@ def _read_dat(path) -> np.ndarray:
 
 
 def _window_starts(
-    n_rows: int, window: int, n_samples: int, seed: int, allow_overlap: bool
+    path, n_rows: int, window: int, n_samples: int, seed: int, allow_overlap: bool
 ) -> list[int]:
+    """Seeded start rows of n_samples windows cut from the n_rows rows read
+    from the file at `path`, which an error names."""
     candidates = n_rows - window + 1
     if candidates < 1:
         raise DatasetError(
-            f"recording has {n_rows} rows, too short for a {window}-step window"
+            f"{path}: recording has {n_rows} rows, too short for a {window}-step window"
         )
     order = make_rng(seed).permutation(candidates)
     if allow_overlap:
@@ -113,7 +115,7 @@ def _window_starts(
                 break
     if len(starts) < n_samples:
         raise DatasetError(
-            f"only {len(starts)} windows available "
+            f"{path}: only {len(starts)} windows available "
             f"({'overlap allowed' if allow_overlap else 'no overlap'}), "
             f"requested {n_samples}"
         )
@@ -154,7 +156,7 @@ def convert_plant_csv(
         numbered = [(reader.line_num, row) for row in reader if row]
     lower = [name.strip().lower() for name in header]
     if "time" not in lower:
-        raise DatasetError("signals file needs a 'time' column")
+        raise DatasetError(f"{signals_path}: signals file needs a 'time' column")
     time_col = lower.index("time")
     obs_cols = [
         i for i, name in enumerate(header)
@@ -166,7 +168,7 @@ def convert_plant_csv(
     ]
     if not obs_cols or not ctx_cols:
         raise DatasetError(
-            f"could not classify columns: {len(obs_cols)} observation and "
+            f"{signals_path}: could not classify columns: {len(obs_cols)} observation and "
             f"{len(ctx_cols)} context columns matched prefixes "
             f"{obs_prefixes} / {ctx_prefixes}"
         )
@@ -215,7 +217,8 @@ def convert_plant_csv(
             step_truth[lo:hi, code - 1] = 1.0
 
     dims = ModelDims(n_labels, len(obs_cols), len(ctx_cols), tau, tau + horizon)
-    starts = _window_starts(len(rows), dims.total_steps, n_samples, seed, allow_overlap)
+    starts = _window_starts(signals_path, len(rows), dims.total_steps, n_samples, seed,
+                            allow_overlap)
     samples = _cut_windows(dims, obs_all, ctx_all, step_truth, starts)
     names = tuple(f"code_{k + 1}" for k in range(n_labels))
     return DatasetMeta(dims, names, "phm_adapter"), samples
@@ -288,7 +291,7 @@ def convert_activity_dat(
         per_file[k] += 1
 
     samples = []
-    for file_idx, (arr, quota) in enumerate(zip(recordings, per_file)):
+    for file_idx, (path, arr, quota) in enumerate(zip(paths, recordings, per_file)):
         if quota == 0:
             continue
         obs_all = np.column_stack(
@@ -302,7 +305,7 @@ def convert_activity_dat(
             ]
         )
         starts = _window_starts(
-            arr.shape[0], dims.total_steps, quota, seed + file_idx, allow_overlap
+            path, arr.shape[0], dims.total_steps, quota, seed + file_idx, allow_overlap
         )
         samples += _cut_windows(dims, obs_all, ctx_all, truth, starts)
     label_names = tuple(

@@ -16,8 +16,13 @@ segment labels with it, and load and save validate against it.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, islice
 
@@ -36,6 +41,10 @@ CHECK_RECORDS = 64
 # decoded JSON stays small: 178 synthetic records of 46 numbers would fit
 # (CHECK_RECORDS caps them at 64), three HAR-shaped ones of 2,436
 BLOCK_NUMBERS = 2**13
+# record bytes from which a load decodes the second half of the records in a
+# forked child, where two CPUs are usable: on 2 CPUs two processes loaded a
+# file of 0.59 MB no faster than one, and every larger file tried faster
+SPLIT_BYTES = 600_000
 
 
 class DatasetError(ValueError):
@@ -155,18 +164,18 @@ class JsonField:
         return float(self.value) if kind is float else self.value
 
 
-def read_json(path, fmt: tuple[str, int] | None = None, line: str | None = None) -> JsonField:
-    """The JSON document in the file at `path`, or in `line`, the dataset
-    header read from its first line. With fmt = (name, version), the
-    document must be an object whose "format" and "version" keys hold them.
-    Every error is a DatasetError naming the file."""
+def read_json(path, fmt: tuple[str, int] | None = None, line: bytes | None = None) -> JsonField:
+    """The JSON document in the file at `path`, or in the UTF-8 bytes
+    `line`, the dataset header read from its first line. With fmt = (name,
+    version), the document must be an object whose "format" and "version"
+    keys hold them. Every error is a DatasetError naming the file."""
     where = str(path) if line is None else f"{path}: line 1"
     try:
         if line is None:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         else:
-            doc = json.loads(line)
+            doc = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise DatasetError(f"{where}: invalid JSON ({exc})") from None
     root = JsonField(doc, where)
@@ -357,7 +366,7 @@ def save_dataset(path, meta: DatasetMeta, samples: list[Sample]) -> None:
     } for s in samples)))
 
 
-def _read_header(path, line: str) -> DatasetMeta:
+def _read_header(path, line: bytes) -> DatasetMeta:
     """Parse and schema-check a dataset's first line."""
     header = read_json(path, (FORMAT_NAME, FORMAT_VERSION), line)
     dims = ModelDims.read(header)
@@ -368,49 +377,170 @@ def _read_header(path, line: str) -> DatasetMeta:
         raise header.error(str(exc)) from None
 
 
+class _Range(io.RawIOBase):
+    """Bytes `start` to `end` of the binary file `fh`, read in order."""
+
+    def __init__(self, fh, start: int, end: int):
+        fh.seek(start)
+        self.fh, self.left = fh, end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.fh.readinto(memoryview(buffer)[: self.left])
+        self.left -= count
+        return count
+
+
+def _lines(fh, start: int, end: int):
+    """The lines of bytes `start` to `end` of the binary file `fh`, each
+    with its line end: a \\n, a \\r\\n or a lone \\r, as text mode splits
+    them. A byte no UTF-8 holds reads as a lone surrogate, so that the line
+    it is in can be named."""
+    return io.TextIOWrapper(io.BufferedReader(_Range(fh, start, end)), encoding="utf-8",
+                            errors="surrogateescape", newline="")
+
+
+def _line_bytes(fh, start: int, end: int) -> bytes:
+    """The bytes of the first line from byte `start` of `fh`, its end included."""
+    with _lines(fh, start, end) as lines:
+        return lines.readline().encode("utf-8", "surrogateescape")
+
+
+def _fork():
+    """(pid, pipe): in the parent a forked child's pid and the read end of
+    a pipe from it, in the child 0 and the write end; (None, None) when the
+    fork fails, fewer than two CPUs are usable, or another Python thread
+    runs, which the child would lack."""
+    if not (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1):
+        return None, None
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None, None
+    os.close(read if pid == 0 else write)
+    return pid, write if pid == 0 else read
+
+
+def _send(pipe: int, bad, samples: list) -> None:
+    """Write to the pipe `pipe` the first bad record's (line, sample,
+    reason) or None and the number of `samples`, then, if none is bad,
+    their four stacked arrays."""
+    arrays = () if bad or not samples else stack_samples(samples)
+    for buffer in (pickle.dumps((bad, len(samples))),
+                   *(arr.reshape(-1).view(np.uint8) for arr in arrays)):
+        view = memoryview(buffer)
+        while view:
+            view = view[os.write(pipe, view) :]
+
+
+def _receive(pipe: int, shapes: dict):
+    """What _send wrote to the pipe `pipe`: (bad, arrays), the arrays read
+    into ones allocated here; None if the writer stopped short."""
+    with open(pipe, "rb", closefd=False) as reader:
+        try:
+            bad, count = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            return None
+        arrays = [] if bad else [np.empty((count, *shape)) for shape in shapes.values()]
+        for arr in arrays:
+            if reader.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                return None
+    return bad, arrays
+
+
 def load_dataset(path) -> tuple[DatasetMeta, list[Sample]]:
     """Read and fully validate a dataset file.
 
     Samples are numbered by record, blank lines skipped; an error in one
     names the file, its 1-based line and the sample index, and the first
     bad record in file order is reported, by the first rule it breaks.
+    A line that is no UTF-8, the header included, is such an error.
     save_dataset checks its samples through the same check.
 
-    The file is streamed a block of records at a time: CHECK_RECORDS at
-    most, and only as many as hold BLOCK_NUMBERS numbers by the header's
-    dims (one at least), so a block's decoded JSON stays small. Each key is
-    converted across a block by one numeric_array call, and the block's
-    arrays are validated together. A block with a u or an f in a line
-    (true, false, null, Infinity), or one whose conversion fails, is
-    converted a record at a time instead. The samples of a block are row
-    views of its arrays, so one kept sample keeps its whole block alive. An
-    empty array reads as its declared shape when that shape holds no
-    numbers either: [] is the (0, d_obs) observations of a tau of 0.
+    The records are streamed a block at a time: CHECK_RECORDS at most, and
+    only as many as hold BLOCK_NUMBERS numbers by the header's dims (one at
+    least), so a block's decoded JSON stays small. Each key is converted
+    across a block by one numeric_array call, and the block's arrays are
+    validated together. A block with a u or an f in a line (true, false,
+    null, Infinity), or one whose conversion fails, is converted a record
+    at a time instead. The samples of a block are row views of its arrays,
+    so one kept sample keeps its whole block alive. An empty array reads as
+    its declared shape when that shape holds no numbers either: [] is the
+    (0, d_obs) observations of a tau of 0.
+
+    When the records take SPLIT_BYTES or more, two CPUs are usable and no
+    other Python thread runs, a forked child decodes the records from the
+    first line start past their middle, by the same blocks and checks, and
+    pipes back its first bad record or its samples' four stacked arrays.
+    Those samples are row views of the four arrays, so one kept sample of
+    the second half keeps that whole half alive. The first half's error
+    wins; the child never outlives the call, and if it fails, its half is
+    decoded here.
     """
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = _read_header(path, fh.readline())
-        shapes = _record_shapes(meta.dims)
-        size = max(1, min(CHECK_RECORDS, BLOCK_NUMBERS // sum(map(math.prod, shapes.values()))))
-        # iterating a file yields no "" line; isspace, unlike strip, copies none
-        numbered = ((lineno, line) for lineno, line in enumerate(fh, start=2)
-                    if not line.isspace())
-        for block in iter(lambda: list(islice(numbered, size)), []):
-            records, malformed = [], None
-            for _, line in block:
-                try:
-                    records.append(json.loads(line))
-                except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
-                    malformed = len(records), f"malformed record ({exc})"
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        header = _line_bytes(fh, 0, end)
+        meta, start = _read_header(path, header), len(header)
+        middle = (start + end) // 2
+        split = middle + len(_line_bytes(fh, middle, end)) if end - start >= SPLIT_BYTES else end
+    shapes = _record_shapes(meta.dims)
+    size = max(1, min(CHECK_RECORDS, BLOCK_NUMBERS // sum(map(math.prod, shapes.values()))))
+    pid, pipe = _fork() if split < end else (None, None)
+    # the child numbers its lines from 1 and its samples from 0
+    ranges, lineno = ([(split, end)], 0) if pid == 0 else ([(start, split), (split, end)], 1)
+    samples, bad = [], None
+    try:
+        for lo, hi in ranges:
+            if pid and lo == split and (got := _receive(pipe, shapes)):
+                theirs, arrays = got
+                if theirs:
+                    bad = lineno + theirs[0], len(samples) + theirs[1], theirs[2]
                     break
-            # a u or an f: true, false, null or Infinity, which no JSON number
-            # or record key holds; only a record alone refuses all-true/false
-            whole = not any("u" in line or "f" in line for _, line in block)
-            found, bad = _check(records, shapes, whole)
-            if bad := bad or malformed:
-                raise DatasetError(f"{path}: line {block[bad[0]][0]}: "
-                                   f"sample {len(samples) + bad[0]}: {bad[1]}")
-            samples += found
+                samples += map(Sample, *arrays)
+                continue
+            with open(path, "rb") as fh, _lines(fh, lo, hi) as lines:
+                counted = enumerate(lines, start=lineno + 1)
+                for read in iter(lambda: list(islice(counted, size)), []):
+                    lineno = read[-1][0]
+                    # isspace, unlike strip, copies no line
+                    block = [(n, line) for n, line in read if not line.isspace()]
+                    records, malformed = [], None
+                    for _, line in block:
+                        try:  # a lone surrogate is a byte no UTF-8 holds: decode raises
+                            if not line.isascii():
+                                line.encode("utf-8", "surrogateescape").decode("utf-8")
+                            records.append(json.loads(line))
+                        except (ValueError, RecursionError) as exc:  # or too deep
+                            malformed = len(records), f"malformed record ({exc})"
+                            break
+                    # a u or an f: true, false, null or Infinity, which no JSON number
+                    # or record key holds; only a record alone refuses all-true/false
+                    whole = not any("u" in line or "f" in line for _, line in block)
+                    found, bad = _check(records, shapes, whole)
+                    if bad := bad or malformed:
+                        bad = block[bad[0]][0], len(samples) + bad[0], bad[1]
+                        break
+                    samples += found
+            if bad:
+                break
+        if pid == 0:
+            _send(pipe, bad, samples)
+    finally:
+        if pid == 0:  # the child leaves here, whatever happened
+            os._exit(0)
+        if pid:  # a child that has not written all it will is stopped
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if pipe is not None:
+            os.close(pipe)
+    if bad:
+        raise DatasetError(f"{path}: line {bad[0]}: sample {bad[1]}: {bad[2]}")
     return meta, samples
 
 

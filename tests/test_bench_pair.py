@@ -117,3 +117,15 @@ def test_holm_adjustment_over_every_metric_of_every_workload(bench_pair):
                                    "z": {"signed_rank_p": 1.0}}}}
     bench_pair.add_holm(workloads)
     assert [m["signed_rank_p_holm"] for m in workloads["a"]["metrics"].values()] == [1.0] * 3
+
+
+def test_two_process_scaling_sits_beside_the_cpu_count(bench_pair, monkeypatch):
+    # a tiny loop, so mostly two interpreter start-ups at once against one
+    scaling = bench_pair.two_process_scaling(loops=1_000, repeats=1)
+    assert isinstance(scaling, float) and 0.1 < scaling < 10
+    monkeypatch.setattr(bench_pair, "git", lambda *args: "0" * 40)
+    doc = bench_pair.provenance({"nproc": 2, "cpus_usable": 2}, {"parent": "a", "change": "b"},
+                                {"start": scaling, "end": 1.0})
+    keys = list(doc)
+    assert keys[keys.index("cpus_usable") + 1] == "two_process_scaling"
+    assert doc["two_process_scaling"] == {"start": scaling, "end": 1.0}

@@ -838,6 +838,33 @@ class TestConvert:
             save_dataset(lib_out, *convert(*args, **kwargs))
             assert cli_out.read_bytes() == lib_out.read_bytes(), argv[0]
 
+    @pytest.mark.parametrize("case, message", [
+        ("no time column", "signals file needs a 'time' column"),
+        ("no context column", "could not classify columns"),
+        ("short plant recording", "recording has 80 rows, too short for a 100-step window"),
+        ("short activity recording", "recording has 120 rows, too short for a 150-step window"),
+        ("too few windows", "only 1 windows available (no overlap), requested 2"),
+    ])
+    def test_an_error_of_the_recording_names_its_file(self, raw_files, tmp_path, capsys, case,
+                                                      message):
+        signals, faults, recordings = raw_files
+        phm = ["convert-phm", "--signals", str(signals), "--faults", str(faults),
+               "--n-samples", "3", "--out", str(tmp_path / "out.jsonl")]
+        har = ["convert-har", "--data", str(recordings[1]), "--obs-cols", "1:4",
+               "--ctx-col", "5", "--motion-col", "6", "--object-col", "7",
+               "--out", str(tmp_path / "out.jsonl")]
+        if case == "no time column":
+            signals.write_text(signals.read_text().replace("time,", "tick,", 1))
+        argv = {"no time column": phm, "no context column": [*phm, "--ctx-prefix", "Q"],
+                "short plant recording": [*phm, "--tau", "90"],
+                "short activity recording": [*har, "--n-samples", "1", "--tau", "125"],
+                "too few windows": [*har, "--n-samples", "2", "--tau", "60", "--no-overlap"]}
+        assert run(*argv[case]) == 2
+        path = recordings[1] if argv[case][0] == "convert-har" else signals
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_unmatched_prefixes_are_named_as_tuples(self, raw_files, tmp_path, capsys):
         signals, faults, _ = raw_files
         out = tmp_path / "plant.jsonl"
@@ -845,6 +872,6 @@ class TestConvert:
                    "--out", str(out), "--n-samples", "3",
                    "--obs-prefix", "Q", "--obs-prefix", "Z") == 2
         assert capsys.readouterr().err == (
-            "error: could not classify columns: 0 observation and 2 context columns "
+            f"error: {signals}: could not classify columns: 0 observation and 2 context columns "
             "matched prefixes ('Q', 'Z') / ('R',)\n")
         assert not out.exists()

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import pickle
 import random
 import re
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -260,7 +264,7 @@ def reference_load(path):
     array read as its declared shape when that holds no numbers, then
     reference_error over the samples."""
     with open(path, "r", encoding="utf-8") as fh:
-        meta = data._read_header(path, fh.readline())
+        meta = data._read_header(path, fh.readline().encode())
         rest = list(enumerate(fh, start=2))
     shapes = record_shapes(meta.dims)
     samples, lines, malformed = [], [], None
@@ -346,6 +350,30 @@ def _random_dataset(dims: ModelDims, n: int, seed: int):
     return DatasetMeta(dims, tuple(f"l{k}" for k in range(dims.n_labels))), samples
 
 
+def _write_mutated(path, dims: ModelDims, n: int, mutations, seed: int) -> None:
+    """Save n seeded samples of `dims` at `path`, then apply each (kind,
+    seed) of `mutations` to a line: a kind of MUTATIONS."""
+    save_dataset(path, *_random_dataset(dims, n, seed))
+    header, *records = path.read_text().splitlines()
+    for kind, at in mutations:
+        rnd = random.Random(at)
+        k = rnd.randrange(len(records) + 1)
+        if kind == "blank lines":
+            records.insert(k, rnd.choice(["", "  ", "\t"]))
+        elif kind == "truncation" and records:
+            line = records[k % len(records)]
+            records[k % len(records)] = line[: rnd.randrange(max(1, len(line)))]
+        elif kind != "none" and records:
+            try:  # not a blank, truncated or deep line
+                rec = json.loads(records[k % len(records)])
+            except (ValueError, RecursionError):
+                continue
+            records[k % len(records)] = json.dumps(
+                _mutate_record(rec, kind, rnd), separators=(",", ":")
+            ).replace(f'"{DEEP}"', "[" * 100_000 + "]" * 100_000)
+    path.write_text("\n".join([header, *records]) + "\n")
+
+
 class TestReaderProperty:
     @settings(max_examples=150, deadline=None)
     @given(tau=st.integers(0, 3), horizon=st.integers(1, 3), n_labels=st.integers(1, 3),
@@ -363,31 +391,173 @@ class TestReaderProperty:
                                                     mutations, seed):
         """Valid datasets of small random dims, with seeded line mutations:
         load_dataset returns bit-identical arrays or raises the same message."""
-        meta, samples = _random_dataset(ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon),
-                                        n, seed)
         path = tmp_path_factory.mktemp("reader") / "data.jsonl"
-        save_dataset(path, meta, samples)
-        header, *records = path.read_text().splitlines()
-        for kind, at in mutations:
-            rnd = random.Random(at)
-            k = rnd.randrange(len(records) + 1)
-            if kind == "blank lines":
-                records.insert(k, rnd.choice(["", "  ", "\t"]))
-            elif kind == "truncation" and records:
-                line = records[k % len(records)]
-                records[k % len(records)] = line[: rnd.randrange(max(1, len(line)))]
-            elif kind != "none" and records:
-                try:  # not a blank, truncated or deep line
-                    rec = json.loads(records[k % len(records)])
-                except (ValueError, RecursionError):
-                    continue
-                records[k % len(records)] = json.dumps(
-                    _mutate_record(rec, kind, rnd), separators=(",", ":")
-                ).replace(f'"{DEEP}"', "[" * 100_000 + "]" * 100_000)
-        path.write_text("\n".join([header, *records]) + "\n")
+        _write_mutated(path, ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon), n,
+                       mutations, seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(data, "CHECK_RECORDS", per_block)
             assert _outcome(load_dataset, path) == _outcome(reference_load, path)
+
+
+ONE_PROCESS = 2**62  # a SPLIT_BYTES no file reaches
+
+
+def _load_both(path, monkeypatch):
+    """_outcome of load_dataset on one process, then split at the middle."""
+    outcomes = []
+    for split_bytes in (ONE_PROCESS, 0):
+        monkeypatch.setattr(data, "SPLIT_BYTES", split_bytes)
+        outcomes.append(_outcome(load_dataset, path))
+    return outcomes
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returned in this process, 0 in a child."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _split_of(text: bytes) -> int:
+    """Where load_dataset splits the bytes `text` of a file with \\n line
+    ends: past the first line end at or after the middle of its records."""
+    start = text.index(b"\n") + 1
+    return text.find(b"\n", (start + len(text)) // 2) + 1 or len(text)
+
+
+def _split_file(tmp_path, n=8, edit=None):
+    """A saved dataset of n seeded samples at tmp_path, its lines given to
+    `edit` first, and the offset of its split."""
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, *_random_dataset(ModelDims(2, 2, 1, 3, 5), n, 3))
+    if edit:
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return path, _split_of(path.read_bytes())
+
+
+class TestSplitLoad:
+    @settings(max_examples=60, deadline=None)
+    @given(tau=st.integers(0, 3), horizon=st.integers(1, 3), n_labels=st.integers(1, 3),
+           d_obs=st.integers(0, 2), d_ctx=st.integers(0, 2), n=st.integers(0, 7),
+           mutations=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**32)),
+                              max_size=2),
+           seed=st.integers(0, 2**32))
+    def test_matches_the_one_process_load(self, tmp_path_factory, tau, horizon, n_labels,
+                                          d_obs, d_ctx, n, mutations, seed):
+        """TestReaderProperty's files split at every size: the same arrays
+        or the same message as one process, and no child left."""
+        path = tmp_path_factory.mktemp("split") / "data.jsonl"
+        _write_mutated(path, ModelDims(n_labels, d_obs, d_ctx, tau, tau + horizon), n,
+                       mutations, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            one, two = _load_both(path, patch)
+        assert one == two and _no_child_left()
+
+    def test_a_child_decodes_the_second_half(self, tmp_path, monkeypatch, forks):
+        path, split = _split_file(tmp_path)
+        one, two = _load_both(path, monkeypatch)
+        assert one == two and one[0] == "ok" and len(forks) == 1 and _no_child_left()
+
+    @pytest.mark.parametrize("at", [0, 1])  # the split lands after or on the blank line
+    def test_a_blank_line_at_the_split(self, tmp_path, monkeypatch, at):
+        path, split = _split_file(tmp_path)
+        text = path.read_bytes()
+        text = text[: split - at] + b"\n" + text[split - at :]
+        path.write_bytes(text)
+        assert b"\n\n" in text[_split_of(text) - 2 : _split_of(text) + 1]
+        one, two = _load_both(path, monkeypatch)
+        assert one == two and one[0] == "ok" and len(one[2]) == 4 * 8
+
+    def test_the_split_on_the_last_record(self, tmp_path, monkeypatch, forks):
+        # a first record padded with spaces past half of the records' bytes
+        path, split = _split_file(tmp_path, n=2,
+                                         edit=lambda lines: [lines[0], lines[1] + " " * 2000,
+                                                             lines[2]])
+        assert path.read_text().splitlines()[2] == path.read_bytes()[split:].decode().strip()
+        one, two = _load_both(path, monkeypatch)
+        assert one == two and one[0] == "ok" and len(forks) == 1
+
+    def test_no_child_when_the_split_is_the_end(self, tmp_path, monkeypatch, forks):
+        path, split = _split_file(tmp_path, n=1)
+        assert split == path.stat().st_size
+        one, two = _load_both(path, monkeypatch)
+        assert one == two and one[0] == "ok" and forks == []
+
+    @pytest.mark.parametrize("bad", [[1], [6], [1, 6]])  # the first half, the second, both
+    def test_the_first_bad_record_in_file_order(self, tmp_path, monkeypatch, forks, bad):
+        def edit(lines):
+            for k in bad:
+                lines[1 + k] = lines[1 + k].replace('"labels":[', '"labels":[2,', 1)
+            return lines
+
+        path, split = _split_file(tmp_path, edit=edit)
+        one, two = _load_both(path, monkeypatch)
+        assert one == two == ("error", f"{path}: line {2 + bad[0]}: sample {bad[0]}: "
+                                       "segment label shape (3,) != (2,)")
+        assert len(forks) == 1 and _no_child_left()
+
+    @pytest.mark.parametrize("bad", [False, True])  # a bad record in the second half
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_load_alike(self, tmp_path, monkeypatch, forks, newline, bad):
+        def edit(lines):
+            lines[7] = lines[7].replace('"labels":[', '"labels":[2,', 1) if bad else lines[7]
+            return [*lines[:5], "", *lines[5:]]  # and a blank line
+
+        path, split = _split_file(tmp_path, edit=edit)
+        want = _load_both(path, monkeypatch)
+        assert want[0][0] == ("error" if bad else "ok")
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        assert _load_both(path, monkeypatch) == want and len(forks) == 2
+
+    @pytest.mark.parametrize("written", [0, 1, 200])  # bytes of the pickle, then of arrays
+    def test_a_child_killed_mid_write_is_reaped_and_its_half_decoded(
+        self, tmp_path, monkeypatch, forks, written
+    ):
+        def dying(pipe, bad, samples):
+            os.write(pipe, (pickle.dumps((bad, len(samples))) + bytes(200))[:written])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        path, split = _split_file(tmp_path)
+        want = _load_both(path, monkeypatch)
+        monkeypatch.setattr(data, "_send", dying)
+        assert _load_both(path, monkeypatch) == want and len(forks) == 2 and _no_child_left()
+
+    @pytest.mark.parametrize("setting", ["one CPU", "a second thread", "fork fails"])
+    def test_one_process_where_a_fork_is_unsafe_or_fails(self, tmp_path, monkeypatch,
+                                                         setting):
+        path, split = _split_file(tmp_path)
+        want = _load_both(path, monkeypatch)
+
+        def fork():
+            if setting != "fork fails":
+                raise AssertionError("forked")
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", fork)
+        if setting == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if setting == "a second thread":
+            thread.start()
+        try:
+            assert _load_both(path, monkeypatch) == want
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join()
 
 
 SAVE_FAULTS = ("none", "shape", "NaN", "inf", "non-binary", "inconsistent", "bool labels",

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from faultcast import data
 from faultcast.cli import build_parser, main
 from faultcast.data import DatasetError, numeric_array
 
@@ -157,6 +158,23 @@ def test_a_record_array_of_strings_and_booleans_makes_train_exit_2(files, capsys
     assert main(argv) == 2
     assert capsys.readouterr().err == (f"error: {bad['record']}: line 2: sample 0: "
                                        "key 'obs': must be a numeric array\n")
+
+
+@pytest.mark.parametrize("split_bytes", [0, 2**62])  # a child decodes the second half, or not
+@pytest.mark.parametrize("line", [1, 3, 40])  # the header, a record of each half
+def test_a_byte_no_utf8_holds_names_the_file_and_line(files, monkeypatch, capsys, split_bytes,
+                                                      line):
+    originals, bad = files
+    header, dump, argv = originals["dataset"]
+    lines = dump(header).encode().split(b"\n")
+    lines[line - 1] = lines[line - 1][:10] + b"\xff" + lines[line - 1][10:]
+    bad["dataset"].write_bytes(b"\n".join(lines) + b"\n")
+    monkeypatch.setattr(data, "SPLIT_BYTES", split_bytes)
+    assert main(argv) == 2
+    reason = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    where = f"error: {bad['dataset']}: line {line}: "
+    assert capsys.readouterr().err == (f"{where}invalid JSON ({reason})\n" if line == 1 else
+                                       f"{where}sample {line - 2}: malformed record ({reason})\n")
 
 
 # where a 100,000-deep list goes in each kind of file: past the JSON

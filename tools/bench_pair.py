@@ -16,8 +16,9 @@ direction and bound from BENCHMARK.json, the per-pair change/parent ratios
 with their median, the exact two-sided Wilcoxon signed-rank p over
 their logs and its Holm adjustment over every metric x workload test of
 the file, and every raw run record;
-provenance names python, numpy, the BLAS, the CPU count, both commits and
-their src trees. It reads the workloads and metrics from BENCHMARK.json and
+provenance names python, numpy, the BLAS, the CPU count, the host's
+two-process scaling at the start and at the end of the session (see
+two_process_scaling), both commits and their src trees. It reads the workloads and metrics from BENCHMARK.json and
 adds none. Once per clone it also runs OUTPUT_COMMANDS, seeded CLI calls,
 and records the sha256 of every file they write and whether the two sides'
 files are byte-identical (`outputs`, `outputs_identical`).
@@ -35,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -159,6 +161,35 @@ def add_holm(workloads: dict) -> None:
         m["signed_rank_p_holm"] = running
 
 
+def two_process_scaling(loops: int = 5_000_000, repeats: int = 3) -> float:
+    """The median, over `repeats`, of the wall time of two busy loops of
+    `loops` steps run at once in two processes over that of one alone:
+    near 1 when a second CPU takes the second loop, near 2 when none does."""
+    def wall(processes: int) -> float:
+        start = time.perf_counter()
+        busy = f"n = {loops}\nwhile n:\n    n -= 1"
+        for proc in [subprocess.Popen([sys.executable, "-S", "-c", busy])
+                     for _ in range(processes)]:
+            proc.wait()
+        return time.perf_counter() - start
+
+    return statistics.median(wall(2) / wall(1) for _ in range(repeats))
+
+
+def provenance(origin: dict, shas: dict, scaling: dict) -> dict:
+    """The BENCH file's provenance: perfbench's record of the host from a
+    run's `origin`, the two_process_scaling measured at the session's
+    start and end, both commits and their src trees."""
+    return {
+        **{key: origin.get(key) for key in ("python", "numpy", "blas", "blas_threads",
+                                            "nproc", "cpus_usable")},
+        "two_process_scaling": scaling,
+        "parent_sha": shas["parent"], "change_sha": shas["change"],
+        "parent_src_tree": git("rev-parse", f"{shas['parent']}:src"),
+        "change_src_tree": git("rev-parse", f"{shas['change']}:src"),
+    }
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-metric medians, quartiles and pair wins over one workload's runs."""
     pairs = {}
@@ -223,6 +254,7 @@ def main(argv=None) -> int:
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
 
     runs = []
+    scaling = {"start": two_process_scaling()}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: checkout(sha, Path(tmp) / side) for side, sha in shas.items()}
         outputs = compare_outputs(trees, Path(tmp) / "outputs")
@@ -237,6 +269,8 @@ def main(argv=None) -> int:
                     status = record["result"]["correct"] if "result" in record else "failed"
                     print(f"bench_pair: {workload} seed {seed} {side}: {status}",
                           file=sys.stderr, flush=True)
+    scaling["end"] = two_process_scaling()
+    print(f"bench_pair: two-process scaling {scaling}", file=sys.stderr)
 
     origin = next((r["origin"]["provenance"] for r in runs if "origin" in r), {})
     doc = {
@@ -249,13 +283,7 @@ def main(argv=None) -> int:
                    f"the exact two-sided Wilcoxon signed-rank p over the pairs' log ratios, "
                    f"signed_rank_p_holm its Holm adjustment over every metric x workload "
                    f"test of this file"),
-        "provenance": {
-            **{key: origin.get(key) for key in ("python", "numpy", "blas", "blas_threads",
-                                                "nproc", "cpus_usable")},
-            "parent_sha": shas["parent"], "change_sha": shas["change"],
-            "parent_src_tree": git("rev-parse", f"{shas['parent']}:src"),
-            "change_src_tree": git("rev-parse", f"{shas['change']}:src"),
-        },
+        "provenance": provenance(origin, shas, scaling),
         "outputs": outputs,
         "workloads": {w: summarize([r for r in runs if r["workload"] == w], spec["end_to_end"])
                       for w in workloads},
