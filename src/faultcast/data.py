@@ -393,18 +393,18 @@ class _Range(io.RawIOBase):
         return count
 
 
-def _lines(fh, start: int, end: int):
-    """The lines of bytes `start` to `end` of the binary file `fh`, each
-    with its line end: a \\n, a \\r\\n or a lone \\r, as text mode splits
-    them. A byte no UTF-8 holds reads as a lone surrogate, so that the line
-    it is in can be named."""
+def _lines(fh, start: int, end: int, newline: str | None = None):
+    """The lines of bytes `start` to `end` of the binary file `fh`, split
+    at a \\n, a \\r\\n or a lone \\r, as text mode splits them. Each ends
+    in \\n, or with newline "" in its own line end. A byte no UTF-8 holds
+    reads as a lone surrogate, so that the line it is in can be named."""
     return io.TextIOWrapper(io.BufferedReader(_Range(fh, start, end)), encoding="utf-8",
-                            errors="surrogateescape", newline="")
+                            errors="surrogateescape", newline=newline)
 
 
 def _line_bytes(fh, start: int, end: int) -> bytes:
     """The bytes of the first line from byte `start` of `fh`, its end included."""
-    with _lines(fh, start, end) as lines:
+    with _lines(fh, start, end, newline="") as lines:
         return lines.readline().encode("utf-8", "surrogateescape")
 
 

@@ -508,16 +508,21 @@ class TestSplitLoad:
                                        "segment label shape (3,) != (2,)")
         assert len(forks) == 1 and _no_child_left()
 
-    @pytest.mark.parametrize("bad", [False, True])  # a bad record in the second half
+    # a record of the second half with a bad shape, or cut short, which the
+    # JSON decoder's message places by character
+    @pytest.mark.parametrize("bad", ["none", "shape", "truncated"])
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_crlf_and_lone_cr_load_alike(self, tmp_path, monkeypatch, forks, newline, bad):
         def edit(lines):
-            lines[7] = lines[7].replace('"labels":[', '"labels":[2,', 1) if bad else lines[7]
+            if bad == "shape":
+                lines[7] = lines[7].replace('"labels":[', '"labels":[2,', 1)
+            elif bad == "truncated":
+                lines[7] = lines[7][:20]
             return [*lines[:5], "", *lines[5:]]  # and a blank line
 
         path, split = _split_file(tmp_path, edit=edit)
         want = _load_both(path, monkeypatch)
-        assert want[0][0] == ("error" if bad else "ok")
+        assert want[0][0] == ("ok" if bad == "none" else "error")
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
         assert _load_both(path, monkeypatch) == want and len(forks) == 2
 
@@ -557,7 +562,8 @@ class TestSplitLoad:
         finally:
             stop.set()
             if thread.is_alive():
-                thread.join()
+                thread.join(10)
+                assert not thread.is_alive()
 
 
 SAVE_FAULTS = ("none", "shape", "NaN", "inf", "non-binary", "inconsistent", "bool labels",

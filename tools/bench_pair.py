@@ -18,8 +18,8 @@ their logs and its Holm adjustment over every metric x workload test of
 the file, and every raw run record;
 provenance names python, numpy, the BLAS, the CPU count, the host's
 two-process scaling at the start and at the end of the session (see
-two_process_scaling), both commits and their src trees. It reads the workloads and metrics from BENCHMARK.json and
-adds none. Once per clone it also runs OUTPUT_COMMANDS, seeded CLI calls,
+two_process_scaling), both commits and their src trees. It reads the
+workloads and metrics from BENCHMARK.json and adds none. Once per clone it also runs OUTPUT_COMMANDS, seeded CLI calls,
 and records the sha256 of every file they write and whether the two sides'
 files are byte-identical (`outputs`, `outputs_identical`).
 """
